@@ -213,10 +213,14 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                                 negjump_method=NegJumpMethod(method))
 
         run_sec = parser["run"] if parser.has_section("run") else {}
-        n_paths = int(overrides.get("paths")
-                      or (run_sec.get("paths", 100_000) if run_sec else 100_000))
-        seed = int(overrides.get("seed")
-                   or (run_sec.get("seed", 1) if run_sec else 1))
+        n_paths = int(overrides["paths"] if overrides.get("paths") is not None
+                      else run_sec.get("paths", 100_000))
+        seed = int(overrides["seed"] if overrides.get("seed") is not None
+                   else run_sec.get("seed", 1))
+        if n_paths < 1:
+            raise ConfigError(f"paths must be at least 1, got {n_paths}")
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
         out_dir = Path(overrides.get("out")
                        or (run_sec.get("out", "out") if run_sec else "out"))
     except ConfigError:

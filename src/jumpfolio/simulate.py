@@ -3,25 +3,37 @@
 Wealth is simulated through its exponential solution: a deterministic factor
 exp(R_t - V_t + (y, theta_hat)_t), the lognormal martingale factor driven by
 one Gaussian increment per interval with the same trapezoid variance the
-analytic formulas use, and a compound Poisson jump factor with per-interval
-counts and sizes drawn from the jump law (pi enters each jump at the left
-grid node).  Consequently the simulated law at the grid nodes matches the
-closed forms exactly, with no time-discretization bias between the two
-sides of any comparison.
+analytic formulas use, and a compound Poisson jump factor with exact jump
+times and sizes drawn from the jump law (pi enters each jump at the grid
+node left of its time).  For allocations constant in time the simulated law
+at the grid nodes therefore matches the closed forms exactly, with no
+time-discretization bias between the two sides of a comparison.  For a
+time-varying pi the jump factor keeps the left-node convention while the
+closed forms integrate lambda pi E[xi] and K_j(pi) by the trapezoid rule,
+so the two sides differ by a time-discretization error.
 
-The bit generator is counter-based (Philox keyed by the seed) with a fixed
-draw order per interval, so ensembles are reproducible bit for bit.
+Draw order: one counter-based bit generator (Philox keyed by the seed)
+makes, for each asset with a positive intensity in asset order, the
+per-path Poisson jump totals, then the uniform jump times, then the jump
+sizes; then n_paths standard normals per interval, interval by interval.
+One worker thread makes every draw in that order, a few intervals ahead,
+while the calling thread groups the jumps and applies each node, so the
+draws and every output are bit-identical to a serial loop over the same
+stream and reproducible bit for bit from the seed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .constrained import slack_path
-from .errors import EmptyFeasibleSet, InvalidStrategy
+from .errors import EmptyFeasibleSet, InvalidStrategy, OutOfRange
 from .market import MarketModel, R_path, UtilitySpec, cumtrapz, theta_hat_path
 from .riskmetrics import (
     RiskKind,
@@ -31,6 +43,14 @@ from .riskmetrics import (
     tail_count,
 )
 from .unconstrained import Strategy, cost_function
+
+# Standard normals per draw on the worker thread: small ensembles take
+# several intervals per draw, so thread hand-offs stay rare.
+_NORMALS_PER_DRAW = 1 << 18
+# Normal blocks in memory at once: the one being applied plus up to three
+# drawn ahead, which lets the worker keep drawing while the jumps of a
+# jump-heavy market are grouped.
+_BLOCKS = 4
 
 
 @dataclass
@@ -45,7 +65,9 @@ class PathEnsemble:
     jump_counts: np.ndarray   # (n_paths, d)
 
 
-def _validated(model: MarketModel, strategy: Strategy) -> None:
+def _validated(model: MarketModel, strategy: Strategy, x: float) -> None:
+    if not (math.isfinite(x) and x > 0.0):
+        raise OutOfRange(f"initial wealth must be positive and finite, got {x}")
     try:
         strategy.validate(model)
     except InvalidStrategy:
@@ -54,50 +76,58 @@ def _validated(model: MarketModel, strategy: Strategy) -> None:
         raise InvalidStrategy(str(exc)) from exc
 
 
-def _draw_jumps(model: MarketModel, strategy: Strategy, n_paths: int, rng):
-    """Draw all jumps up front: per path and asset a Poisson total over the
-    horizon, then exact uniform jump times and sizes from the jump law.
+def _draw_marks(rng, horizon: float, lam: float, dist, counts: np.ndarray):
+    """Draw one asset's jumps: a Poisson total per path over the horizon
+    into `counts`, then uniform times and sizes from the law for every
+    jump.  Returns (times, sizes)."""
+    counts[:] = rng.poisson(lam * horizon, counts.size)
+    total = int(counts.sum())
+    times = rng.uniform(0.0, horizon, total)
+    sizes = rng.choice(dist.z, size=total, p=dist.w)
+    return times, sizes
 
-    Returns (counts, node_bounds, path_idx, log_factor): jumps are sorted by
-    the first node they affect, so node k applies the slice
-    [node_bounds[k], node_bounds[k + 1]).  pi enters each jump at the grid
+
+def _file_jumps(grid, pi: np.ndarray, counts: np.ndarray, times, sizes):
+    """Group one asset's jumps by the interval they fall in.
+
+    Returns (bounds, path_idx, log_factor): the jumps in interval i, which
+    node i + 1 applies, are the slice [bounds[i], bounds[i + 1]), in draw
+    order (a stable radix sort on narrow keys), so np.add.at sums a path's
+    jumps in the order they were drawn.  pi enters each jump at the grid
     node left of its time.
     """
-    grid = model.grid
-    horizon = grid.horizon
-    counts = np.zeros((n_paths, model.d), dtype=np.int64)
-    idx_parts, node_parts, fac_parts = [], [], []
-    for j in range(model.d):
-        lam = float(model.jumps.lambdas[j])
-        if lam <= 0.0:
-            continue
-        m = rng.poisson(lam * horizon, n_paths)
-        counts[:, j] = m
-        total = int(m.sum())
-        if total == 0:
-            continue
-        times = rng.uniform(0.0, horizon, total)
-        dist = model.jumps.dists[j]
-        sizes = rng.choice(dist.z, size=total, p=dist.w)
-        hit = np.flatnonzero(m)
-        path_idx = np.repeat(hit, m[hit])
-        interval = np.clip(np.searchsorted(grid.nodes, times, side="right") - 1,
-                           0, grid.n - 2)
-        idx_parts.append(path_idx)
-        node_parts.append(interval + 1)           # first node seeing the jump
-        fac_parts.append(np.log1p(strategy.pi[interval, j] * sizes))
-    if idx_parts:
-        path_idx = np.concatenate(idx_parts)
-        nodes = np.concatenate(node_parts)
-        factors = np.concatenate(fac_parts)
-        order = np.argsort(nodes, kind="stable")
-        path_idx, nodes, factors = path_idx[order], nodes[order], factors[order]
-    else:
-        path_idx = np.empty(0, dtype=np.int64)
-        nodes = np.empty(0, dtype=np.int64)
-        factors = np.empty(0)
-    node_bounds = np.searchsorted(nodes, np.arange(grid.n + 1))
-    return counts, node_bounds, path_idx, factors
+    n_int = grid.n - 1
+    interval = np.searchsorted(grid.nodes, times, side="right")
+    interval -= 1
+    np.clip(interval, 0, n_int - 1, out=interval)
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(interval, minlength=n_int))))
+    factor = pi[interval]
+    factor *= sizes
+    np.log1p(factor, out=factor)
+    order = np.argsort(interval.astype(np.min_scalar_type(n_int - 1)),
+                       kind="stable")
+    path_idx = np.repeat(
+        np.arange(counts.size, dtype=np.min_scalar_type(counts.size - 1)),
+        counts)
+    return bounds, path_idx[order], factor[order]
+
+
+def _ahead(pool: ThreadPoolExecutor, draws, depth: int):
+    """Yield the results of the zero-argument callables `draws` in order.
+
+    Up to depth - 1 later calls run on `pool` while the caller works on a
+    result, so a result must not be used after the next one is requested.
+    No result is kept here once yielded, so the caller decides when each
+    one is freed.
+    """
+    pending = deque()
+    for draw in draws:
+        pending.append(pool.submit(draw))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
@@ -105,9 +135,12 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     """Drive n_paths through the grid, calling node_callback(k, log_wealth).
 
     log_wealth is the (n_paths,) vector of log wealth at node k.  Returns
-    the per-asset jump-count totals.  Draw order: per active asset one
-    Poisson block, one time block and one size block, then one standard
-    normal block per interval.
+    the per-asset jump-count totals.  Draw order: per asset with a positive
+    intensity one Poisson block, one time block and one size block, then
+    one standard normal block per interval (small ensembles take several
+    intervals per block, which is the same stream).  One worker thread
+    makes every draw, in that order, while this thread groups the jumps
+    and applies the nodes.
     """
     grid = model.grid
     n_nodes = grid.n
@@ -118,21 +151,42 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     s2 = 0.5 * (ysq[1:] + ysq[:-1]) * grid.dt          # per-interval variance
 
     rng = np.random.Generator(np.random.Philox(seed))
-    counts, bounds, jump_path, jump_factor = _draw_jumps(
-        model, strategy, n_paths, rng)
-    log_w = np.full(n_paths, det_log[0])
+    active = [j for j in range(model.d) if model.jumps.lambdas[j] > 0.0]
+    counts = np.zeros((n_paths, model.d), dtype=np.int64)
+    rows = min(n_nodes - 1, max(1, _NORMALS_PER_DRAW // n_paths))
+    buffers = [np.empty((rows, n_paths)) for _ in range(_BLOCKS)]
 
-    node_callback(0, log_w)
-    for k in range(1, n_nodes):
-        z = rng.standard_normal(n_paths)
-        log_w += det_log[k] - det_log[k - 1]
-        if s2[k - 1] > 0.0:
-            log_w += math.sqrt(s2[k - 1]) * z
-            log_w -= 0.5 * s2[k - 1]
-        lo, hi = bounds[k], bounds[k + 1]
-        if hi > lo:
-            np.add.at(log_w, jump_path[lo:hi], jump_factor[lo:hi])
-        node_callback(k, log_w)
+    def draws():
+        for j in active:
+            yield partial(_draw_marks, rng, grid.horizon,
+                          float(model.jumps.lambdas[j]),
+                          model.jumps.dists[j], counts[:, j])
+        for i, start in enumerate(range(1, n_nodes, rows)):
+            block = buffers[i % _BLOCKS][:min(rows, n_nodes - start)]
+            yield partial(rng.standard_normal, out=block)
+
+    pool = ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="jumpfolio-draws")
+    try:
+        results = _ahead(pool, draws(), _BLOCKS)
+        jumps = [_file_jumps(grid, strategy.pi[:, j], counts[:, j],
+                             *next(results)) for j in active]
+        log_w = np.full(n_paths, det_log[0])
+        node_callback(0, log_w)
+        normals = (z for block in results for z in block)
+        for k, z in enumerate(normals, start=1):
+            log_w += det_log[k] - det_log[k - 1]
+            if s2[k - 1] > 0.0:
+                z *= math.sqrt(s2[k - 1])
+                log_w += z
+                log_w -= 0.5 * s2[k - 1]
+            for bounds, path_idx, factor in jumps:
+                lo, hi = bounds[k - 1], bounds[k]
+                if hi > lo:
+                    np.add.at(log_w, path_idx[lo:hi], factor[lo:hi])
+            node_callback(k, log_w)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return counts
 
 
@@ -142,14 +196,14 @@ def simulate(model: MarketModel, strategy: Strategy, x: float,
     n_paths, seed)."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    _validated(model, strategy)
+    _validated(model, strategy, x)
     if n_paths * model.grid.n > 300_000_000:
         raise ValueError("ensemble too large to materialize; "
                          "use simulate_node_stats instead")
     wealth = np.empty((n_paths, model.grid.n))
 
     def collect(k, log_w):
-        wealth[:, k] = np.exp(log_w)
+        np.exp(log_w, out=wealth[:, k])
 
     counts = _march(model, strategy, x, n_paths, seed, collect)
     return PathEnsemble(grid=model.grid, x=x, n_paths=n_paths, seed=seed,
@@ -185,26 +239,33 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
     """Stream the ensemble node by node, keeping only tail statistics.
 
     Memory stays O(n_paths) regardless of the grid size, and the draws are
-    bit-identical to simulate() with the same seed.
+    bit-identical to simulate() with the same seed.  `thresholds`, one
+    wealth level per node, adds the count of paths strictly below it.
     """
-    _validated(model, strategy)
+    _validated(model, strategy, x)
     n_nodes = model.grid.n
     k_tail = tail_count(beta, n_paths)
+    if thresholds is not None:
+        thresholds = np.asarray(thresholds, dtype=float)
+        if thresholds.shape != (n_nodes,):
+            raise OutOfRange(f"thresholds must have shape ({n_nodes},), "
+                             f"got {thresholds.shape}")
     q = np.empty(n_nodes)
     tail = np.empty(n_nodes)
     spread = np.empty(n_nodes)
     mean = np.empty(n_nodes)
     below = np.empty(n_nodes, dtype=np.int64) if thresholds is not None else None
+    w = np.empty(n_paths)
 
     def collect(k, log_w):
-        w = np.exp(log_w)
-        part = np.partition(w, k_tail - 1)
-        q[k] = part[k_tail - 1]
-        tail[k] = part[:k_tail].mean()
-        spread[k] = part[:k_tail].std()
+        np.exp(log_w, out=w)
         mean[k] = w.mean()
         if below is not None:
             below[k] = int(np.count_nonzero(w < thresholds[k]))
+        w.partition(k_tail - 1)
+        q[k] = w[k_tail - 1]
+        tail[k] = w[:k_tail].mean()
+        spread[k] = w[:k_tail].std()
 
     _march(model, strategy, x, n_paths, seed, collect)
     return NodeStats(beta=beta, n_paths=n_paths, q_beta=q, tail_mean=tail,

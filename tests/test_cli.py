@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,23 @@ def test_malformed_config_exits_1_without_output(tmp_path):
     bad.write_text("[grid]\nhorizon = nonsense\n")
     out = tmp_path / "out"
     assert main(["solve", "--config", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_seed_zero_override_is_honoured(tmp_path):
+    cfg, _ = write_config(tmp_path)
+    assert load_config(cfg, {"seed": 0}).seed == 0
+    assert load_config(cfg).seed == 11
+
+
+@pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--paths", "-5"),
+                                         ("--seed", "-1")])
+def test_bad_run_override_exits_1(tmp_path, capsys, flag, value):
+    cfg, out = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg), flag, value]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "parse_error"
+    assert error["type"] == "ConfigError"
     assert not out.exists()
 
 

@@ -1,12 +1,15 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
 import jumpfolio as jf
-from jumpfolio.errors import EmptyFeasibleSet, InvalidStrategy
-from jumpfolio.market import R_path, cumtrapz, theta_path
+from jumpfolio.errors import EmptyFeasibleSet, InvalidStrategy, OutOfRange
+from jumpfolio.market import R_path, cumtrapz, theta_hat_path, theta_path
+from jumpfolio.simulate import _march
 
 from conftest import make_model
 
@@ -71,6 +74,114 @@ def test_rejects_inadmissible_strategy(sim_model):
     bad = jf.Strategy.from_pi(sim_model, np.full((n, 1), 1.4))
     with pytest.raises(InvalidStrategy):
         jf.simulate(sim_model, bad, 1.0, 10, 1)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_bad_initial_wealth(sim_model, sim_strategy, x):
+    with pytest.raises(OutOfRange):
+        jf.simulate(sim_model, sim_strategy, x, 10, 1)
+    with pytest.raises(OutOfRange):
+        jf.simulate_node_stats(sim_model, sim_strategy, x, 0.05, 100, 1)
+
+
+@pytest.mark.parametrize("shape", [(64,), (66,), (65, 1), ()])
+def test_rejects_thresholds_of_wrong_shape_before_drawing(
+        sim_model, sim_strategy, shape, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew random numbers before validating")
+
+    monkeypatch.setattr(np.random, "Philox", no_draws)
+    with pytest.raises(OutOfRange):
+        jf.simulate_node_stats(sim_model, sim_strategy, 1.0, 0.05, 100, 1,
+                               thresholds=np.ones(shape))
+
+
+def test_callback_error_reaches_caller_and_stops_the_worker(
+        sim_model, sim_strategy):
+    stop = RuntimeError("stop at node 3")
+    before = threading.active_count()
+    seen = []
+
+    def callback(k, log_w):
+        seen.append(threading.active_count())
+        if k == 3:
+            raise stop
+
+    with pytest.raises(RuntimeError) as caught:
+        _march(sim_model, sim_strategy, 1.0, 50_000, 9, callback)
+    assert caught.value is stop
+    assert seen and max(seen) <= before + 1
+    assert threading.active_count() == before
+
+
+def _serial_march(model, strategy, x, n_paths, seed):
+    """Reference: every draw and node update in one loop on one thread."""
+    grid = model.grid
+    det_log = (math.log(x) + R_path(model) - strategy.V
+               + cumtrapz(grid, np.sum(strategy.y * theta_hat_path(model),
+                                       axis=1)))
+    ysq = np.sum(strategy.y**2, axis=1)
+    s2 = 0.5 * (ysq[1:] + ysq[:-1]) * grid.dt
+    rng = np.random.Generator(np.random.Philox(seed))
+    counts = np.zeros((n_paths, model.d), dtype=np.int64)
+    idx, nodes, fac = [], [], []
+    for j in range(model.d):
+        lam = float(model.jumps.lambdas[j])
+        if lam <= 0.0:
+            continue
+        m = rng.poisson(lam * grid.horizon, n_paths)
+        counts[:, j] = m
+        total = int(m.sum())
+        if total == 0:
+            continue
+        times = rng.uniform(0.0, grid.horizon, total)
+        dist = model.jumps.dists[j]
+        sizes = rng.choice(dist.z, size=total, p=dist.w)
+        interval = np.clip(np.searchsorted(grid.nodes, times, side="right") - 1,
+                           0, grid.n - 2)
+        idx.append(np.repeat(np.arange(n_paths), m))
+        nodes.append(interval + 1)
+        fac.append(np.log1p(strategy.pi[interval, j] * sizes))
+    idx, nodes, fac = (np.concatenate(a) for a in (idx, nodes, fac))
+    order = np.argsort(nodes, kind="stable")
+    idx, nodes, fac = idx[order], nodes[order], fac[order]
+    wealth = np.empty((n_paths, grid.n))
+    log_w = np.full(n_paths, det_log[0])
+    wealth[:, 0] = np.exp(log_w)
+    for k in range(1, grid.n):
+        z = rng.standard_normal(n_paths)
+        log_w += det_log[k] - det_log[k - 1]
+        log_w += math.sqrt(s2[k - 1]) * z
+        log_w -= 0.5 * s2[k - 1]
+        hit = nodes == k
+        np.add.at(log_w, idx[hit], fac[hit])
+        wealth[:, k] = np.exp(log_w)
+    return wealth, counts
+
+
+def test_matches_serial_reference_under_fast_thread_switching():
+    # many normal blocks, so every draw buffer is reused several times while
+    # the interpreter switches threads as often as it can
+    grid = jf.TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)
+    coeffs = jf.CoefficientPath.constant(grid, 0.02, [0.07, 0.05],
+                                         [[0.3, 0.05], [0.0, 0.25]])
+    jumps = jf.JumpSpec(np.array([3.0, 1.0]),
+                        (jf.JumpDist.point_masses([-0.1, 0.1], [0.5, 0.5]),
+                         jf.JumpDist.point_masses([0.05], [1.0])))
+    model = jf.MarketModel(grid, coeffs, jumps)
+    pi = np.column_stack([np.linspace(0.2, 0.8, grid.n),
+                          np.full(grid.n, 0.5)])
+    strategy = jf.Strategy.from_pi(model, pi)
+    n_paths = 100_000
+    wealth, counts = _serial_march(model, strategy, 1.0, n_paths, 21)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ens = jf.simulate(model, strategy, 1.0, n_paths, 21)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(ens.jump_counts, counts)
+    assert np.array_equal(ens.wealth, wealth)
 
 
 # ---------------------------------------------------------------------------
