@@ -61,17 +61,10 @@ from .simulate import (
     simulate_node_stats,
 )
 from .errors import (
-    AssumptionJViolated,
     ConditionViolated,
     ConfigError,
-    DriftBelowRate,
-    EmptyFeasibleSet,
-    EpsilonTooLarge,
     InvalidStrategy,
     JumpfolioError,
-    KappaOutOfRange,
-    NegativeJumpsPresent,
-    ThetaHatNegative,
 )
 from .market import (
     CoefficientPath,
@@ -86,18 +79,6 @@ from .market import (
 )
 from .riskmetrics import NegJumpMethod, RiskKind, RiskSpec
 from .unconstrained import SolveReport, Strategy, cost_function
-
-_CONDITION_ERRORS = (
-    AssumptionJViolated,
-    ConditionViolated,
-    DriftBelowRate,
-    EmptyFeasibleSet,
-    EpsilonTooLarge,
-    KappaOutOfRange,
-    NegativeJumpsPresent,
-    ThetaHatNegative,
-    InvalidStrategy,
-)
 
 _FULL_ENSEMBLE_CAP = 20_000   # path cap for checks that store the matrix
 
@@ -149,6 +130,8 @@ def _parse_jump_section(section) -> tuple:
         if len(bounds) != 2:
             raise ConfigError("uniform jump law needs 'support = lo, hi'")
         lo, hi = bounds
+        if not lo < hi:
+            raise ConfigError(f"uniform jump law needs lo < hi, got {lo}, {hi}")
         density = 1.0 / (hi - lo)
         return lam, JumpDist.from_density(
             lambda zz: np.full_like(zz, density), lo, hi)
@@ -372,8 +355,6 @@ def dispatch_solve(config: RunConfig, force: bool = False):
         if utility.is_linear:
             return unconstrained.solve_linear(model)
         if utility.is_equal:
-            if model.d == 1:
-                return unconstrained.solve_power_1d(model, utility)
             return unconstrained.solve_power_equal(model, utility)
         raise ConditionViolated(
             "unconstrained solve with distinct gammas is not provided; "
@@ -588,9 +569,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error("parse_error", exc)
         return 1
-    except _CONDITION_ERRORS as exc:
-        _emit_error("condition_violation", exc)
-        return 2
     except JumpfolioError as exc:
         _emit_error("condition_violation", exc)
         return 2

@@ -31,11 +31,11 @@ from .errors import (
 )
 from .market import (
     MarketModel,
-    Q_transform_path,
     R_path,
     UtilitySpec,
     cumtrapz,
     inner_product_path,
+    jump_terms_path,
     l2_time_norm,
     l2_time_norm_sq_path,
     sigma_inv_xi_lambda_path,
@@ -49,6 +49,7 @@ from .unconstrained import (
     SolveReport,
     Strategy,
     _optimal_allocation,
+    check_initial_wealth,
     growth_rate_path,
     solve_power_equal,
 )
@@ -263,6 +264,7 @@ def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
     J* = x exp(R_T + ||theta||_T rho_bar).  Needs a componentwise
     nonnegative theta_hat.
     """
+    check_initial_wealth(x)
     theta_norm = l2_time_norm(model.grid, theta_path(model))
     if theta_norm <= 1e-14:
         return _solve_gamma1(model, risk, x, None)
@@ -274,6 +276,7 @@ def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
 def solve_es_gamma1(model: MarketModel, risk: RiskSpec, x: float = 1.0,
                     force: bool = False) -> SolveReport:
     """Optimal rule under the ES limit for gamma1 = gamma2 = 1."""
+    check_initial_wealth(x)
     theta_norm = l2_time_norm(model.grid, theta_path(model))
     if theta_norm <= 1e-14:
         return _solve_gamma1(model, risk, x, None)
@@ -317,6 +320,7 @@ def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
     strategy; c vanishes when theta_hat is componentwise nonnegative.  The
     norm bound ||y*||_T <= q ||theta||_T is verified before certifying.
     """
+    check_initial_wealth(x)
     if not (utility.is_equal and utility.gamma < 1.0):
         raise ValueError("certificates need equal gamma in (0, 1)")
     lev = _effective_or_assumption_j(model, risk)
@@ -367,6 +371,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     2 ||theta_hat||_T.  The first-order jump aggregate M and its pairing
     with theta_hat are reported for reference.
     """
+    check_initial_wealth(x)
     if not (utility.is_equal and utility.gamma < 1.0):
         raise ValueError("certificates need equal gamma in (0, 1)")
     lev = _effective_or_assumption_j(model, risk)
@@ -390,7 +395,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     correction = min(0.0, float(np.min(cross - qq * thh_sq_path)))
     lhs = 1.0 - chi * math.exp(m_star + correction)
 
-    qv = Q_transform_path(model.jumps, report.strategy.pi, utility.gamma)
+    qv = jump_terms_path(model.jumps, report.strategy.pi, utility.gamma)[1]
     m_path = np.linalg.solve(model.coeffs.sigma, qv[..., None])[..., 0]
     m_hat_theta_T = trapz(grid, np.sum(thh * m_path, axis=1))
 
@@ -468,6 +473,7 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     v*_t = kappa ghat1^{q1}(t) / (||ghat1||_{q1,T}^{q1} - kappa
     ||ghat1||_{q1,t}^{q1}).
     """
+    check_initial_wealth(x)
     g1, g2 = utility.gamma1, utility.gamma2
     if g1 == g2 or g1 >= 1.0 or g2 >= 1.0:
         raise ValueError("solve_diff_gamma needs distinct gammas in (0, 1)")
@@ -565,18 +571,17 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     When a risk spec is given, the matching inactivity certificate (with
     exp(-V_T) = 1) is attached to the diagnostics.
     """
+    check_initial_wealth(x)
     gamma = utility.gamma
     if gamma >= 1.0:
         raise ValueError("solve_no_consumption needs gamma < 1")
-    y, pi, residual, iterations, clipped = _optimal_allocation(model, gamma)
+    y, pi, diag = _optimal_allocation(model, gamma)
     grid = model.grid
     h = growth_rate_path(model, gamma, y, pi)
     g = np.exp(cumtrapz(grid, h))
     rho = g[-1] / g
     strategy = Strategy(grid, y, pi, np.zeros(grid.n))
     J = x**gamma * float(g[-1])
-    diag = {"foc_residual": residual, "iterations": iterations,
-            "boundary_clipped": clipped}
     report = SolveReport(strategy=strategy, J_star=J, h_star=h, g=g, rho=rho,
                          chi=1.0, diagnostics=diag)
     if risk is not None:

@@ -34,7 +34,7 @@ class DriftBelowRate(JumpfolioError):
 
 
 class NoConvergence(JumpfolioError):
-    """Fixed-point iteration did not converge within the iteration budget."""
+    """An iterative solver did not converge within its iteration budget."""
 
 
 class KappaOutOfRange(JumpfolioError):

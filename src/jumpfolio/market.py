@@ -485,14 +485,29 @@ def K_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.n
     return total
 
 
-def Q_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-asset Q_j(pi_j) along a (N, d) allocation path; shape (N, d)."""
-    pi_path = np.asarray(pi_path, dtype=float)
-    out = np.zeros_like(pi_path)
-    for j in range(jumps.d):
-        if jumps.lambdas[j] > 0:
-            out[:, j] = Q_transform(jumps, j, pi_path[:, j], gamma)
-    return out
+def jump_terms_path(jumps: JumpSpec, pi: np.ndarray, gamma: float):
+    """sum_j K_j(pi_j), Q_j(pi_j) and Q_j'(pi_j) in one pass over the atoms.
+
+    Q_j'(pi) = lambda_j (gamma - 1) E[(1 + pi xi)^(gamma-2) xi^2]; each row
+    of the (m, d) array pi is one allocation inside the box.  The fourth
+    output, lambda_j E[|xi| ((1 + pi xi)^(gamma-1) + 1)], bounds the terms
+    summed into Q_j, which sets the float resolution of Q_j.
+    """
+    k = np.zeros(pi.shape[0])
+    q = np.zeros_like(pi)
+    dq = np.zeros_like(pi)
+    q_size = np.zeros_like(pi)
+    for j in np.flatnonzero(jumps.lambdas > 0):
+        lam, z, w = jumps.lambdas[j], jumps.dists[j].z, jumps.dists[j].w
+        pz = pi[:, j, None] * z
+        base = 1.0 + pz
+        power = base**gamma
+        slope = power / base                    # (1 + pi z)^(gamma - 1)
+        k += lam * ((power - 1.0 - gamma * pz) @ w)
+        q[:, j] = lam * (((slope - 1.0) * z) @ w)
+        dq[:, j] = lam * (gamma - 1.0) * ((slope / base * z * z) @ w)
+        q_size[:, j] = lam * (((slope + 1.0) * np.abs(z)) @ w)
+    return k, q, dq, q_size
 
 
 def expected_jump_exponential(jumps: JumpSpec, grid: TimeGrid, a) -> float:

@@ -132,9 +132,9 @@ def adjusted_solve(model: MarketModel, risk: RiskSpec, utility: UtilitySpec,
         return constrained.solve_es_gamma1(model, risk, x, force=force)
     if utility.is_equal:
         if risk.kind == RiskKind.VAR:
-            cert = constrained.certify_var_gamma(model, utility, risk)
+            cert = constrained.certify_var_gamma(model, utility, risk, x)
         else:
-            cert = constrained.certify_es_gamma(model, utility, risk)
+            cert = constrained.certify_es_gamma(model, utility, risk, x)
         if cert.active and not force:
             err = ConditionViolated(
                 "inactivity certificate failed: lhs="

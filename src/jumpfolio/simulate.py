@@ -42,7 +42,7 @@ from .riskmetrics import (
     empirical_shortfall,
     tail_count,
 )
-from .unconstrained import Strategy, cost_function
+from .unconstrained import Strategy, check_initial_wealth, cost_function
 
 # Standard normals per draw on the worker thread: small ensembles take
 # several intervals per draw, so thread hand-offs stay rare.
@@ -65,9 +65,13 @@ class PathEnsemble:
     jump_counts: np.ndarray   # (n_paths, d)
 
 
-def _validated(model: MarketModel, strategy: Strategy, x: float) -> None:
-    if not (math.isfinite(x) and x > 0.0):
-        raise OutOfRange(f"initial wealth must be positive and finite, got {x}")
+def _validated(model: MarketModel, strategy: Strategy, x: float,
+               n_paths: int, seed: int) -> None:
+    check_initial_wealth(x)
+    if n_paths < 1:
+        raise OutOfRange(f"n_paths must be at least 1, got {n_paths}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be nonnegative, got {seed}")
     try:
         strategy.validate(model)
     except InvalidStrategy:
@@ -194,11 +198,9 @@ def simulate(model: MarketModel, strategy: Strategy, x: float,
              n_paths: int, seed: int) -> PathEnsemble:
     """Simulate the full wealth matrix; deterministic in (model, strategy,
     n_paths, seed)."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    _validated(model, strategy, x)
+    _validated(model, strategy, x, n_paths, seed)
     if n_paths * model.grid.n > 300_000_000:
-        raise ValueError("ensemble too large to materialize; "
+        raise OutOfRange("ensemble too large to materialize; "
                          "use simulate_node_stats instead")
     wealth = np.empty((n_paths, model.grid.n))
 
@@ -242,7 +244,7 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
     bit-identical to simulate() with the same seed.  `thresholds`, one
     wealth level per node, adds the count of paths strictly below it.
     """
-    _validated(model, strategy, x)
+    _validated(model, strategy, x, n_paths, seed)
     n_nodes = model.grid.n
     k_tail = tail_count(beta, n_paths)
     if thresholds is not None:

@@ -7,16 +7,18 @@ deterministic strategy (y, v) with pi the wealth fractions,
     A_g(t) = g (R_t - V_t + (y, theta)_t - (1-g)/2 ||y||_t^2)
              + sum_j int_0^t K_j(pi_j(s)) ds,
 
-so the pointwise growth rate to maximize over the allocation box is
+so the pointwise growth rate to maximize over the allocation box
+pi_t in [0, 1]^d is
 
     h(t; y) = g (r_t + y_t . theta_t) - g(1-g)/2 |y_t|^2 + sum_j K_j(pi_j).
 
-The first-order condition in y reads, with eps = sigma_t^{-1},
+Inside the box the first-order condition in y reads, with eps = sigma_t^{-1},
 
-    theta_t^i + (g - 1) y_t^i + sum_j eps_ij(t) Q_j(pi_t^j) = 0,
+    theta_t^i + (g - 1) y_t^i + sum_j eps_ij(t) Q_j(pi_t^j) = 0;
 
-and the optimal consumption rate follows from the Bernoulli equation for the
-value-function coefficient rho(t).
+a component at a bound satisfies it only where the gradient points out of
+the box.  The optimal consumption rate follows from the Bernoulli equation
+for the value-function coefficient rho(t).
 """
 
 from __future__ import annotations
@@ -25,16 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DriftBelowRate, InvalidStrategy, NoConvergence
+from .errors import DriftBelowRate, InvalidStrategy, NoConvergence, OutOfRange
 from .market import (
     K_transform_path,
     MarketModel,
     Q_transform,
-    Q_transform_path,
     R_path,
     TimeGrid,
     UtilitySpec,
     cumtrapz,
+    jump_terms_path,
     l2_time_norm,
     l2_time_norm_sq_path,
     path_integral,
@@ -43,6 +45,12 @@ from .market import (
 )
 
 _BOX_TOL = 1e-10
+# Projected Newton allocation solve.  A node is done once each free gradient
+# component is below _NEWTON_TOL times the summed magnitude of its terms, a
+# few ulps above float resolution at any scale of the coefficients.
+_NEWTON_TOL = 1e-14
+_MAX_ITER = 50
+_MAX_HALVINGS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +213,12 @@ def chi_value(grid: TimeGrid, g: np.ndarray, utility: UtilitySpec) -> float:
     return float(gq[-1] / (trapz(grid, gq) + gq[-1]))
 
 
+def check_initial_wealth(x: float) -> None:
+    """Raise OutOfRange unless the initial wealth x is positive and finite."""
+    if not (np.isfinite(x) and x > 0.0):
+        raise OutOfRange(f"initial wealth must be positive and finite, got {x}")
+
+
 def cost_function(model: MarketModel, utility: UtilitySpec,
                   strategy: Strategy, x: float) -> float:
     """Exact expected cost of a deterministic strategy.
@@ -212,6 +226,7 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
     J = x^g1 int_0^T v_t^g1 exp(A_g1(t)) dt + x^g2 exp(A_g2(T)) with A_g the
     log power moment exponent; all time integrals by trapezoid on the grid.
     """
+    check_initial_wealth(x)
     grid = model.grid
     th = theta_path(model)
     R = R_path(model)
@@ -241,6 +256,7 @@ def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
     otherwise pi*_t = (mu_t - r_t 1) sqrt(T) / ||mu - r 1||_T and
     J* = x exp(R_T + sqrt(T) ||mu - r 1||_T).
     """
+    check_initial_wealth(x)
     c = model.coeffs
     excess = c.mu - c.r[:, None]
     if np.any(excess < -1e-12):
@@ -284,125 +300,106 @@ def eta_1d(model: MarketModel, node: int, pi, gamma: float):
     return float(out) if np.ndim(pi) == 0 else out
 
 
-def _eta_1d_all_nodes(model: MarketModel, pi: np.ndarray, gamma: float) -> np.ndarray:
-    c = model.coeffs
-    drift = c.mu[:, 0] - c.r
-    sig2 = c.sigma[:, 0, 0] ** 2
-    qv = np.zeros_like(pi)
-    if model.jumps.lambdas[0] > 0:
-        qv = Q_transform(model.jumps, 0, pi, gamma)
-    return drift + (gamma - 1.0) * sig2 * pi + qv
+def _optimal_allocation(model: MarketModel, gamma: float):
+    """Maximize the growth rate h(t; pi) over the box [0, 1]^d at every node.
 
+    h is strictly concave for gamma < 1.  In units of the gradient
+    g = grad_pi h / gamma = (mu - r) - (1 - gamma) sigma sigma' pi + Q(pi),
+    a projected Newton step (Bertsekas 1982) starts from the jump-free
+    optimum clipped to the box.  Components at a bound whose gradient points
+    out of the box stay there; the others take the Newton step on their
+    block of the Hessian -(1 - gamma) sigma sigma' + diag Q'(pi), and the
+    result is clipped to the box.  Each node halves its step until h rises
+    or the first-order defect falls: near the optimum a rise of h is below
+    float resolution.  Returns y, pi and the diagnostics foc_residual, the
+    largest max |sigma^{-1} P(g)| over nodes (P zeroes the components held
+    at a bound), iterations and boundary_clipped.
+    """
+    c, jumps = model.coeffs, model.jumps
+    n, d = c.mu.shape
+    excess = c.mu - c.r[:, None]
+    cov = (1.0 - gamma) * c.sigma @ c.sigma.transpose(0, 2, 1)
+    sigma_inv = np.linalg.inv(c.sigma)
+    diag = np.arange(d)
 
-def _assemble_power_report(model, utility, y, pi, x, diagnostics) -> SolveReport:
-    grid = model.grid
-    h = growth_rate_path(model, utility.gamma, y, pi)
-    g = np.exp(cumtrapz(grid, h))
-    rho = rho_path(grid, h, utility)
-    v = v_star_path(grid, h, utility)
-    chi = chi_value(grid, g, utility)
-    strategy = Strategy(grid, y, pi, v)
-    J = cost_function(model, utility, strategy, x)
-    diagnostics = dict(diagnostics)
-    diagnostics["J_star_rho0"] = x**utility.gamma * float(rho[0])
-    return SolveReport(strategy=strategy, J_star=J, h_star=h, g=g, rho=rho,
-                       chi=chi, diagnostics=diagnostics)
+    def evaluate(rows, pi):
+        k, q, dq, q_size = jump_terms_path(jumps, pi, gamma)
+        cov_pi = np.einsum("nij,nj->ni", cov[rows], pi)
+        f = np.sum(pi * (excess[rows] - 0.5 * cov_pi), axis=1) + k / gamma
+        g = excess[rows] - cov_pi + q
+        held = ((pi == 0.0) & (g <= 0.0)) | ((pi == 1.0) & (g >= 0.0))
+        pg = np.where(held, 0.0, g)
+        size = (np.abs(excess[rows]) + q_size
+                + np.einsum("nij,nj->ni", np.abs(cov[rows]), pi))
+        done = np.all(np.abs(pg) <= _NEWTON_TOL * size, axis=1)
+        kkt = np.einsum("nij,nj->ni", sigma_inv[rows], pg)
+        return f, g, dq, held, np.max(np.abs(kkt), axis=1), done
+
+    pi = np.clip(np.linalg.solve(cov, excess[..., None])[..., 0], 0.0, 1.0)
+    f, g, dq, held, res, done = evaluate(np.arange(n), pi)
+    iterations = 0
+    while not np.all(done):
+        if iterations == _MAX_ITER:
+            raise NoConvergence(
+                "projected Newton stopped at first-order residual "
+                f"{res.max():.3e} after {_MAX_ITER} iterations")
+        iterations += 1
+        rows = np.flatnonzero(~done)
+        free = ~held[rows]
+        # held rows and columns become -identity, so their step is 0
+        hess = np.where(free[:, :, None] & free[:, None, :], -cov[rows], 0.0)
+        hess[:, diag, diag] += np.where(free, dq[rows], -1.0)
+        rhs = np.where(free, -g[rows], 0.0)
+        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(pi[rows] + alpha * step, 0.0, 1.0)
+            new = evaluate(rows, trial)
+            # accept where h rose or the first-order residual fell
+            ok = (new[0] > f[rows]) | (new[4] < res[rows])
+            pi[rows[ok]] = trial[ok]
+            for old, value in zip((f, g, dq, held, res, done), new):
+                old[rows[ok]] = value[ok]
+            rows, step = rows[~ok], step[~ok]
+            if rows.size == 0:
+                break
+            alpha *= 0.5
+    y = np.einsum("nji,nj->ni", c.sigma, pi)
+    diagnostics = {
+        "foc_residual": float(res.max()),
+        "iterations": iterations,
+        "boundary_clipped": bool(np.any((pi == 0.0) | (pi == 1.0))),
+    }
+    return y, pi, diagnostics
 
 
 def solve_power_1d(model: MarketModel, utility: UtilitySpec,
                    x: float = 1.0) -> SolveReport:
-    """One-dimensional equal-gamma solver by bisection on eta.
-
-    Nodes where eta brackets a root get the interior optimum to 1e-13 in pi;
-    elsewhere the boundary maximizer is used and a no_interior_root flag is
-    raised in the diagnostics (the growth rate is concave, so the sign of
-    eta at the endpoints decides).
-    """
+    """One-asset entry point to solve_power_equal."""
     if model.d != 1:
         raise ValueError("solve_power_1d needs a one-asset market")
-    gamma = utility.gamma
-    if gamma >= 1.0:
-        raise ValueError("solve_power_1d needs gamma < 1")
-    n = model.grid.n
-    eta0 = _eta_1d_all_nodes(model, np.zeros(n), gamma)
-    eta1 = _eta_1d_all_nodes(model, np.ones(n), gamma)
-    interior = (eta0 > 0.0) & (eta1 < 0.0)
-
-    pi = np.where(eta0 <= 0.0, 0.0, 1.0)
-    if np.any(interior):
-        lo = np.zeros(n)
-        hi = np.ones(n)
-        while np.max(hi - lo) > 1e-13:
-            mid = 0.5 * (lo + hi)
-            s = _eta_1d_all_nodes(model, mid, gamma)
-            above = s > 0.0
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        pi = np.where(interior, 0.5 * (lo + hi), pi)
-
-    y = np.einsum("nji,nj->ni", model.coeffs.sigma, pi[:, None])
-    resid = np.abs(_eta_1d_all_nodes(model, pi, gamma))
-    diag = {
-        "no_interior_root": bool(np.any(~interior)),
-        "eta_residual": float(resid[interior].max()) if np.any(interior) else 0.0,
-    }
-    return _assemble_power_report(model, utility, y, pi[:, None], x, diag)
+    return solve_power_equal(model, utility, x)
 
 
-def _optimal_allocation(model: MarketModel, gamma: float, max_iter: int = 500,
-                        damping: float = 0.5, tol: float = 1e-12):
-    """Damped fixed point for the d-dimensional first-order system.
-
-    Iterates y <- q (theta + sigma^{-1} Q(pi)) with pi the box projection of
-    (sigma')^{-1} y.  Returns the final (y, pi, residual, iterations); the
-    residual is the first-order defect over components strictly inside the
-    box.
-    """
-    q = 1.0 / (1.0 - gamma)
-    sigma = model.coeffs.sigma
-    sigma_t = sigma.transpose(0, 2, 1)
-    th = theta_path(model)
-    y = q * th
-    delta = np.inf
-    iterations = max_iter
-    for it in range(1, max_iter + 1):
-        pi = np.clip(np.linalg.solve(sigma_t, y[..., None])[..., 0], 0.0, 1.0)
-        qv = Q_transform_path(model.jumps, pi, gamma)
-        target = q * (th + np.linalg.solve(sigma, qv[..., None])[..., 0])
-        delta = float(np.max(np.abs(target - y)))
-        y = y + damping * (target - y)
-        if delta < tol:
-            iterations = it
-            break
-    else:
-        raise NoConvergence(
-            f"allocation fixed point stalled at delta = {delta:.3e} "
-            f"after {max_iter} iterations"
-        )
-    pi = np.clip(np.linalg.solve(sigma_t, y[..., None])[..., 0], 0.0, 1.0)
-    y_final = np.einsum("nji,nj->ni", sigma, pi)
-    qv = Q_transform_path(model.jumps, pi, gamma)
-    foc = th + (gamma - 1.0) * y_final + np.linalg.solve(sigma, qv[..., None])[..., 0]
-    inside = (pi > _BOX_TOL) & (pi < 1.0 - _BOX_TOL)
-    residual = float(np.max(np.abs(foc[inside]))) if np.any(inside) else 0.0
-    return y_final, pi, residual, iterations, bool(np.any(~inside))
-
-
-def solve_power_equal(model: MarketModel, utility: UtilitySpec, x: float = 1.0,
-                      max_iter: int = 500, damping: float = 0.5,
-                      tol: float = 1e-12) -> SolveReport:
-    """Equal-gamma solver in d dimensions via the damped first-order system."""
+def solve_power_equal(model: MarketModel, utility: UtilitySpec,
+                      x: float = 1.0) -> SolveReport:
+    """Equal-gamma solver in d dimensions: the box-constrained optimal
+    allocation at every node, then the optimal consumption rate."""
+    check_initial_wealth(x)
     gamma = utility.gamma
     if gamma >= 1.0:
         raise ValueError("solve_power_equal needs gamma < 1")
-    y, pi, residual, iterations, clipped = _optimal_allocation(
-        model, gamma, max_iter=max_iter, damping=damping, tol=tol)
-    diag = {
-        "foc_residual": residual,
-        "iterations": iterations,
-        "boundary_clipped": clipped,
-    }
-    return _assemble_power_report(model, utility, y, pi, x, diag)
+    y, pi, diagnostics = _optimal_allocation(model, gamma)
+    grid = model.grid
+    h = growth_rate_path(model, gamma, y, pi)
+    g = np.exp(cumtrapz(grid, h))
+    rho = rho_path(grid, h, utility)
+    strategy = Strategy(grid, y, pi, v_star_path(grid, h, utility))
+    diagnostics["J_star_rho0"] = x**gamma * float(rho[0])
+    return SolveReport(strategy=strategy,
+                       J_star=cost_function(model, utility, strategy, x),
+                       h_star=h, g=g, rho=rho, chi=chi_value(grid, g, utility),
+                       diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

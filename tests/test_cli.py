@@ -246,3 +246,15 @@ def test_uniform_density_jump_config(tmp_path):
     assert config.model.jumps.dists[0].kind == "density"
     assert config.model.jumps.dists[0].mean == pytest.approx(0.05, abs=1e-12)
     assert main(["solve", "--config", str(cfg)]) == 0
+
+
+def test_uniform_support_of_zero_width_exits_1(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
+    cfg.write_text(cfg.read_text().replace(
+        "kind = points\npoints = 0.04:1.0",
+        "kind = uniform\nsupport = 0.05, 0.05"))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "parse_error"
+    assert error["type"] == "ConfigError"
+    assert not out.exists()

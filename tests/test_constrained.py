@@ -10,6 +10,7 @@ from jumpfolio.errors import (
     AssumptionJViolated,
     ConditionViolated,
     KappaOutOfRange,
+    OutOfRange,
     ThetaHatNegative,
 )
 from jumpfolio.market import l2_time_norm, theta_hat_path, theta_path
@@ -401,3 +402,37 @@ def test_no_consumption_certificate(jump_1d):
     cert = rep.diagnostics["certificate"]
     assert not cert.active
     assert var_slack_path(rep.strategy, jump_1d, risk).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# Initial wealth
+# ---------------------------------------------------------------------------
+
+_SOLVER_CALLS = {
+    "solve_linear": lambda m, x: jf.solve_linear(m, x),
+    "solve_power_1d": lambda m, x: jf.solve_power_1d(
+        m, jf.UtilitySpec.equal(0.5), x),
+    "solve_power_equal": lambda m, x: jf.solve_power_equal(
+        m, jf.UtilitySpec.equal(0.5), x),
+    "solve_no_consumption": lambda m, x: jf.solve_no_consumption(
+        m, jf.UtilitySpec.equal(0.5), None, x),
+    "solve_var_gamma1": lambda m, x: jf.solve_var_gamma1(m, VAR, x),
+    "solve_es_gamma1": lambda m, x: jf.solve_es_gamma1(m, ES, x),
+    "certify_var_gamma": lambda m, x: jf.certify_var_gamma(
+        m, jf.UtilitySpec.equal(0.5), VAR, x),
+    "certify_es_gamma": lambda m, x: jf.certify_es_gamma(
+        m, jf.UtilitySpec.equal(0.5), ES, x),
+    "solve_diff_gamma": lambda m, x: jf.solve_diff_gamma(
+        m, jf.UtilitySpec(0.3, 0.6), VAR, x),
+    "adjusted_solve": lambda m, x: jf.adjusted_solve(
+        m, VAR, jf.UtilitySpec.equal(0.5), x),
+    "cost_function": lambda m, x: jf.cost_function(
+        m, jf.UtilitySpec.equal(0.5), jf.Strategy.riskless(m), x),
+}
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_SOLVER_CALLS))
+def test_solvers_reject_bad_initial_wealth(gamma1_model, name, x):
+    with pytest.raises(OutOfRange):
+        _SOLVER_CALLS[name](gamma1_model, x)

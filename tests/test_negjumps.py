@@ -150,6 +150,14 @@ def test_adjusted_solve_certificate_path(mixed_jump_1d):
     assert not cert.active
 
 
+def test_adjusted_solve_certificate_path_uses_initial_wealth(mixed_jump_1d):
+    utility = jf.UtilitySpec.equal(0.5)
+    risk = jf.RiskSpec("var", 0.25, 0.9, "thinning")
+    rep = jf.adjusted_solve(mixed_jump_1d, risk, utility, x=2.0)
+    assert rep.J_star == jf.solve_power_equal(mixed_jump_1d, utility,
+                                              2.0).J_star
+
+
 def test_epsilon_too_large_for_level():
     jumps = jf.JumpSpec(np.array([5.0]),
                         (jf.JumpDist.point_masses([-0.1], [1.0]),))

@@ -84,6 +84,21 @@ def test_rejects_bad_initial_wealth(sim_model, sim_strategy, x):
         jf.simulate_node_stats(sim_model, sim_strategy, x, 0.05, 100, 1)
 
 
+@pytest.mark.parametrize("n_paths, seed", [(0, 1), (-3, 1), (10, -1)])
+def test_rejects_bad_paths_and_seed(sim_model, sim_strategy, n_paths, seed):
+    with pytest.raises(OutOfRange):
+        jf.simulate(sim_model, sim_strategy, 1.0, n_paths, seed)
+    with pytest.raises(OutOfRange):
+        jf.simulate_node_stats(sim_model, sim_strategy, 1.0, 0.05, n_paths,
+                               seed)
+
+
+def test_rejects_ensemble_too_large_to_store(sim_model, sim_strategy):
+    # 65 nodes x 5e6 paths is above the 3e8-cell cap; nothing is allocated
+    with pytest.raises(OutOfRange):
+        jf.simulate(sim_model, sim_strategy, 1.0, 5_000_000, 1)
+
+
 @pytest.mark.parametrize("shape", [(64,), (66,), (65, 1), ()])
 def test_rejects_thresholds_of_wrong_shape_before_drawing(
         sim_model, sim_strategy, shape, monkeypatch):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 import jumpfolio as jf
-from jumpfolio.errors import DriftBelowRate, InvalidStrategy
-from jumpfolio.market import R_path, cumtrapz, theta_path, trapz
+from jumpfolio import unconstrained
+from jumpfolio.errors import DriftBelowRate, InvalidStrategy, NoConvergence
+from jumpfolio.market import K_transform, R_path, cumtrapz, theta_path, trapz
 from jumpfolio.unconstrained import growth_rate_path
 
 from conftest import make_model, make_model_2d
@@ -104,14 +106,14 @@ def test_solve_power_1d_merton_reduction():
     rep = jf.solve_power_1d(model, utility)
     merton = (0.047 - 0.02) / ((1.0 - 0.5) * 0.3**2)
     assert np.max(np.abs(rep.strategy.pi - merton)) < 1e-12
-    assert not rep.diagnostics["no_interior_root"]
+    assert not rep.diagnostics["boundary_clipped"]
 
 
 def test_solve_power_1d_merton_clipped():
     model = make_model(mu=0.10, r=0.02, sigma=0.2, lam=0.0)
     rep = jf.solve_power_1d(model, jf.UtilitySpec.equal(0.8))
     assert np.all(rep.strategy.pi == 1.0)
-    assert rep.diagnostics["no_interior_root"]
+    assert rep.diagnostics["boundary_clipped"]
 
 
 def test_solve_power_1d_root_property(jump_1d):
@@ -142,13 +144,86 @@ def test_solve_power_equal_pure_diffusion_closed_form():
     assert np.max(np.abs(rep.strategy.y - utility.q * th)) < 1e-12
 
 
-def test_solve_power_equal_no_convergence_reported():
-    # violent jumps against a tiny diffusion break the contraction
-    from jumpfolio.errors import NoConvergence
+def test_solve_power_equal_no_convergence_reported(monkeypatch):
+    # violent jumps against a tiny diffusion: the solve converges within the
+    # iteration cap, and a cap it cannot meet is reported
     model = make_model(n=17, mu=0.06, sigma=0.05, lam=3.0,
                        jump=jf.JumpDist.point_masses([0.9], [1.0]))
+    utility = jf.UtilitySpec.equal(0.5)
+    rep = jf.solve_power_equal(model, utility)
+    assert rep.diagnostics["foc_residual"] < 1e-12
+    assert rep.diagnostics["iterations"] > 1
+    monkeypatch.setattr(unconstrained, "_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
-        jf.solve_power_equal(model, jf.UtilitySpec.equal(0.5), max_iter=40)
+        jf.solve_power_equal(model, utility)
+
+
+def test_solve_power_equal_box_optimum_with_correlated_assets():
+    # clipping the unconstrained optimum (5.84, -1.12) into the box gives
+    # (1, 0); the box optimum keeps pi_1 = 1 and solves for pi_2
+    model = make_model_2d(mu=(0.12, 0.06), sigma=((0.2, 0.0), (0.15, 0.25)))
+    rep = jf.solve_power_equal(model, jf.UtilitySpec.equal(0.5))
+    pi2 = (0.04 - 0.5 * 0.03) / (0.5 * 0.085)
+    assert np.all(rep.strategy.pi[:, 0] == 1.0)
+    assert np.max(np.abs(rep.strategy.pi[:, 1] - pi2)) < 1e-12
+    assert rep.diagnostics["boundary_clipped"]
+    assert rep.diagnostics["foc_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("mu, sigma, lam, xi", [
+    (0.05, 0.10, 1.0, 0.3),
+    (0.03, 0.10, 2.0, 0.2),
+    (0.025, 0.05, 1.0, 0.1),
+])
+def test_solve_power_equal_matches_root_of_eta(mu, sigma, lam, xi):
+    # jump curvature well above the diffusion curvature
+    model = make_model(n=17, mu=mu, sigma=sigma, lam=lam,
+                       jump=jf.JumpDist.point_masses([xi], [1.0]))
+    rep = jf.solve_power_equal(model, jf.UtilitySpec.equal(0.5))
+    roots = [brentq(lambda p, k=k: jf.eta_1d(model, k, p, 0.5), 0.0, 1.0,
+                    xtol=1e-16, rtol=4 * np.finfo(float).eps)
+             for k in range(model.grid.n)]
+    assert np.max(np.abs(rep.strategy.pi[:, 0] - roots)) < 1e-12
+    assert not rep.diagnostics["boundary_clipped"]
+
+
+def _random_market(rng, d, n=4):
+    """Time-varying market with well-conditioned sigma and two-sided jumps."""
+    grid = jf.TimeGrid.uniform(1.0, n)
+    r = rng.uniform(0.0, 0.03, n)
+    mu = r[:, None] + rng.uniform(0.0, 0.15, (n, d))
+    sigma = (rng.uniform(0.15, 0.35, (n, d))[:, :, None] * np.eye(d)
+             + rng.uniform(-0.1, 0.1, (n, d, d)))
+    dists = tuple(jf.JumpDist.point_masses(
+        [-rng.uniform(0.02, 0.1), rng.uniform(0.05, 0.3)], [0.3, 0.7])
+        for _ in range(d))
+    jumps = jf.JumpSpec(rng.uniform(0.2, 2.0, d), dists)
+    return jf.MarketModel(grid, jf.CoefficientPath(r, mu, sigma), jumps)
+
+
+def _growth_at(model, node, gamma, pts):
+    """h(t; pi) at one node for each row of pts, from its definition."""
+    c = model.coeffs
+    y = pts @ c.sigma[node]
+    h = (gamma * (c.r[node] + pts @ (c.mu[node] - c.r[node]))
+         - 0.5 * gamma * (1.0 - gamma) * np.sum(y * y, axis=1))
+    for j in range(model.d):
+        h += K_transform(model.jumps, j, pts[:, j], gamma)
+    return h
+
+
+@pytest.mark.parametrize("d, steps, seed", [(2, 201, 0), (2, 201, 1),
+                                            (3, 41, 2), (3, 41, 3)])
+def test_solve_power_equal_beats_box_grid(d, steps, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_market(rng, d)
+    gamma = float(rng.uniform(0.2, 0.8))
+    rep = jf.solve_power_equal(model, jf.UtilitySpec.equal(gamma))
+    axis = np.linspace(0.0, 1.0, steps)
+    pts = np.stack(np.meshgrid(*[axis] * d), axis=-1).reshape(-1, d)
+    for k in range(model.grid.n):
+        best = _growth_at(model, k, gamma, pts).max()
+        assert rep.h_star[k] >= best - 1e-12
 
 
 def test_solve_power_equal_beats_random_candidates(jump_1d):
