@@ -218,6 +218,26 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 def dump_config(config: RunConfig, path) -> None:
     """Re-emit a parsed config in canonical form (round-trip safe)."""
+    Path(path).write_text(config_text(config), encoding="utf-8")
+
+
+def _points_line(dist: JumpDist) -> str:
+    """A jump law as `points = z:w, ...` at 17 significant digits.
+
+    A tabulated density goes out as its weighted atoms, the law that every
+    computation uses, so it reloads as the same atoms and weights (loading
+    renormalises weights whose sum is not exactly 1).  A zero weight, which
+    `points` refuses, raises ConfigError.
+    """
+    if np.any(dist.w <= 0.0):
+        raise ConfigError("a jump law with a zero-weight atom cannot be "
+                          "dumped as points")
+    return "points = " + ", ".join(f"{z:.17g}:{w:.17g}"
+                                   for z, w in zip(dist.z, dist.w))
+
+
+def config_text(config: RunConfig) -> str:
+    """The canonical config text that `dump_config` writes."""
     model, lines = config.model, []
     grid = model.grid
     lines.append("[grid]")
@@ -240,13 +260,9 @@ def dump_config(config: RunConfig, path) -> None:
         lines.append(f"lambda = {lam:.17g}")
         if lam == 0.0:
             lines.append("kind = none")
-        elif dist.kind == "points":
-            lines.append("kind = points")
-            pts = ", ".join(f"{z:.17g}:{w:.17g}"
-                            for z, w in zip(dist.z, dist.w))
-            lines.append(f"points = {pts}")
         else:
-            raise ConfigError("only point laws can be dumped losslessly")
+            lines.append("kind = points")
+            lines.append(_points_line(dist))
     lines.append("")
     lines.append("[utility]")
     lines.append(f"gamma1 = {config.utility.gamma1:.17g}")
@@ -265,7 +281,7 @@ def dump_config(config: RunConfig, path) -> None:
     lines.append(f"paths = {config.n_paths}")
     lines.append(f"seed = {config.seed}")
     lines.append(f"out = {config.out_dir}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +383,15 @@ def dispatch_solve(config: RunConfig, force: bool = False):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(config: RunConfig, args) -> int:
+    # a config that cannot be dumped fails before any file is written
+    dumped = config_text(config) if getattr(args, "dump_config", False) else None
     report = dispatch_solve(config, force=args.force)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_strategy_csv(out / "strategy.csv", report.strategy)
     _write_rows(out / "report.csv", "key,value", _report_rows(report))
-    if getattr(args, "dump_config", False):
-        dump_config(config, out / "config_dump.ini")
+    if dumped is not None:
+        (out / "config_dump.ini").write_text(dumped, encoding="utf-8")
     print(f"wrote {out / 'strategy.csv'} and {out / 'report.csv'}")
     return 0
 

@@ -61,24 +61,37 @@ _SLACK_TOL = 1e-10
 # Transformed constraints
 # ---------------------------------------------------------------------------
 
+def _slack(kind: RiskKind, lev: EffectiveLevel, kappa: float,
+           ynorm: np.ndarray, V: np.ndarray, ip: np.ndarray) -> np.ndarray:
+    """Transformed VaR or ES slack from the cumulative paths ||y||_t, V_t
+    and (y, theta_hat)_t.  Time runs along the last axis and the arrays
+    broadcast over their leading axes, so one call covers a stack of
+    candidates."""
+    if kind == RiskKind.VAR:
+        body = -0.5 * ynorm**2 + lev.q_level * ynorm - V + ip
+    else:
+        body = -V + ip + lev.F(ynorm + abs(lev.q_level))
+    return body - math.log1p(-kappa)
+
+
+def _strategy_slack(kind: RiskKind, strategy: Strategy, model: MarketModel,
+                    risk: RiskSpec) -> np.ndarray:
+    lev = effective_level(model, risk)
+    ip = inner_product_path(model.grid, strategy.y, theta_hat_path(model))
+    return _slack(kind, lev, risk.kappa, strategy.y_norm_path(), strategy.V,
+                  ip)
+
+
 def var_slack_path(strategy: Strategy, model: MarketModel,
                    risk: RiskSpec) -> np.ndarray:
     """Slack of the transformed VaR constraint at every node (>= 0 is ok)."""
-    lev = effective_level(model, risk)
-    ynorm = strategy.y_norm_path()
-    ip = inner_product_path(model.grid, strategy.y, theta_hat_path(model))
-    body = -0.5 * ynorm**2 + lev.q_level * ynorm - strategy.V + ip
-    return body - math.log1p(-risk.kappa)
+    return _strategy_slack(RiskKind.VAR, strategy, model, risk)
 
 
 def es_slack_path(strategy: Strategy, model: MarketModel,
                   risk: RiskSpec) -> np.ndarray:
     """Slack of the transformed ES constraint at every node."""
-    lev = effective_level(model, risk)
-    ynorm = strategy.y_norm_path()
-    ip = inner_product_path(model.grid, strategy.y, theta_hat_path(model))
-    body = -strategy.V + ip + lev.F(ynorm + abs(lev.q_level))
-    return body - math.log1p(-risk.kappa)
+    return _strategy_slack(RiskKind.ES, strategy, model, risk)
 
 
 def transformed_var_constraint(strategy: Strategy, model: MarketModel,
@@ -95,9 +108,7 @@ def transformed_es_constraint(strategy: Strategy, model: MarketModel,
 
 def slack_path(strategy: Strategy, model: MarketModel,
                risk: RiskSpec) -> np.ndarray:
-    if risk.kind == RiskKind.VAR:
-        return var_slack_path(strategy, model, risk)
-    return es_slack_path(strategy, model, risk)
+    return _strategy_slack(risk.kind, strategy, model, risk)
 
 
 # ---------------------------------------------------------------------------

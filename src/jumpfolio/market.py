@@ -13,6 +13,7 @@ to weighted sums in both cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,10 +65,12 @@ class TimeGrid:
     def n(self) -> int:
         return int(self.nodes.size)
 
-    @property
+    @cached_property
     def dt(self) -> np.ndarray:
-        """Interval lengths, shape (n - 1,)."""
-        return np.diff(self.nodes)
+        """Interval lengths, shape (n - 1,); computed once, read-only."""
+        dt = np.diff(self.nodes)
+        dt.flags.writeable = False
+        return dt
 
     def index_of(self, t: float) -> int:
         """Node index of time t; raises OffGrid when t is not a node."""
@@ -77,19 +80,22 @@ class TimeGrid:
         return int(hits[0])
 
 
-def cumtrapz(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
+def cumtrapz(grid: TimeGrid, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Cumulative trapezoid integral along the grid, starting at 0.
 
-    values may be (N,) or (N, ...); integration runs over the first axis.
+    Integration runs over `axis` of values, which has length N: the first
+    axis by default, so (N,) or (N, ...) paths, or axis=-1 for stacked
+    (..., N) paths.  The sums run node by node in time order whatever the
+    axis, so each path gets the same bits either way.
     """
     values = np.asarray(values, dtype=float)
-    dt = grid.dt
-    if values.ndim > 1:
-        dt = dt.reshape((-1,) + (1,) * (values.ndim - 1))
-    increments = 0.5 * (values[1:] + values[:-1]) * dt
-    out = np.concatenate(
-        [np.zeros((1,) + values.shape[1:]), np.cumsum(increments, axis=0)]
-    )
+    axis = axis % values.ndim
+    dt = grid.dt.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
+    head = (slice(None),) * axis
+    increments = 0.5 * (values[head + (slice(1, None),)]
+                        + values[head + (slice(None, -1),)]) * dt
+    out = np.zeros(values.shape)
+    np.cumsum(increments, axis=axis, out=out[head + (slice(1, None),)])
     return out
 
 
@@ -476,12 +482,13 @@ def Q_transform(jumps: JumpSpec, asset: int, pi, gamma: float):
 
 
 def K_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.ndarray:
-    """Sum over assets of K_j(pi_j) along a (N, d) allocation path."""
+    """Sum over assets of K_j(pi_j) along a (N, d) allocation path, or a
+    stack (..., N, d) of them."""
     pi_path = np.asarray(pi_path, dtype=float)
-    total = np.zeros(pi_path.shape[0])
+    total = np.zeros(pi_path.shape[:-1])
     for j in range(jumps.d):
         if jumps.lambdas[j] > 0:
-            total += K_transform(jumps, j, pi_path[:, j], gamma)
+            total += K_transform(jumps, j, pi_path[..., j], gamma)
     return total
 
 

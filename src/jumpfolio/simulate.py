@@ -32,9 +32,18 @@ from functools import partial
 
 import numpy as np
 
-from .constrained import slack_path
+from .constrained import _SLACK_TOL, _slack, slack_path
 from .errors import EmptyFeasibleSet, InvalidStrategy, OutOfRange
-from .market import MarketModel, R_path, UtilitySpec, cumtrapz, theta_hat_path
+from .market import (
+    K_transform_path,
+    MarketModel,
+    R_path,
+    UtilitySpec,
+    cumtrapz,
+    theta_hat_path,
+    theta_path,
+)
+from .negjumps import effective_level
 from .riskmetrics import (
     RiskKind,
     RiskSpec,
@@ -42,7 +51,7 @@ from .riskmetrics import (
     empirical_shortfall,
     tail_count,
 )
-from .unconstrained import Strategy, check_initial_wealth, cost_function
+from .unconstrained import Strategy, _expected_cost, check_initial_wealth
 
 # Standard normals per draw on the worker thread: small ensembles take
 # several intervals per draw, so thread hand-offs stay rare.
@@ -51,6 +60,10 @@ _NORMALS_PER_DRAW = 1 << 18
 # drawn ahead, which lets the worker keep drawing while the jumps of a
 # jump-heavy market are grouped.
 _BLOCKS = 4
+# Largest temporary of grid_oracle in elements: pi rows go in blocks small
+# enough that a (rows, scales, nodes) cost array or a (rows, nodes, atoms)
+# jump array stays within it, one row at least.
+_ORACLE_BLOCK = 1 << 14
 
 
 @dataclass
@@ -352,12 +365,39 @@ def constraint_profile(source, model: MarketModel, risk: RiskSpec,
 
 @dataclass
 class GridOracleResult:
+    """Best grid candidate of `grid_oracle` and the whole cost table.
+
+    table[i, j] is the exact cost of pi = pi_grid[i] with consumption
+    v_scale_grid[j] * v_shape; NaN marks a candidate that fails the risk
+    constraint.  strategy is the winning candidate.
+    """
+
     pi: float
     v_scale: float
     J: float
     strategy: Strategy
     n_feasible: int
     table: np.ndarray = field(repr=False, default=None)
+
+
+def _checked_array(name: str, values, shape: tuple | None = None,
+                   unit: bool = False) -> np.ndarray:
+    """values as a float array of `shape` (else 1-d and non-empty), with
+    finite entries that are nonnegative and, if `unit`, at most 1."""
+    values = np.asarray(values, dtype=float)
+    if shape is None:
+        if values.ndim != 1 or values.size == 0:
+            raise OutOfRange(f"{name} must be a non-empty 1-d array, "
+                             f"got shape {values.shape}")
+    elif values.shape != shape:
+        raise OutOfRange(f"{name} must have shape {shape}, "
+                         f"got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise OutOfRange(f"{name} must be finite")
+    if np.any(values < 0.0) or (unit and np.any(values > 1.0)):
+        raise OutOfRange(f"{name} entries must lie in "
+                         f"{'[0, 1]' if unit else '[0, inf)'}")
+    return values
 
 
 def grid_oracle(model: MarketModel, utility: UtilitySpec,
@@ -368,32 +408,67 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     Candidates are pi constant on the grid and v = scale * v_shape (default
     shape 1 / (1 + T - t)).  When a risk spec is given, candidates failing
     the transformed constraint anywhere are discarded; the best survivor by
-    exact cost is returned.
+    exact cost is returned, the first one in pi-major order on a tie.
+
+    pi_grid must be non-empty with entries in [0, 1], v_scale_grid
+    non-empty and nonnegative, v_shape an (N,) nonnegative path, all
+    finite, and the market must have one asset; bad input raises OutOfRange
+    before anything is evaluated.
+
+    The terms of a candidate split into a part that depends on pi only
+    (y, its inner products and norm, the jump integrals) and one that
+    depends on the scale only (V), so the grid is costed as arrays with
+    the kernels of `cost_function` and `slack_path`, bit for bit as calls
+    to them would cost each candidate.  pi rows go in blocks that keep
+    every temporary within _ORACLE_BLOCK elements.
     """
     if model.d != 1:
-        raise ValueError("the grid oracle handles one-asset markets")
+        raise OutOfRange("the grid oracle handles one-asset markets, "
+                         f"got d = {model.d}")
+    check_initial_wealth(x)
     grid = model.grid
+    n = grid.n
     if v_shape is None:
         v_shape = 1.0 / (1.0 + grid.horizon - grid.nodes)
-    pi_grid = np.asarray(pi_grid, dtype=float)
-    v_scale_grid = np.asarray(v_scale_grid, dtype=float)
-    best = None
+    pi_grid = _checked_array("pi_grid", pi_grid, unit=True)
+    v_scale_grid = _checked_array("v_scale_grid", v_scale_grid)
+    v_shape = _checked_array("v_shape", v_shape, shape=(n,))
+    lev = None if risk is None else effective_level(model, risk)
+
+    sigma = model.coeffs.sigma[:, 0, 0]
+    theta, theta_hat = theta_path(model)[:, 0], theta_hat_path(model)[:, 0]
+    R = R_path(model)
+    v = v_scale_grid[:, None] * v_shape                  # (S, N)
+    V = cumtrapz(grid, v, axis=-1)
+    atoms = model.jumps.dists[0].z.size if model.jumps.lambdas[0] > 0 else 1
+    rows = max(1, _ORACLE_BLOCK // (n * max(v_scale_grid.size, atoms)))
+    table = np.empty((pi_grid.size, v_scale_grid.size))
     n_feasible = 0
-    table = np.full((pi_grid.size, v_scale_grid.size), np.nan)
-    for i, p in enumerate(pi_grid):
-        pi_path = np.full((grid.n, 1), p)
-        for j, s in enumerate(v_scale_grid):
-            strategy = Strategy.from_pi(model, pi_path, s * v_shape)
-            if risk is not None:
-                if slack_path(strategy, model, risk).min() < -1e-10:
-                    continue
-            n_feasible += 1
-            J = cost_function(model, utility, strategy, x)
-            table[i, j] = J
-            if best is None or J > best[0]:
-                best = (J, float(p), float(s), strategy)
-    if best is None:
+    for start in range(0, pi_grid.size, rows):
+        p = pi_grid[start:start + rows]
+        pi_paths = np.broadcast_to(p[:, None, None], (p.size, n, 1))
+        y = p[:, None] * sigma                           # (rows, N)
+        ysq = cumtrapz(grid, y**2, axis=-1)[:, None]     # (rows, 1, N)
+        feasible = np.ones((p.size, v_scale_grid.size), dtype=bool)
+        if risk is not None:
+            ip_hat = cumtrapz(grid, y * theta_hat, axis=-1)[:, None]
+            slack = _slack(risk.kind, lev, risk.kappa, np.sqrt(ysq), V, ip_hat)
+            feasible = ~(slack.min(axis=-1) < -_SLACK_TOL)
+        ip = cumtrapz(grid, y * theta, axis=-1)[:, None]
+        jump_integrals = {
+            g: cumtrapz(grid, K_transform_path(model.jumps, pi_paths, g),
+                        axis=-1)[:, None]
+            for g in {utility.gamma1, utility.gamma2}}
+        J = _expected_cost(grid, utility, x, R, V, v, ip, ysq,
+                           jump_integrals.__getitem__)
+        table[start:start + rows] = np.where(feasible, J, np.nan)
+        n_feasible += int(np.count_nonzero(feasible))
+    if n_feasible == 0:
         raise EmptyFeasibleSet("no grid candidate satisfies the constraint")
-    J, p, s, strategy = best
-    return GridOracleResult(pi=p, v_scale=s, J=J, strategy=strategy,
+    i, j = np.unravel_index(
+        np.argmax(np.where(np.isnan(table), -np.inf, table)), table.shape)
+    strategy = Strategy.from_pi(model, np.full((n, 1), pi_grid[i]),
+                                v_scale_grid[j] * v_shape)
+    return GridOracleResult(pi=float(pi_grid[i]), v_scale=float(v_scale_grid[j]),
+                            J=float(table[i, j]), strategy=strategy,
                             n_feasible=n_feasible, table=table)

@@ -228,20 +228,38 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
     """
     check_initial_wealth(x)
     grid = model.grid
-    th = theta_path(model)
-    R = R_path(model)
-    V = strategy.V
-    ip = cumtrapz(grid, np.sum(strategy.y * th, axis=1))
+    ip = cumtrapz(grid, np.sum(strategy.y * theta_path(model), axis=1))
     ysq = l2_time_norm_sq_path(grid, strategy.y)
 
-    def exponent(g: float) -> np.ndarray:
-        jumps = cumtrapz(grid, K_transform_path(model.jumps, strategy.pi, g))
-        return g * (R - V + ip - 0.5 * (1.0 - g) * ysq) + jumps
+    def jump_integral(g: float) -> np.ndarray:
+        return cumtrapz(grid, K_transform_path(model.jumps, strategy.pi, g))
 
-    a1 = exponent(utility.gamma1)
-    consumption = trapz(grid, strategy.v**utility.gamma1 * np.exp(a1))
-    terminal = float(np.exp(exponent(utility.gamma2)[-1]))
-    return x**utility.gamma1 * consumption + x**utility.gamma2 * terminal
+    return float(_expected_cost(grid, utility, x, R_path(model), strategy.V,
+                                strategy.v, ip, ysq, jump_integral))
+
+
+def _expected_cost(grid: TimeGrid, utility: UtilitySpec, x: float,
+                   R: np.ndarray, V: np.ndarray, v: np.ndarray,
+                   ip: np.ndarray, ysq: np.ndarray, jump_integral):
+    """Expected cost from the terms of the log power moment A_g.
+
+    R, V, ip = (y, theta)_t and ysq = ||y||_t^2 are cumulative paths, v the
+    consumption rate and jump_integral(g) the cumulative integral of
+    sum_j K_j(pi_j).  Time runs along the last axis of every array and the
+    arrays broadcast over their leading axes, so one call costs a stack of
+    candidates; the result has the broadcast leading shape.
+    """
+    g1, g2 = utility.gamma1, utility.gamma2
+
+    def exponent(g: float, node=slice(None)):
+        return (g * (R[node] - V[..., node] + ip[..., node]
+                     - 0.5 * (1.0 - g) * ysq[..., node])
+                + jump_integral(g)[..., node])
+
+    consumption = np.trapezoid(v**g1 * np.exp(exponent(g1)), grid.nodes,
+                               axis=-1)
+    terminal = np.exp(exponent(g2, -1))
+    return x**g1 * consumption + x**g2 * terminal
 
 
 # ---------------------------------------------------------------------------

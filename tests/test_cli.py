@@ -258,3 +258,43 @@ def test_uniform_support_of_zero_width_exits_1(tmp_path, capsys):
     assert error["error"] == "parse_error"
     assert error["type"] == "ConfigError"
     assert not out.exists()
+
+
+UNIFORM_JUMPS = """
+[jump.1]
+lambda = 0.7
+kind = uniform
+support = -0.1, 0.25
+"""
+
+
+def test_dump_config_round_trips_a_density_law(tmp_path):
+    cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
+    text = cfg.read_text()
+    start = text.index("[jump.1]")
+    cfg.write_text(text[:start] + UNIFORM_JUMPS.lstrip()
+                   + text[text.index("[utility]"):])
+    assert main(["solve", "--config", str(cfg), "--dump-config"]) == 0
+    a = load_config(cfg)
+    b = load_config(out / "config_dump.ini")
+    assert a.model.jumps.dists[0].z.size == 129
+    assert np.array_equal(a.model.jumps.dists[0].z, b.model.jumps.dists[0].z)
+    assert np.array_equal(a.model.jumps.dists[0].w, b.model.jumps.dists[0].w)
+    assert np.array_equal(a.model.jumps.lambdas, b.model.jumps.lambdas)
+
+
+def test_undumpable_law_fails_before_any_file_is_written(tmp_path, capsys,
+                                                         monkeypatch):
+    cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
+    config = load_config(cfg)
+    law = jf.JumpDist(z=[0.04, 0.1], w=[1.0, 0.0], kind="density")
+    model = jf.MarketModel(config.model.grid, config.model.coeffs,
+                           jf.JumpSpec(np.array([0.5]), (law,)))
+    config.model = model
+    monkeypatch.setattr("jumpfolio.cli.load_config",
+                        lambda path, overrides=None: config)
+    assert main(["solve", "--config", str(cfg), "--dump-config"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "parse_error"
+    assert err["type"] == "ConfigError"
+    assert not out.exists() or not any(out.iterdir())

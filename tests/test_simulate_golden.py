@@ -1,4 +1,4 @@
-"""Bit-identity of seeded simulator output.
+"""Bit-identity of seeded simulator output and of the exact cost and slack.
 
 The digests pin every output bit of `simulate` and `simulate_node_stats`
 for a few small cases that reach each branch of the draw and jump
@@ -9,6 +9,10 @@ asset whose intensity is positive but draws no jump.  A change to the
 draw order, the jump grouping or the per-node arithmetic changes a
 digest.  The digests hold for the numpy version and CPU the
 suite runs on (Philox streams are stable within a numpy release).
+
+The same cases, plus a tabulated jump density, also pin `cost_function`
+and the transformed VaR and ES slack paths, which share their formulas
+with the batched grid oracle.
 """
 
 import hashlib
@@ -113,3 +117,65 @@ def case_digests(name):
 def test_seeded_output_is_bit_identical(name):
     assert case_digests(name) == GOLDEN[name]
 
+
+
+# ---------------------------------------------------------------------------
+# Exact cost and transformed-constraint slack
+# ---------------------------------------------------------------------------
+
+def _density_law():
+    grid = jf.TimeGrid.uniform(1.0, 129)
+    coeffs = jf.CoefficientPath.constant(grid, 0.02, [0.08], [[0.25]])
+    law = jf.JumpDist.from_density(lambda z: np.full_like(z, 1.0 / 0.35),
+                                   -0.1, 0.25)
+    model = jf.MarketModel(grid, coeffs, jf.JumpSpec(np.array([0.2]), (law,)))
+    pi = np.linspace(0.2, 0.9, grid.n)[:, None]
+    return model, jf.Strategy.from_pi(model, pi, np.linspace(0.1, 0.4, grid.n))
+
+
+COST_CASES = {name: CASES[name][0] for name in
+              ("two_asset_negative_jump", "long_grid",
+               "one_asset_without_jumps", "no_jump_drawn")}
+COST_CASES["density_law"] = _density_law
+UTILITIES = (jf.UtilitySpec.equal(0.5), jf.UtilitySpec(0.4, 0.7),
+             jf.UtilitySpec(0.9, 0.2), jf.UtilitySpec(1.0, 1.0))
+RISKS = (jf.RiskSpec("var", 0.45, 0.3, "thinning"),
+         jf.RiskSpec("es", 0.45, 0.3, "thinning"))
+
+# (cost_function for each utility, x and consumption scale; the VaR and ES
+#  slack paths)
+GOLDEN_COST = {
+    "density_law": (
+        "6bd42ce742022c74cd38ab761df4e0e6bec91d5c0966a0bfb929e5d833878afa",
+        "b8a14a2bdf71bae374a9cd419b4a9f333726e7da4d1453e3a02497b7b8953261"),
+    "long_grid": (
+        "56f9ee177e62b0dbd50b38bfd7dc8dad8a43777508e7d559be930b42271f45a3",
+        "bcc3290dbedcb6fa6f84674623cc6b20ba538c74573456145456713ade273e35"),
+    "no_jump_drawn": (
+        "10e6ea0e78ca858ed08ce1d79d95a0b7e9ee331f0b3e24ee92c4eb42c8864685",
+        "61555d3603df51bd9e254f5c8600c407d74d9458e61948b6cd993235da87ff2c"),
+    "one_asset_without_jumps": (
+        "792f4eabc0f7f043f43137df1ed6333b7e906c8be08966f2e6ea1e4ae663261f",
+        "a41ee4ce027b1648ed194d143fa54cf4604ca79db889260a996171291b7405a9"),
+    "two_asset_negative_jump": (
+        "be703e1fc4d7092ebaa1ca1944b0eee2cefd4fafb04242344e0f2090799b115d",
+        "373fe55f638d30631efaf7f92e680d386adf1f8bfda4974329c002356106607c"),
+}
+
+
+def cost_digests(name):
+    model, strategy = COST_CASES[name]()
+    costs = np.array([
+        jf.cost_function(model, u, jf.Strategy(strategy.grid, strategy.y,
+                                               strategy.pi, c * strategy.v), x)
+        for u in UTILITIES for x in (0.5, 1.5, 4.0) for c in (0.5, 1.0, 3.0)])
+    slacks = (jf.var_slack_path(strategy, model, RISKS[0]),
+              jf.es_slack_path(strategy, model, RISKS[1]),
+              jf.slack_path(strategy, model, RISKS[0]),
+              jf.slack_path(strategy, model, RISKS[1]))
+    return _digest(costs), _digest(*slacks)
+
+
+@pytest.mark.parametrize("name", sorted(COST_CASES))
+def test_cost_and_slack_are_bit_identical(name):
+    assert cost_digests(name) == GOLDEN_COST[name]
