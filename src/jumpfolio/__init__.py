@@ -6,6 +6,7 @@ from . import errors
 from .constrained import (
     ConstraintCertificate,
     DiffGammaReport,
+    certify,
     certify_es_gamma,
     certify_var_gamma,
     es_slack_path,
@@ -16,8 +17,6 @@ from .constrained import (
     solve_es_gamma1,
     solve_no_consumption,
     solve_var_gamma1,
-    transformed_es_constraint,
-    transformed_var_constraint,
     var_slack_path,
 )
 from .market import (
@@ -27,16 +26,12 @@ from .market import (
     K_transform,
     MarketModel,
     Q_transform,
-    R_integral,
     TimeGrid,
     UtilitySpec,
     expected_jump_exponential,
     inner_product_path,
-    theta,
-    theta_hat,
     theta_hat_path,
     theta_path,
-    xi_lambda,
 )
 from .negjumps import (
     NegJumpAdjustment,
@@ -61,8 +56,6 @@ from .simulate import (
     NodeStats,
     PathEnsemble,
     constraint_profile,
-    empirical_es,
-    empirical_var,
     estimate_cost,
     grid_oracle,
     simulate,
@@ -81,7 +74,6 @@ from .unconstrained import (
     solve_power_1d,
     solve_power_equal,
     v_star_path,
-    V_integral,
 )
 
 __version__ = "0.1.0"

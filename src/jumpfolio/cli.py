@@ -47,7 +47,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -315,7 +315,10 @@ def write_strategy_csv(path: Path, strategy: Strategy) -> None:
 
 
 def load_strategy_csv(path, model: MarketModel) -> Strategy:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:  # missing file, non-numeric cell
+        raise ConfigError(f"cannot read strategy file {path}: {exc}") from exc
     d = model.d
     if data.shape[1] != 2 * d + 2:
         raise ConfigError(f"strategy file needs {2 * d + 2} columns")
@@ -325,17 +328,12 @@ def load_strategy_csv(path, model: MarketModel) -> Strategy:
                     data[:, -1])
 
 
-def _report_rows(report) -> list:
+def _report_rows(report: SolveReport) -> list:
+    """The scalar fields that are set (J_star first, in declaration order),
+    then the scalar diagnostics and the certificate rows by key."""
+    items = [(f.name, getattr(report, f.name)) for f in fields(report)]
     rows = []
-    if isinstance(report, SolveReport):
-        rows.append(("J_star", report.J_star))
-        if report.chi is not None:
-            rows.append(("chi", report.chi))
-    else:  # DiffGammaReport
-        rows.append(("J_star", report.J_upper))
-        rows.append(("eta_kappa", report.eta_kappa))
-        rows.append(("condition_ok", report.condition_ok))
-    for key, value in sorted(report.diagnostics.items()):
+    for key, value in items + sorted(report.diagnostics.items()):
         if isinstance(value, (bool, int, float, np.integer, np.floating, str)):
             rows.append((key, value))
         elif isinstance(value, constrained.ConstraintCertificate):
@@ -361,31 +359,14 @@ def _certificate_rows(cert, prefix: str = "") -> list:
 
 
 # ---------------------------------------------------------------------------
-# Solve dispatch
-# ---------------------------------------------------------------------------
-
-def dispatch_solve(config: RunConfig, force: bool = False):
-    """Route the configured problem to the matching solver."""
-    model, utility, risk = config.model, config.utility, config.risk
-    if risk is None:
-        if utility.is_linear:
-            return unconstrained.solve_linear(model)
-        if utility.is_equal:
-            return unconstrained.solve_power_equal(model, utility)
-        raise ConditionViolated(
-            "unconstrained solve with distinct gammas is not provided; "
-            "add a risk section")
-    return negjumps.adjusted_solve(model, risk, utility, x=1.0, force=force)
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_solve(config: RunConfig, args) -> int:
     # a config that cannot be dumped fails before any file is written
     dumped = config_text(config) if getattr(args, "dump_config", False) else None
-    report = dispatch_solve(config, force=args.force)
+    report = negjumps.adjusted_solve(config.model, config.risk, config.utility,
+                                     x=1.0, force=args.force)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     write_strategy_csv(out / "strategy.csv", report.strategy)
@@ -399,14 +380,7 @@ def cmd_solve(config: RunConfig, args) -> int:
 def cmd_certify(config: RunConfig, args) -> int:
     if config.risk is None:
         raise ConditionViolated("certify needs a risk section")
-    if not (config.utility.is_equal and config.utility.gamma1 < 1.0):
-        raise ConditionViolated("certificates cover equal gamma in (0, 1)")
-    if config.risk.kind == RiskKind.VAR:
-        cert = constrained.certify_var_gamma(config.model, config.utility,
-                                             config.risk)
-    else:
-        cert = constrained.certify_es_gamma(config.model, config.utility,
-                                            config.risk)
+    cert = constrained.certify(config.model, config.utility, config.risk)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "report.csv", "key,value", _certificate_rows(cert))
@@ -416,7 +390,8 @@ def cmd_certify(config: RunConfig, args) -> int:
 
 
 def cmd_simulate(config: RunConfig, args) -> int:
-    report = dispatch_solve(config, force=args.force)
+    report = negjumps.adjusted_solve(config.model, config.risk, config.utility,
+                                     x=1.0, force=args.force)
     beta = config.risk.beta if config.risk is not None else 0.05
     stats = simulate_node_stats(config.model, report.strategy, 1.0, beta,
                                     config.n_paths, config.seed)
@@ -432,10 +407,6 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 
 def cmd_compare(config: RunConfig, args) -> int:
-    if config.model.d != 1:
-        raise ConditionViolated("compare needs a one-asset market")
-    if not (config.utility.is_equal and config.utility.gamma1 < 1.0):
-        raise ConditionViolated("compare covers equal gamma in (0, 1)")
     comparison = unconstrained.compare_merton(config.model, config.utility)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -462,7 +433,8 @@ def _verify_checks(config: RunConfig, args) -> list:
             return checks
         report = None
     else:
-        report = dispatch_solve(config, force=args.force)
+        report = negjumps.adjusted_solve(model, risk, config.utility, x=1.0,
+                                         force=args.force)
         strategy = report.strategy
 
     x = 1.0

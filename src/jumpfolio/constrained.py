@@ -49,6 +49,7 @@ from .unconstrained import (
     SolveReport,
     Strategy,
     _optimal_allocation,
+    _power_gamma,
     check_initial_wealth,
     growth_rate_path,
     solve_power_equal,
@@ -92,18 +93,6 @@ def es_slack_path(strategy: Strategy, model: MarketModel,
                   risk: RiskSpec) -> np.ndarray:
     """Slack of the transformed ES constraint at every node."""
     return _strategy_slack(RiskKind.ES, strategy, model, risk)
-
-
-def transformed_var_constraint(strategy: Strategy, model: MarketModel,
-                               risk: RiskSpec, t: float) -> float:
-    """Transformed VaR slack at one grid node; the constraint holds on
-    [0, T] iff the slack is nonnegative at every node."""
-    return float(var_slack_path(strategy, model, risk)[model.grid.index_of(t)])
-
-
-def transformed_es_constraint(strategy: Strategy, model: MarketModel,
-                              risk: RiskSpec, t: float) -> float:
-    return float(es_slack_path(strategy, model, risk)[model.grid.index_of(t)])
 
 
 def slack_path(strategy: Strategy, model: MarketModel,
@@ -319,6 +308,38 @@ class ConstraintCertificate:
     diagnostics: dict = field(default_factory=dict)
 
 
+def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
+            x: float = 1.0, report: SolveReport | None = None,
+            chi: float | None = None) -> ConstraintCertificate:
+    """Inactivity certificate for the risk spec's kind: certify_var_gamma
+    for a VaR limit, certify_es_gamma for an ES limit."""
+    check = certify_var_gamma if risk.kind == RiskKind.VAR else certify_es_gamma
+    return check(model, utility, risk, x, report, chi)
+
+
+def _certificate(kind: RiskKind, model: MarketModel, risk: RiskSpec,
+                 report: SolveReport, lhs: float, b: float,
+                 diag: dict) -> ConstraintCertificate:
+    """Check the norm bound ||y*||_T <= b = q ||theta||_T, record it and the
+    direct slack of the solved strategy in diag, and certify the limit
+    inactive when lhs <= kappa and the bound holds."""
+    y_norm_T = float(report.strategy.y_norm_path()[-1])
+    norm_bound_ok = y_norm_T <= b + 1e-10
+    slack = _strategy_slack(kind, report.strategy, model, risk)
+    diag.update(y_norm_T=y_norm_T, norm_budget=b, norm_bound_ok=norm_bound_ok,
+                min_slack=float(slack.min()))
+    return ConstraintCertificate(
+        kind=kind,
+        active=not (lhs <= risk.kappa and norm_bound_ok),
+        condition_lhs=lhs,
+        condition_rhs=risk.kappa,
+        rho_star=None,
+        kappa_range=(max(0.0, lhs), 1.0),
+        report=report,
+        diagnostics=diag,
+    )
+
+
 def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
                       risk: RiskSpec, x: float = 1.0,
                       report: SolveReport | None = None,
@@ -332,42 +353,20 @@ def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
     norm bound ||y*||_T <= q ||theta||_T is verified before certifying.
     """
     check_initial_wealth(x)
-    if not (utility.is_equal and utility.gamma < 1.0):
-        raise ValueError("certificates need equal gamma in (0, 1)")
+    _power_gamma(utility, "certify_var_gamma")
     lev = _effective_or_assumption_j(model, risk)
     if report is None:
         report = solve_power_equal(model, utility, x)
     if chi is None:
         chi = report.chi
-    qq = utility.q
-    b = qq * l2_time_norm(model.grid, theta_path(model))
+    b = utility.q * l2_time_norm(model.grid, theta_path(model))
     cross = inner_product_path(model.grid, report.strategy.y,
                                theta_hat_path(model))
     correction = min(0.0, float(np.min(cross)))
     l_star = -b * b + lev.q_level * b
     lhs = 1.0 - chi * math.exp(l_star + correction)
-    y_norm_T = float(report.strategy.y_norm_path()[-1])
-    norm_bound_ok = y_norm_T <= b + 1e-10
-    slack = var_slack_path(report.strategy, model, risk)
-    diag = {
-        "l_star": l_star,
-        "chi": chi,
-        "cross_term_correction": correction,
-        "y_norm_T": y_norm_T,
-        "norm_budget": b,
-        "norm_bound_ok": norm_bound_ok,
-        "min_slack": float(slack.min()),
-    }
-    return ConstraintCertificate(
-        kind=RiskKind.VAR,
-        active=not (lhs <= risk.kappa and norm_bound_ok),
-        condition_lhs=lhs,
-        condition_rhs=risk.kappa,
-        rho_star=None,
-        kappa_range=(max(0.0, lhs), 1.0),
-        report=report,
-        diagnostics=diag,
-    )
+    diag = {"l_star": l_star, "chi": chi, "cross_term_correction": correction}
+    return _certificate(RiskKind.VAR, model, risk, report, lhs, b, diag)
 
 
 def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
@@ -383,8 +382,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     with theta_hat are reported for reference.
     """
     check_initial_wealth(x)
-    if not (utility.is_equal and utility.gamma < 1.0):
-        raise ValueError("certificates need equal gamma in (0, 1)")
+    gamma = _power_gamma(utility, "certify_es_gamma")
     lev = _effective_or_assumption_j(model, risk)
     grid = model.grid
     thh = theta_hat_path(model)
@@ -406,53 +404,30 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     correction = min(0.0, float(np.min(cross - qq * thh_sq_path)))
     lhs = 1.0 - chi * math.exp(m_star + correction)
 
-    qv = jump_terms_path(model.jumps, report.strategy.pi, utility.gamma)[1]
+    qv = jump_terms_path(model.jumps, report.strategy.pi, gamma)[1]
     m_path = np.linalg.solve(model.coeffs.sigma, qv[..., None])[..., 0]
     m_hat_theta_T = trapz(grid, np.sum(thh * m_path, axis=1))
 
     b = qq * l2_time_norm(grid, theta_path(model))
-    y_norm_T = float(report.strategy.y_norm_path()[-1])
-    norm_bound_ok = y_norm_T <= b + 1e-10
-    slack = es_slack_path(report.strategy, model, risk)
-    diag = {
-        "m_star": m_star,
-        "chi": chi,
-        "cross_term_correction": correction,
-        "M_hat_theta_T": float(m_hat_theta_T),
-        "y_norm_T": y_norm_T,
-        "norm_budget": b,
-        "norm_bound_ok": norm_bound_ok,
-        "min_slack": float(slack.min()),
-    }
-    return ConstraintCertificate(
-        kind=RiskKind.ES,
-        active=not (lhs <= risk.kappa and norm_bound_ok),
-        condition_lhs=lhs,
-        condition_rhs=risk.kappa,
-        rho_star=None,
-        kappa_range=(max(0.0, lhs), 1.0),
-        report=report,
-        diagnostics=diag,
-    )
+    diag = {"m_star": m_star, "chi": chi, "cross_term_correction": correction,
+            "M_hat_theta_T": float(m_hat_theta_T)}
+    return _certificate(RiskKind.ES, model, risk, report, lhs, b, diag)
 
 
 # ---------------------------------------------------------------------------
 # Distinct gammas: consume everything
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiffGammaReport:
-    """Consume-all solution and its upper-bound data for gamma1 != gamma2."""
+@dataclass(kw_only=True)
+class DiffGammaReport(SolveReport):
+    """Consume-all solution for gamma1 != gamma2 and its upper-bound data;
+    J_star is the attained bound M_hat(kappa)."""
 
-    strategy: Strategy
     eta_kappa: float            # consumed fraction 1 - exp(-V_T)
     eta_grid: np.ndarray
     rho_eta: np.ndarray         # feasible allocation budget along eta
     M_hat: np.ndarray           # upper-bound curve along eta
-    v_star: np.ndarray
-    J_upper: float              # M_hat at eta = kappa
     condition_ok: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -487,7 +462,8 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     check_initial_wealth(x)
     g1, g2 = utility.gamma1, utility.gamma2
     if g1 == g2 or g1 >= 1.0 or g2 >= 1.0:
-        raise ValueError("solve_diff_gamma needs distinct gammas in (0, 1)")
+        raise ConditionViolated(
+            "solve_diff_gamma needs distinct gammas in (0, 1)")
     lev = _effective_or_assumption_j(model, risk)
     grid = model.grid
     q1 = 1.0 / (1.0 - g1)
@@ -557,12 +533,11 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     }
     return DiffGammaReport(
         strategy=strategy,
+        J_star=float(m_hat(kappa)),
         eta_kappa=eta_kappa,
         eta_grid=eta_grid,
         rho_eta=rho_eta,
         M_hat=m_hat(eta_grid),
-        v_star=v_star,
-        J_upper=float(m_hat(kappa)),
         condition_ok=condition_ok,
         diagnostics=diag,
     )
@@ -583,9 +558,7 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     exp(-V_T) = 1) is attached to the diagnostics.
     """
     check_initial_wealth(x)
-    gamma = utility.gamma
-    if gamma >= 1.0:
-        raise ValueError("solve_no_consumption needs gamma < 1")
+    gamma = _power_gamma(utility, "solve_no_consumption")
     y, pi, diag = _optimal_allocation(model, gamma)
     grid = model.grid
     h = growth_rate_path(model, gamma, y, pi)
@@ -596,11 +569,6 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     report = SolveReport(strategy=strategy, J_star=J, h_star=h, g=g, rho=rho,
                          chi=1.0, diagnostics=diag)
     if risk is not None:
-        if risk.kind == RiskKind.VAR:
-            cert = certify_var_gamma(model, utility, risk, x,
-                                     report=report, chi=1.0)
-        else:
-            cert = certify_es_gamma(model, utility, risk, x,
-                                    report=report, chi=1.0)
-        report.diagnostics["certificate"] = cert
+        report.diagnostics["certificate"] = certify(model, utility, risk, x,
+                                                    report=report, chi=1.0)
     return report

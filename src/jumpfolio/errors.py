@@ -9,10 +9,6 @@ class ConfigError(JumpfolioError):
     """Malformed or inconsistent configuration input."""
 
 
-class OffGrid(JumpfolioError):
-    """A time argument does not coincide with a grid node."""
-
-
 class OutOfRange(JumpfolioError):
     """A probability or parameter lies outside its admissible range."""
 

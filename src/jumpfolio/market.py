@@ -17,12 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    MomentDiverges,
-    OffGrid,
-    SingularSigma,
-    UnsupportedSupport,
-)
+from .errors import MomentDiverges, SingularSigma, UnsupportedSupport
 
 DET_FLOOR = 1e-12          # |det sigma_t| below this counts as singular
 GL_NODES_DEFAULT = 129     # Gauss-Legendre resolution for tabulated densities
@@ -72,13 +67,6 @@ class TimeGrid:
         dt.flags.writeable = False
         return dt
 
-    def index_of(self, t: float) -> int:
-        """Node index of time t; raises OffGrid when t is not a node."""
-        hits = np.flatnonzero(np.isclose(self.nodes, t, rtol=1e-12, atol=1e-12))
-        if hits.size == 0:
-            raise OffGrid(f"t = {t} is not a node of the grid")
-        return int(hits[0])
-
 
 def cumtrapz(grid: TimeGrid, values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Cumulative trapezoid integral along the grid, starting at 0.
@@ -101,12 +89,6 @@ def cumtrapz(grid: TimeGrid, values: np.ndarray, axis: int = 0) -> np.ndarray:
 
 def trapz(grid: TimeGrid, values: np.ndarray) -> float:
     return float(np.trapezoid(np.asarray(values, dtype=float), grid.nodes))
-
-
-def path_integral(grid: TimeGrid, values: np.ndarray, t: float) -> float:
-    """Trapezoid integral of a sampled path from 0 up to grid node t."""
-    k = grid.index_of(t)
-    return float(cumtrapz(grid, values)[k])
 
 
 def l2_time_norm_sq_path(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
@@ -364,19 +346,6 @@ class UtilitySpec:
 # Coefficient-derived quantities
 # ---------------------------------------------------------------------------
 
-def _solve_node(sigma_k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(sigma_k, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSigma(str(exc)) from exc
-
-
-def theta(model: MarketModel, node: int) -> np.ndarray:
-    """Market price of risk sigma_t^{-1} (mu_t - r_t 1) at one node."""
-    c = model.coeffs
-    return _solve_node(c.sigma[node], c.mu[node] - c.r[node])
-
-
 def theta_path(model: MarketModel) -> np.ndarray:
     """Market price of risk at every node, shape (N, d)."""
     c = model.coeffs
@@ -387,20 +356,10 @@ def theta_path(model: MarketModel) -> np.ndarray:
         raise SingularSigma(str(exc)) from exc
 
 
-def xi_lambda(model: MarketModel) -> np.ndarray:
-    """Jump compensator vector lambda_j E[xi_j]."""
-    return model.jumps.xi_lambda
-
-
-def theta_hat(model: MarketModel, node: int) -> np.ndarray:
-    """Jump-compensated market price of risk at one node."""
-    c = model.coeffs
-    return _solve_node(c.sigma[node], c.mu[node] - c.r[node] - xi_lambda(model))
-
-
 def theta_hat_path(model: MarketModel) -> np.ndarray:
+    """Jump-compensated market price of risk at every node, shape (N, d)."""
     c = model.coeffs
-    rhs = c.mu - c.r[:, None] - xi_lambda(model)[None, :]
+    rhs = c.mu - c.r[:, None] - model.jumps.xi_lambda[None, :]
     try:
         return np.linalg.solve(c.sigma, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -410,35 +369,25 @@ def theta_hat_path(model: MarketModel) -> np.ndarray:
 def sigma_inv_xi_lambda_path(model: MarketModel) -> np.ndarray:
     """sigma_t^{-1} xi_lambda at every node; equals theta - theta_hat."""
     c = model.coeffs
-    rhs = np.tile(xi_lambda(model), (model.grid.n, 1))
+    rhs = np.tile(model.jumps.xi_lambda, (model.grid.n, 1))
     try:
         return np.linalg.solve(c.sigma, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSigma(str(exc)) from exc
 
 
-def R_integral(model: MarketModel, t: float) -> float:
-    """Cumulative rate integral R_t = int_0^t r ds at a grid node."""
-    return path_integral(model.grid, model.coeffs.r, t)
-
-
 def R_path(model: MarketModel) -> np.ndarray:
+    """Cumulative rate integral R_t = int_0^t r ds at every node."""
     return cumtrapz(model.grid, model.coeffs.r)
 
 
-def inner_product_path(grid: TimeGrid, y: np.ndarray, other: np.ndarray,
-                       t: float | None = None):
-    """Cumulative inner-product integral t -> int_0^t y_s . other_s ds.
-
-    Returns the full path when t is None, else the value at node t.
-    """
+def inner_product_path(grid: TimeGrid, y: np.ndarray,
+                       other: np.ndarray) -> np.ndarray:
+    """Cumulative inner-product integral t -> int_0^t y_s . other_s ds."""
     y = np.asarray(y, dtype=float)
     other = np.asarray(other, dtype=float)
     prod = y * other if y.ndim == 1 else np.sum(y * other, axis=1)
-    path = cumtrapz(grid, prod)
-    if t is None:
-        return path
-    return float(path[grid.index_of(t)])
+    return cumtrapz(grid, prod)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsilonTooLarge, NegativeJumpsPresent
+from .errors import ConditionViolated, EpsilonTooLarge, NegativeJumpsPresent
 from .market import JumpSpec, MarketModel, UtilitySpec
-from .riskmetrics import F_beta, NegJumpMethod, RiskSpec, normal_quantile
+from .riskmetrics import F_beta, NegJumpMethod, RiskKind, RiskSpec, normal_quantile
+from .unconstrained import solve_linear, solve_power_equal
 
 
 @dataclass(frozen=True)
@@ -113,28 +114,33 @@ def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
                           adjustment=adj)
 
 
-def adjusted_solve(model: MarketModel, risk: RiskSpec, utility: UtilitySpec,
-                   x: float = 1.0, force: bool = False):
-    """Constrained solve honoring the risk spec's negative-jump method.
+def adjusted_solve(model: MarketModel, risk: RiskSpec | None,
+                   utility: UtilitySpec, x: float = 1.0, force: bool = False):
+    """Solve the configured problem: the one dispatcher over the solvers.
 
-    Dispatches on the utility exponents: linear utilities go to the gamma=1
-    closed forms, equal gamma in (0, 1) to the inactivity certificate (the
-    unconstrained optimum is returned when certified), distinct gammas to
-    the consume-all solution.
+    Without a risk spec, linear utilities go to solve_linear and equal gamma
+    in (0, 1) to solve_power_equal; distinct gammas have no provided
+    solution.  Under a risk spec, honoring its negative-jump method, linear
+    utilities go to the gamma=1 closed forms, equal gamma in (0, 1) to the
+    inactivity certificate (the unconstrained optimum is returned when
+    certified), distinct gammas to the consume-all solution.
     """
     from . import constrained  # local import; constrained uses this module
-    from .errors import ConditionViolated
-    from .riskmetrics import RiskKind
 
+    if risk is None:
+        if utility.is_linear:
+            return solve_linear(model, x)
+        if utility.is_equal:
+            return solve_power_equal(model, utility, x)
+        raise ConditionViolated(
+            "unconstrained solve with distinct gammas is not provided; "
+            "add a risk section")
     if utility.is_linear:
         if risk.kind == RiskKind.VAR:
             return constrained.solve_var_gamma1(model, risk, x)
         return constrained.solve_es_gamma1(model, risk, x, force=force)
     if utility.is_equal:
-        if risk.kind == RiskKind.VAR:
-            cert = constrained.certify_var_gamma(model, utility, risk, x)
-        else:
-            cert = constrained.certify_es_gamma(model, utility, risk, x)
+        cert = constrained.certify(model, utility, risk, x)
         if cert.active and not force:
             err = ConditionViolated(
                 "inactivity certificate failed: lhs="

@@ -140,12 +140,3 @@ def empirical_shortfall(sample: np.ndarray, beta: float) -> float:
     k = tail_count(beta, sample.size)
     return float(np.partition(sample, k - 1)[:k].mean())
 
-
-def shortfall_standard_error(sample: np.ndarray, beta: float) -> float:
-    """Influence-function standard error of the empirical shortfall."""
-    sample = np.asarray(sample, dtype=float)
-    n = sample.size
-    k = tail_count(beta, n)
-    q = np.partition(sample, k - 1)[k - 1]
-    infl = np.minimum(sample - q, 0.0)
-    return float(np.sqrt(np.var(infl) / n) / beta)

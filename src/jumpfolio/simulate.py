@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .constrained import _SLACK_TOL, _slack, slack_path
-from .errors import EmptyFeasibleSet, InvalidStrategy, OutOfRange
+from .errors import EmptyFeasibleSet, OutOfRange
 from .market import (
     K_transform_path,
     MarketModel,
@@ -85,12 +85,7 @@ def _validated(model: MarketModel, strategy: Strategy, x: float,
         raise OutOfRange(f"n_paths must be at least 1, got {n_paths}")
     if seed < 0:
         raise OutOfRange(f"seed must be nonnegative, got {seed}")
-    try:
-        strategy.validate(model)
-    except InvalidStrategy:
-        raise
-    except Exception as exc:  # shape errors from mismatched arrays
-        raise InvalidStrategy(str(exc)) from exc
+    strategy.validate(model)
 
 
 def _draw_marks(rng, horizon: float, lam: float, dist, counts: np.ndarray):
@@ -289,24 +284,8 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
 
 
 # ---------------------------------------------------------------------------
-# Empirical risk measures and cost
+# Cost estimate
 # ---------------------------------------------------------------------------
-
-def empirical_var(ensemble: PathEnsemble, model: MarketModel, x: float,
-                  beta: float, t: float) -> float:
-    """Empirical downside risk x e^{R_t} - q_beta(X_t) at a grid node."""
-    k = model.grid.index_of(t)
-    ref = x * math.exp(R_path(model)[k])
-    return ref - empirical_lower_quantile(ensemble.wealth[:, k], beta)
-
-
-def empirical_es(ensemble: PathEnsemble, model: MarketModel, x: float,
-                 beta: float, t: float) -> float:
-    """Empirical shortfall risk x e^{R_t} - ES_beta(X_t) at a grid node."""
-    k = model.grid.index_of(t)
-    ref = x * math.exp(R_path(model)[k])
-    return ref - empirical_shortfall(ensemble.wealth[:, k], beta)
-
 
 def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
                   utility: UtilitySpec) -> tuple:

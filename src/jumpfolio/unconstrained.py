@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DriftBelowRate, InvalidStrategy, NoConvergence, OutOfRange
+from .errors import (
+    ConditionViolated,
+    DriftBelowRate,
+    InvalidStrategy,
+    NoConvergence,
+    OutOfRange,
+)
 from .market import (
     K_transform_path,
     MarketModel,
@@ -39,7 +45,6 @@ from .market import (
     jump_terms_path,
     l2_time_norm,
     l2_time_norm_sq_path,
-    path_integral,
     theta_path,
     trapz,
 )
@@ -146,11 +151,6 @@ class Strategy:
             raise InvalidStrategy("y != sigma' pi on the grid")
 
 
-def V_integral(strategy: Strategy, t: float) -> float:
-    """Cumulative consumption integral V_t at a grid node."""
-    return path_integral(strategy.grid, strategy.v, t)
-
-
 @dataclass
 class SolveReport:
     """Solver output: optimal strategy, value and diagnostics."""
@@ -217,6 +217,13 @@ def check_initial_wealth(x: float) -> None:
     """Raise OutOfRange unless the initial wealth x is positive and finite."""
     if not (np.isfinite(x) and x > 0.0):
         raise OutOfRange(f"initial wealth must be positive and finite, got {x}")
+
+
+def _power_gamma(utility: UtilitySpec, solver: str) -> float:
+    """The shared gamma; raises ConditionViolated unless it is in (0, 1)."""
+    if not (utility.is_equal and utility.gamma1 < 1.0):
+        raise ConditionViolated(f"{solver} needs equal gamma in (0, 1)")
+    return utility.gamma1
 
 
 def cost_function(model: MarketModel, utility: UtilitySpec,
@@ -395,7 +402,7 @@ def solve_power_1d(model: MarketModel, utility: UtilitySpec,
                    x: float = 1.0) -> SolveReport:
     """One-asset entry point to solve_power_equal."""
     if model.d != 1:
-        raise ValueError("solve_power_1d needs a one-asset market")
+        raise ConditionViolated("solve_power_1d needs a one-asset market")
     return solve_power_equal(model, utility, x)
 
 
@@ -404,9 +411,7 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
     """Equal-gamma solver in d dimensions: the box-constrained optimal
     allocation at every node, then the optimal consumption rate."""
     check_initial_wealth(x)
-    gamma = utility.gamma
-    if gamma >= 1.0:
-        raise ValueError("solve_power_equal needs gamma < 1")
+    gamma = _power_gamma(utility, "solve_power_equal")
     y, pi, diagnostics = _optimal_allocation(model, gamma)
     grid = model.grid
     h = growth_rate_path(model, gamma, y, pi)

@@ -285,7 +285,7 @@ def test_criterion_8_consume_all():
     risk = jf.RiskSpec("var", 0.01, 0.15)
     rep = jf.solve_diff_gamma(model, utility, risk)
     cost_gap = abs(jf.cost_function(model, utility, rep.strategy, 1.0)
-                   - rep.J_upper)
+                   - rep.J_star)
 
     rng = np.random.default_rng(88)
     n = model.grid.n
@@ -301,14 +301,14 @@ def test_criterion_8_consume_all():
             pi = np.full((n, 1), rng.uniform(0.0, 0.2))
             half = n // 2
             pi[half:] = rng.uniform(0.0, 0.35)
-        v = rng.uniform(0.0, 1.6) * rep.v_star
+        v = rng.uniform(0.0, 1.6) * rep.strategy.v
         strat = jf.Strategy.from_pi(model, pi, v)
         if var_slack_path(strat, model, risk).min() < -1e-10:
             continue
         accepted += 1
         worst_excess = max(worst_excess,
                            jf.cost_function(model, utility, strat, 1.0)
-                           - rep.J_upper)
+                           - rep.J_star)
     ok = (rep.condition_ok and cost_gap < 1e-6 and accepted >= 10_000
           and worst_excess <= 1e-9)
     _report("criterion 8 (consume-all regime)", ok,

@@ -5,6 +5,9 @@ import pytest
 
 import jumpfolio as jf
 from jumpfolio.cli import dump_config, load_config, main
+from jumpfolio.errors import ConditionViolated
+
+from conftest import make_model, make_model_2d
 
 BASE_CONFIG = """
 [grid]
@@ -298,3 +301,51 @@ def test_undumpable_law_fails_before_any_file_is_written(tmp_path, capsys,
     assert err["error"] == "parse_error"
     assert err["type"] == "ConfigError"
     assert not out.exists() or not any(out.iterdir())
+
+
+# gamma1 = 1 with gamma2 < 1 fits no solver
+_HALF_LINEAR = jf.UtilitySpec(1.0, 0.5)
+_VAR, _ES = jf.RiskSpec("var", 0.05, 0.1), jf.RiskSpec("es", 0.05, 0.1)
+_PRECONDITIONS = {
+    "certify_var_gamma": lambda: jf.certify_var_gamma(
+        make_model(), _HALF_LINEAR, _VAR),
+    "certify_es_gamma": lambda: jf.certify_es_gamma(
+        make_model(), _HALF_LINEAR, _ES),
+    "solve_diff_gamma": lambda: jf.solve_diff_gamma(
+        make_model(), _HALF_LINEAR, _VAR),
+    "solve_no_consumption": lambda: jf.solve_no_consumption(
+        make_model(), _HALF_LINEAR),
+    "solve_power_1d": lambda: jf.solve_power_1d(
+        make_model_2d(), jf.UtilitySpec.equal(0.5)),
+    "solve_power_equal": lambda: jf.solve_power_equal(
+        make_model(), _HALF_LINEAR),
+}
+
+
+@pytest.mark.parametrize("case", ["cli_solve", *sorted(_PRECONDITIONS)])
+def test_solver_precondition_is_a_condition_violation(tmp_path, capsys, case):
+    if case == "cli_solve":
+        cfg, out = write_config(tmp_path, g1=1.0, g2=0.5, kind="var")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "condition_violation"
+        assert error["type"] == "ConditionViolated"
+        assert not out.exists()
+        return
+    with pytest.raises(ConditionViolated):
+        _PRECONDITIONS[case]()
+
+
+@pytest.mark.parametrize("body", [None, "t,y1,pi1,v\n0,0,0,zero\n"],
+                         ids=["missing", "non_numeric"])
+def test_unreadable_strategy_file_exits_1(tmp_path, capsys, body):
+    cfg, out = write_config(tmp_path)
+    strategy = tmp_path / "strategy.csv"
+    if body is not None:
+        strategy.write_text(body)
+    assert main(["verify", "--config", str(cfg),
+                 "--strategy", str(strategy)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "parse_error"
+    assert error["type"] == "ConfigError"
+    assert not out.exists()

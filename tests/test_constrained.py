@@ -34,7 +34,7 @@ def gamma1_model():
 
 def test_riskless_slack_is_log_kappa(gamma1_model):
     strat = jf.Strategy.riskless(gamma1_model)
-    slack = jf.transformed_var_constraint(strat, gamma1_model, VAR, 0.5)
+    slack = var_slack_path(strat, gamma1_model, VAR)[64]   # t = 0.5
     assert slack == pytest.approx(-math.log(1.0 - VAR.kappa), abs=1e-14)
     assert slack > 0
 
@@ -43,8 +43,8 @@ def test_slack_grows_with_kappa(gamma1_model):
     strat = jf.Strategy.riskless(gamma1_model)
     loose = jf.RiskSpec("var", 0.05, 0.99)
     tight = jf.RiskSpec("var", 0.05, 0.5)
-    assert (jf.transformed_var_constraint(strat, gamma1_model, loose, 1.0)
-            > jf.transformed_var_constraint(strat, gamma1_model, tight, 1.0))
+    assert (var_slack_path(strat, gamma1_model, loose)[-1]
+            > var_slack_path(strat, gamma1_model, tight)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_diff_gamma_consumed_fraction(diff_setup):
     assert rep.eta_kappa == pytest.approx(risk.kappa, abs=1e-14)
     assert rep.strategy.V[-1] == pytest.approx(-math.log(1.0 - risk.kappa),
                                                abs=1e-14)
-    # the exact consumption integral matches the trapezoid of v_star to
+    # the exact consumption integral matches the trapezoid of v* to
     # quadrature order
     from jumpfolio.market import cumtrapz
     assert np.max(np.abs(rep.strategy.V
@@ -293,7 +293,7 @@ def test_diff_gamma_feasible_and_binding(diff_setup):
     assert slack_es.min() >= -1e-10
     assert abs(slack_es[-1]) < 1e-12
     cost = jf.cost_function(model, utility, rep_es.strategy, 1.0)
-    assert cost == pytest.approx(rep_es.J_upper, abs=1e-9)
+    assert cost == pytest.approx(rep_es.J_star, abs=1e-9)
 
 
 def test_diff_gamma_flat_rate_closed_form():
@@ -303,14 +303,14 @@ def test_diff_gamma_flat_rate_closed_form():
     rep = jf.solve_diff_gamma(model, utility, risk)
     t = model.grid.nodes
     expected = risk.kappa / (1.0 - risk.kappa * t)
-    assert np.max(np.abs(rep.v_star - expected)) < 1e-12
+    assert np.max(np.abs(rep.strategy.v - expected)) < 1e-12
 
 
 def test_diff_gamma_cost_attains_upper_bound(diff_setup):
     model, utility, risk = diff_setup
     rep = jf.solve_diff_gamma(model, utility, risk)
     cost = jf.cost_function(model, utility, rep.strategy, 1.0)
-    assert cost == pytest.approx(rep.J_upper, abs=1e-6)
+    assert cost == pytest.approx(rep.J_star, abs=1e-6)
 
 
 def test_diff_gamma_dominates_random_feasible(diff_setup):
@@ -321,12 +321,12 @@ def test_diff_gamma_dominates_random_feasible(diff_setup):
     accepted = 0
     for _ in range(300):
         pi = np.full((n, 1), rng.uniform(0.0, 0.3))
-        v = rng.uniform(0.0, 2.0) * rep.v_star
+        v = rng.uniform(0.0, 2.0) * rep.strategy.v
         strat = jf.Strategy.from_pi(model, pi, v)
         if var_slack_path(strat, model, risk).min() < -1e-10:
             continue
         accepted += 1
-        assert jf.cost_function(model, utility, strat, 1.0) <= rep.J_upper + 1e-9
+        assert jf.cost_function(model, utility, strat, 1.0) <= rep.J_star + 1e-9
     assert accepted > 50
 
 
@@ -426,6 +426,10 @@ _SOLVER_CALLS = {
         m, jf.UtilitySpec(0.3, 0.6), VAR, x),
     "adjusted_solve": lambda m, x: jf.adjusted_solve(
         m, VAR, jf.UtilitySpec.equal(0.5), x),
+    "adjusted_solve_linear": lambda m, x: jf.adjusted_solve(
+        m, None, jf.UtilitySpec(1.0, 1.0), x),
+    "adjusted_solve_power_equal": lambda m, x: jf.adjusted_solve(
+        m, None, jf.UtilitySpec.equal(0.5), x),
     "cost_function": lambda m, x: jf.cost_function(
         m, jf.UtilitySpec.equal(0.5), jf.Strategy.riskless(m), x),
 }
@@ -436,3 +440,32 @@ _SOLVER_CALLS = {
 def test_solvers_reject_bad_initial_wealth(gamma1_model, name, x):
     with pytest.raises(OutOfRange):
         _SOLVER_CALLS[name](gamma1_model, x)
+
+
+# ---------------------------------------------------------------------------
+# The dispatcher without a risk spec
+# ---------------------------------------------------------------------------
+
+_UNCONSTRAINED = {
+    "solve_linear": (jf.UtilitySpec(1.0, 1.0),
+                     lambda m, u: jf.solve_linear(m)),
+    "solve_power_equal": (jf.UtilitySpec.equal(0.5), jf.solve_power_equal),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNCONSTRAINED))
+def test_adjusted_solve_without_risk_is_the_unconstrained_solve(jump_1d,
+                                                                name):
+    utility, solve = _UNCONSTRAINED[name]
+    got = jf.adjusted_solve(jump_1d, None, utility)
+    want = solve(jump_1d, utility)
+    assert type(got) is type(want)
+    assert got.J_star == want.J_star
+    for path in ("y", "pi", "v", "V"):
+        assert (getattr(got.strategy, path).tobytes()
+                == getattr(want.strategy, path).tobytes())
+
+
+def test_adjusted_solve_without_risk_refuses_distinct_gammas(jump_1d):
+    with pytest.raises(ConditionViolated, match="distinct gammas"):
+        jf.adjusted_solve(jump_1d, None, jf.UtilitySpec(0.3, 0.7))

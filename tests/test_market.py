@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jumpfolio as jf
-from jumpfolio.errors import MomentDiverges, OffGrid, UnsupportedSupport
+from jumpfolio.errors import MomentDiverges, UnsupportedSupport
 from jumpfolio.market import (
+    R_path,
     cumtrapz,
     l2_time_norm,
-    path_integral,
     sigma_inv_xi_lambda_path,
 )
 
@@ -23,9 +23,6 @@ def test_grid_basics():
     grid = jf.TimeGrid.uniform(2.0, 9)
     assert grid.horizon == 2.0
     assert grid.n == 9
-    assert grid.index_of(0.5) == 2
-    with pytest.raises(OffGrid):
-        grid.index_of(0.33)
 
 
 def test_grid_rejects_bad_nodes():
@@ -37,8 +34,8 @@ def test_grid_rejects_bad_nodes():
 
 def test_r_integral_constant():
     model = make_model(r=0.02)
-    assert jf.R_integral(model, 1.0) == pytest.approx(0.02, abs=1e-15)
-    assert jf.R_integral(model, 0.0) == 0.0
+    assert R_path(model)[-1] == pytest.approx(0.02, abs=1e-15)
+    assert R_path(model)[0] == 0.0
 
 
 def test_path_integral_piecewise_linear_vs_riemann():
@@ -47,7 +44,7 @@ def test_path_integral_piecewise_linear_vs_riemann():
     # fine-grid Riemann oracle on the piecewise-linear interpolant
     tt = np.linspace(0.0, 1.0, 2_000_001)
     riemann = np.interp(tt, grid.nodes, values).sum() / tt.size
-    assert path_integral(grid, values, 1.0) == pytest.approx(riemann, abs=2e-6)
+    assert cumtrapz(grid, values)[-1] == pytest.approx(riemann, abs=2e-6)
 
 
 def test_cumtrapz_vector_shape():
@@ -64,18 +61,18 @@ def test_cumtrapz_vector_shape():
 
 def test_theta_zero_when_mu_equals_r():
     model = make_model(mu=0.02, r=0.02)
-    assert np.allclose(jf.theta(model, 0), 0.0)
+    assert np.allclose(jf.theta_path(model)[0], 0.0)
 
 
 def test_theta_scalar_division():
     model = make_model(mu=0.10, r=0.02, sigma=0.20)
-    assert jf.theta(model, 0)[0] == pytest.approx(0.40, abs=1e-15)
+    assert jf.theta_path(model)[0, 0] == pytest.approx(0.40, abs=1e-15)
 
 
 def test_theta_2d_against_adjugate_oracle():
     sigma = np.array([[0.2, 0.05], [0.0, 0.3]])
     model = make_model_2d(mu=(0.10, 0.08), r=0.02, sigma=sigma)
-    got = jf.theta(model, 3)
+    got = jf.theta_path(model)[3]
     rhs = np.array([0.08, 0.06])
     det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
     inv = np.array([[sigma[1, 1], -sigma[0, 1]],
@@ -84,20 +81,20 @@ def test_theta_2d_against_adjugate_oracle():
 
 
 def test_xi_lambda_cases():
-    assert np.allclose(jf.xi_lambda(make_model(lam=0.0)), 0.0)
+    assert np.allclose(make_model(lam=0.0).jumps.xi_lambda, 0.0)
     model = make_model(lam=2.0, jump=jf.JumpDist.point_masses([0.05], [1.0]))
-    assert jf.xi_lambda(model)[0] == pytest.approx(0.10, abs=1e-15)
+    assert model.jumps.xi_lambda[0] == pytest.approx(0.10, abs=1e-15)
     two = make_model(lam=1.0,
                      jump=jf.JumpDist.point_masses([-0.1, 0.3], [0.5, 0.5]))
-    assert jf.xi_lambda(two)[0] == pytest.approx(0.10, abs=1e-15)
+    assert two.jumps.xi_lambda[0] == pytest.approx(0.10, abs=1e-15)
 
 
 def test_theta_hat_reduces_and_shifts():
     no_jump = make_model(lam=0.0)
-    assert np.allclose(jf.theta_hat(no_jump, 0), jf.theta(no_jump, 0))
+    assert np.allclose(jf.theta_hat_path(no_jump)[0], jf.theta_path(no_jump)[0])
     model = make_model(mu=0.10, r=0.02, sigma=0.2, lam=1.0,
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
-    assert jf.theta_hat(model, 0)[0] == pytest.approx(0.20, abs=1e-14)
+    assert jf.theta_hat_path(model)[0, 0] == pytest.approx(0.20, abs=1e-14)
 
 
 def test_theta_hat_identity_2d():

@@ -9,6 +9,7 @@ from scipy.stats import binom
 import jumpfolio as jf
 from jumpfolio.errors import EmptyFeasibleSet, InvalidStrategy, OutOfRange
 from jumpfolio.market import R_path, cumtrapz, theta_hat_path, theta_path
+from jumpfolio.riskmetrics import empirical_lower_quantile, empirical_shortfall
 from jumpfolio.simulate import _march
 
 from conftest import make_model
@@ -240,12 +241,24 @@ def test_jump_counts_distribution(sim_model, sim_strategy):
 # Empirical risk measures
 # ---------------------------------------------------------------------------
 
+def _var_risk(ens, model, beta, k):
+    """Empirical downside risk x e^{R_t} - q_beta(X_t) at node k."""
+    ref = ens.x * math.exp(R_path(model)[k])
+    return ref - empirical_lower_quantile(ens.wealth[:, k], beta)
+
+
+def _es_risk(ens, model, beta, k):
+    """Empirical shortfall risk x e^{R_t} - ES_beta(X_t) at node k."""
+    ref = ens.x * math.exp(R_path(model)[k])
+    return ref - empirical_shortfall(ens.wealth[:, k], beta)
+
+
 def test_empirical_var_bank_account(sim_model):
     bank = jf.Strategy.riskless(sim_model)
     ens = jf.simulate(sim_model, bank, 1.0, 1000, 5)
-    assert jf.empirical_var(ens, sim_model, 1.0, 0.05, 1.0) == pytest.approx(
+    assert _var_risk(ens, sim_model, 0.05, -1) == pytest.approx(
         0.0, abs=1e-12)
-    assert jf.empirical_es(ens, sim_model, 1.0, 0.05, 1.0) == pytest.approx(
+    assert _es_risk(ens, sim_model, 0.05, -1) == pytest.approx(
         0.0, abs=1e-12)
 
 
@@ -259,7 +272,7 @@ def test_empirical_var_no_jump_closed_form():
     drift = cumtrapz(model.grid, np.sum(strat.y * theta_path(model), axis=1))
     q_closed = (math.exp(R_path(model)[-1] + drift[-1])
                 * jf.quantile_stoch_exp(s, beta))
-    got = jf.empirical_var(ens, model, 1.0, beta, 1.0)
+    got = _var_risk(ens, model, beta, -1)
     ref = math.exp(R_path(model)[-1])
     # exact order-statistic interval around the true quantile
     lo = int(binom.ppf(0.005, n, beta))
@@ -270,7 +283,7 @@ def test_empirical_var_no_jump_closed_form():
 
     es_closed = (math.exp(R_path(model)[-1] + drift[-1])
                  * jf.es_stoch_exp(s, beta))
-    got_es = jf.empirical_es(ens, model, 1.0, beta, 1.0)
+    got_es = _es_risk(ens, model, beta, -1)
     tail = ordered[:jf.riskmetrics.tail_count(beta, n)]
     se = tail.std(ddof=1) / math.sqrt(tail.size)
     assert abs((ref - got_es) - es_closed) < 3.0 * se
@@ -278,16 +291,16 @@ def test_empirical_var_no_jump_closed_form():
 
 def test_var_monotone_in_beta(sim_model, sim_strategy):
     ens = jf.simulate(sim_model, sim_strategy, 1.0, 50_000, 17)
-    v1 = jf.empirical_var(ens, sim_model, 1.0, 0.01, 1.0)
-    v5 = jf.empirical_var(ens, sim_model, 1.0, 0.05, 1.0)
+    v1 = _var_risk(ens, sim_model, 0.01, -1)
+    v5 = _var_risk(ens, sim_model, 0.05, -1)
     assert v1 >= v5
 
 
 def test_es_risk_dominates_var_risk(sim_model, sim_strategy):
     ens = jf.simulate(sim_model, sim_strategy, 1.0, 50_000, 23)
-    for t in (0.5, 1.0):
-        assert (jf.empirical_es(ens, sim_model, 1.0, 0.05, t)
-                >= jf.empirical_var(ens, sim_model, 1.0, 0.05, t))
+    for k in (32, -1):   # t = 0.5 and t = 1
+        assert (_es_risk(ens, sim_model, 0.05, k)
+                >= _var_risk(ens, sim_model, 0.05, k))
 
 
 def test_quantile_consistency_shrinking_bands():

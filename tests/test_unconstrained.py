@@ -327,7 +327,7 @@ def test_cost_function_linear_no_consumption(jump_1d):
 
 def test_V_integral(jump_1d):
     strat = jf.Strategy.riskless(jump_1d)
-    assert jf.V_integral(strat, 1.0) == 0.0
+    assert strat.V[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
