@@ -12,6 +12,8 @@ probability of seeing at least one negative jump (thinned Poisson counts per
 asset); PaperFormula evaluates the product formula
 prod_j (1 - exp(-lambda_j t)) P(xi_j < 0), which disagrees with the exact
 count on generic inputs and is kept for comparison.
+
+`adjusted_solve` is the one solve dispatcher, with or without a risk spec.
 """
 
 from __future__ import annotations
