@@ -219,6 +219,21 @@ def test_verify_inadmissible_strategy_exits_3(tmp_path):
                  "--strategy", str(out / "strategy.csv")]) == 3
 
 
+def test_verify_strategy_with_nan_row_is_inadmissible(tmp_path):
+    cfg, out = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    lines = (out / "strategy.csv").read_text().splitlines()
+    t, *cells = lines[40].split(",")
+    lines[40] = ",".join([t] + ["nan"] * (len(cells) - 1) + [cells[-1]])
+    (out / "strategy.csv").write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(cfg),
+                 "--strategy", str(out / "strategy.csv")]) == 3
+    rows = (out / "verify.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1
+    name, *_values, passed = rows[0].split(",")
+    assert (name, passed) == ("admissible", "0")
+
+
 def test_compare_command_schema_and_orderings(tmp_path):
     cfg, out = write_config(tmp_path, mu=0.055, lam=0.8, g1=0.5, g2=0.5,
                             kind="none")

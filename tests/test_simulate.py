@@ -77,6 +77,16 @@ def test_rejects_inadmissible_strategy(sim_model):
         jf.simulate(sim_model, bad, 1.0, 10, 1)
 
 
+def test_rejects_non_finite_strategy(sim_model, sim_strategy):
+    y, pi = sim_strategy.y.copy(), sim_strategy.pi.copy()
+    y[7], pi[7] = np.nan, np.nan
+    bad = jf.Strategy(sim_model.grid, y, pi, sim_strategy.v)
+    with pytest.raises(InvalidStrategy):
+        jf.simulate(sim_model, bad, 1.0, 10, 1)
+    with pytest.raises(InvalidStrategy):
+        jf.simulate_node_stats(sim_model, bad, 1.0, 0.05, 10, 1)
+
+
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
 def test_rejects_bad_initial_wealth(sim_model, sim_strategy, x):
     with pytest.raises(OutOfRange):
@@ -228,6 +238,28 @@ def test_mean_wealth_matches_closed_form_at_nodes(sim_model, sim_strategy):
         assert abs(col.mean() - closed[k]) < 3.0 * se
 
 
+def test_mean_wealth_exact_for_time_varying_pi_on_coarse_grid():
+    # pi enters each jump at its exact time, linearly interpolated between
+    # the nodes, so the node mean matches the trapezoid closed form even on
+    # a 5-node grid with a jump-heavy market
+    model = make_model(n=5, lam=3.0, jump=jf.JumpDist.point_masses([0.5], [1.0]))
+    strat = jf.Strategy.from_pi(model, np.linspace(0.0, 1.0, 5)[:, None])
+    n = 2_000_000
+    first, second = np.zeros(5), np.zeros(5)
+
+    def collect(k, log_w):
+        w = np.exp(log_w)
+        first[k] = w.mean()
+        second[k] = np.mean(w * w)
+
+    _march(model, strat, 1.0, n, 31, collect)
+    drift = cumtrapz(model.grid, np.sum(strat.y * theta_path(model), axis=1))
+    closed = np.exp(R_path(model) + drift)
+    se = np.sqrt((second - first**2) / n)
+    assert closed[-1] == pytest.approx(1.046, abs=5e-4)
+    assert np.all(np.abs(first - closed) <= 4.0 * se + 1e-12)
+
+
 def test_jump_counts_distribution(sim_model, sim_strategy):
     n = 100_000
     ens = jf.simulate(sim_model, sim_strategy, 1.0, n, 1)
@@ -357,6 +389,13 @@ def test_profile_bank_account_zero(sim_model):
     ens = jf.simulate(sim_model, bank, 1.0, 2000, 3)
     prof = jf.constraint_profile(ens, sim_model, risk, 1.0)
     assert np.max(np.abs(prof)) < 1e-12
+
+
+def test_profile_rejects_node_stats_at_another_level(sim_model, sim_strategy):
+    stats = jf.simulate_node_stats(sim_model, sim_strategy, 1.0, 0.05, 100, 3)
+    with pytest.raises(OutOfRange):
+        jf.constraint_profile(stats, sim_model, jf.RiskSpec("var", 0.01, 0.1),
+                              1.0)
 
 
 def test_profile_closed_form_binds_at_one():

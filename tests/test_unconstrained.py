@@ -33,6 +33,19 @@ def test_strategy_box_violation(diffusion_1d):
         strat.validate(diffusion_1d)
 
 
+@pytest.mark.parametrize("field", ["y", "pi", "v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_strategy_non_finite_values_rejected(diffusion_1d, field, value):
+    n = diffusion_1d.grid.n
+    strat = jf.Strategy.from_pi(diffusion_1d, np.full((n, 1), 0.5),
+                                np.full(n, 0.1))
+    parts = {"y": strat.y.copy(), "pi": strat.pi.copy(), "v": strat.v.copy()}
+    parts[field][n // 2] = value
+    bad = jf.Strategy(diffusion_1d.grid, parts["y"], parts["pi"], parts["v"])
+    with pytest.raises(InvalidStrategy):
+        bad.validate(diffusion_1d)
+
+
 # ---------------------------------------------------------------------------
 # Linear utility
 # ---------------------------------------------------------------------------
