@@ -322,7 +322,7 @@ def constraint_profile(source, model: MarketModel, risk: RiskSpec,
         return _profile_from_slack(slack_path(source, model, risk), risk.kappa)
     if isinstance(source, NodeStats):
         if source.beta != risk.beta:
-            raise ValueError("NodeStats level differs from the risk spec")
+            raise OutOfRange("NodeStats level differs from the risk spec")
         tail_value = source.q_beta if risk.kind == RiskKind.VAR else source.tail_mean
         return (ref - tail_value) / (risk.kappa * ref)
     ensemble = source

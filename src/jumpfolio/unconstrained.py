@@ -142,6 +142,8 @@ class Strategy:
         """Check admissibility against a model; raises InvalidStrategy."""
         if self.d != model.d or self.grid.n != model.grid.n:
             raise InvalidStrategy("strategy and model shapes disagree")
+        if not all(np.all(np.isfinite(a)) for a in (self.y, self.pi, self.v)):
+            raise InvalidStrategy("y, pi and v must be finite")
         if np.any(self.pi < -tol) or np.any(self.pi > 1.0 + tol):
             raise InvalidStrategy("pi must stay componentwise in [0, 1]")
         if np.any(self.v < -tol):
