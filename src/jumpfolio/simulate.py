@@ -4,22 +4,29 @@ Wealth is simulated through its exponential solution: a deterministic factor
 exp(R_t - V_t + (y, theta_hat)_t), the lognormal martingale factor driven by
 one Gaussian increment per interval with the same trapezoid variance the
 analytic formulas use, and a compound Poisson jump factor with exact jump
-times and sizes drawn from the jump law (pi enters each jump at the grid
-node left of its time).  For allocations constant in time the simulated law
-at the grid nodes therefore matches the closed forms exactly, with no
-time-discretization bias between the two sides of a comparison.  For a
-time-varying pi the jump factor keeps the left-node convention while the
-closed forms integrate lambda pi E[xi] and K_j(pi) by the trapezoid rule,
-so the two sides differ by a time-discretization error.
+times and sizes drawn from the jump law.  pi enters each jump at the jump's
+time, interpolated linearly between the grid nodes (the `CoefficientPath`
+convention).  For allocations constant in time the simulated law at the
+grid nodes therefore matches the closed forms exactly, and for a pi that is
+linear between the nodes the node means still match exactly, since the
+closed forms integrate lambda pi E[xi] by the trapezoid rule.
 
-Draw order: one counter-based bit generator (Philox keyed by the seed)
-makes, for each asset with a positive intensity in asset order, the
-per-path Poisson jump totals, then the uniform jump times, then the jump
-sizes; then n_paths standard normals per interval, interval by interval.
-One worker thread makes every draw in that order, a few intervals ahead,
-while the calling thread groups the jumps and applies each node, so the
-draws and every output are bit-identical to a serial loop over the same
-stream and reproducible bit for bit from the seed.
+Draw order: the ensemble is split into blocks of _BLOCK_PATHS paths, and
+block b draws from its own counter-based stream, Philox keyed by the seed
+and advanced by b jumps of 2^128 draws.  The intervals go in groups, one
+per draw (small ensembles take several intervals per group).  For each
+group a block draws its standard normals, interval by interval, and then,
+for each asset with a positive intensity in asset order, one Poisson jump
+total per interval for the whole block, a uniform path index within the
+block for every jump, a uniform offset inside its interval and a size from
+the law.  By the splitting theorem each path then has independent Poisson
+jump counts with uniform jump times, as a per-path draw would.  _WORKERS
+draw threads share the blocks round robin, a few groups ahead, and turn
+each group into per-path log-wealth increments, while the calling thread
+adds them up and applies each node.  Each block's stream is drawn in its
+fixed order by one thread, so every output depends only on the seed and
+_BLOCK_PATHS, not on the worker count or the scheduling: it is bit-identical
+to a serial loop over the blocks and reproducible bit for bit from the seed.
 """
 
 from __future__ import annotations
@@ -53,13 +60,20 @@ from .riskmetrics import (
 )
 from .unconstrained import Strategy, _expected_cost, check_initial_wealth
 
-# Standard normals per draw on the worker thread: small ensembles take
-# several intervals per draw, so thread hand-offs stay rare.
+# Paths per block: block b draws from its own Philox stream, so the output
+# depends on the seed and this size only.  Every numpy call of a block's
+# draws hands the interpreter lock between the draw threads, so blocks are
+# large: a run of up to 2^18 paths is one block on one worker, and 10^6
+# paths are four, two per worker.
+_BLOCK_PATHS = 1 << 18
+# Draw threads; block b goes to worker b % _WORKERS.
+_WORKERS = 2
+# Standard normals per draw: small ensembles take several intervals per
+# group, so thread hand-offs stay rare.
 _NORMALS_PER_DRAW = 1 << 18
-# Normal blocks in memory at once: the one being applied plus up to three
-# drawn ahead, which lets the worker keep drawing while the jumps of a
-# jump-heavy market are grouped.
-_BLOCKS = 4
+# Increment buffers in memory at once: the group being applied plus up to
+# three drawn ahead.
+_BUFFERS = 4
 # Largest temporary of grid_oracle in elements: pi rows go in blocks small
 # enough that a (rows, scales, nodes) cost array or a (rows, nodes, atoms)
 # jump array stays within it, one row at least.
@@ -88,58 +102,69 @@ def _validated(model: MarketModel, strategy: Strategy, x: float,
     strategy.validate(model)
 
 
-def _draw_marks(rng, horizon: float, lam: float, dist, counts: np.ndarray):
-    """Draw one asset's jumps: a Poisson total per path over the horizon
-    into `counts`, then uniform times and sizes from the law for every
-    jump.  Returns (times, sizes)."""
-    counts[:] = rng.poisson(lam * horizon, counts.size)
-    total = int(counts.sum())
-    times = rng.uniform(0.0, horizon, total)
-    sizes = rng.choice(dist.z, size=total, p=dist.w)
-    return times, sizes
+def _cumulative(w: np.ndarray) -> np.ndarray:
+    """Cumulative weights ending at exactly 1, so a uniform in [0, 1)
+    always finds its atom."""
+    cdf = np.cumsum(w)
+    return cdf / cdf[-1]
 
 
-def _file_jumps(grid, pi: np.ndarray, counts: np.ndarray, times, sizes):
-    """Group one asset's jumps by the interval they fall in.
+def _draw_block(rng, inc, sd, shift, jumps, counts) -> None:
+    """Draw one block's group of intervals into its log-wealth increments.
 
-    Returns (bounds, path_idx, log_factor): the jumps in interval i, which
-    node i + 1 applies, are the slice [bounds[i], bounds[i + 1]), in draw
-    order (a stable radix sort on narrow keys), so np.add.at sums a path's
-    jumps in the order they were drawn.  pi enters each jump at the grid
-    node left of its time.
+    inc is the block's (rows, paths) slice of the increments, one row per
+    interval, and sd and shift are the per-interval Gaussian scale and
+    deterministic increment.  Each entry (j, lam_dt, pi, z, cdf) of `jumps`
+    gives an asset's lambda dt per interval, its pi at the rows + 1 nodes
+    around them, and the atoms and cumulative weights of its law.  Fills
+    inc with z sd + shift, then adds log(1 + pi(t) xi) for every jump and
+    counts it in column j of counts.  A one-atom law draws no sizes.
     """
-    n_int = grid.n - 1
-    interval = np.searchsorted(grid.nodes, times, side="right")
-    interval -= 1
-    np.clip(interval, 0, n_int - 1, out=interval)
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(interval, minlength=n_int))))
-    factor = pi[interval]
-    factor *= sizes
-    np.log1p(factor, out=factor)
-    order = np.argsort(interval.astype(np.min_scalar_type(n_int - 1)),
-                       kind="stable")
-    path_idx = np.repeat(
-        np.arange(counts.size, dtype=np.min_scalar_type(counts.size - 1)),
-        counts)
-    return bounds, path_idx[order], factor[order]
+    for row in inc:
+        rng.standard_normal(out=row)
+    inc *= sd[:, None]
+    inc += shift[:, None]
+    n = inc.shape[1]
+    for j, lam_dt, pi, z, cdf in jumps:
+        m = rng.poisson(lam_dt * n)
+        total = int(m.sum())
+        path = rng.integers(0, n, total)
+        offset = rng.random(total)
+        size = (z[0] if z.size == 1 else
+                z[np.searchsorted(cdf, rng.random(total), side="right")])
+        factor = np.repeat(np.diff(pi), m)
+        factor *= offset
+        factor += np.repeat(pi[:-1], m)
+        factor *= size
+        np.log1p(factor, out=factor)
+        end = np.cumsum(m)
+        for row, lo, hi in zip(inc, end - m, end):
+            np.add.at(row, path[lo:hi], factor[lo:hi])
+        np.add.at(counts[:, j], path, 1)
 
 
-def _ahead(pool: ThreadPoolExecutor, draws, depth: int):
-    """Yield the results of the zero-argument callables `draws` in order.
+def _ahead(pools, groups, depth: int):
+    """Yield the value of each (value, tasks) pair of `groups` in order,
+    once its tasks, task w on pools[w], have all finished.
 
-    Up to depth - 1 later calls run on `pool` while the caller works on a
-    result, so a result must not be used after the next one is requested.
-    No result is kept here once yielded, so the caller decides when each
-    one is freed.
+    Up to depth - 1 later groups run while the caller works on a value, so
+    the caller must be done with a value when it asks for the next.  A
+    task's exception reaches the caller.
     """
     pending = deque()
-    for draw in draws:
-        pending.append(pool.submit(draw))
+
+    def finished(value, futures):
+        for future in futures:
+            future.result()
+        return value
+
+    for value, tasks in groups:
+        pending.append((value, [pool.submit(task)
+                                for pool, task in zip(pools, tasks)]))
         if len(pending) == depth:
-            yield pending.popleft().result()
+            yield finished(*pending.popleft())
     while pending:
-        yield pending.popleft().result()
+        yield finished(*pending.popleft())
 
 
 def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
@@ -147,12 +172,10 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     """Drive n_paths through the grid, calling node_callback(k, log_wealth).
 
     log_wealth is the (n_paths,) vector of log wealth at node k.  Returns
-    the per-asset jump-count totals.  Draw order: per asset with a positive
-    intensity one Poisson block, one time block and one size block, then
-    one standard normal block per interval (small ensembles take several
-    intervals per block, which is the same stream).  One worker thread
-    makes every draw, in that order, while this thread groups the jumps
-    and applies the nodes.
+    the per-asset jump-count totals.  The draw threads fill each group of
+    intervals, block by block in each block's stream order (see the module
+    docstring), into one of _BUFFERS increment buffers; this thread adds
+    the increments and applies the nodes.
     """
     grid = model.grid
     n_nodes = grid.n
@@ -161,44 +184,54 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
                                        axis=1)))
     ysq = np.sum(strategy.y**2, axis=1)
     s2 = 0.5 * (ysq[1:] + ysq[:-1]) * grid.dt          # per-interval variance
+    sd = np.sqrt(s2)
+    shift = np.diff(det_log) - 0.5 * s2
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    active = [j for j in range(model.d) if model.jumps.lambdas[j] > 0.0]
+    jumps = [(j, float(model.jumps.lambdas[j]) * grid.dt, strategy.pi[:, j],
+              dist.z, _cumulative(dist.w))
+             for j, dist in enumerate(model.jumps.dists)
+             if model.jumps.lambdas[j] > 0.0]
     counts = np.zeros((n_paths, model.d), dtype=np.int64)
     rows = min(n_nodes - 1, max(1, _NORMALS_PER_DRAW // n_paths))
-    buffers = [np.empty((rows, n_paths)) for _ in range(_BLOCKS)]
+    buffers = [np.empty((rows, n_paths)) for _ in range(_BUFFERS)]
+    base = np.random.Philox(seed)
+    blocks = [(np.random.Generator(base.jumped(b)), lo,
+               min(lo + _BLOCK_PATHS, n_paths))
+              for b, lo in enumerate(range(0, n_paths, _BLOCK_PATHS))]
+    n_workers = min(_WORKERS, len(blocks))
 
-    def draws():
-        for j in active:
-            yield partial(_draw_marks, rng, grid.horizon,
-                          float(model.jumps.lambdas[j]),
-                          model.jumps.dists[j], counts[:, j])
-        for i, start in enumerate(range(1, n_nodes, rows)):
-            block = buffers[i % _BLOCKS][:min(rows, n_nodes - start)]
-            yield partial(rng.standard_normal, out=block)
+    def draw(inc, start, stop, share):
+        i = slice(start - 1, stop - 1)
+        group = [(j, lam_dt[i], pi[start - 1:stop], z, cdf)
+                 for j, lam_dt, pi, z, cdf in jumps]
+        for rng, lo, hi in share:
+            _draw_block(rng, inc[:, lo:hi], sd[i], shift[i], group,
+                        counts[lo:hi])
 
-    pool = ThreadPoolExecutor(max_workers=1,
-                              thread_name_prefix="jumpfolio-draws")
+    def groups():
+        for g, start in enumerate(range(1, n_nodes, rows)):
+            stop = min(start + rows, n_nodes)
+            inc = buffers[g % _BUFFERS][:stop - start]
+            yield inc, [partial(draw, inc, start, stop, blocks[w::n_workers])
+                        for w in range(n_workers)]
+
+    pools = [ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="jumpfolio-draws")
+             for _ in range(n_workers)]
     try:
-        results = _ahead(pool, draws(), _BLOCKS)
-        jumps = [_file_jumps(grid, strategy.pi[:, j], counts[:, j],
-                             *next(results)) for j in active]
         log_w = np.full(n_paths, det_log[0])
         node_callback(0, log_w)
-        normals = (z for block in results for z in block)
-        for k, z in enumerate(normals, start=1):
-            log_w += det_log[k] - det_log[k - 1]
-            if s2[k - 1] > 0.0:
-                z *= math.sqrt(s2[k - 1])
-                log_w += z
-                log_w -= 0.5 * s2[k - 1]
-            for bounds, path_idx, factor in jumps:
-                lo, hi = bounds[k - 1], bounds[k]
-                if hi > lo:
-                    np.add.at(log_w, path_idx[lo:hi], factor[lo:hi])
-            node_callback(k, log_w)
+        k = 1
+        for inc in _ahead(pools, groups(), _BUFFERS):
+            for row in inc:
+                log_w += row
+                node_callback(k, log_w)
+                k += 1
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pool in pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+        for pool in pools:
+            pool.shutdown()
     return counts
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import math
 import sys
 import threading
@@ -13,6 +15,8 @@ from jumpfolio.riskmetrics import empirical_lower_quantile, empirical_shortfall
 from jumpfolio.simulate import _march
 
 from conftest import make_model
+
+simulate_module = importlib.import_module("jumpfolio.simulate")
 
 
 @pytest.fixture
@@ -136,58 +140,71 @@ def test_callback_error_reaches_caller_and_stops_the_worker(
     with pytest.raises(RuntimeError) as caught:
         _march(sim_model, sim_strategy, 1.0, 50_000, 9, callback)
     assert caught.value is stop
-    assert seen and max(seen) <= before + 1
+    assert seen and max(seen) <= before + simulate_module._WORKERS
     assert threading.active_count() == before
 
 
-def _serial_march(model, strategy, x, n_paths, seed):
-    """Reference: every draw and node update in one loop on one thread."""
+def _serial_march(model, strategy, x, n_paths, seed, block_paths):
+    """Reference: every block's draws and every node update in one loop on
+    one thread.  Block b draws from Philox(seed) advanced by b jumps; per
+    group of intervals (as many as 2^18 normals cover, at least one) it
+    draws its normals interval by interval, then per asset with jumps one
+    Poisson total per interval, the jumps' path indices, their offsets
+    inside the interval and, unless the law has one atom, their sizes."""
     grid = model.grid
+    n = grid.n
     det_log = (math.log(x) + R_path(model) - strategy.V
                + cumtrapz(grid, np.sum(strategy.y * theta_hat_path(model),
                                        axis=1)))
     ysq = np.sum(strategy.y**2, axis=1)
     s2 = 0.5 * (ysq[1:] + ysq[:-1]) * grid.dt
-    rng = np.random.Generator(np.random.Philox(seed))
+    rows = min(n - 1, max(1, (1 << 18) // n_paths))
+    inc = np.empty((n - 1, n_paths))
     counts = np.zeros((n_paths, model.d), dtype=np.int64)
-    idx, nodes, fac = [], [], []
-    for j in range(model.d):
-        lam = float(model.jumps.lambdas[j])
-        if lam <= 0.0:
-            continue
-        m = rng.poisson(lam * grid.horizon, n_paths)
-        counts[:, j] = m
-        total = int(m.sum())
-        if total == 0:
-            continue
-        times = rng.uniform(0.0, grid.horizon, total)
-        dist = model.jumps.dists[j]
-        sizes = rng.choice(dist.z, size=total, p=dist.w)
-        interval = np.clip(np.searchsorted(grid.nodes, times, side="right") - 1,
-                           0, grid.n - 2)
-        idx.append(np.repeat(np.arange(n_paths), m))
-        nodes.append(interval + 1)
-        fac.append(np.log1p(strategy.pi[interval, j] * sizes))
-    idx, nodes, fac = (np.concatenate(a) for a in (idx, nodes, fac))
-    order = np.argsort(nodes, kind="stable")
-    idx, nodes, fac = idx[order], nodes[order], fac[order]
-    wealth = np.empty((n_paths, grid.n))
+    for b, lo in enumerate(range(0, n_paths, block_paths)):
+        hi = min(lo + block_paths, n_paths)
+        rng = np.random.Generator(np.random.Philox(seed).jumped(b))
+        for first in range(0, n - 1, rows):
+            group = np.arange(first, min(first + rows, n - 1))
+            for i in group:
+                z = rng.standard_normal(hi - lo)
+                inc[i, lo:hi] = (z * math.sqrt(s2[i])
+                                 + (det_log[i + 1] - det_log[i] - 0.5 * s2[i]))
+            for j in range(model.d):
+                lam = float(model.jumps.lambdas[j])
+                if lam <= 0.0:
+                    continue
+                m = rng.poisson(lam * grid.dt[group] * (hi - lo))
+                path = rng.integers(0, hi - lo, m.sum())
+                offset = rng.random(m.sum())
+                dist = model.jumps.dists[j]
+                if dist.z.size == 1:
+                    size = dist.z[0]
+                else:
+                    cdf = np.cumsum(dist.w)
+                    size = dist.z[np.searchsorted(cdf / cdf[-1],
+                                                  rng.random(m.sum()),
+                                                  side="right")]
+                interval = np.repeat(group, m)
+                left = strategy.pi[interval, j]
+                right = strategy.pi[interval + 1, j]
+                factor = np.log1p((left + offset * (right - left)) * size)
+                np.add.at(inc, (interval, lo + path), factor)
+                np.add.at(counts[:, j], lo + path, 1)
+    wealth = np.empty((n_paths, n))
     log_w = np.full(n_paths, det_log[0])
     wealth[:, 0] = np.exp(log_w)
-    for k in range(1, grid.n):
-        z = rng.standard_normal(n_paths)
-        log_w += det_log[k] - det_log[k - 1]
-        log_w += math.sqrt(s2[k - 1]) * z
-        log_w -= 0.5 * s2[k - 1]
-        hit = nodes == k
-        np.add.at(log_w, idx[hit], fac[hit])
+    for k in range(1, n):
+        log_w += inc[k - 1]
         wealth[:, k] = np.exp(log_w)
     return wealth, counts
 
 
-def test_matches_serial_reference_under_fast_thread_switching():
-    # many normal blocks, so every draw buffer is reused several times while
+def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
+    # four path blocks, two per draw worker, and many groups of two
+    # intervals, so every increment buffer is reused several times while
     # the interpreter switches threads as often as it can
+    monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 1 << 15)
     grid = jf.TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)
     coeffs = jf.CoefficientPath.constant(grid, 0.02, [0.07, 0.05],
                                          [[0.3, 0.05], [0.0, 0.25]])
@@ -199,7 +216,8 @@ def test_matches_serial_reference_under_fast_thread_switching():
                           np.full(grid.n, 0.5)])
     strategy = jf.Strategy.from_pi(model, pi)
     n_paths = 100_000
-    wealth, counts = _serial_march(model, strategy, 1.0, n_paths, 21)
+    wealth, counts = _serial_march(model, strategy, 1.0, n_paths, 21,
+                                   block_paths=1 << 15)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -208,6 +226,26 @@ def test_matches_serial_reference_under_fast_thread_switching():
         sys.setswitchinterval(interval)
     assert np.array_equal(ens.jump_counts, counts)
     assert np.array_equal(ens.wealth, wealth)
+
+
+def _march_digest(model, strategy, n_paths, seed):
+    h = hashlib.sha256()
+    counts = _march(model, strategy, 1.0, n_paths, seed,
+                    lambda k, log_w: h.update(log_w.tobytes()))
+    h.update(counts.tobytes())
+    return h.hexdigest()
+
+
+def test_output_does_not_depend_on_the_worker_count(sim_model, sim_strategy,
+                                                     monkeypatch):
+    # three full blocks and a partial one, in groups of 21 intervals
+    monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 4096)
+    n_paths = 3 * 4096 + 123
+    digests = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate_module, "_WORKERS", workers)
+        digests.append(_march_digest(sim_model, sim_strategy, n_paths, 8))
+    assert digests[0] == digests[1] == digests[2]
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +305,32 @@ def test_jump_counts_distribution(sim_model, sim_strategy):
     mean = ens.jump_counts[:, 0].mean()
     se = math.sqrt(lam / n)
     assert abs(mean - lam) < 3.0 * se
+    # Poisson(lambda T) per path: the variance is lambda T too, and the
+    # sample variance has variance (mu_4 - sigma^4) / n = (lam + 2 lam^2) / n
+    var = ens.jump_counts[:, 0].var(ddof=1)
+    assert abs(var - lam) < 3.0 * math.sqrt((lam + 2.0 * lam**2) / n)
+
+    # counts in the two halves of the horizon, which one group of draws
+    # splits from one Poisson total per half: with a one-atom law, pi = 1
+    # and a negligible volatility, each half's log-wealth step is its jump
+    # count times log(1 + xi)
+    grid = jf.TimeGrid(np.array([0.0, 0.5, 1.0]))
+    coeffs = jf.CoefficientPath.constant(grid, 0.0, [0.0], [[1e-6]])
+    xi = 0.1
+    jumps = jf.JumpSpec(np.array([lam]),
+                        (jf.JumpDist.point_masses([xi], [1.0]),))
+    halves_model = jf.MarketModel(grid, coeffs, jumps)
+    pi_one = jf.Strategy.from_pi(halves_model, np.ones((3, 1)))
+    steps = []
+    counts = _march(halves_model, pi_one, 1.0, n, 1,
+                    lambda k, log_w: steps.append(log_w.copy()))
+    halves = [np.rint((steps[k] - steps[k - 1]
+                       + lam * xi * 0.5) / math.log1p(xi)) for k in (1, 2)]
+    assert np.array_equal(halves[0] + halves[1], counts[:, 0])
+    for half in halves:
+        assert abs(half.mean() - 0.5 * lam) < 3.0 * math.sqrt(0.5 * lam / n)
+    corr = np.corrcoef(halves[0], halves[1])[0, 1]
+    assert abs(corr) < 3.0 / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------

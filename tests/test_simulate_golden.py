@@ -3,10 +3,11 @@
 The digests pin every output bit of `simulate` and `simulate_node_stats`
 for a few small cases that reach each branch of the draw and jump
 bookkeeping: several assets with a negative jump atom, a time-varying
-allocation and a non-uniform grid; a grid too long for 8-bit node keys;
-an asset with no jumps; fewer paths than a typical draw block; and an
-asset whose intensity is positive but draws no jump.  A change to the
-draw order, the jump grouping or the per-node arithmetic changes a
+allocation and a non-uniform grid; a grid long enough for several groups
+of intervals; an asset with no jumps; fewer paths than a typical draw;
+an asset whose intensity is positive but draws no jump; and more paths
+than one block, so that both draw workers fill blocks.  A change to the
+draw order, the block streams or the per-node arithmetic changes a
 digest.  The digests hold for the numpy version and CPU the
 suite runs on (Philox streams are stable within a numpy release).
 
@@ -80,24 +81,28 @@ CASES = {
     "one_asset_without_jumps": (_one_asset_without_jumps, 3000, 77),
     "seven_paths": (_two_asset_negative_jump, 7, 13),
     "no_jump_drawn": (_rare_jumps, 7, 3),
+    "two_blocks": (_two_asset_negative_jump, 300_000, 8),
 }
 
 GOLDEN = {
     "no_jump_drawn": (
-        "9b8c524f00d8a33f1a8a317397b8bbd15ac1131844b853780a369c6d6c99fca3",
-        "fc32e5e48ea0ad719fce1c829a5711b0852671ec7850bf06238a4521a3bd4bb4"),
+        "41bc5255f4d8b8df3309c6f72970f2a737cb12919e35a9c77a9b51a2bf8e02a4",
+        "3f0416537a94002315f35b52c2f8f22a73e7f4449576ad0fed2ed8ef5f7c8f02"),
     "long_grid": (
-        "cc376c45b846b72556c38566b15c3aee09c373f6c0a681d75ee02315e5399f84",
-        "f165e9fd44553241b86b1d0439446b6878be29689811cebdf292a19c83b91a2c"),
+        "a8a4ac1ad07f1a6bf86dd2af7d2481b60070a978968a5bad707770cb21133da4",
+        "f399516fdcbbb3d862262827d1a969aaf1bddf739fe5e6fb68479da5e6d3ec38"),
     "one_asset_without_jumps": (
-        "380b2eb78fa076c733af3c4e72dddda6f914f760d199d75a1deb506922c95dbe",
-        "28fdb34c452f263904494e01d8b639e8b0fcc4eaeba27a68b706b93dc9e6c538"),
+        "299b5c14d082e1167f2b07358410a7c0cbc0a36f68dc44ee0b577c301a0aaf74",
+        "338dd93ffe7240abc9a684fc2fdb1dce127575cb93f577bfcd4e3e02e67f6ded"),
     "seven_paths": (
-        "e480277e848bb4c1e093b80d7dba22b142c5779afb431f765c0a0b26447b1ee2",
-        "f818c2443cb30807da3d3f5dd513259deef73b43f4ce62458f4d7403e722260a"),
+        "79a3b830ae2f2f5a2b991456566855aaf40429591d9073b4f19f14167baef300",
+        "848b5a31ce720c1221122bbf91ab53f04dd08e8a26be88353f8cbc4b66595aca"),
     "two_asset_negative_jump": (
-        "d8378649cc321d11a6df35a1feb59b68540b546913386ecdeb8c204de2773a4e",
-        "8bbd8a8400b7d5853789bc1cb876df686277da7a7a5b4856a0ae6fe42dd6a70e"),
+        "029e1ff553caa027ed2690d169c284318042b7ebd367fc6c61add7f783d414bb",
+        "9a5c1e1ad2f57343f61d7b7b4015b05fbfd2d65624103fd4b6fa809cfcbee4f3"),
+    "two_blocks": (
+        "128abb451264943498bee3530af04fb5ae5a09b8952ce0e5cff47f85d0f82373",
+        "5f5ac0050312949654783b06116227dfd0b77706a216515bd0b20741d0495004"),
 }
 
 
