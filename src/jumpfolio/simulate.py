@@ -17,13 +17,13 @@ and advanced by b jumps of 2^128 draws.  The intervals go in groups, one
 per draw (small ensembles take several intervals per group).  For each
 group a block draws its standard normals, interval by interval, and then,
 for each asset with a positive intensity in asset order, one Poisson jump
-total per interval for the whole block, a uniform path index within the
-block for every jump, a uniform offset inside its interval and a size from
-the law.  By the splitting theorem each path then has independent Poisson
-jump counts with uniform jump times, as a per-path draw would.  _WORKERS
-draw threads share the blocks round robin, a few groups ahead, and turn
-each group into per-path log-wealth increments, while the calling thread
-adds them up and applies each node.  Each block's stream is drawn in its
+total per interval for the whole block, then for every jump a uniform path
+index within the block, a uniform offset inside its interval and a size
+from the law (none for a one-atom law).  By the splitting theorem each
+path then has independent Poisson jump counts with uniform jump times, as
+a per-path draw would.  _WORKERS draw threads share the blocks round
+robin, a few groups ahead, and turn each group into per-path log-wealth
+increments, while the calling thread adds them up and applies each node.  Each block's stream is drawn in its
 fixed order by one thread, so every output depends only on the seed and
 _BLOCK_PATHS, not on the worker count or the scheduling: it is bit-identical
 to a serial loop over the blocks and reproducible bit for bit from the seed.
