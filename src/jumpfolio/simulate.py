@@ -22,11 +22,12 @@ index within the block, a uniform offset inside its interval and a size
 from the law (none for a one-atom law).  By the splitting theorem each
 path then has independent Poisson jump counts with uniform jump times, as
 a per-path draw would.  _WORKERS draw threads share the blocks round
-robin, a few groups ahead, and turn each group into per-path log-wealth
-increments, while the calling thread adds them up and applies each node.  Each block's stream is drawn in its
-fixed order by one thread, so every output depends only on the seed and
-_BLOCK_PATHS, not on the worker count or the scheduling: it is bit-identical
-to a serial loop over the blocks and reproducible bit for bit from the seed.
+robin and draw a few groups ahead, while the calling thread turns the
+draws into log-wealth increments and applies each node.  Each block's
+stream is drawn in its fixed order by one thread, so every output depends
+only on the seed and _BLOCK_PATHS, not on the worker count or the
+scheduling: it is bit-identical to a serial loop over the blocks and
+reproducible bit for bit from the seed.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ _WORKERS = 2
 # Standard normals per draw: small ensembles take several intervals per
 # group, so thread hand-offs stay rare.
 _NORMALS_PER_DRAW = 1 << 18
-# Increment buffers in memory at once: the group being applied plus up to
+# Normal buffers in memory at once: the group being applied plus up to
 # three drawn ahead.
 _BUFFERS = 4
 # Largest temporary of grid_oracle in elements: pi rows go in blocks small
@@ -109,22 +110,21 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _draw_block(rng, inc, sd, shift, jumps, counts) -> None:
-    """Draw one block's group of intervals into its log-wealth increments.
+def _draw_block(rng, normals, jumps, counts) -> list:
+    """Draw one block's group of intervals.
 
-    inc is the block's (rows, paths) slice of the increments, one row per
-    interval, and sd and shift are the per-interval Gaussian scale and
-    deterministic increment.  Each entry (j, lam_dt, pi, z, cdf) of `jumps`
-    gives an asset's lambda dt per interval, its pi at the rows + 1 nodes
-    around them, and the atoms and cumulative weights of its law.  Fills
-    inc with z sd + shift, then adds log(1 + pi(t) xi) for every jump and
-    counts it in column j of counts.  A one-atom law draws no sizes.
+    Fills `normals`, the block's (rows, paths) part of a normal buffer,
+    with standard normals, one row per interval.  Each entry (j, lam_dt,
+    pi, z, cdf) of `jumps` gives an asset's lambda dt per interval, its pi
+    at the rows + 1 nodes around them, and the atoms and cumulative weights
+    of its law; a one-atom law draws no sizes.  Counts every jump in column
+    j of counts and returns, per asset, (bounds, path, factor): the jumps
+    of row r are the slice [bounds[r], bounds[r + 1]), each with its path
+    in the block and its log(1 + pi(t) xi).
     """
-    for row in inc:
-        rng.standard_normal(out=row)
-    inc *= sd[:, None]
-    inc += shift[:, None]
-    n = inc.shape[1]
+    rng.standard_normal(out=normals)
+    n = normals.shape[1]
+    marks = []
     for j, lam_dt, pi, z, cdf in jumps:
         m = rng.poisson(lam_dt * n)
         total = int(m.sum())
@@ -137,34 +137,26 @@ def _draw_block(rng, inc, sd, shift, jumps, counts) -> None:
         factor += np.repeat(pi[:-1], m)
         factor *= size
         np.log1p(factor, out=factor)
-        end = np.cumsum(m)
-        for row, lo, hi in zip(inc, end - m, end):
-            np.add.at(row, path[lo:hi], factor[lo:hi])
         np.add.at(counts[:, j], path, 1)
+        marks.append((np.concatenate(([0], np.cumsum(m))), path, factor))
+    return marks
 
 
 def _ahead(pools, groups, depth: int):
-    """Yield the value of each (value, tasks) pair of `groups` in order,
-    once its tasks, task w on pools[w], have all finished.
+    """Run the task lists of `groups` in order, task w of a list on
+    pools[w], and yield each list's results once they are all in.
 
-    Up to depth - 1 later groups run while the caller works on a value, so
-    the caller must be done with a value when it asks for the next.  A
-    task's exception reaches the caller.
+    Up to depth - 1 later lists run while the caller works on results, so
+    the caller must be done with them when it asks for the next.  A task's
+    exception reaches the caller.
     """
     pending = deque()
-
-    def finished(value, futures):
-        for future in futures:
-            future.result()
-        return value
-
-    for value, tasks in groups:
-        pending.append((value, [pool.submit(task)
-                                for pool, task in zip(pools, tasks)]))
+    for tasks in groups:
+        pending.append([pool.submit(task) for pool, task in zip(pools, tasks)])
         if len(pending) == depth:
-            yield finished(*pending.popleft())
+            yield [future.result() for future in pending.popleft()]
     while pending:
-        yield finished(*pending.popleft())
+        yield [future.result() for future in pending.popleft()]
 
 
 def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
@@ -174,8 +166,10 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     log_wealth is the (n_paths,) vector of log wealth at node k.  Returns
     the per-asset jump-count totals.  The draw threads fill each group of
     intervals, block by block in each block's stream order (see the module
-    docstring), into one of _BUFFERS increment buffers; this thread adds
-    the increments and applies the nodes.
+    docstring), into one of _BUFFERS normal buffers, where each block's
+    part is contiguous, and return the jumps.  This thread turns each
+    block's row into its log-wealth increment z sd + shift plus the jumps,
+    adds it and applies the node.
     """
     grid = model.grid
     n_nodes = grid.n
@@ -193,27 +187,29 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
              if model.jumps.lambdas[j] > 0.0]
     counts = np.zeros((n_paths, model.d), dtype=np.int64)
     rows = min(n_nodes - 1, max(1, _NORMALS_PER_DRAW // n_paths))
-    buffers = [np.empty((rows, n_paths)) for _ in range(_BUFFERS)]
+    buffers = [np.empty(rows * n_paths) for _ in range(_BUFFERS)]
     base = np.random.Philox(seed)
     blocks = [(np.random.Generator(base.jumped(b)), lo,
                min(lo + _BLOCK_PATHS, n_paths))
               for b, lo in enumerate(range(0, n_paths, _BLOCK_PATHS))]
     n_workers = min(_WORKERS, len(blocks))
 
-    def draw(inc, start, stop, share):
-        i = slice(start - 1, stop - 1)
-        group = [(j, lam_dt[i], pi[start - 1:stop], z, cdf)
+    def draw(buffer, start, stop, share):
+        group = [(j, lam_dt[start - 1:stop - 1], pi[start - 1:stop], z, cdf)
                  for j, lam_dt, pi, z, cdf in jumps]
+        parts = []
         for rng, lo, hi in share:
-            _draw_block(rng, inc[:, lo:hi], sd[i], shift[i], group,
-                        counts[lo:hi])
+            normals = buffer[rows * lo:rows * lo + (stop - start) * (hi - lo)]
+            normals = normals.reshape(stop - start, hi - lo)
+            parts.append((slice(lo, hi), normals,
+                          _draw_block(rng, normals, group, counts[lo:hi])))
+        return parts
 
     def groups():
         for g, start in enumerate(range(1, n_nodes, rows)):
-            stop = min(start + rows, n_nodes)
-            inc = buffers[g % _BUFFERS][:stop - start]
-            yield inc, [partial(draw, inc, start, stop, blocks[w::n_workers])
-                        for w in range(n_workers)]
+            yield [partial(draw, buffers[g % _BUFFERS], start,
+                           min(start + rows, n_nodes), blocks[w::n_workers])
+                   for w in range(n_workers)]
 
     pools = [ThreadPoolExecutor(max_workers=1,
                                 thread_name_prefix="jumpfolio-draws")
@@ -222,9 +218,17 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
         log_w = np.full(n_paths, det_log[0])
         node_callback(0, log_w)
         k = 1
-        for inc in _ahead(pools, groups(), _BUFFERS):
-            for row in inc:
-                log_w += row
+        for shares in _ahead(pools, groups(), _BUFFERS):
+            parts = [part for share in shares for part in share]
+            for r in range(len(parts[0][1])):
+                for paths, normals, marks in parts:
+                    inc = normals[r]
+                    inc *= sd[k - 1]
+                    inc += shift[k - 1]
+                    for bounds, path, factor in marks:
+                        lo, hi = bounds[r], bounds[r + 1]
+                        np.add.at(inc, path[lo:hi], factor[lo:hi])
+                    log_w[paths] += inc
                 node_callback(k, log_w)
                 k += 1
     finally:

@@ -238,13 +238,20 @@ def _march_digest(model, strategy, n_paths, seed):
 
 def test_output_does_not_depend_on_the_worker_count(sim_model, sim_strategy,
                                                      monkeypatch):
-    # three full blocks and a partial one, in groups of 21 intervals
+    # three full blocks and a partial one, in groups of 21 intervals; with
+    # three workers there are more draw threads than cores, and the
+    # interpreter switches threads as often as it can
     monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 4096)
     n_paths = 3 * 4096 + 123
     digests = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(simulate_module, "_WORKERS", workers)
-        digests.append(_march_digest(sim_model, sim_strategy, n_paths, 8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate_module, "_WORKERS", workers)
+            digests.append(_march_digest(sim_model, sim_strategy, n_paths, 8))
+    finally:
+        sys.setswitchinterval(interval)
     assert digests[0] == digests[1] == digests[2]
 
 
