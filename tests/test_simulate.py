@@ -202,7 +202,7 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
 
 def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
     # four path blocks, two per draw worker, and many groups of two
-    # intervals, so every increment buffer is reused several times while
+    # intervals, so every normal buffer is reused several times while
     # the interpreter switches threads as often as it can
     monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 1 << 15)
     grid = jf.TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)
