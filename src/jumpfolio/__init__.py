@@ -9,7 +9,6 @@ from .constrained import (
     certify,
     certify_es_gamma,
     certify_var_gamma,
-    es_slack_path,
     rho_es_gamma1,
     rho_var_gamma1,
     slack_path,
@@ -17,15 +16,12 @@ from .constrained import (
     solve_es_gamma1,
     solve_no_consumption,
     solve_var_gamma1,
-    var_slack_path,
 )
 from .market import (
     CoefficientPath,
     JumpDist,
     JumpSpec,
-    K_transform,
     MarketModel,
-    Q_transform,
     TimeGrid,
     UtilitySpec,
     expected_jump_exponential,
@@ -34,12 +30,10 @@ from .market import (
     theta_path,
 )
 from .negjumps import (
-    NegJumpAdjustment,
     adjusted_solve,
     beta_hat,
     effective_level,
     epsilon_t,
-    F_hat,
 )
 from .riskmetrics import (
     F_beta,
@@ -68,7 +62,6 @@ from .unconstrained import (
     chi_value,
     compare_merton,
     cost_function,
-    eta_1d,
     rho_path,
     solve_linear,
     solve_power_1d,

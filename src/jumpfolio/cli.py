@@ -74,7 +74,7 @@ from .market import (
     R_path,
     TimeGrid,
     UtilitySpec,
-    cumtrapz,
+    inner_product_path,
     theta_path,
 )
 from .riskmetrics import NegJumpMethod, RiskKind, RiskSpec
@@ -208,9 +208,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                        or (run_sec.get("out", "out") if run_sec else "out"))
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
-    except JumpfolioError as exc:
+    except (KeyError, ValueError, TypeError, JumpfolioError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     return RunConfig(model=model, utility=utility, risk=risk,
                      n_paths=n_paths, seed=seed, out_dir=out_dir)
@@ -225,9 +223,8 @@ def _points_line(dist: JumpDist) -> str:
     """A jump law as `points = z:w, ...` at 17 significant digits.
 
     A tabulated density goes out as its weighted atoms, the law that every
-    computation uses, so it reloads as the same atoms and weights (loading
-    renormalises weights whose sum is not exactly 1).  A zero weight, which
-    `points` refuses, raises ConfigError.
+    computation uses, so it reloads as the same atoms and weights.  A zero
+    weight, which `points` refuses, raises ConfigError.
     """
     if np.any(dist.w <= 0.0):
         raise ConfigError("a jump law with a zero-weight atom cannot be "
@@ -442,8 +439,7 @@ def _verify_checks(config: RunConfig, args) -> list:
     ensemble = simulate(model, strategy, x, n_full, config.seed)
 
     # mean of terminal wealth against the closed form
-    th = theta_path(model)
-    drift = cumtrapz(model.grid, np.sum(strategy.y * th, axis=1))
+    drift = inner_product_path(model.grid, strategy.y, theta_path(model))
     closed_mean = x * np.exp(R_path(model)[-1] - strategy.V[-1] + drift[-1])
     sample = ensemble.wealth[:, -1]
     se = float(sample.std(ddof=1) / np.sqrt(n_full))

@@ -33,6 +33,7 @@ from .market import (
     MarketModel,
     R_path,
     UtilitySpec,
+    _sigma_solve,
     cumtrapz,
     inner_product_path,
     jump_terms_path,
@@ -83,20 +84,10 @@ def _strategy_slack(kind: RiskKind, strategy: Strategy, model: MarketModel,
                   ip)
 
 
-def var_slack_path(strategy: Strategy, model: MarketModel,
-                   risk: RiskSpec) -> np.ndarray:
-    """Slack of the transformed VaR constraint at every node (>= 0 is ok)."""
-    return _strategy_slack(RiskKind.VAR, strategy, model, risk)
-
-
-def es_slack_path(strategy: Strategy, model: MarketModel,
-                  risk: RiskSpec) -> np.ndarray:
-    """Slack of the transformed ES constraint at every node."""
-    return _strategy_slack(RiskKind.ES, strategy, model, risk)
-
-
 def slack_path(strategy: Strategy, model: MarketModel,
                risk: RiskSpec) -> np.ndarray:
+    """Slack of the transformed constraint of the risk spec's kind, VaR or
+    ES, at every node (>= 0 is ok)."""
     return _strategy_slack(risk.kind, strategy, model, risk)
 
 
@@ -111,27 +102,32 @@ def _effective_or_assumption_j(model: MarketModel, risk: RiskSpec) -> EffectiveL
         raise AssumptionJViolated(str(exc)) from exc
 
 
-def _compensator_drag(model: MarketModel, theta_norm_T: float) -> float:
-    """Largest cumulative drag K_t = (theta, sigma^{-1} xi_lambda)_t / ||theta||_T.
-
-    Under nonnegative jumps and componentwise nonnegative prices of risk the
-    integrand is nonnegative and the maximum sits at t = T; taking the max
-    keeps the uniform bound valid in general.
-    """
-    drag = inner_product_path(model.grid, theta_path(model),
-                              sigma_inv_xi_lambda_path(model))
-    return float(np.max(drag)) / theta_norm_T
-
-
-def _sigma_time_norm(model: MarketModel) -> float:
-    """Time-L2 norm of the Frobenius norm of sigma_t."""
+def _radius_cap(model: MarketModel) -> float:
+    """Budget sqrt(T) ||sigma||_T on the radius; ||sigma||_T is the time-L2
+    norm of the Frobenius norm of sigma_t."""
     fro_sq = np.sum(model.coeffs.sigma**2, axis=(1, 2))
-    return float(np.sqrt(trapz(model.grid, fro_sq)))
+    norm = float(np.sqrt(trapz(model.grid, fro_sq)))
+    return math.sqrt(model.grid.horizon) * norm
 
 
-def _kappa_floor(q_level: float, theta_norm_T: float) -> float:
-    return max(0.0, 1.0 - math.exp(0.5 * q_level**2
-                                    - abs(q_level) * theta_norm_T))
+def _radius_terms(model: MarketModel, risk: RiskSpec) -> tuple:
+    """Effective level, ||theta||_T, compensator drag K and ln(1 - kappa)
+    of a gamma = 1 radius; raises ConditionViolated when ||theta||_T = 0.
+
+    K is the largest cumulative drag (theta, sigma^{-1} xi_lambda)_t /
+    ||theta||_T.  Under nonnegative jumps and componentwise nonnegative
+    prices of risk the integrand is nonnegative and the maximum sits at
+    t = T; taking the max keeps the uniform bound valid in general.
+    """
+    lev = _effective_or_assumption_j(model, risk)
+    theta = theta_path(model)
+    theta_norm = l2_time_norm(model.grid, theta)
+    if theta_norm <= 1e-14:
+        raise ConditionViolated("||theta||_T = 0; use the riskless case")
+    drag = inner_product_path(model.grid, theta,
+                              sigma_inv_xi_lambda_path(model))
+    return (lev, theta_norm, float(np.max(drag)) / theta_norm,
+            math.log1p(-risk.kappa))
 
 
 @dataclass(frozen=True)
@@ -153,20 +149,16 @@ def rho_var_gamma1(model: MarketModel, risk: RiskSpec) -> RadiusSolution:
     Solves -rho^2/2 + (q - K + ||theta||_T) rho = ln(1 - kappa) in closed
     form and caps the result by sqrt(T) ||sigma||_T.
     """
-    lev = _effective_or_assumption_j(model, risk)
-    theta_norm = l2_time_norm(model.grid, theta_path(model))
-    if theta_norm <= 1e-14:
-        raise ConditionViolated("||theta||_T = 0; use the riskless case")
-    floor = _kappa_floor(lev.q_level, theta_norm)
+    lev, theta_norm, drag, target = _radius_terms(model, risk)
+    floor = max(0.0, 1.0 - math.exp(0.5 * lev.q_level**2
+                                    - abs(lev.q_level) * theta_norm))
     if risk.kappa <= floor:
         raise KappaOutOfRange(
             f"kappa = {risk.kappa:.6g} must exceed {floor:.6g}")
-    drag = _compensator_drag(model, theta_norm)
     b = theta_norm - abs(lev.q_level) - drag
-    target = math.log1p(-risk.kappa)
     rho_star = b + math.sqrt(b * b - 2.0 * target)
     residual = (-0.5 * rho_star**2 + b * rho_star) - target
-    cap = math.sqrt(model.grid.horizon) * _sigma_time_norm(model)
+    cap = _radius_cap(model)
     return RadiusSolution(rho_star=rho_star, cap=cap,
                           rho_bar=min(rho_star, cap), residual=residual,
                           theta_norm=theta_norm, drag=drag, kappa_floor=floor)
@@ -180,16 +172,11 @@ def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
     doubling the bracket until the sign flips and polishing with Brent.
     Requires |q| >= 2 ||theta||_T so the worst time is the horizon.
     """
-    lev = _effective_or_assumption_j(model, risk)
-    theta_norm = l2_time_norm(model.grid, theta_path(model))
-    if theta_norm <= 1e-14:
-        raise ConditionViolated("||theta||_T = 0; use the riskless case")
+    lev, theta_norm, drag, target = _radius_terms(model, risk)
     if abs(lev.q_level) < 2.0 * theta_norm and not force:
         raise ConditionViolated(
             f"|q| = {abs(lev.q_level):.6g} < 2 ||theta||_T = "
             f"{2 * theta_norm:.6g}")
-    drag = _compensator_drag(model, theta_norm)
-    target = math.log1p(-risk.kappa)
 
     def psi(rho: float) -> float:
         return (theta_norm * rho + lev.F(rho + abs(lev.q_level))
@@ -207,7 +194,7 @@ def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
         raise ConditionViolated("could not bracket the ES radius")
     rho_star = float(brentq(lambda r: psi(r) - target, 0.0, hi,
                             xtol=1e-15, rtol=8.9e-16))
-    cap = math.sqrt(model.grid.horizon) * _sigma_time_norm(model)
+    cap = _radius_cap(model)
     return RadiusSolution(rho_star=rho_star, cap=cap,
                           rho_bar=min(rho_star, cap),
                           residual=psi(rho_star) - target,
@@ -215,26 +202,31 @@ def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
 
 
 def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
-                  radius: RadiusSolution | None) -> SolveReport:
+                  binding_radius) -> SolveReport:
+    """Shared body of the gamma = 1 solvers; binding_radius() returns the
+    RadiusSolution of the limit's kind."""
+    check_initial_wealth(x)
     grid = model.grid
     R_T = float(R_path(model)[-1])
-    if radius is None:
+    theta_norm = l2_time_norm(grid, theta_path(model))
+    if theta_norm <= 1e-14:
         # vanishing price of risk: stay riskless, consume nothing
         lev = _effective_or_assumption_j(model, risk)
         strategy = Strategy.riskless(model)
-        six = sigma_inv_xi_lambda_path(model)
-        xi_norm = l2_time_norm(grid, six)
+        xi_norm = l2_time_norm(grid, sigma_inv_xi_lambda_path(model))
         rho0 = (math.sqrt((abs(lev.q_level) + xi_norm) ** 2
                           - 2.0 * math.log1p(-risk.kappa))
                 - abs(lev.q_level) - xi_norm)
         diag = {
             "case": "zero_theta",
             "rho_0": rho0,
-            "y_norm_budget": min(rho0, math.sqrt(grid.horizon)
-                                 * _sigma_time_norm(model)),
+            "y_norm_budget": min(rho0, _radius_cap(model)),
         }
         return SolveReport(strategy=strategy, J_star=x * math.exp(R_T),
                            diagnostics=diag)
+    if np.min(theta_hat_path(model)) < -1e-12:
+        raise ThetaHatNegative("theta_hat has a negative component")
+    radius = binding_radius()
     y = theta_path(model) * (radius.rho_bar / radius.theta_norm)
     strategy = Strategy.from_y(model, y)
     slack = slack_path(strategy, model, risk)
@@ -264,25 +256,14 @@ def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
     J* = x exp(R_T + ||theta||_T rho_bar).  Needs a componentwise
     nonnegative theta_hat.
     """
-    check_initial_wealth(x)
-    theta_norm = l2_time_norm(model.grid, theta_path(model))
-    if theta_norm <= 1e-14:
-        return _solve_gamma1(model, risk, x, None)
-    if np.min(theta_hat_path(model)) < -1e-12:
-        raise ThetaHatNegative("theta_hat has a negative component")
-    return _solve_gamma1(model, risk, x, rho_var_gamma1(model, risk))
+    return _solve_gamma1(model, risk, x, lambda: rho_var_gamma1(model, risk))
 
 
 def solve_es_gamma1(model: MarketModel, risk: RiskSpec, x: float = 1.0,
                     force: bool = False) -> SolveReport:
     """Optimal rule under the ES limit for gamma1 = gamma2 = 1."""
-    check_initial_wealth(x)
-    theta_norm = l2_time_norm(model.grid, theta_path(model))
-    if theta_norm <= 1e-14:
-        return _solve_gamma1(model, risk, x, None)
-    if np.min(theta_hat_path(model)) < -1e-12:
-        raise ThetaHatNegative("theta_hat has a negative component")
-    return _solve_gamma1(model, risk, x, rho_es_gamma1(model, risk, force))
+    return _solve_gamma1(model, risk, x,
+                         lambda: rho_es_gamma1(model, risk, force))
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +333,10 @@ def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
     strategy; c vanishes when theta_hat is componentwise nonnegative.  The
     norm bound ||y*||_T <= q ||theta||_T is verified before certifying.
     """
-    check_initial_wealth(x)
-    _power_gamma(utility, "certify_var_gamma")
+    _power_gamma(utility, x, "certify_var_gamma")
     lev = _effective_or_assumption_j(model, risk)
-    if report is None:
-        report = solve_power_equal(model, utility, x)
-    if chi is None:
-        chi = report.chi
+    report = solve_power_equal(model, utility, x) if report is None else report
+    chi = report.chi if chi is None else chi
     b = utility.q * l2_time_norm(model.grid, theta_path(model))
     cross = inner_product_path(model.grid, report.strategy.y,
                                theta_hat_path(model))
@@ -381,8 +359,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     2 ||theta_hat||_T.  The first-order jump aggregate M and its pairing
     with theta_hat are reported for reference.
     """
-    check_initial_wealth(x)
-    gamma = _power_gamma(utility, "certify_es_gamma")
+    gamma = _power_gamma(utility, x, "certify_es_gamma")
     lev = _effective_or_assumption_j(model, risk)
     grid = model.grid
     thh = theta_hat_path(model)
@@ -391,10 +368,8 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
         raise ConditionViolated(
             f"|q| = {abs(lev.q_level):.6g} < 2 ||theta_hat||_T = "
             f"{2 * thh_norm_T:.6g}")
-    if report is None:
-        report = solve_power_equal(model, utility, x)
-    if chi is None:
-        chi = report.chi
+    report = solve_power_equal(model, utility, x) if report is None else report
+    chi = report.chi if chi is None else chi
     qq = utility.q
     th_norm_path = np.sqrt(l2_time_norm_sq_path(grid, theta_path(model)))
     thh_sq_path = l2_time_norm_sq_path(grid, thh)
@@ -405,7 +380,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     lhs = 1.0 - chi * math.exp(m_star + correction)
 
     qv = jump_terms_path(model.jumps, report.strategy.pi, gamma)[1]
-    m_path = np.linalg.solve(model.coeffs.sigma, qv[..., None])[..., 0]
+    m_path = _sigma_solve(model, qv)
     m_hat_theta_T = trapz(grid, np.sum(thh * m_path, axis=1))
 
     b = qq * l2_time_norm(grid, theta_path(model))
@@ -557,8 +532,7 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     When a risk spec is given, the matching inactivity certificate (with
     exp(-V_T) = 1) is attached to the diagnostics.
     """
-    check_initial_wealth(x)
-    gamma = _power_gamma(utility, "solve_no_consumption")
+    gamma = _power_gamma(utility, x, "solve_no_consumption")
     y, pi, diag = _optimal_allocation(model, gamma)
     grid = model.grid
     h = growth_rate_path(model, gamma, y, pi)

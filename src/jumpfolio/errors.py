@@ -5,11 +5,11 @@ class JumpfolioError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(JumpfolioError):
+class ConfigError(JumpfolioError, ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-class OutOfRange(JumpfolioError):
+class OutOfRange(JumpfolioError, ValueError):
     """A probability or parameter lies outside its admissible range."""
 
 

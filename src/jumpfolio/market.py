@@ -17,7 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MomentDiverges, SingularSigma, UnsupportedSupport
+from .errors import (
+    ConfigError,
+    MomentDiverges,
+    OutOfRange,
+    SingularSigma,
+    UnsupportedSupport,
+)
 
 DET_FLOOR = 1e-12          # |det sigma_t| below this counts as singular
 GL_NODES_DEFAULT = 129     # Gauss-Legendre resolution for tabulated densities
@@ -37,19 +43,19 @@ class TimeGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("grid needs at least two nodes")
+            raise OutOfRange("grid needs at least two nodes")
         if nodes[0] != 0.0:
-            raise ValueError("grid must start at t = 0")
+            raise OutOfRange("grid must start at t = 0")
         if not np.all(np.diff(nodes) > 0):
-            raise ValueError("grid nodes must be strictly increasing")
+            raise OutOfRange("grid nodes must be strictly increasing")
         if not np.all(np.isfinite(nodes)):
-            raise ValueError("grid nodes must be finite")
+            raise OutOfRange("grid nodes must be finite")
 
     @classmethod
     def uniform(cls, horizon: float, n: int) -> "TimeGrid":
         """Uniform grid with n nodes on [0, horizon]."""
         if horizon <= 0:
-            raise ValueError("horizon must be positive")
+            raise OutOfRange("horizon must be positive")
         return cls(np.linspace(0.0, float(horizon), int(n)))
 
     @property
@@ -129,45 +135,44 @@ class JumpDist:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
         if z.shape != w.shape or z.ndim != 1 or z.size == 0:
-            raise ValueError("atoms and weights must be 1-d and matching")
+            raise ConfigError("atoms and weights must be 1-d and matching")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(w))):
-            raise ValueError("atoms and weights must be finite")
+            raise OutOfRange("atoms and weights must be finite")
         if np.any(z <= -1.0):
             raise UnsupportedSupport("jump sizes must satisfy z > -1")
         if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+            raise OutOfRange("weights must be nonnegative")
 
     @classmethod
     def point_masses(cls, z, p) -> "JumpDist":
         z = np.asarray(z, dtype=float)
         p = np.asarray(p, dtype=float)
         if np.any(p <= 0):
-            raise ValueError("point-mass probabilities must be positive")
+            raise OutOfRange("point-mass probabilities must be positive")
         total = p.sum()
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"point-mass probabilities sum to {total}, not 1")
-        return cls(z=z, w=p / total, kind="points")
+            raise OutOfRange(f"point-mass probabilities sum to {total}, not 1")
+        return cls(z=z, w=p, kind="points")
 
     @classmethod
     def degenerate(cls, z: float = 0.0) -> "JumpDist":
         return cls.point_masses([z], [1.0])
 
     @classmethod
-    def from_density(cls, pdf, lo: float, hi: float,
-                     n_nodes: int = GL_NODES_DEFAULT) -> "JumpDist":
+    def from_density(cls, pdf, lo: float, hi: float) -> "JumpDist":
         """Tabulate a density on [lo, hi] at Gauss-Legendre nodes."""
         if not (-1.0 < lo < hi):
             raise UnsupportedSupport("density support must lie in (-1, inf)")
-        x, gw = np.polynomial.legendre.leggauss(int(n_nodes))
+        x, gw = np.polynomial.legendre.leggauss(GL_NODES_DEFAULT)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         z = mid + half * x
         f = np.asarray(pdf(z), dtype=float)
         if np.any(f < 0):
-            raise ValueError("density must be nonnegative")
+            raise OutOfRange("density must be nonnegative")
         w = gw * half * f
         mass = w.sum()
         if abs(mass - 1.0) > 1e-8:
-            raise ValueError(f"density integrates to {mass}, not 1")
+            raise OutOfRange(f"density integrates to {mass}, not 1")
         return cls(z=z, w=w / mass, kind="density")
 
     @property
@@ -175,17 +180,9 @@ class JumpDist:
         return float(self.w @ self.z)
 
     @property
-    def second_moment(self) -> float:
-        return float(self.w @ self.z**2)
-
-    @property
     def negative_mass(self) -> float:
         """Probability of a strictly negative jump size."""
         return float(self.w[self.z < 0].sum())
-
-    @property
-    def min_support(self) -> float:
-        return float(self.z.min())
 
 
 @dataclass(frozen=True)
@@ -200,9 +197,9 @@ class JumpSpec:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "dists", tuple(self.dists))
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-            raise ValueError("intensities must be finite and nonnegative")
+            raise OutOfRange("intensities must be finite and nonnegative")
         if len(self.dists) != lam.size:
-            raise ValueError("one jump-size law per asset is required")
+            raise ConfigError("one jump-size law per asset is required")
 
     @classmethod
     def none(cls, d: int) -> "JumpSpec":
@@ -225,9 +222,6 @@ class JumpSpec:
     def has_negative_jumps(self) -> bool:
         """True when some active asset can jump down."""
         return bool(np.any((self.lambdas > 0) & (self.negative_mass > 0)))
-
-    def without_jumps(self) -> "JumpSpec":
-        return JumpSpec.none(self.d)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +250,13 @@ class CoefficientPath:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         if r.ndim != 1:
-            raise ValueError("r must be sampled as a 1-d path")
+            raise ConfigError("r must be sampled as a 1-d path")
         n = r.size
         if mu.shape != (n, self.d) or sigma.shape != (n, self.d, self.d):
-            raise ValueError("inconsistent shapes for r, mu, sigma")
+            raise ConfigError("inconsistent shapes for r, mu, sigma")
         for arr in (r, mu, sigma):
             if not np.all(np.isfinite(arr)):
-                raise ValueError("coefficient paths must be finite")
+                raise OutOfRange("coefficient paths must be finite")
         dets = np.linalg.det(sigma)
         if np.any(np.abs(dets) < DET_FLOOR):
             raise SingularSigma("sigma_t is singular at some node")
@@ -291,16 +285,16 @@ class MarketModel:
 
     def __post_init__(self):
         if self.coeffs.r.size != self.grid.n:
-            raise ValueError("coefficient paths and grid disagree in length")
+            raise ConfigError("coefficient paths and grid disagree in length")
         if self.coeffs.d != self.jumps.d:
-            raise ValueError("coefficients and jump spec disagree in dimension")
+            raise ConfigError("coefficients and jump spec disagree in dimension")
 
     @property
     def d(self) -> int:
         return self.coeffs.d
 
     def without_jumps(self) -> "MarketModel":
-        return MarketModel(self.grid, self.coeffs, self.jumps.without_jumps())
+        return MarketModel(self.grid, self.coeffs, JumpSpec.none(self.d))
 
 
 @dataclass(frozen=True)
@@ -313,7 +307,7 @@ class UtilitySpec:
     def __post_init__(self):
         for g in (self.gamma1, self.gamma2):
             if not (0.0 < g <= 1.0):
-                raise ValueError("gamma must lie in (0, 1]")
+                raise OutOfRange("gamma must lie in (0, 1]")
 
     @classmethod
     def equal(cls, gamma: float) -> "UtilitySpec":
@@ -330,7 +324,7 @@ class UtilitySpec:
     @property
     def gamma(self) -> float:
         if not self.is_equal:
-            raise ValueError("gamma is only defined for equal utilities")
+            raise OutOfRange("gamma is only defined for equal utilities")
         return self.gamma1
 
     @property
@@ -338,7 +332,7 @@ class UtilitySpec:
         """Conjugate exponent 1/(1 - gamma) of the shared gamma."""
         g = self.gamma
         if g >= 1.0:
-            raise ValueError("q is only defined for gamma < 1")
+            raise OutOfRange("q is only defined for gamma < 1")
         return 1.0 / (1.0 - g)
 
 
@@ -346,34 +340,31 @@ class UtilitySpec:
 # Coefficient-derived quantities
 # ---------------------------------------------------------------------------
 
+def _sigma_solve(model: MarketModel, rhs: np.ndarray) -> np.ndarray:
+    """sigma_t^{-1} rhs_t at every node for an (N, d) right-hand side."""
+    try:
+        return np.linalg.solve(model.coeffs.sigma, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSigma(str(exc)) from exc
+
+
 def theta_path(model: MarketModel) -> np.ndarray:
     """Market price of risk at every node, shape (N, d)."""
     c = model.coeffs
-    rhs = c.mu - c.r[:, None]
-    try:
-        return np.linalg.solve(c.sigma, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSigma(str(exc)) from exc
+    return _sigma_solve(model, c.mu - c.r[:, None])
 
 
 def theta_hat_path(model: MarketModel) -> np.ndarray:
     """Jump-compensated market price of risk at every node, shape (N, d)."""
     c = model.coeffs
-    rhs = c.mu - c.r[:, None] - model.jumps.xi_lambda[None, :]
-    try:
-        return np.linalg.solve(c.sigma, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSigma(str(exc)) from exc
+    return _sigma_solve(model,
+                        c.mu - c.r[:, None] - model.jumps.xi_lambda[None, :])
 
 
 def sigma_inv_xi_lambda_path(model: MarketModel) -> np.ndarray:
     """sigma_t^{-1} xi_lambda at every node; equals theta - theta_hat."""
-    c = model.coeffs
-    rhs = np.tile(model.jumps.xi_lambda, (model.grid.n, 1))
-    try:
-        return np.linalg.solve(c.sigma, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSigma(str(exc)) from exc
+    return _sigma_solve(model,
+                        np.tile(model.jumps.xi_lambda, (model.grid.n, 1)))
 
 
 def R_path(model: MarketModel) -> np.ndarray:
@@ -394,60 +385,34 @@ def inner_product_path(grid: TimeGrid, y: np.ndarray,
 # Jump-integral transforms
 # ---------------------------------------------------------------------------
 
-def _atoms(jumps: JumpSpec, asset: int):
-    dist = jumps.dists[asset]
-    return float(jumps.lambdas[asset]), dist.z, dist.w
-
-
-def K_transform(jumps: JumpSpec, asset: int, pi, gamma: float):
-    """Jump term of the power growth rate for one asset.
+def K_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.ndarray:
+    """Jump term sum_j K_j(pi_j) of the power growth rate along a (N, d)
+    allocation path, or a stack (..., N, d) of them.
 
     K_j(pi) = lambda_j E[(1 + pi xi)^gamma - 1 - gamma pi xi].  Vanishes at
     pi = 0 and at gamma = 1, and is concave in pi on [0, 1].
     """
-    lam, z, w = _atoms(jumps, asset)
-    pi_arr = np.asarray(pi, dtype=float)
-    base = 1.0 + pi_arr[..., None] * z
-    if np.any(base <= 0.0):
-        raise UnsupportedSupport("1 + pi*z must stay positive on the support")
-    vals = (base**gamma - 1.0 - gamma * pi_arr[..., None] * z) @ w
-    out = lam * vals
-    return float(out) if np.ndim(pi) == 0 else out
-
-
-def Q_transform(jumps: JumpSpec, asset: int, pi, gamma: float):
-    """First-order jump term Q_j(pi) = lambda_j E[((1 + pi xi)^(gamma-1) - 1) xi].
-
-    Nonpositive whenever the support is nonnegative and gamma < 1.
-    """
-    lam, z, w = _atoms(jumps, asset)
-    pi_arr = np.asarray(pi, dtype=float)
-    base = 1.0 + pi_arr[..., None] * z
-    if np.any(base <= 0.0):
-        raise UnsupportedSupport("1 + pi*z must stay positive on the support")
-    vals = ((base ** (gamma - 1.0) - 1.0) * z) @ w
-    out = lam * vals
-    return float(out) if np.ndim(pi) == 0 else out
-
-
-def K_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.ndarray:
-    """Sum over assets of K_j(pi_j) along a (N, d) allocation path, or a
-    stack (..., N, d) of them."""
     pi_path = np.asarray(pi_path, dtype=float)
     total = np.zeros(pi_path.shape[:-1])
-    for j in range(jumps.d):
-        if jumps.lambdas[j] > 0:
-            total += K_transform(jumps, j, pi_path[..., j], gamma)
+    for j, (lam, dist) in enumerate(zip(jumps.lambdas.tolist(), jumps.dists)):
+        if lam > 0:
+            p = pi_path[..., j, None]
+            base = 1.0 + p * dist.z
+            if base.min() <= 0.0:
+                raise UnsupportedSupport("1 + pi*z must stay positive on the support")
+            total += lam * ((base**gamma - 1.0 - gamma * p * dist.z) @ dist.w)
     return total
 
 
 def jump_terms_path(jumps: JumpSpec, pi: np.ndarray, gamma: float):
     """sum_j K_j(pi_j), Q_j(pi_j) and Q_j'(pi_j) in one pass over the atoms.
 
+    The first-order jump term Q_j(pi) = lambda_j E[((1 + pi xi)^(gamma-1)
+    - 1) xi] is nonpositive on a nonnegative support when gamma < 1, and
     Q_j'(pi) = lambda_j (gamma - 1) E[(1 + pi xi)^(gamma-2) xi^2]; each row
-    of the (m, d) array pi is one allocation inside the box.  The fourth
-    output, lambda_j E[|xi| ((1 + pi xi)^(gamma-1) + 1)], bounds the terms
-    summed into Q_j, which sets the float resolution of Q_j.
+    of the (m, d) array pi is one allocation.  The fourth output,
+    lambda_j E[|xi| ((1 + pi xi)^(gamma-1) + 1)], bounds the terms summed
+    into Q_j, which sets the float resolution of Q_j.
     """
     k = np.zeros(pi.shape[0])
     q = np.zeros_like(pi)
@@ -457,6 +422,8 @@ def jump_terms_path(jumps: JumpSpec, pi: np.ndarray, gamma: float):
         lam, z, w = jumps.lambdas[j], jumps.dists[j].z, jumps.dists[j].w
         pz = pi[:, j, None] * z
         base = 1.0 + pz
+        if base.min() <= 0.0:
+            raise UnsupportedSupport("1 + pi*z must stay positive on the support")
         power = base**gamma
         slope = power / base                    # (1 + pi z)^(gamma - 1)
         k += lam * ((power - 1.0 - gamma * pz) @ w)
@@ -474,16 +441,12 @@ def expected_jump_exponential(jumps: JumpSpec, grid: TimeGrid, a) -> float:
     exponential jump functional.
     """
     inner = np.zeros(grid.n)
-    for j in range(jumps.d):
-        lam, z, w = _atoms(jumps, j)
-        if lam == 0:
-            continue
+    for j in np.flatnonzero(jumps.lambdas > 0):
+        lam, z, w = jumps.lambdas[j], jumps.dists[j].z, jumps.dists[j].w
         for k, t in enumerate(grid.nodes):
             with np.errstate(over="ignore"):
                 vals = np.expm1(np.asarray(a(t, z), dtype=float))
             inner[k] += lam * float(vals @ w)
-    if not np.all(np.isfinite(inner)):
-        raise MomentDiverges("exponential jump moment is not finite")
     total = trapz(grid, inner)
     if not np.isfinite(total):
         raise MomentDiverges("exponential jump moment is not finite")

@@ -3,9 +3,10 @@
 If a negative jump happens on [0, T] with probability eps_T < beta, the
 downside constraints stay valid after tightening the confidence level to
 beta_hat = (beta - eps_T) / (1 - eps_T): the quantile level q_beta is
-replaced by q_beta_hat in the VaR transform, and the log tail function
-F_beta(u) is shifted down to F_beta(u) + ln(1 - eps_T) (evaluated at the
-beta_hat quantile offset) in the ES transform.
+replaced by q_beta_hat in the VaR transform, and the ES transform uses the
+log tail function at beta_hat shifted down by ln(1 - eps_T),
+F_beta_hat(u) + ln(1 - eps_T), evaluated at the beta_hat quantile offset
+(`EffectiveLevel.F`).
 
 Two estimates of eps_T ship side by side.  ExactThinning computes the exact
 probability of seeing at least one negative jump (thinned Poisson counts per
@@ -23,26 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolated, EpsilonTooLarge, NegativeJumpsPresent
+from .errors import (
+    ConditionViolated,
+    EpsilonTooLarge,
+    NegativeJumpsPresent,
+    OutOfRange,
+)
 from .market import JumpSpec, MarketModel, UtilitySpec
 from .riskmetrics import F_beta, NegJumpMethod, RiskKind, RiskSpec, normal_quantile
 from .unconstrained import solve_linear, solve_power_equal
-
-
-@dataclass(frozen=True)
-class NegJumpAdjustment:
-    """Adjusted level data: eps_T, beta_hat and the method that produced it."""
-
-    epsilon_T: float
-    beta_hat: float
-    method: NegJumpMethod
 
 
 def epsilon_t(jumps: JumpSpec, t: float,
               method: NegJumpMethod = NegJumpMethod.THINNING) -> float:
     """Probability of at least one negative jump in any asset on [0, t]."""
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise OutOfRange("t must be nonnegative")
     method = NegJumpMethod(method)
     lam = jumps.lambdas
     p_neg = jumps.negative_mass
@@ -52,7 +49,7 @@ def epsilon_t(jumps: JumpSpec, t: float,
     if method == NegJumpMethod.PAPER:
         factors = -np.expm1(-lam * t) * p_neg
         return float(np.prod(factors))
-    raise ValueError("no adjustment method selected")
+    raise OutOfRange("no adjustment method selected")
 
 
 def beta_hat(beta: float, epsilon: float) -> float:
@@ -61,33 +58,22 @@ def beta_hat(beta: float, epsilon: float) -> float:
     Decreasing in eps; requires eps < beta so the level stays positive.
     """
     if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+        raise OutOfRange("epsilon must be nonnegative")
     if epsilon >= beta:
         raise EpsilonTooLarge(
             f"negative-jump probability {epsilon:.6g} >= beta {beta:.6g}")
     return (beta - epsilon) / (1.0 - epsilon)
 
 
-def F_hat(u, beta: float, epsilon_T: float):
-    """Adjusted log tail function for the ES constraint.
-
-    F_hat(u) = F_beta(u) + ln(1 - eps_T), identically F_{beta_hat}(u) +
-    ln((beta - eps_T) / beta); reduces to F_beta when eps_T = 0.
-    """
-    if not (0.0 <= epsilon_T < beta):
-        raise EpsilonTooLarge("need 0 <= eps_T < beta")
-    return F_beta(u, beta) + math.log1p(-epsilon_T)
-
-
 @dataclass(frozen=True)
 class EffectiveLevel:
     """Quantile level and tail function actually used by the solvers."""
 
-    beta: float             # effective confidence level
+    beta: float             # effective confidence level, beta_hat if adjusted
     q_level: float          # lower quantile at the effective level
     log_shift: float        # additive ES shift ln(1 - eps_T)
     epsilon_T: float
-    adjustment: NegJumpAdjustment | None = None
+    method: NegJumpMethod = NegJumpMethod.OFF   # how eps_T was estimated
 
     def F(self, u):
         """Effective log tail function, zero-shifted at u = |q_level|."""
@@ -110,10 +96,9 @@ def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
                               log_shift=0.0, epsilon_T=0.0)
     eps = epsilon_t(model.jumps, model.grid.horizon, method)
     bh = beta_hat(risk.beta, eps)
-    adj = NegJumpAdjustment(epsilon_T=eps, beta_hat=bh, method=method)
     return EffectiveLevel(beta=bh, q_level=normal_quantile(bh),
                           log_shift=math.log1p(-eps), epsilon_T=eps,
-                          adjustment=adj)
+                          method=method)
 
 
 def adjusted_solve(model: MarketModel, risk: RiskSpec | None,

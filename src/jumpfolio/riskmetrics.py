@@ -47,9 +47,9 @@ class RiskSpec:
         object.__setattr__(self, "negjump_method",
                            NegJumpMethod(self.negjump_method))
         if not (0.0 < self.beta <= 0.5):
-            raise ValueError("beta must lie in (0, 1/2]")
+            raise OutOfRange("beta must lie in (0, 1/2]")
         if not (0.0 < self.kappa < 1.0):
-            raise ValueError("kappa must lie in (0, 1)")
+            raise OutOfRange("kappa must lie in (0, 1)")
 
 
 def _phi(x: float) -> float:

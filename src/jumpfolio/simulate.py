@@ -48,6 +48,7 @@ from .market import (
     R_path,
     UtilitySpec,
     cumtrapz,
+    inner_product_path,
     theta_hat_path,
     theta_path,
 )
@@ -174,8 +175,7 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     grid = model.grid
     n_nodes = grid.n
     det_log = (math.log(x) + R_path(model) - strategy.V
-               + cumtrapz(grid, np.sum(strategy.y * theta_hat_path(model),
-                                       axis=1)))
+               + inner_product_path(grid, strategy.y, theta_hat_path(model)))
     ysq = np.sum(strategy.y**2, axis=1)
     s2 = 0.5 * (ysq[1:] + ysq[:-1]) * grid.dt          # per-interval variance
     sd = np.sqrt(s2)

@@ -37,11 +37,11 @@ from .errors import (
 from .market import (
     K_transform_path,
     MarketModel,
-    Q_transform,
     R_path,
     TimeGrid,
     UtilitySpec,
     cumtrapz,
+    inner_product_path,
     jump_terms_path,
     l2_time_norm,
     l2_time_norm_sq_path,
@@ -132,21 +132,18 @@ class Strategy:
             return self.V_path
         return cumtrapz(self.grid, self.v)
 
-    def y_norm_sq_path(self) -> np.ndarray:
-        return l2_time_norm_sq_path(self.grid, self.y)
-
     def y_norm_path(self) -> np.ndarray:
-        return np.sqrt(self.y_norm_sq_path())
+        return np.sqrt(l2_time_norm_sq_path(self.grid, self.y))
 
-    def validate(self, model: MarketModel, tol: float = _BOX_TOL) -> None:
+    def validate(self, model: MarketModel) -> None:
         """Check admissibility against a model; raises InvalidStrategy."""
         if self.d != model.d or self.grid.n != model.grid.n:
             raise InvalidStrategy("strategy and model shapes disagree")
         if not all(np.all(np.isfinite(a)) for a in (self.y, self.pi, self.v)):
             raise InvalidStrategy("y, pi and v must be finite")
-        if np.any(self.pi < -tol) or np.any(self.pi > 1.0 + tol):
+        if np.any(self.pi < -_BOX_TOL) or np.any(self.pi > 1.0 + _BOX_TOL):
             raise InvalidStrategy("pi must stay componentwise in [0, 1]")
-        if np.any(self.v < -tol):
+        if np.any(self.v < -_BOX_TOL):
             raise InvalidStrategy("consumption rate must be nonnegative")
         y_ref = np.einsum("nji,nj->ni", model.coeffs.sigma, self.pi)
         if np.max(np.abs(y_ref - self.y)) > 1e-10:
@@ -181,28 +178,28 @@ def growth_rate_path(model: MarketModel, gamma: float, y: np.ndarray,
             + K_transform_path(model.jumps, pi, gamma))
 
 
+def _gq_terms(grid: TimeGrid, h_star: np.ndarray, utility: UtilitySpec):
+    """q, g^q(t) and g^q(T) + int_t^T g^q with g = exp(int h*)."""
+    q = utility.q
+    gq = np.exp(cumtrapz(grid, np.asarray(h_star, dtype=float))) ** q
+    cum = cumtrapz(grid, gq)
+    return q, gq, gq[-1] + (cum[-1] - cum)
+
+
 def rho_path(grid: TimeGrid, h_star: np.ndarray, utility: UtilitySpec) -> np.ndarray:
     """Value-function coefficient rho(t) from the growth-rate path.
 
     rho(t) = [(g^q(T) + int_t^T g^q) / g^q(t)]^(1/q) with g = exp(int h*);
     solves rho' + h* rho = (gamma - 1) rho^(gamma/(gamma-1)), rho(T) = 1.
     """
-    q = utility.q
-    g = np.exp(cumtrapz(grid, np.asarray(h_star, dtype=float)))
-    gq = g**q
-    cum = cumtrapz(grid, gq)
-    tail = cum[-1] - cum
-    return ((gq[-1] + tail) / gq) ** (1.0 / q)
+    q, gq, denominator = _gq_terms(grid, h_star, utility)
+    return (denominator / gq) ** (1.0 / q)
 
 
 def v_star_path(grid: TimeGrid, h_star: np.ndarray, utility: UtilitySpec) -> np.ndarray:
     """Optimal consumption rate v*_t = g^q(t) / (g^q(T) + int_t^T g^q)."""
-    q = utility.q
-    g = np.exp(cumtrapz(grid, np.asarray(h_star, dtype=float)))
-    gq = g**q
-    cum = cumtrapz(grid, gq)
-    tail = cum[-1] - cum
-    return gq / (gq[-1] + tail)
+    _, gq, denominator = _gq_terms(grid, h_star, utility)
+    return gq / denominator
 
 
 def chi_value(grid: TimeGrid, g: np.ndarray, utility: UtilitySpec) -> float:
@@ -221,8 +218,11 @@ def check_initial_wealth(x: float) -> None:
         raise OutOfRange(f"initial wealth must be positive and finite, got {x}")
 
 
-def _power_gamma(utility: UtilitySpec, solver: str) -> float:
-    """The shared gamma; raises ConditionViolated unless it is in (0, 1)."""
+def _power_gamma(utility: UtilitySpec, x: float, solver: str) -> float:
+    """The shared gamma of an equal-gamma solve from initial wealth x;
+    raises OutOfRange for a bad x and ConditionViolated unless gamma is
+    in (0, 1)."""
+    check_initial_wealth(x)
     if not (utility.is_equal and utility.gamma1 < 1.0):
         raise ConditionViolated(f"{solver} needs equal gamma in (0, 1)")
     return utility.gamma1
@@ -237,7 +237,7 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
     """
     check_initial_wealth(x)
     grid = model.grid
-    ip = cumtrapz(grid, np.sum(strategy.y * theta_path(model), axis=1))
+    ip = inner_product_path(grid, strategy.y, theta_path(model))
     ysq = l2_time_norm_sq_path(grid, strategy.y)
 
     def jump_integral(g: float) -> np.ndarray:
@@ -309,23 +309,6 @@ def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
 # ---------------------------------------------------------------------------
 # Equal gamma in (0, 1)
 # ---------------------------------------------------------------------------
-
-def eta_1d(model: MarketModel, node: int, pi, gamma: float):
-    """First-order function of the one-dimensional allocation problem.
-
-    eta(pi) = mu_t - r_t + (gamma - 1) sigma_t^2 pi + Q(pi), the derivative
-    (up to the factor gamma) of the growth rate in pi.  Strictly decreasing
-    on [0, 1]; an interior optimum is its unique root.
-    """
-    if model.d != 1:
-        raise ValueError("eta_1d is defined for one-asset markets")
-    c = model.coeffs
-    drift = c.mu[node, 0] - c.r[node]
-    sig2 = c.sigma[node, 0, 0] ** 2
-    qv = Q_transform(model.jumps, 0, pi, gamma)
-    out = drift + (gamma - 1.0) * sig2 * np.asarray(pi, dtype=float) + qv
-    return float(out) if np.ndim(pi) == 0 else out
-
 
 def _optimal_allocation(model: MarketModel, gamma: float):
     """Maximize the growth rate h(t; pi) over the box [0, 1]^d at every node.
@@ -412,8 +395,7 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
                       x: float = 1.0) -> SolveReport:
     """Equal-gamma solver in d dimensions: the box-constrained optimal
     allocation at every node, then the optimal consumption rate."""
-    check_initial_wealth(x)
-    gamma = _power_gamma(utility, "solve_power_equal")
+    gamma = _power_gamma(utility, x, "solve_power_equal")
     y, pi, diagnostics = _optimal_allocation(model, gamma)
     grid = model.grid
     h = growth_rate_path(model, gamma, y, pi)

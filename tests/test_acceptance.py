@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import binom
 
 import jumpfolio as jf
-from jumpfolio.constrained import slack_path, var_slack_path
+from jumpfolio.constrained import slack_path
 from jumpfolio.market import R_path
 from jumpfolio.riskmetrics import tail_count
 
@@ -303,7 +303,7 @@ def test_criterion_8_consume_all():
             pi[half:] = rng.uniform(0.0, 0.35)
         v = rng.uniform(0.0, 1.6) * rep.strategy.v
         strat = jf.Strategy.from_pi(model, pi, v)
-        if var_slack_path(strat, model, risk).min() < -1e-10:
+        if slack_path(strat, model, risk).min() < -1e-10:
             continue
         accepted += 1
         worst_excess = max(worst_excess,

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import jumpfolio as jf
-from jumpfolio.cli import dump_config, load_config, main
+from jumpfolio.cli import config_text, dump_config, load_config, main
 from jumpfolio.errors import ConditionViolated
 
 from conftest import make_model, make_model_2d
@@ -110,6 +111,25 @@ def test_dump_config_round_trip(tmp_path):
     assert a.utility == b.utility
     assert a.risk == b.risk
     assert (a.n_paths, a.seed) == (b.n_paths, b.seed)
+
+
+def test_dump_config_keeps_point_mass_weights(tmp_path):
+    # 3-decimal weights whose float sum can miss 1 by an ulp reload as given
+    rng = np.random.default_rng(2024)
+    base = load_config(write_config(tmp_path)[0])
+    path = tmp_path / "dump.ini"
+    for _ in range(500):
+        m = int(rng.integers(2, 6))
+        cuts = np.sort(rng.choice(np.arange(1, 1000), m - 1, replace=False))
+        p = np.diff(np.concatenate(([0], cuts, [1000]))) / 1000.0
+        law = jf.JumpDist.point_masses(np.round(rng.uniform(-0.5, 1.0, m), 3),
+                                       p)
+        model = jf.MarketModel(base.model.grid, base.model.coeffs,
+                               jf.JumpSpec(np.array([0.5]), (law,)))
+        path.write_text(config_text(dataclasses.replace(base, model=model)))
+        reloaded = load_config(path).model.jumps.dists[0]
+        assert np.array_equal(reloaded.z, law.z)
+        assert np.array_equal(reloaded.w, law.w)
 
 
 def test_malformed_config_exits_1_without_output(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 import jumpfolio as jf
-from jumpfolio.constrained import es_slack_path, var_slack_path
+from jumpfolio.constrained import slack_path
 from jumpfolio.errors import (
     AssumptionJViolated,
     ConditionViolated,
@@ -34,7 +34,7 @@ def gamma1_model():
 
 def test_riskless_slack_is_log_kappa(gamma1_model):
     strat = jf.Strategy.riskless(gamma1_model)
-    slack = var_slack_path(strat, gamma1_model, VAR)[64]   # t = 0.5
+    slack = slack_path(strat, gamma1_model, VAR)[64]   # t = 0.5
     assert slack == pytest.approx(-math.log(1.0 - VAR.kappa), abs=1e-14)
     assert slack > 0
 
@@ -43,8 +43,8 @@ def test_slack_grows_with_kappa(gamma1_model):
     strat = jf.Strategy.riskless(gamma1_model)
     loose = jf.RiskSpec("var", 0.05, 0.99)
     tight = jf.RiskSpec("var", 0.05, 0.5)
-    assert (var_slack_path(strat, gamma1_model, loose)[-1]
-            > var_slack_path(strat, gamma1_model, tight)[-1])
+    assert (slack_path(strat, gamma1_model, loose)[-1]
+            > slack_path(strat, gamma1_model, tight)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_solve_var_gamma1_zero_theta():
 
 def test_solve_var_gamma1_feasibility_and_binding(gamma1_model):
     rep = jf.solve_var_gamma1(gamma1_model, VAR)
-    slack = var_slack_path(rep.strategy, gamma1_model, VAR)
+    slack = slack_path(rep.strategy, gamma1_model, VAR)
     assert slack.min() >= -1e-10
     assert rep.diagnostics["binding"]
     assert abs(rep.diagnostics["slack_at_T"]) < 1e-10
@@ -155,7 +155,7 @@ def test_rho_es_condition_violated():
 def test_solve_es_gamma1_feasible_and_conservative(gamma1_model):
     rep_es = jf.solve_es_gamma1(gamma1_model, ES)
     rep_var = jf.solve_var_gamma1(gamma1_model, VAR)
-    assert es_slack_path(rep_es.strategy, gamma1_model, ES).min() >= -1e-10
+    assert slack_path(rep_es.strategy, gamma1_model, ES).min() >= -1e-10
     assert abs(rep_es.diagnostics["slack_at_T"]) < 1e-10
     # the averaged tail is the stricter measure, so the radius is smaller
     assert rep_es.diagnostics["rho_bar"] < rep_var.diagnostics["rho_bar"]
@@ -185,7 +185,7 @@ def test_certify_var_inactive_implies_direct_feasibility(jump_1d, equal_utility)
     risk = jf.RiskSpec("var", 0.05, 0.8)
     cert = jf.certify_var_gamma(jump_1d, equal_utility, risk)
     assert not cert.active
-    slack = var_slack_path(cert.report.strategy, jump_1d, risk)
+    slack = slack_path(cert.report.strategy, jump_1d, risk)
     assert slack.min() >= -1e-10
 
 
@@ -212,7 +212,7 @@ def test_certify_es_inactive_implies_direct_feasibility(jump_1d, equal_utility):
     risk = jf.RiskSpec("es", 0.05, 0.8)
     cert = jf.certify_es_gamma(jump_1d, equal_utility, risk)
     assert not cert.active
-    slack = es_slack_path(cert.report.strategy, jump_1d, risk)
+    slack = slack_path(cert.report.strategy, jump_1d, risk)
     assert slack.min() >= -1e-10
 
 
@@ -248,7 +248,7 @@ def test_certify_var_2d():
     risk = jf.RiskSpec("var", 0.05, 0.85)
     cert = jf.certify_var_gamma(model, jf.UtilitySpec.equal(0.5), risk)
     assert not cert.active
-    assert var_slack_path(cert.report.strategy, model, risk).min() >= -1e-10
+    assert slack_path(cert.report.strategy, model, risk).min() >= -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +282,14 @@ def test_diff_gamma_consumed_fraction(diff_setup):
 def test_diff_gamma_feasible_and_binding(diff_setup):
     model, utility, risk = diff_setup
     rep = jf.solve_diff_gamma(model, utility, risk)
-    slack = var_slack_path(rep.strategy, model, risk)
+    slack = slack_path(rep.strategy, model, risk)
     assert slack.min() >= -1e-10
     assert abs(slack[-1]) < 1e-12
 
     risk_es = jf.RiskSpec("es", 0.01, 0.15)
     rep_es = jf.solve_diff_gamma(model, utility, risk_es)
     assert rep_es.condition_ok
-    slack_es = es_slack_path(rep_es.strategy, model, risk_es)
+    slack_es = slack_path(rep_es.strategy, model, risk_es)
     assert slack_es.min() >= -1e-10
     assert abs(slack_es[-1]) < 1e-12
     cost = jf.cost_function(model, utility, rep_es.strategy, 1.0)
@@ -323,7 +323,7 @@ def test_diff_gamma_dominates_random_feasible(diff_setup):
         pi = np.full((n, 1), rng.uniform(0.0, 0.3))
         v = rng.uniform(0.0, 2.0) * rep.strategy.v
         strat = jf.Strategy.from_pi(model, pi, v)
-        if var_slack_path(strat, model, risk).min() < -1e-10:
+        if slack_path(strat, model, risk).min() < -1e-10:
             continue
         accepted += 1
         assert jf.cost_function(model, utility, strat, 1.0) <= rep.J_star + 1e-9
@@ -401,7 +401,7 @@ def test_no_consumption_certificate(jump_1d):
     rep = jf.solve_no_consumption(jump_1d, utility, risk)
     cert = rep.diagnostics["certificate"]
     assert not cert.active
-    assert var_slack_path(rep.strategy, jump_1d, risk).min() >= -1e-10
+    assert slack_path(rep.strategy, jump_1d, risk).min() >= -1e-10
 
 
 # ---------------------------------------------------------------------------

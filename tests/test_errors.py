@@ -1,0 +1,80 @@
+"""Bad input to the model and spec constructors raises a typed error.
+
+Every refusal is a JumpfolioError, and the input-check errors ConfigError and
+OutOfRange are also ValueErrors, so callers that catch ValueError still work.
+"""
+
+import numpy as np
+import pytest
+
+import jumpfolio as jf
+from jumpfolio.errors import ConfigError, JumpfolioError, OutOfRange
+
+
+def _coeffs(n=3, r=None, mu=None):
+    r = np.zeros(n) if r is None else r
+    mu = np.zeros((n, 1)) if mu is None else mu
+    return jf.CoefficientPath(r, mu, np.full((n, 1, 1), 0.3))
+
+
+ONE = (jf.JumpDist.degenerate(),)
+
+SITES = {
+    "grid_too_short": (lambda: jf.TimeGrid(np.array([0.0])),
+                       "at least two nodes"),
+    "grid_start": (lambda: jf.TimeGrid(np.array([0.1, 0.5])), "start at"),
+    "grid_order": (lambda: jf.TimeGrid(np.array([0.0, 0.5, 0.5])),
+                   "strictly increasing"),
+    "grid_finite": (lambda: jf.TimeGrid(np.array([0.0, np.inf])), "finite"),
+    "grid_horizon": (lambda: jf.TimeGrid.uniform(0.0, 5), "horizon"),
+    "atoms_shape": (lambda: jf.JumpDist([0.1, 0.2], [1.0]), "matching"),
+    "atoms_finite": (lambda: jf.JumpDist([np.nan], [1.0]), "finite"),
+    "weights_sign": (lambda: jf.JumpDist([0.1, 0.2], [1.5, -0.5]),
+                     "nonnegative"),
+    "masses_positive": (lambda: jf.JumpDist.point_masses([0.1, 0.2],
+                                                         [1.0, 0.0]),
+                        "positive"),
+    "masses_sum": (lambda: jf.JumpDist.point_masses([0.1, 0.2], [0.6, 0.6]),
+                   "sum to"),
+    "density_sign": (lambda: jf.JumpDist.from_density(
+        lambda z: -np.ones_like(z), 0.0, 1.0), "nonnegative"),
+    "density_mass": (lambda: jf.JumpDist.from_density(
+        lambda z: 3.0 * np.ones_like(z), 0.0, 1.0), "integrates"),
+    "intensity": (lambda: jf.JumpSpec([-1.0], ONE), "intensities"),
+    "laws_per_asset": (lambda: jf.JumpSpec([1.0, 1.0], ONE), "one jump-size"),
+    "r_shape": (lambda: _coeffs(r=np.zeros((3, 1))), "1-d path"),
+    "coeff_shapes": (lambda: _coeffs(mu=np.zeros((2, 1))),
+                     "inconsistent shapes"),
+    "coeff_finite": (lambda: _coeffs(r=np.array([0.0, np.nan, 0.0])),
+                     "finite"),
+    "model_length": (lambda: jf.MarketModel(jf.TimeGrid.uniform(1.0, 5),
+                                            _coeffs(), jf.JumpSpec.none(1)),
+                     "disagree in length"),
+    "model_dimension": (lambda: jf.MarketModel(jf.TimeGrid.uniform(1.0, 3),
+                                               _coeffs(), jf.JumpSpec.none(2)),
+                        "disagree in dimension"),
+    "gamma_range": (lambda: jf.UtilitySpec(1.5, 0.5), "gamma must lie"),
+    "gamma_unequal": (lambda: jf.UtilitySpec(0.3, 0.5).gamma,
+                      "equal utilities"),
+    "q_linear": (lambda: jf.UtilitySpec.equal(1.0).q, "gamma < 1"),
+    "epsilon_time": (lambda: jf.epsilon_t(jf.JumpSpec.none(1), -1.0),
+                     "t must be"),
+    "epsilon_method": (lambda: jf.epsilon_t(jf.JumpSpec.none(1), 1.0, "off"),
+                       "no adjustment method"),
+    "beta_hat_epsilon": (lambda: jf.beta_hat(0.1, -0.01), "epsilon must"),
+    "risk_beta": (lambda: jf.RiskSpec("var", 0.6, 0.1), "beta must"),
+    "risk_kappa": (lambda: jf.RiskSpec("var", 0.1, 1.0), "kappa must"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_bad_input_raises_a_typed_value_error(site):
+    call, message = SITES[site]
+    with pytest.raises(JumpfolioError, match=message) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
+def test_input_errors_are_value_errors():
+    assert issubclass(ConfigError, ValueError)
+    assert issubclass(OutOfRange, ValueError)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 import jumpfolio as jf
 from jumpfolio.errors import MomentDiverges, UnsupportedSupport
 from jumpfolio.market import (
+    K_transform_path,
     R_path,
     cumtrapz,
+    jump_terms_path,
     l2_time_norm,
     sigma_inv_xi_lambda_path,
 )
@@ -128,31 +130,41 @@ def test_singular_sigma_rejected():
                                     [[0.2, 0.2], [0.2, 0.2]])
 
 
+def K_at(jumps, pi, gamma):
+    """K_1(pi) of a one-asset jump spec, through the path evaluator."""
+    return K_transform_path(jumps, np.array([[pi]]), gamma)[0]
+
+
+def Q_at(jumps, pi, gamma):
+    """Q_1(pi) of a one-asset jump spec, through the solver's kernel."""
+    return jump_terms_path(jumps, np.array([[pi]]), gamma)[1][0, 0]
+
+
 def test_K_transform_rejects_nonpositive_argument():
     jumps = jf.JumpSpec(np.array([1.0]),
                         (jf.JumpDist.point_masses([-0.9], [1.0]),))
     with pytest.raises(UnsupportedSupport):
-        jf.K_transform(jumps, 0, 20.0, 0.5)
+        K_at(jumps, 20.0, 0.5)
     with pytest.raises(UnsupportedSupport):
-        jf.Q_transform(jumps, 0, 20.0, 0.5)
+        Q_at(jumps, 20.0, 0.5)
 
 
 def test_density_moments():
     dist = jf.JumpDist.from_density(lambda z: np.full_like(z, 5.0), 0.0, 0.2)
     assert dist.mean == pytest.approx(0.1, abs=1e-12)
-    assert dist.second_moment == pytest.approx(0.2**2 / 3.0, abs=1e-12)
+    assert dist.w @ dist.z**2 == pytest.approx(0.2**2 / 3.0, abs=1e-12)
     assert dist.negative_mass == 0.0
 
 
 def test_K_transform_trivial_zeros():
     model = make_model(lam=1.0, jump=jf.JumpDist.point_masses([0.1], [1.0]))
-    assert jf.K_transform(model.jumps, 0, 0.0, 0.5) == 0.0
-    assert jf.K_transform(model.jumps, 0, 0.5, 1.0) == pytest.approx(0.0, abs=1e-16)
+    assert K_at(model.jumps, 0.0, 0.5) == 0.0
+    assert K_at(model.jumps, 0.5, 1.0) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_K_transform_point_mass_bignum_oracle():
     model = make_model(lam=1.0, jump=jf.JumpDist.point_masses([0.1], [1.0]))
-    got = jf.K_transform(model.jumps, 0, 0.5, 0.5)
+    got = K_at(model.jumps, 0.5, 0.5)
     with mpmath.workdps(50):
         expected = float(mpmath.mpf("1.05") ** mpmath.mpf("0.5") - 1
                          - mpmath.mpf("0.025"))
@@ -161,13 +173,13 @@ def test_K_transform_point_mass_bignum_oracle():
 
 def test_Q_transform_point_mass_bignum_oracle():
     model = make_model(lam=1.0, jump=jf.JumpDist.point_masses([0.1], [1.0]))
-    got = jf.Q_transform(model.jumps, 0, 0.5, 0.5)
+    got = Q_at(model.jumps, 0.5, 0.5)
     with mpmath.workdps(50):
         expected = float((mpmath.mpf("1.05") ** mpmath.mpf("-0.5") - 1)
                          * mpmath.mpf("0.1"))
     assert got == pytest.approx(expected, abs=1e-12)
-    assert jf.Q_transform(model.jumps, 0, 0.0, 0.5) == 0.0
-    assert jf.Q_transform(model.jumps, 0, 0.7, 1.0) == pytest.approx(0.0, abs=1e-16)
+    assert Q_at(model.jumps, 0.0, 0.5) == 0.0
+    assert Q_at(model.jumps, 0.7, 1.0) == pytest.approx(0.0, abs=1e-16)
 
 
 @st.composite
@@ -188,7 +200,7 @@ def test_K_transform_concave_in_pi(spec, gamma):
     lam, z, p = spec
     jumps = jf.JumpSpec(np.array([lam]), (jf.JumpDist.point_masses(z, p),))
     pi = np.linspace(0.0, 1.0, 41)
-    vals = jf.K_transform(jumps, 0, pi, gamma)
+    vals = K_transform_path(jumps, pi[:, None], gamma)
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     assert np.max(second) <= 1e-10
 
@@ -200,7 +212,7 @@ def test_Q_transform_nonpositive_on_nonnegative_support(spec, gamma, pi):
     lam, z, p = spec
     jumps = jf.JumpSpec(np.array([lam]),
                         (jf.JumpDist.point_masses(np.abs(z), p),))
-    assert jf.Q_transform(jumps, 0, pi, gamma) <= 1e-15
+    assert Q_at(jumps, pi, gamma) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -79,15 +79,24 @@ def test_adjusted_quantile_is_stricter():
     assert q_hat < q < 0
 
 
-def test_F_hat_reduction_and_composition():
-    beta, eps = 0.2, 0.04
-    assert jf.F_hat(1.5, beta, 0.0) == jf.F_beta(1.5, beta)
-    bh = jf.beta_hat(beta, eps)
+def test_effective_F_reduction_and_composition(mixed_jump_1d):
+    beta = 0.2
+    clean = make_model(lam=0.5, jump=jf.JumpDist.point_masses([0.05], [1.0]))
+    lev0 = effective_level(clean, jf.RiskSpec("es", beta, 0.2, "thinning"))
+    assert lev0.F(1.5) == jf.F_beta(1.5, beta)
+    lev = effective_level(mixed_jump_1d, jf.RiskSpec("es", beta, 0.2,
+                                                     "thinning"))
+    eps = lev.epsilon_T
+    assert 0.0 < eps < beta
     for u in (1.0, 1.7, 2.5):
-        composed = jf.F_beta(u, bh) + math.log((beta - eps) / beta)
-        assert jf.F_hat(u, beta, eps) == pytest.approx(composed, abs=1e-12)
+        # ln((1 - Phi(u)) / beta_hat) + ln(1 - eps), beta_hat written out
+        tail = 0.5 * math.erfc(u / math.sqrt(2.0))
+        composed = math.log(tail * (1.0 - eps) ** 2 / (beta - eps))
+        assert lev.F(u) == pytest.approx(composed, abs=1e-12)
+    assert lev.F(abs(lev.q_level)) == pytest.approx(math.log1p(-eps),
+                                                    abs=1e-12)
     with pytest.raises(EpsilonTooLarge):
-        jf.F_hat(1.0, beta, beta)
+        jf.beta_hat(beta, beta)
 
 
 def test_effective_level_off_and_adjusted(mixed_jump_1d):
@@ -96,7 +105,7 @@ def test_effective_level_off_and_adjusted(mixed_jump_1d):
     eps = jf.epsilon_t(mixed_jump_1d.jumps, 1.0, "thinning")
     assert lev.epsilon_T == pytest.approx(eps, rel=1e-14)
     assert lev.beta == pytest.approx(jf.beta_hat(0.25, eps), rel=1e-14)
-    assert lev.adjustment.method is NegJumpMethod.THINNING
+    assert lev.method is NegJumpMethod.THINNING
 
     clean = make_model(lam=0.5, jump=jf.JumpDist.point_masses([0.05], [1.0]))
     lev0 = effective_level(clean, jf.RiskSpec("var", 0.25, 0.2, "thinning"))
@@ -135,8 +144,7 @@ def test_adjusted_radius_more_conservative(mixed_jump_1d):
 def test_adjusted_es_solve_feasible(mixed_jump_1d):
     risk = jf.RiskSpec("es", 0.25, 0.35, "thinning")
     rep = jf.solve_es_gamma1(mixed_jump_1d, risk)
-    from jumpfolio.constrained import es_slack_path
-    assert es_slack_path(rep.strategy, mixed_jump_1d, risk).min() >= -1e-10
+    assert jf.slack_path(rep.strategy, mixed_jump_1d, risk).min() >= -1e-10
     with pytest.raises(KappaOutOfRange):
         jf.solve_es_gamma1(mixed_jump_1d, jf.RiskSpec("es", 0.25, 0.05,
                                                       "thinning"))

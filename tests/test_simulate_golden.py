@@ -174,8 +174,8 @@ def cost_digests(name):
         jf.cost_function(model, u, jf.Strategy(strategy.grid, strategy.y,
                                                strategy.pi, c * strategy.v), x)
         for u in UTILITIES for x in (0.5, 1.5, 4.0) for c in (0.5, 1.0, 3.0)])
-    slacks = (jf.var_slack_path(strategy, model, RISKS[0]),
-              jf.es_slack_path(strategy, model, RISKS[1]),
+    slacks = (jf.slack_path(strategy, model, RISKS[0]),
+              jf.slack_path(strategy, model, RISKS[1]),
               jf.slack_path(strategy, model, RISKS[0]),
               jf.slack_path(strategy, model, RISKS[1]))
     return _digest(costs), _digest(*slacks)

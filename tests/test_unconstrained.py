@@ -8,7 +8,13 @@ from scipy.optimize import brentq
 import jumpfolio as jf
 from jumpfolio import unconstrained
 from jumpfolio.errors import DriftBelowRate, InvalidStrategy, NoConvergence
-from jumpfolio.market import K_transform, R_path, cumtrapz, theta_path, trapz
+from jumpfolio.market import (
+    R_path,
+    cumtrapz,
+    jump_terms_path,
+    theta_path,
+    trapz,
+)
 from jumpfolio.unconstrained import growth_rate_path
 
 from conftest import make_model, make_model_2d
@@ -89,22 +95,35 @@ def test_solve_linear_brute_force_grid():
 # First-order function in one dimension
 # ---------------------------------------------------------------------------
 
+def eta_1d(model, node, pi, gamma):
+    """First-order function of the one-asset allocation problem.
+
+    eta(pi) = mu_t - r_t + (gamma - 1) sigma_t^2 pi + Q(pi), the derivative
+    (up to the factor gamma) of the growth rate in pi.  Strictly decreasing
+    on [0, 1]; an interior optimum is its unique root.
+    """
+    c = model.coeffs
+    q = jump_terms_path(model.jumps, np.array([[pi]]), gamma)[1][0, 0]
+    return (c.mu[node, 0] - c.r[node]
+            + (gamma - 1.0) * c.sigma[node, 0, 0] ** 2 * pi + q)
+
+
 def test_eta_1d_at_zero_is_excess_drift(jump_1d):
     # the jump term vanishes at pi = 0, leaving the raw excess drift
-    got = jf.eta_1d(jump_1d, 0, 0.0, 0.5)
+    got = eta_1d(jump_1d, 0, 0.0, 0.5)
     assert got == pytest.approx(0.055 - 0.02, abs=1e-15)
 
 
 def test_eta_1d_linear_case_constant():
     model = make_model(mu=0.07, r=0.02, lam=0.0)
-    vals = [jf.eta_1d(model, 0, p, 1.0) for p in (0.0, 0.4, 1.0)]
+    vals = [eta_1d(model, 0, p, 1.0) for p in (0.0, 0.4, 1.0)]
     assert np.allclose(vals, 0.05)
 
 
 def test_eta_1d_sign_change_and_decreasing(jump_1d):
     gamma = 0.5
     pi = np.linspace(0.0, 1.0, 101)
-    vals = np.array([jf.eta_1d(jump_1d, 5, p, gamma) for p in pi])
+    vals = np.array([eta_1d(jump_1d, 5, p, gamma) for p in pi])
     assert vals[0] > 0 > vals[-1]
     assert np.all(np.diff(vals) < 0)
 
@@ -134,7 +153,7 @@ def test_solve_power_1d_root_property(jump_1d):
     rep = jf.solve_power_1d(jump_1d, utility)
     pi = rep.strategy.pi[:, 0]
     assert np.all((pi > 0) & (pi < 1))
-    resid = max(abs(jf.eta_1d(jump_1d, k, pi[k], 0.5))
+    resid = max(abs(eta_1d(jump_1d, k, pi[k], 0.5))
                 for k in range(0, jump_1d.grid.n, 16))
     assert resid < 1e-10
 
@@ -193,7 +212,7 @@ def test_solve_power_equal_matches_root_of_eta(mu, sigma, lam, xi):
     model = make_model(n=17, mu=mu, sigma=sigma, lam=lam,
                        jump=jf.JumpDist.point_masses([xi], [1.0]))
     rep = jf.solve_power_equal(model, jf.UtilitySpec.equal(0.5))
-    roots = [brentq(lambda p, k=k: jf.eta_1d(model, k, p, 0.5), 0.0, 1.0,
+    roots = [brentq(lambda p, k=k: eta_1d(model, k, p, 0.5), 0.0, 1.0,
                     xtol=1e-16, rtol=4 * np.finfo(float).eps)
              for k in range(model.grid.n)]
     assert np.max(np.abs(rep.strategy.pi[:, 0] - roots)) < 1e-12
@@ -221,7 +240,10 @@ def _growth_at(model, node, gamma, pts):
     h = (gamma * (c.r[node] + pts @ (c.mu[node] - c.r[node]))
          - 0.5 * gamma * (1.0 - gamma) * np.sum(y * y, axis=1))
     for j in range(model.d):
-        h += K_transform(model.jumps, j, pts[:, j], gamma)
+        lam, z, w = (model.jumps.lambdas[j], model.jumps.dists[j].z,
+                     model.jumps.dists[j].w)
+        p = pts[:, j, None]
+        h += lam * (((1.0 + p * z) ** gamma - 1.0 - gamma * p * z) @ w)
     return h
 
 

@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+module-level private name is read somewhere in the package.
 
 A stdlib `ast` scan, so no linter is needed: an import binding that no
-`Name` node in the module reads is a leftover of a deleted caller.
-`__init__.py` re-exports names on purpose and is skipped.
+`Name` node in the module reads is a leftover of a deleted caller, and so
+is a private function, class or constant (`_x`) that no module reads.
+`__init__.py` re-exports names on purpose and is skipped by the import
+scan.
 """
 
 import ast
@@ -29,6 +32,33 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of each module-level `_x` definition in
+    sources, a {module: source} dict, that no module reads as a name or an
+    attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                targets = [getattr(node.target, "id", "")]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == [(1, "os")]
 
@@ -36,3 +66,16 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unread_private_name():
+    sources = {"a": "_used = 1\n_dead = 2\ndef _gone():\n    pass\n",
+               "b": "from a import _used\nprint(_used)\n"}
+    assert unread_private_names(sources) == [("a", 2, "_dead"),
+                                             ("a", 3, "_gone")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
