@@ -25,6 +25,7 @@ from scipy.optimize import brentq
 from .errors import (
     AssumptionJViolated,
     ConditionViolated,
+    EpsilonTooLarge,
     KappaOutOfRange,
     NegativeJumpsPresent,
     ThetaHatNegative,
@@ -52,7 +53,6 @@ from .unconstrained import (
     _optimal_allocation,
     _power_gamma,
     check_initial_wealth,
-    growth_rate_path,
     solve_power_equal,
 )
 
@@ -63,31 +63,25 @@ _SLACK_TOL = 1e-10
 # Transformed constraints
 # ---------------------------------------------------------------------------
 
-def _slack(kind: RiskKind, lev: EffectiveLevel, kappa: float,
-           ynorm: np.ndarray, V: np.ndarray, ip: np.ndarray) -> np.ndarray:
-    """Transformed VaR or ES slack from the cumulative paths ||y||_t, V_t
-    and (y, theta_hat)_t.  Time runs along the last axis and the arrays
-    broadcast over their leading axes, so one call covers a stack of
-    candidates."""
+def _strategy_slack(kind: RiskKind, strategy: Strategy, model: MarketModel,
+                    risk: RiskSpec) -> np.ndarray:
+    """Transformed VaR or ES slack along the last axis, for one strategy or
+    a stack (the result then has the candidate axes in front)."""
+    lev = effective_level(model, risk)
+    ynorm, V = strategy.y_norm_path(), strategy.V
+    ip = inner_product_path(model.grid, strategy.y, theta_hat_path(model))
     if kind == RiskKind.VAR:
         body = -0.5 * ynorm**2 + lev.q_level * ynorm - V + ip
     else:
         body = -V + ip + lev.F(ynorm + abs(lev.q_level))
-    return body - math.log1p(-kappa)
-
-
-def _strategy_slack(kind: RiskKind, strategy: Strategy, model: MarketModel,
-                    risk: RiskSpec) -> np.ndarray:
-    lev = effective_level(model, risk)
-    ip = inner_product_path(model.grid, strategy.y, theta_hat_path(model))
-    return _slack(kind, lev, risk.kappa, strategy.y_norm_path(), strategy.V,
-                  ip)
+    return body - math.log1p(-risk.kappa)
 
 
 def slack_path(strategy: Strategy, model: MarketModel,
                risk: RiskSpec) -> np.ndarray:
     """Slack of the transformed constraint of the risk spec's kind, VaR or
-    ES, at every node (>= 0 is ok)."""
+    ES, at every node (>= 0 is ok); a stack of strategies gives one slack
+    path per candidate."""
     return _strategy_slack(risk.kind, strategy, model, risk)
 
 
@@ -433,6 +427,10 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     y* = 0 with the explicit consumption rate
     v*_t = kappa ghat1^{q1}(t) / (||ghat1||_{q1,T}^{q1} - kappa
     ||ghat1||_{q1,t}^{q1}).
+
+    Under an ES limit the shift ln(1 - eps_T) of the transform makes
+    kappa_hat = (kappa - eps_T) / (1 - eps_T) the level in place of kappa,
+    the same shape as beta_hat; eps_T >= kappa raises EpsilonTooLarge.
     """
     check_initial_wealth(x)
     g1, g2 = utility.gamma1, utility.gamma2
@@ -459,7 +457,12 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
                 - g2 * x**g2 * (1.0 - eta) ** (g2 - 1.0) * ghat2_T)
 
     eta_max = _golden_max(lambda e: float(m_hat(e)), 0.0, 1.0)
-    kappa = risk.kappa
+    kappa, eps = risk.kappa, lev.epsilon_T
+    if risk.kind == RiskKind.ES:
+        if eps >= kappa:
+            raise EpsilonTooLarge(f"negative-jump probability {eps:.6g} >= "
+                                  f"kappa {kappa:.6g}")
+        kappa = (kappa - eps) / (1.0 - eps)
     problems = []
     if kappa > eta_max + 1e-12:
         problems.append(f"kappa = {kappa:.6g} exceeds argmax "
@@ -533,12 +536,9 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     exp(-V_T) = 1) is attached to the diagnostics.
     """
     gamma = _power_gamma(utility, x, "solve_no_consumption")
-    y, pi, diag = _optimal_allocation(model, gamma)
-    grid = model.grid
-    h = growth_rate_path(model, gamma, y, pi)
-    g = np.exp(cumtrapz(grid, h))
+    y, pi, h, g, diag = _optimal_allocation(model, gamma)
     rho = g[-1] / g
-    strategy = Strategy(grid, y, pi, np.zeros(grid.n))
+    strategy = Strategy(model.grid, y, pi)
     J = x**gamma * float(g[-1])
     report = SolveReport(strategy=strategy, J_star=J, h_star=h, g=g, rho=rho,
                          chi=1.0, diagnostics=diag)

@@ -13,7 +13,7 @@ to weighted sums in both cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -29,6 +29,13 @@ DET_FLOOR = 1e-12          # |det sigma_t| below this counts as singular
 GL_NODES_DEFAULT = 129     # Gauss-Legendre resolution for tabulated densities
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of values; the caller's array stays writable."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Time grid and quadrature helpers
 # ---------------------------------------------------------------------------
@@ -40,7 +47,7 @@ class TimeGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _frozen(self.nodes)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise OutOfRange("grid needs at least two nodes")
@@ -69,9 +76,7 @@ class TimeGrid:
     @cached_property
     def dt(self) -> np.ndarray:
         """Interval lengths, shape (n - 1,); computed once, read-only."""
-        dt = np.diff(self.nodes)
-        dt.flags.writeable = False
-        return dt
+        return _frozen(np.diff(self.nodes))
 
 
 def cumtrapz(grid: TimeGrid, values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -100,11 +105,12 @@ def trapz(grid: TimeGrid, values: np.ndarray) -> float:
 def l2_time_norm_sq_path(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """Cumulative squared L2-in-time norm: t -> integral of |f_s|^2 ds.
 
-    values is (N,) for scalars or (N, d) for vector paths.
+    values is (N,) for scalars, (N, d) for vector paths or a stack
+    (..., N, d) of them.
     """
     values = np.asarray(values, dtype=float)
-    sq = values**2 if values.ndim == 1 else np.sum(values**2, axis=1)
-    return cumtrapz(grid, sq)
+    sq = values**2 if values.ndim == 1 else np.sum(values**2, axis=-1)
+    return cumtrapz(grid, sq, axis=-1)
 
 
 def l2_time_norm(grid: TimeGrid, values: np.ndarray) -> float:
@@ -130,8 +136,8 @@ class JumpDist:
     kind: str = "points"
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        w = np.asarray(self.w, dtype=float)
+        z = _frozen(self.z)
+        w = _frozen(self.w)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
         if z.shape != w.shape or z.ndim != 1 or z.size == 0:
@@ -193,7 +199,7 @@ class JumpSpec:
     dists: tuple
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
+        lam = _frozen(np.atleast_1d(self.lambdas))
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "dists", tuple(self.dists))
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
@@ -232,10 +238,11 @@ class JumpSpec:
 class CoefficientPath:
     """Sampled riskless rate r, drifts mu and volatility matrices sigma.
 
-    Shapes: r (N,), mu (N, d), sigma (N, d, d).  sigma must be nonsingular
-    at every node; |det| below DET_FLOOR is rejected.  Samples are taken at
-    face value (piecewise-linear between nodes for quadrature purposes); no
-    continuity check is applied to user input.
+    Shapes: r (N,), mu (N, d), sigma (N, d, d), kept as read-only copies.
+    sigma must be nonsingular at every node; |det| below DET_FLOOR is
+    rejected.  Samples are taken at face value (piecewise-linear between
+    nodes for quadrature purposes); no continuity check is applied to user
+    input.
     """
 
     r: np.ndarray
@@ -243,9 +250,9 @@ class CoefficientPath:
     sigma: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
+        r = _frozen(self.r)
+        mu = _frozen(self.mu)
+        sigma = _frozen(self.sigma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -348,12 +355,28 @@ def _sigma_solve(model: MarketModel, rhs: np.ndarray) -> np.ndarray:
         raise SingularSigma(str(exc)) from exc
 
 
+def _once_per_model(path):
+    """Keep path(model) on the model, read-only, from the first call on; the
+    model's inputs are read-only too, so a kept path cannot go stale."""
+    name = path.__name__
+
+    @wraps(path)
+    def cached(model: MarketModel) -> np.ndarray:
+        if name not in model.__dict__:   # frozen: write the instance dict
+            model.__dict__[name] = _frozen(path(model))
+        return model.__dict__[name]
+
+    return cached
+
+
+@_once_per_model
 def theta_path(model: MarketModel) -> np.ndarray:
     """Market price of risk at every node, shape (N, d)."""
     c = model.coeffs
     return _sigma_solve(model, c.mu - c.r[:, None])
 
 
+@_once_per_model
 def theta_hat_path(model: MarketModel) -> np.ndarray:
     """Jump-compensated market price of risk at every node, shape (N, d)."""
     c = model.coeffs
@@ -361,12 +384,14 @@ def theta_hat_path(model: MarketModel) -> np.ndarray:
                         c.mu - c.r[:, None] - model.jumps.xi_lambda[None, :])
 
 
+@_once_per_model
 def sigma_inv_xi_lambda_path(model: MarketModel) -> np.ndarray:
     """sigma_t^{-1} xi_lambda at every node; equals theta - theta_hat."""
     return _sigma_solve(model,
                         np.tile(model.jumps.xi_lambda, (model.grid.n, 1)))
 
 
+@_once_per_model
 def R_path(model: MarketModel) -> np.ndarray:
     """Cumulative rate integral R_t = int_0^t r ds at every node."""
     return cumtrapz(model.grid, model.coeffs.r)
@@ -374,11 +399,12 @@ def R_path(model: MarketModel) -> np.ndarray:
 
 def inner_product_path(grid: TimeGrid, y: np.ndarray,
                        other: np.ndarray) -> np.ndarray:
-    """Cumulative inner-product integral t -> int_0^t y_s . other_s ds."""
+    """Cumulative inner-product integral t -> int_0^t y_s . other_s ds
+    of an (N,), (N, d) or stacked (..., N, d) y against other."""
     y = np.asarray(y, dtype=float)
     other = np.asarray(other, dtype=float)
-    prod = y * other if y.ndim == 1 else np.sum(y * other, axis=1)
-    return cumtrapz(grid, prod)
+    prod = y * other if y.ndim == 1 else np.sum(y * other, axis=-1)
+    return cumtrapz(grid, prod, axis=-1)
 
 
 # ---------------------------------------------------------------------------

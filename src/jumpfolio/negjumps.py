@@ -38,11 +38,10 @@ from .unconstrained import solve_linear, solve_power_equal
 def epsilon_t(jumps: JumpSpec, t: float,
               method: NegJumpMethod = NegJumpMethod.THINNING) -> float:
     """Probability of at least one negative jump in any asset on [0, t]."""
-    if t < 0:
-        raise OutOfRange("t must be nonnegative")
+    if not t >= 0:
+        raise OutOfRange(f"t must be nonnegative, got {t}")
     method = NegJumpMethod(method)
-    lam = jumps.lambdas
-    p_neg = jumps.negative_mass
+    lam, p_neg = jumps.lambdas, jumps.negative_mass
     if method == NegJumpMethod.THINNING:
         # negative jumps of asset j arrive Poisson with rate lambda_j p_neg_j
         return float(-np.expm1(-t * float(lam @ p_neg)))
@@ -57,8 +56,10 @@ def beta_hat(beta: float, epsilon: float) -> float:
 
     Decreasing in eps; requires eps < beta so the level stays positive.
     """
-    if epsilon < 0:
-        raise OutOfRange("epsilon must be nonnegative")
+    if not 0.0 < beta < 1.0:
+        raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
+    if not epsilon >= 0:
+        raise OutOfRange(f"epsilon must be nonnegative, got {epsilon}")
     if epsilon >= beta:
         raise EpsilonTooLarge(
             f"negative-jump probability {epsilon:.6g} >= beta {beta:.6g}")

@@ -121,10 +121,9 @@ def gaussian_tail_bounds(z: float) -> tuple:
 
 def tail_count(beta: float, n: int) -> int:
     """Order-statistic index ceil(beta * n) used by the lower quantile."""
-    k = math.ceil(beta * n)
-    if k < 1 or k > n:
+    if not 0.0 < beta * n <= n:
         raise OutOfRange("beta * n must land inside the sample")
-    return k
+    return math.ceil(beta * n)
 
 
 def empirical_lower_quantile(sample: np.ndarray, beta: float) -> float:

@@ -40,19 +40,15 @@ from functools import partial
 
 import numpy as np
 
-from .constrained import _SLACK_TOL, _slack, slack_path
+from .constrained import _SLACK_TOL, slack_path
 from .errors import EmptyFeasibleSet, OutOfRange
 from .market import (
-    K_transform_path,
     MarketModel,
     R_path,
     UtilitySpec,
-    cumtrapz,
     inner_product_path,
     theta_hat_path,
-    theta_path,
 )
-from .negjumps import effective_level
 from .riskmetrics import (
     RiskKind,
     RiskSpec,
@@ -60,7 +56,7 @@ from .riskmetrics import (
     empirical_shortfall,
     tail_count,
 )
-from .unconstrained import Strategy, _expected_cost, check_initial_wealth
+from .unconstrained import Strategy, check_initial_wealth, cost_function
 
 # Paths per block: block b draws from its own Philox stream, so the output
 # depends on the seed and this size only.  Every numpy call of a block's
@@ -79,7 +75,7 @@ _BUFFERS = 4
 # Largest temporary of grid_oracle in elements: pi rows go in blocks small
 # enough that a (rows, scales, nodes) cost array or a (rows, nodes, atoms)
 # jump array stays within it, one row at least.
-_ORACLE_BLOCK = 1 << 14
+_ORACLE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -287,16 +283,14 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
 
     Memory stays O(n_paths) regardless of the grid size, and the draws are
     bit-identical to simulate() with the same seed.  `thresholds`, one
-    wealth level per node, adds the count of paths strictly below it.
+    finite, nonnegative wealth level per node, adds the count of paths
+    strictly below it.
     """
     _validated(model, strategy, x, n_paths, seed)
     n_nodes = model.grid.n
     k_tail = tail_count(beta, n_paths)
     if thresholds is not None:
-        thresholds = np.asarray(thresholds, dtype=float)
-        if thresholds.shape != (n_nodes,):
-            raise OutOfRange(f"thresholds must have shape ({n_nodes},), "
-                             f"got {thresholds.shape}")
+        thresholds = _checked_array("thresholds", thresholds, (n_nodes,))
     q = np.empty(n_nodes)
     tail = np.empty(n_nodes)
     spread = np.empty(n_nodes)
@@ -353,26 +347,21 @@ def constraint_profile(source, model: MarketModel, risk: RiskSpec,
     NodeStats for its streamed version, or a Strategy for the closed-form
     jump-free profile (the transform the solvers bind against).
     """
+    check_initial_wealth(x)
     R = R_path(model)
     ref = x * np.exp(R)
     if isinstance(source, Strategy):
         return _profile_from_slack(slack_path(source, model, risk), risk.kappa)
+    var = risk.kind == RiskKind.VAR
     if isinstance(source, NodeStats):
         if source.beta != risk.beta:
             raise OutOfRange("NodeStats level differs from the risk spec")
-        tail_value = source.q_beta if risk.kind == RiskKind.VAR else source.tail_mean
-        return (ref - tail_value) / (risk.kappa * ref)
-    ensemble = source
-    n_nodes = model.grid.n
-    out = np.empty(n_nodes)
-    for k in range(n_nodes):
-        column = ensemble.wealth[:, k]
-        if risk.kind == RiskKind.VAR:
-            tail_value = empirical_lower_quantile(column, risk.beta)
-        else:
-            tail_value = empirical_shortfall(column, risk.beta)
-        out[k] = (ref[k] - tail_value) / (risk.kappa * ref[k])
-    return out
+        tail_value = source.q_beta if var else source.tail_mean
+    else:
+        tail = empirical_lower_quantile if var else empirical_shortfall
+        tail_value = np.array([tail(column, risk.beta)
+                               for column in source.wealth.T])
+    return (ref - tail_value) / (risk.kappa * ref)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +420,10 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     finite, and the market must have one asset; bad input raises OutOfRange
     before anything is evaluated.
 
-    The terms of a candidate split into a part that depends on pi only
-    (y, its inner products and norm, the jump integrals) and one that
-    depends on the scale only (V), so the grid is costed as arrays with
-    the kernels of `cost_function` and `slack_path`, bit for bit as calls
-    to them would cost each candidate.  pi rows go in blocks that keep
-    every temporary within _ORACLE_BLOCK elements.
+    Each block of pi rows is one stack of candidates, its allocation axis
+    against the consumption axis, costed by one call each to `slack_path`
+    and `cost_function`; blocks keep every temporary within _ORACLE_BLOCK
+    elements.
     """
     if model.d != 1:
         raise OutOfRange("the grid oracle handles one-asset markets, "
@@ -449,34 +436,21 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     pi_grid = _checked_array("pi_grid", pi_grid, unit=True)
     v_scale_grid = _checked_array("v_scale_grid", v_scale_grid)
     v_shape = _checked_array("v_shape", v_shape, shape=(n,))
-    lev = None if risk is None else effective_level(model, risk)
 
-    sigma = model.coeffs.sigma[:, 0, 0]
-    theta, theta_hat = theta_path(model)[:, 0], theta_hat_path(model)[:, 0]
-    R = R_path(model)
     v = v_scale_grid[:, None] * v_shape                  # (S, N)
-    V = cumtrapz(grid, v, axis=-1)
     atoms = model.jumps.dists[0].z.size if model.jumps.lambdas[0] > 0 else 1
     rows = max(1, _ORACLE_BLOCK // (n * max(v_scale_grid.size, atoms)))
     table = np.empty((pi_grid.size, v_scale_grid.size))
     n_feasible = 0
     for start in range(0, pi_grid.size, rows):
         p = pi_grid[start:start + rows]
-        pi_paths = np.broadcast_to(p[:, None, None], (p.size, n, 1))
-        y = p[:, None] * sigma                           # (rows, N)
-        ysq = cumtrapz(grid, y**2, axis=-1)[:, None]     # (rows, 1, N)
+        pi = np.broadcast_to(p[:, None, None, None], (p.size, 1, n, 1))
+        stack = Strategy.from_pi(model, pi, v)          # (rows, S) candidates
         feasible = np.ones((p.size, v_scale_grid.size), dtype=bool)
         if risk is not None:
-            ip_hat = cumtrapz(grid, y * theta_hat, axis=-1)[:, None]
-            slack = _slack(risk.kind, lev, risk.kappa, np.sqrt(ysq), V, ip_hat)
+            slack = slack_path(stack, model, risk)
             feasible = ~(slack.min(axis=-1) < -_SLACK_TOL)
-        ip = cumtrapz(grid, y * theta, axis=-1)[:, None]
-        jump_integrals = {
-            g: cumtrapz(grid, K_transform_path(model.jumps, pi_paths, g),
-                        axis=-1)[:, None]
-            for g in {utility.gamma1, utility.gamma2}}
-        J = _expected_cost(grid, utility, x, R, V, v, ip, ysq,
-                           jump_integrals.__getitem__)
+        J = cost_function(model, utility, stack, x)
         table[start:start + rows] = np.where(feasible, J, np.nan)
         n_feasible += int(np.count_nonzero(feasible))
     if n_feasible == 0:

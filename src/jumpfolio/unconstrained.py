@@ -62,81 +62,89 @@ _MAX_HALVINGS = 40
 # Strategies and solve reports
 # ---------------------------------------------------------------------------
 
+def _as_paths(values) -> np.ndarray:
+    """values as a float (..., N, d) array; an (N,) path becomes (N, 1)."""
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim == 1 else values
+
+
 @dataclass
 class Strategy:
     """Deterministic strategy: allocation paths and consumption rate.
 
     y is the volatility-scaled allocation sigma_t' pi_t, pi the wealth
     fractions (componentwise in [0, 1], no short selling), v the consumption
-    rate.  All paths are sampled on the grid.  Solvers that know the
-    consumption integral in closed form may pass it as V_path; otherwise V
-    is the trapezoid integral of v.
+    rate, zero if not given.  All paths are sampled on the grid.  Solvers
+    that know the consumption integral in closed form may pass it as
+    V_path; otherwise V is the trapezoid integral of v.
+
+    A stack of candidates has leading axes, y and pi (..., N, d) and v (...,
+    N), that broadcast against each other; `cost_function` and `slack_path`
+    take a stack in one call, `validate` and the simulator one strategy.
     """
 
     grid: TimeGrid
-    y: np.ndarray       # (N, d)
-    pi: np.ndarray      # (N, d)
-    v: np.ndarray       # (N,)
+    y: np.ndarray       # (..., N, d)
+    pi: np.ndarray      # (..., N, d)
+    v: np.ndarray | None = None     # (..., N)
     V_path: np.ndarray | None = None
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.pi = np.asarray(self.pi, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.y.ndim == 1:
-            self.y = self.y[:, None]
-        if self.pi.ndim == 1:
-            self.pi = self.pi[:, None]
         n = self.grid.n
-        if self.y.shape != self.pi.shape or self.y.shape[0] != n:
-            raise InvalidStrategy("y and pi must both be (N, d) paths")
-        if self.v.shape != (n,):
-            raise InvalidStrategy("v must be an (N,) path")
+        self.y, self.pi = _as_paths(self.y), _as_paths(self.pi)
+        self.v = np.zeros(n) if self.v is None else np.asarray(self.v, float)
+        if self.y.shape != self.pi.shape or self.y.shape[-2] != n:
+            raise InvalidStrategy("y and pi must both be (..., N, d) paths")
+        if self.v.shape[-1:] != (n,):
+            raise InvalidStrategy("v must be an (..., N) path")
         if self.V_path is not None:
             self.V_path = np.asarray(self.V_path, dtype=float)
-            if self.V_path.shape != (n,):
-                raise InvalidStrategy("V_path must be an (N,) path")
+            if self.V_path.shape != self.v.shape:
+                raise InvalidStrategy("V_path must have the shape of v")
+        try:
+            np.broadcast_shapes(self.y.shape[:-2], self.v.shape[:-1])
+        except ValueError as exc:
+            raise InvalidStrategy("the candidate axes of pi and v must "
+                                  "broadcast") from exc
 
     @classmethod
     def from_pi(cls, model: MarketModel, pi, v=None) -> "Strategy":
-        pi = np.asarray(pi, dtype=float)
-        if pi.ndim == 1:
-            pi = pi[:, None]
-        y = np.einsum("nji,nj->ni", model.coeffs.sigma, pi)
-        v = np.zeros(model.grid.n) if v is None else np.asarray(v, dtype=float)
+        """Strategy with y = sigma' pi; pi may be a stack (..., N, d)."""
+        pi = _as_paths(pi)
+        y = np.einsum("nji,...nj->...ni", model.coeffs.sigma, pi)
         return cls(model.grid, y, pi, v)
 
     @classmethod
     def from_y(cls, model: MarketModel, y, v=None) -> "Strategy":
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
+        y = _as_paths(y)
         sigma_t = model.coeffs.sigma.transpose(0, 2, 1)
         pi = np.linalg.solve(sigma_t, y[..., None])[..., 0]
-        v = np.zeros(model.grid.n) if v is None else np.asarray(v, dtype=float)
         return cls(model.grid, y, pi, v)
 
     @classmethod
     def riskless(cls, model: MarketModel) -> "Strategy":
         n, d = model.grid.n, model.d
-        return cls(model.grid, np.zeros((n, d)), np.zeros((n, d)), np.zeros(n))
+        return cls(model.grid, np.zeros((n, d)), np.zeros((n, d)))
 
     @property
     def d(self) -> int:
-        return int(self.y.shape[1])
+        return int(self.y.shape[-1])
 
     @property
     def V(self) -> np.ndarray:
         """Cumulative consumption integral V_t."""
         if self.V_path is not None:
             return self.V_path
-        return cumtrapz(self.grid, self.v)
+        return cumtrapz(self.grid, self.v, axis=-1)
 
     def y_norm_path(self) -> np.ndarray:
         return np.sqrt(l2_time_norm_sq_path(self.grid, self.y))
 
     def validate(self, model: MarketModel) -> None:
-        """Check admissibility against a model; raises InvalidStrategy."""
+        """Check admissibility against a model; raises InvalidStrategy,
+        also for a stack of candidates."""
+        if self.y.ndim != 2 or self.v.ndim != 1:
+            raise InvalidStrategy("expected one strategy, got a stack")
         if self.d != model.d or self.grid.n != model.grid.n:
             raise InvalidStrategy("strategy and model shapes disagree")
         if not all(np.all(np.isfinite(a)) for a in (self.y, self.pi, self.v)):
@@ -229,46 +237,34 @@ def _power_gamma(utility: UtilitySpec, x: float, solver: str) -> float:
 
 
 def cost_function(model: MarketModel, utility: UtilitySpec,
-                  strategy: Strategy, x: float) -> float:
+                  strategy: Strategy, x: float) -> float | np.ndarray:
     """Exact expected cost of a deterministic strategy.
 
     J = x^g1 int_0^T v_t^g1 exp(A_g1(t)) dt + x^g2 exp(A_g2(T)) with A_g the
     log power moment exponent; all time integrals by trapezoid on the grid.
+    A float for one strategy, an array over the candidate axes for a stack;
+    sum_j K_j is evaluated once per distinct gamma.
     """
     check_initial_wealth(x)
     grid = model.grid
+    g1, g2 = utility.gamma1, utility.gamma2
+    R, V = R_path(model), strategy.V
     ip = inner_product_path(grid, strategy.y, theta_path(model))
     ysq = l2_time_norm_sq_path(grid, strategy.y)
-
-    def jump_integral(g: float) -> np.ndarray:
-        return cumtrapz(grid, K_transform_path(model.jumps, strategy.pi, g))
-
-    return float(_expected_cost(grid, utility, x, R_path(model), strategy.V,
-                                strategy.v, ip, ysq, jump_integral))
-
-
-def _expected_cost(grid: TimeGrid, utility: UtilitySpec, x: float,
-                   R: np.ndarray, V: np.ndarray, v: np.ndarray,
-                   ip: np.ndarray, ysq: np.ndarray, jump_integral):
-    """Expected cost from the terms of the log power moment A_g.
-
-    R, V, ip = (y, theta)_t and ysq = ||y||_t^2 are cumulative paths, v the
-    consumption rate and jump_integral(g) the cumulative integral of
-    sum_j K_j(pi_j).  Time runs along the last axis of every array and the
-    arrays broadcast over their leading axes, so one call costs a stack of
-    candidates; the result has the broadcast leading shape.
-    """
-    g1, g2 = utility.gamma1, utility.gamma2
+    jump_integral = {
+        g: cumtrapz(grid, K_transform_path(model.jumps, strategy.pi, g),
+                    axis=-1)
+        for g in {g1, g2}}
 
     def exponent(g: float, node=slice(None)):
         return (g * (R[node] - V[..., node] + ip[..., node]
                      - 0.5 * (1.0 - g) * ysq[..., node])
-                + jump_integral(g)[..., node])
+                + jump_integral[g][..., node])
 
-    consumption = np.trapezoid(v**g1 * np.exp(exponent(g1)), grid.nodes,
-                               axis=-1)
-    terminal = np.exp(exponent(g2, -1))
-    return x**g1 * consumption + x**g2 * terminal
+    consumption = np.trapezoid(strategy.v**g1 * np.exp(exponent(g1)),
+                               grid.nodes, axis=-1)
+    cost = x**g1 * consumption + x**g2 * np.exp(exponent(g2, -1))
+    return float(cost) if cost.ndim == 0 else cost
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +317,10 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     block of the Hessian -(1 - gamma) sigma sigma' + diag Q'(pi), and the
     result is clipped to the box.  Each node halves its step until h rises
     or the first-order defect falls: near the optimum a rise of h is below
-    float resolution.  Returns y, pi and the diagnostics foc_residual, the
-    largest max |sigma^{-1} P(g)| over nodes (P zeroes the components held
-    at a bound), iterations and boundary_clipped.
+    float resolution.  Returns y, pi, the growth rate h*, exp(int h*) and
+    the diagnostics foc_residual, the largest max |sigma^{-1} P(g)| over
+    nodes (P zeroes the components held at a bound), iterations and
+    boundary_clipped.
     """
     c, jumps = model.coeffs, model.jumps
     n, d = c.mu.shape
@@ -375,12 +372,13 @@ def _optimal_allocation(model: MarketModel, gamma: float):
                 break
             alpha *= 0.5
     y = np.einsum("nji,nj->ni", c.sigma, pi)
+    h = growth_rate_path(model, gamma, y, pi)
     diagnostics = {
         "foc_residual": float(res.max()),
         "iterations": iterations,
         "boundary_clipped": bool(np.any((pi == 0.0) | (pi == 1.0))),
     }
-    return y, pi, diagnostics
+    return y, pi, h, np.exp(cumtrapz(model.grid, h)), diagnostics
 
 
 def solve_power_1d(model: MarketModel, utility: UtilitySpec,
@@ -396,10 +394,8 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
     """Equal-gamma solver in d dimensions: the box-constrained optimal
     allocation at every node, then the optimal consumption rate."""
     gamma = _power_gamma(utility, x, "solve_power_equal")
-    y, pi, diagnostics = _optimal_allocation(model, gamma)
+    y, pi, h, g, diagnostics = _optimal_allocation(model, gamma)
     grid = model.grid
-    h = growth_rate_path(model, gamma, y, pi)
-    g = np.exp(cumtrapz(grid, h))
     rho = rho_path(grid, h, utility)
     strategy = Strategy(grid, y, pi, v_star_path(grid, h, utility))
     diagnostics["J_star_rho0"] = x**gamma * float(rho[0])

@@ -318,16 +318,14 @@ def test_diff_gamma_dominates_random_feasible(diff_setup):
     rep = jf.solve_diff_gamma(model, utility, risk)
     rng = np.random.default_rng(7)
     n = model.grid.n
-    accepted = 0
-    for _ in range(300):
-        pi = np.full((n, 1), rng.uniform(0.0, 0.3))
-        v = rng.uniform(0.0, 2.0) * rep.strategy.v
-        strat = jf.Strategy.from_pi(model, pi, v)
-        if slack_path(strat, model, risk).min() < -1e-10:
-            continue
-        accepted += 1
-        assert jf.cost_function(model, utility, strat, 1.0) <= rep.J_star + 1e-9
-    assert accepted > 50
+    p, s = np.array([(rng.uniform(0.0, 0.3), rng.uniform(0.0, 2.0))
+                     for _ in range(300)]).T
+    stack = jf.Strategy.from_pi(model, np.repeat(p[:, None, None], n, axis=1),
+                                s[:, None] * rep.strategy.v)
+    feasible = ~(slack_path(stack, model, risk).min(axis=-1) < -1e-10)
+    cost = jf.cost_function(model, utility, stack, 1.0)
+    assert np.all(cost[feasible] <= rep.J_star + 1e-9)
+    assert np.count_nonzero(feasible) > 50
 
 
 def test_diff_gamma_upper_bound_curve_shape(diff_setup):

@@ -1,4 +1,6 @@
-"""Bad input to the model and spec constructors raises a typed error.
+"""Bad input to the model and spec constructors, and a NaN level, time,
+wealth or threshold given to the level adjustment or the tail statistics,
+raises a typed error.
 
 Every refusal is a JumpfolioError, and the input-check errors ConfigError and
 OutOfRange are also ValueErrors, so callers that catch ValueError still work.
@@ -18,6 +20,23 @@ def _coeffs(n=3, r=None, mu=None):
 
 
 ONE = (jf.JumpDist.degenerate(),)
+
+
+def _tiny_model():
+    return jf.MarketModel(jf.TimeGrid.uniform(1.0, 3), _coeffs(),
+                          jf.JumpSpec.none(1))
+
+
+def _node_stats(beta=0.05, thresholds=None):
+    model = _tiny_model()
+    return jf.simulate_node_stats(model, jf.Strategy.riskless(model), 1.0,
+                                  beta, 100, 1, thresholds=thresholds)
+
+
+def _profile_at(x):
+    return jf.constraint_profile(_node_stats(), _tiny_model(),
+                                 jf.RiskSpec("var", 0.05, 0.1), x)
+
 
 SITES = {
     "grid_too_short": (lambda: jf.TimeGrid(np.array([0.0])),
@@ -62,6 +81,18 @@ SITES = {
     "epsilon_method": (lambda: jf.epsilon_t(jf.JumpSpec.none(1), 1.0, "off"),
                        "no adjustment method"),
     "beta_hat_epsilon": (lambda: jf.beta_hat(0.1, -0.01), "epsilon must"),
+    "epsilon_time_nan": (lambda: jf.epsilon_t(jf.JumpSpec.none(1), np.nan),
+                         "t must be"),
+    "beta_hat_epsilon_nan": (lambda: jf.beta_hat(0.05, np.nan),
+                             "epsilon must"),
+    "beta_hat_beta_nan": (lambda: jf.beta_hat(np.nan, 0.01), "beta must"),
+    "tail_count_nan": (lambda: jf.riskmetrics.tail_count(np.nan, 10),
+                       "inside the sample"),
+    "node_stats_beta_nan": (lambda: _node_stats(beta=np.nan),
+                            "inside the sample"),
+    "node_stats_thresholds": (lambda: _node_stats(thresholds=np.full(3, np.inf)),
+                              "thresholds must be finite"),
+    "profile_wealth_nan": (lambda: _profile_at(np.nan), "initial wealth"),
     "risk_beta": (lambda: jf.RiskSpec("var", 0.6, 0.1), "beta must"),
     "risk_kappa": (lambda: jf.RiskSpec("var", 0.1, 1.0), "kappa must"),
 }

@@ -2,10 +2,12 @@
 
 `reference_grid_oracle` is the former implementation: one Strategy and one
 call each to slack_path and cost_function per candidate.  The batched
-oracle must reproduce its table (NaN mask included), winner, value and
-feasible count bit for bit.
+oracle, which costs each block of pi rows as one stacked strategy, must
+reproduce its table (NaN mask included), winner, value and feasible count
+bit for bit.
 """
 
+import collections
 import importlib
 
 import numpy as np
@@ -147,23 +149,44 @@ def test_smallest_block_gives_identical_output(monkeypatch, name):
     assert_same_result(jf.grid_oracle(*args), want)
 
 
-def test_builds_one_strategy_and_no_per_candidate_call(monkeypatch):
-    calls = []
-    from_pi = jf.Strategy.from_pi.__func__
+def _counted_calls(monkeypatch):
+    """Count the calls of Strategy.from_pi and of the cost and slack paths
+    that grid_oracle makes."""
+    calls = collections.Counter()
 
-    def counted_from_pi(cls, *args, **kwargs):
-        calls.append("from_pi")
-        return from_pi(cls, *args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(jf.Strategy, "from_pi", classmethod(counted_from_pi))
-    for module in ("jumpfolio.unconstrained", "jumpfolio.constrained",
-                   "jumpfolio.simulate"):
-        for name in ("cost_function", "slack_path"):
-            monkeypatch.setattr(f"{module}.{name}",
-                                lambda *a, _n=name: calls.append(_n),
-                                raising=False)
-    jf.grid_oracle(*_case("var"))
-    assert calls == ["from_pi"]
+    monkeypatch.setattr(jf.Strategy, "from_pi", classmethod(
+        counted("from_pi", jf.Strategy.from_pi.__func__)))
+    for name in ("cost_function", "slack_path"):
+        monkeypatch.setattr(simulate, name, counted(name,
+                                                    getattr(simulate, name)))
+    return calls
+
+
+def test_costs_each_block_with_one_call_per_path(monkeypatch):
+    calls = _counted_calls(monkeypatch)
+    model, utility, risk, x, pi_grid, scales, shape = _case("var")
+    # five pi rows per block: the 21 rows take five blocks
+    monkeypatch.setattr(simulate, "_ORACLE_BLOCK",
+                        5 * model.grid.n * scales.size)
+    jf.grid_oracle(model, utility, risk, x, pi_grid, scales, shape)
+    assert calls == {"from_pi": 6, "cost_function": 5, "slack_path": 5}
+    # in one block the count does not grow with the consumption grid, and
+    # the winner is the only strategy built on its own
+    monkeypatch.setattr(simulate, "_ORACLE_BLOCK", 1 << 30)
+    for n_scales in (3, 101):
+        calls.clear()
+        jf.grid_oracle(model, utility, risk, x, pi_grid,
+                       np.linspace(0.0, 2.0, n_scales), shape)
+        assert calls == {"from_pi": 2, "cost_function": 1, "slack_path": 1}
+    calls.clear()
+    jf.grid_oracle(model, utility, None, x, pi_grid, scales, shape)
+    assert calls == {"from_pi": 2, "cost_function": 1}
 
 
 # ---------------------------------------------------------------------------

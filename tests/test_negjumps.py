@@ -174,3 +174,49 @@ def test_epsilon_too_large_for_level():
     model = jf.MarketModel(grid, coeffs, jumps)
     with pytest.raises(EpsilonTooLarge):
         effective_level(model, jf.RiskSpec("var", 0.05, 0.2, "thinning"))
+
+
+# ---------------------------------------------------------------------------
+# Consume-all regime under an ES limit with negative jumps
+# ---------------------------------------------------------------------------
+
+def _consume_all_market():
+    return (make_model(n=257, mu=0.04, r=0.02, sigma=0.3, lam=0.5,
+                       jump=jf.JumpDist.point_masses([-0.05, 0.02],
+                                                     [0.1, 0.9])),
+            jf.UtilitySpec(0.3, 0.7))
+
+
+@pytest.mark.parametrize("method", ("thinning", "paper"))
+def test_consume_all_meets_the_shifted_es_limit(method):
+    # at y = 0 the ES transform reads -V_t + ln(1 - eps_T) >= ln(1 - kappa),
+    # so the consumed fraction is (kappa - eps_T) / (1 - eps_T)
+    model, utility = _consume_all_market()
+    risk = jf.RiskSpec("es", 0.1, 0.15, method)
+    rep = jf.solve_diff_gamma(model, utility, risk)
+    eps = effective_level(model, risk).epsilon_T
+    assert eps > 0.0
+    slack = jf.slack_path(rep.strategy, model, risk)
+    assert rep.condition_ok
+    assert slack.min() >= -1e-10
+    assert abs(slack[-1]) < 1e-12
+    assert rep.eta_kappa == pytest.approx((0.15 - eps) / (1.0 - eps),
+                                          abs=1e-14)
+
+
+def test_consume_all_es_refuses_epsilon_at_kappa():
+    model, utility = _consume_all_market()
+    eps = effective_level(model, jf.RiskSpec("es", 0.1, 0.15,
+                                             "thinning")).epsilon_T
+    with pytest.raises(EpsilonTooLarge):
+        jf.solve_diff_gamma(model, utility,
+                            jf.RiskSpec("es", 0.1, eps, "thinning"),
+                            force=True)
+
+
+def test_consume_all_var_keeps_kappa_with_negative_jumps():
+    model, utility = _consume_all_market()
+    risk = jf.RiskSpec("var", 0.1, 0.15, "thinning")
+    rep = jf.solve_diff_gamma(model, utility, risk)
+    assert rep.eta_kappa == pytest.approx(0.15, abs=1e-14)
+    assert jf.slack_path(rep.strategy, model, risk).min() >= -1e-10
