@@ -65,6 +65,7 @@ from .errors import (
     ConfigError,
     InvalidStrategy,
     JumpfolioError,
+    OutOfRange,
 )
 from .market import (
     CoefficientPath,
@@ -80,7 +81,10 @@ from .market import (
 from .riskmetrics import NegJumpMethod, RiskKind, RiskSpec
 from .unconstrained import SolveReport, Strategy, cost_function
 
-_FULL_ENSEMBLE_CAP = 20_000   # path cap for checks that store the matrix
+# Paths of the stored ensemble that verify's terminal-mean and cost checks
+# use.  Up to the cap it holds every path and the profile check counts from
+# it too; above, the profile check streams all the paths.
+_FULL_ENSEMBLE_CAP = 20_000
 
 
 @dataclass
@@ -415,6 +419,9 @@ def cmd_compare(config: RunConfig, args) -> int:
 def _verify_checks(config: RunConfig, args) -> list:
     """Build the verification battery; each row is (name, lhs, rhs, tol, ok)."""
     model, risk = config.model, config.risk
+    if config.n_paths < 2:
+        raise OutOfRange("verify needs at least 2 paths for its standard "
+                         f"errors, got {config.n_paths}")
     checks = []
 
     if args.strategy is not None:
@@ -457,12 +464,16 @@ def _verify_checks(config: RunConfig, args) -> list:
 
     if risk is not None:
         thresholds = (1.0 - risk.kappa) * x * np.exp(R_path(model))
-        stats = simulate_node_stats(model, strategy, x, risk.beta,
-                                    config.n_paths, config.seed,
-                                    thresholds=thresholds)
+        if n_full == config.n_paths:
+            # the streamed run would draw this same ensemble
+            below = np.count_nonzero(ensemble.wealth < thresholds, axis=0)
+        else:
+            below = simulate_node_stats(model, strategy, x, risk.beta,
+                                        config.n_paths, config.seed,
+                                        thresholds=thresholds).below
         band = float(binom.ppf(1.0 - 1e-3 / model.grid.n, config.n_paths,
                                risk.beta))
-        worst = float(stats.below.max())
+        worst = float(below.max())
         checks.append(("profile_within_level", worst, band, 0.0,
                        worst <= band))
 

@@ -76,6 +76,8 @@ _BUFFERS = 4
 # enough that a (rows, scales, nodes) cost array or a (rows, nodes, atoms)
 # jump array stays within it, one row at least.
 _ORACLE_BLOCK = 1 << 16
+# Elements of wealth per block of estimate_cost: whole rows, one at least.
+_COST_BLOCK = 1 << 17
 
 
 @dataclass
@@ -320,12 +322,30 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
 
 def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
                   utility: UtilitySpec) -> tuple:
-    """Monte Carlo cost estimate (mean, standard error)."""
-    g1, g2 = utility.gamma1, utility.gamma2
-    consumption = (strategy.v[None, :] * ensemble.wealth) ** g1
-    per_path = (np.trapezoid(consumption, ensemble.grid.nodes, axis=1)
-                + ensemble.wealth[:, -1] ** g2)
+    """Monte Carlo cost estimate (mean, standard error).
+
+    Each path's cost is the trapezoid integral of (v W)^gamma1 over the
+    grid plus W_T^gamma2.  Paths go in blocks of about _COST_BLOCK
+    elements, so no temporary is as large as the wealth matrix; each
+    path's sum is still one pairwise reduction over its row, and the
+    result is bit-identical to np.trapezoid on the whole matrix.  Needs
+    at least 2 paths for the standard error, else raises OutOfRange.
+    """
     n = ensemble.n_paths
+    if n < 2:
+        raise OutOfRange(f"a cost estimate needs at least 2 paths, got {n}")
+    g1, g2 = utility.gamma1, utility.gamma2
+    wealth, v, dt = ensemble.wealth, strategy.v, ensemble.grid.dt
+    per_path = np.empty(n)
+    rows = max(1, _COST_BLOCK // wealth.shape[1])
+    for start in range(0, n, rows):
+        block = wealth[start:start + rows]
+        c = v * block
+        c **= g1
+        s = c[:, 1:] + c[:, :-1]
+        np.multiply(dt, s, out=s)
+        s /= 2.0
+        per_path[start:start + rows] = s.sum(axis=1) + block[:, -1] ** g2
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
 
 

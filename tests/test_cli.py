@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import jumpfolio as jf
 from jumpfolio.cli import config_text, dump_config, load_config, main
 from jumpfolio.errors import ConditionViolated
+from jumpfolio.market import R_path
 
 from conftest import make_model, make_model_2d
 
@@ -252,6 +254,59 @@ def test_verify_strategy_with_nan_row_is_inadmissible(tmp_path):
     assert len(rows) == 1
     name, *_values, passed = rows[0].split(",")
     assert (name, passed) == ("admissible", "0")
+
+
+def test_verify_one_path_is_a_condition_violation(tmp_path, capsys):
+    # one path has no standard error: the tolerances used to be NaN
+    cfg, out = write_config(tmp_path)
+    assert main(["verify", "--config", str(cfg), "--paths", "1"]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (error["error"], error["type"]) == ("condition_violation",
+                                               "OutOfRange")
+    assert not (out / "verify.csv").exists()
+
+
+def _count_marches(monkeypatch):
+    """Record the path count of every march through the grid."""
+    simulate_module = importlib.import_module("jumpfolio.simulate")
+    march, calls = simulate_module._march, []
+
+    def counted(model, strategy, x, n_paths, *rest):
+        calls.append(n_paths)
+        return march(model, strategy, x, n_paths, *rest)
+
+    monkeypatch.setattr(simulate_module, "_march", counted)
+    return calls
+
+
+def _verify_lhs(out):
+    rows = (out / "verify.csv").read_text().splitlines()[1:]
+    return {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
+
+
+def test_verify_marches_once_up_to_the_cap(tmp_path, monkeypatch):
+    cfg, out = write_config(tmp_path)
+    calls = _count_marches(monkeypatch)
+    assert main(["verify", "--config", str(cfg), "--paths", "2000"]) == 0
+    assert calls == [2000]
+    assert "profile_within_level" in _verify_lhs(out)
+
+
+def test_verify_streams_the_profile_above_the_cap(tmp_path, monkeypatch):
+    cfg, out = write_config(tmp_path)
+    monkeypatch.setattr(importlib.import_module("jumpfolio.cli"),
+                        "_FULL_ENSEMBLE_CAP", 500)
+    calls = _count_marches(monkeypatch)
+    assert main(["verify", "--config", str(cfg), "--paths", "1000"]) == 0
+    assert calls == [500, 1000]
+    config = load_config(cfg)
+    strategy = jf.adjusted_solve(config.model, config.risk, config.utility,
+                                 x=1.0).strategy
+    thresholds = (1.0 - config.risk.kappa) * np.exp(R_path(config.model))
+    stats = jf.simulate_node_stats(config.model, strategy, 1.0,
+                                   config.risk.beta, 1000, config.seed,
+                                   thresholds=thresholds)
+    assert _verify_lhs(out)["profile_within_level"] == stats.below.max()
 
 
 def test_compare_command_schema_and_orderings(tmp_path):

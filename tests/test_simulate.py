@@ -450,6 +450,52 @@ def test_estimate_cost_matches_closed_form(sim_model, sim_strategy):
     assert bigger > mean
 
 
+def _trapezoid_cost(ensemble, strategy, utility):
+    """The whole-matrix formula estimate_cost must match bit for bit."""
+    consumption = (strategy.v[None, :] * ensemble.wealth) ** utility.gamma1
+    per_path = (np.trapezoid(consumption, ensemble.grid.nodes, axis=1)
+                + ensemble.wealth[:, -1] ** utility.gamma2)
+    n = ensemble.n_paths
+    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
+
+
+def _cost_case(case):
+    """(model, strategy, n_paths) on a 65-node grid."""
+    n = 65
+    rows = simulate_module._COST_BLOCK // n          # paths per block
+    if case == "non_uniform_grid":
+        grid = jf.TimeGrid(np.linspace(0.0, 1.0, n) ** 1.7)
+        coeffs = jf.CoefficientPath.constant(grid, 0.02, [0.06], [[0.3]])
+        jumps = jf.JumpSpec(np.array([0.8]),
+                            (jf.JumpDist.point_masses([-0.1, 0.05],
+                                                      [0.3, 0.7]),))
+        model = jf.MarketModel(grid, coeffs, jumps)
+    else:
+        model = make_model(n=n, mu=0.06, lam=0.8)
+    v = np.zeros(n) if case == "no_consumption" else np.linspace(0.1, 0.4, n)
+    strategy = jf.Strategy.from_pi(model, np.full((n, 1), 0.5), v)
+    n_paths = {"one_block": rows // 3, "ragged_blocks": 2 * rows + 37}.get(
+        case, rows + 5)
+    return model, strategy, n_paths
+
+
+@pytest.mark.parametrize("gamma1", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("case", ["one_block", "ragged_blocks",
+                                  "non_uniform_grid", "no_consumption"])
+def test_estimate_cost_blocks_match_the_trapezoid_formula(case, gamma1):
+    model, strategy, n_paths = _cost_case(case)
+    ens = jf.simulate(model, strategy, 1.0, n_paths, 31)
+    utility = jf.UtilitySpec(gamma1, 0.7)
+    assert jf.estimate_cost(ens, strategy, utility) == _trapezoid_cost(
+        ens, strategy, utility)
+
+
+def test_estimate_cost_needs_two_paths(sim_model, sim_strategy):
+    ens = jf.simulate(sim_model, sim_strategy, 1.0, 1, 5)
+    with pytest.raises(OutOfRange):
+        jf.estimate_cost(ens, sim_strategy, jf.UtilitySpec.equal(0.5))
+
+
 # ---------------------------------------------------------------------------
 # Constraint profiles
 # ---------------------------------------------------------------------------

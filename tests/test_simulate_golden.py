@@ -123,6 +123,19 @@ def test_seeded_output_is_bit_identical(name):
     assert case_digests(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stored_ensemble_counts_the_streamed_below(name):
+    # `jumpfolio verify` counts the profile from the stored ensemble
+    make, n_paths, seed = CASES[name]
+    model, strategy = make()
+    thresholds = 0.9 * 1.5 * np.exp(R_path(model))
+    ens = jf.simulate(model, strategy, 1.5, n_paths, seed)
+    stats = jf.simulate_node_stats(model, strategy, 1.5, 0.05, n_paths, seed,
+                                   thresholds=thresholds)
+    below = np.count_nonzero(ens.wealth < thresholds, axis=0)
+    assert np.array_equal(below, stats.below)
+
+
 
 # ---------------------------------------------------------------------------
 # Exact cost and transformed-constraint slack
