@@ -41,7 +41,6 @@ from .riskmetrics import (
     RiskKind,
     RiskSpec,
     es_stoch_exp,
-    gaussian_tail_bounds,
     normal_quantile,
     quantile_stoch_exp,
 )

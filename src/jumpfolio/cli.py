@@ -200,27 +200,19 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                                 negjump_method=NegJumpMethod(method))
 
         run_sec = parser["run"] if parser.has_section("run") else {}
-        n_paths = int(overrides["paths"] if overrides.get("paths") is not None
-                      else run_sec.get("paths", 100_000))
-        seed = int(overrides["seed"] if overrides.get("seed") is not None
-                   else run_sec.get("seed", 1))
+        n_paths = int(overrides.get("paths", run_sec.get("paths", 100_000)))
+        seed = int(overrides.get("seed", run_sec.get("seed", 1)))
         if n_paths < 1:
             raise ConfigError(f"paths must be at least 1, got {n_paths}")
         if seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {seed}")
-        out_dir = Path(overrides.get("out")
-                       or (run_sec.get("out", "out") if run_sec else "out"))
+        out_dir = Path(overrides.get("out") or run_sec.get("out", "out"))
     except ConfigError:
         raise
     except (KeyError, ValueError, TypeError, JumpfolioError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     return RunConfig(model=model, utility=utility, risk=risk,
                      n_paths=n_paths, seed=seed, out_dir=out_dir)
-
-
-def dump_config(config: RunConfig, path) -> None:
-    """Re-emit a parsed config in canonical form (round-trip safe)."""
-    Path(path).write_text(config_text(config), encoding="utf-8")
 
 
 def _points_line(dist: JumpDist) -> str:
@@ -238,7 +230,7 @@ def _points_line(dist: JumpDist) -> str:
 
 
 def config_text(config: RunConfig) -> str:
-    """The canonical config text that `dump_config` writes."""
+    """The canonical config text that `solve --dump-config` writes."""
     model, lines = config.model, []
     grid = model.grid
     lines.append("[grid]")
@@ -351,8 +343,6 @@ def _certificate_rows(cert, prefix: str = "") -> list:
         (prefix + "kappa_lo", cert.kappa_range[0]),
         (prefix + "kappa_hi", cert.kappa_range[1]),
     ]
-    if cert.rho_star is not None:
-        rows.append((prefix + "rho_star", cert.rho_star))
     for key, value in sorted(cert.diagnostics.items()):
         if isinstance(value, (bool, int, float, np.integer, np.floating)):
             rows.append((prefix + key, value))
@@ -408,10 +398,13 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 
 def cmd_compare(config: RunConfig, args) -> int:
-    comparison = unconstrained.compare_merton(config.model, config.utility)
+    cmp = unconstrained.compare_merton(config.model, config.utility)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    comparison.to_csv(out / "compare.csv")
+    rows = np.column_stack([cmp.t, cmp.pi_jump, cmp.pi_diffusion,
+                            cmp.v_jump, cmp.v_diffusion])
+    _write_rows(out / "compare.csv",
+                "t,pi_jump,pi_diffusion,v_jump,v_diffusion", rows)
     print(f"wrote {out / 'compare.csv'}")
     return 0
 

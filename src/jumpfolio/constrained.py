@@ -23,11 +23,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
-    AssumptionJViolated,
     ConditionViolated,
     EpsilonTooLarge,
     KappaOutOfRange,
-    NegativeJumpsPresent,
     ThetaHatNegative,
 )
 from .market import (
@@ -45,11 +43,12 @@ from .market import (
     theta_path,
     trapz,
 )
-from .negjumps import EffectiveLevel, effective_level
+from .negjumps import effective_level
 from .riskmetrics import RiskKind, RiskSpec
 from .unconstrained import (
     SolveReport,
     Strategy,
+    _in_box,
     _optimal_allocation,
     _power_gamma,
     check_initial_wealth,
@@ -89,13 +88,6 @@ def slack_path(strategy: Strategy, model: MarketModel,
 # Shared scalars for the linear-utility solvers
 # ---------------------------------------------------------------------------
 
-def _effective_or_assumption_j(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
-    try:
-        return effective_level(model, risk)
-    except NegativeJumpsPresent as exc:
-        raise AssumptionJViolated(str(exc)) from exc
-
-
 def _radius_cap(model: MarketModel) -> float:
     """Budget sqrt(T) ||sigma||_T on the radius; ||sigma||_T is the time-L2
     norm of the Frobenius norm of sigma_t."""
@@ -113,7 +105,7 @@ def _radius_terms(model: MarketModel, risk: RiskSpec) -> tuple:
     prices of risk the integrand is nonnegative and the maximum sits at
     t = T; taking the max keeps the uniform bound valid in general.
     """
-    lev = _effective_or_assumption_j(model, risk)
+    lev = effective_level(model, risk)
     theta = theta_path(model)
     theta_norm = l2_time_norm(model.grid, theta)
     if theta_norm <= 1e-14:
@@ -205,7 +197,7 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
     theta_norm = l2_time_norm(grid, theta_path(model))
     if theta_norm <= 1e-14:
         # vanishing price of risk: stay riskless, consume nothing
-        lev = _effective_or_assumption_j(model, risk)
+        lev = effective_level(model, risk)
         strategy = Strategy.riskless(model)
         xi_norm = l2_time_norm(grid, sigma_inv_xi_lambda_path(model))
         rho0 = (math.sqrt((abs(lev.q_level) + xi_norm) ** 2
@@ -223,8 +215,11 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
     radius = binding_radius()
     y = theta_path(model) * (radius.rho_bar / radius.theta_norm)
     strategy = Strategy.from_y(model, y)
+    if not _in_box(strategy.pi):
+        raise ConditionViolated(
+            "the gamma = 1 optimum leaves [0, 1]: pi ranges over "
+            f"[{strategy.pi.min():.6g}, {strategy.pi.max():.6g}]")
     slack = slack_path(strategy, model, risk)
-    pi = strategy.pi
     diag = {
         "case": "directional",
         "rho_star": radius.rho_star,
@@ -235,7 +230,7 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
         "drag": radius.drag,
         "min_slack": float(slack.min()),
         "slack_at_T": float(slack[-1]),
-        "pi_in_box": bool(np.all((pi >= -_SLACK_TOL) & (pi <= 1 + _SLACK_TOL))),
+        "pi_in_box": True,
     }
     J = x * math.exp(R_T + radius.theta_norm * radius.rho_bar)
     return SolveReport(strategy=strategy, J_star=J, diagnostics=diag)
@@ -248,14 +243,15 @@ def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
     With ||theta||_T = 0 the riskless account is optimal.  Otherwise the
     optimum rides theta_t / ||theta||_T at the largest feasible radius and
     J* = x exp(R_T + ||theta||_T rho_bar).  Needs a componentwise
-    nonnegative theta_hat.
+    nonnegative theta_hat; a pi* outside [0, 1]^d raises ConditionViolated.
     """
     return _solve_gamma1(model, risk, x, lambda: rho_var_gamma1(model, risk))
 
 
 def solve_es_gamma1(model: MarketModel, risk: RiskSpec, x: float = 1.0,
                     force: bool = False) -> SolveReport:
-    """Optimal rule under the ES limit for gamma1 = gamma2 = 1."""
+    """Optimal rule under the ES limit for gamma1 = gamma2 = 1; force skips
+    the level condition on |q|, not the box check."""
     return _solve_gamma1(model, risk, x,
                          lambda: rho_es_gamma1(model, risk, force))
 
@@ -277,19 +273,18 @@ class ConstraintCertificate:
     active: bool
     condition_lhs: float
     condition_rhs: float
-    rho_star: float | None
     kappa_range: tuple
     report: SolveReport | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
 def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
-            x: float = 1.0, report: SolveReport | None = None,
-            chi: float | None = None) -> ConstraintCertificate:
+            x: float = 1.0,
+            report: SolveReport | None = None) -> ConstraintCertificate:
     """Inactivity certificate for the risk spec's kind: certify_var_gamma
     for a VaR limit, certify_es_gamma for an ES limit."""
     check = certify_var_gamma if risk.kind == RiskKind.VAR else certify_es_gamma
-    return check(model, utility, risk, x, report, chi)
+    return check(model, utility, risk, x, report)
 
 
 def _certificate(kind: RiskKind, model: MarketModel, risk: RiskSpec,
@@ -308,7 +303,6 @@ def _certificate(kind: RiskKind, model: MarketModel, risk: RiskSpec,
         active=not (lhs <= risk.kappa and norm_bound_ok),
         condition_lhs=lhs,
         condition_rhs=risk.kappa,
-        rho_star=None,
         kappa_range=(max(0.0, lhs), 1.0),
         report=report,
         diagnostics=diag,
@@ -317,8 +311,7 @@ def _certificate(kind: RiskKind, model: MarketModel, risk: RiskSpec,
 
 def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
                       risk: RiskSpec, x: float = 1.0,
-                      report: SolveReport | None = None,
-                      chi: float | None = None) -> ConstraintCertificate:
+                      report: SolveReport | None = None) -> ConstraintCertificate:
     """Certify that the VaR limit is inactive at the equal-gamma optimum.
 
     Tests 1 - chi exp(l* + c) <= kappa with l* = -(q ||theta||_T)^2 +
@@ -328,23 +321,22 @@ def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
     norm bound ||y*||_T <= q ||theta||_T is verified before certifying.
     """
     _power_gamma(utility, x, "certify_var_gamma")
-    lev = _effective_or_assumption_j(model, risk)
+    lev = effective_level(model, risk)
     report = solve_power_equal(model, utility, x) if report is None else report
-    chi = report.chi if chi is None else chi
     b = utility.q * l2_time_norm(model.grid, theta_path(model))
     cross = inner_product_path(model.grid, report.strategy.y,
                                theta_hat_path(model))
     correction = min(0.0, float(np.min(cross)))
     l_star = -b * b + lev.q_level * b
-    lhs = 1.0 - chi * math.exp(l_star + correction)
-    diag = {"l_star": l_star, "chi": chi, "cross_term_correction": correction}
+    lhs = 1.0 - report.chi * math.exp(l_star + correction)
+    diag = {"l_star": l_star, "chi": report.chi,
+            "cross_term_correction": correction}
     return _certificate(RiskKind.VAR, model, risk, report, lhs, b, diag)
 
 
 def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
                      risk: RiskSpec, x: float = 1.0,
-                     report: SolveReport | None = None,
-                     chi: float | None = None) -> ConstraintCertificate:
+                     report: SolveReport | None = None) -> ConstraintCertificate:
     """Certify that the ES limit is inactive at the equal-gamma optimum.
 
     The exponent is the worst node of q ||theta_hat||_t^2 +
@@ -354,7 +346,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     with theta_hat are reported for reference.
     """
     gamma = _power_gamma(utility, x, "certify_es_gamma")
-    lev = _effective_or_assumption_j(model, risk)
+    lev = effective_level(model, risk)
     grid = model.grid
     thh = theta_hat_path(model)
     thh_norm_T = l2_time_norm(grid, thh)
@@ -363,7 +355,6 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
             f"|q| = {abs(lev.q_level):.6g} < 2 ||theta_hat||_T = "
             f"{2 * thh_norm_T:.6g}")
     report = solve_power_equal(model, utility, x) if report is None else report
-    chi = report.chi if chi is None else chi
     qq = utility.q
     th_norm_path = np.sqrt(l2_time_norm_sq_path(grid, theta_path(model)))
     thh_sq_path = l2_time_norm_sq_path(grid, thh)
@@ -371,14 +362,15 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     m_star = float(np.min(worst))
     cross = inner_product_path(grid, report.strategy.y, thh)
     correction = min(0.0, float(np.min(cross - qq * thh_sq_path)))
-    lhs = 1.0 - chi * math.exp(m_star + correction)
+    lhs = 1.0 - report.chi * math.exp(m_star + correction)
 
     qv = jump_terms_path(model.jumps, report.strategy.pi, gamma)[1]
     m_path = _sigma_solve(model, qv)
     m_hat_theta_T = trapz(grid, np.sum(thh * m_path, axis=1))
 
     b = qq * l2_time_norm(grid, theta_path(model))
-    diag = {"m_star": m_star, "chi": chi, "cross_term_correction": correction,
+    diag = {"m_star": m_star, "chi": report.chi,
+            "cross_term_correction": correction,
             "M_hat_theta_T": float(m_hat_theta_T)}
     return _certificate(RiskKind.ES, model, risk, report, lhs, b, diag)
 
@@ -399,13 +391,13 @@ class DiffGammaReport(SolveReport):
     condition_ok: bool
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -437,7 +429,7 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     if g1 == g2 or g1 >= 1.0 or g2 >= 1.0:
         raise ConditionViolated(
             "solve_diff_gamma needs distinct gammas in (0, 1)")
-    lev = _effective_or_assumption_j(model, risk)
+    lev = effective_level(model, risk)
     grid = model.grid
     q1 = 1.0 / (1.0 - g1)
     R = R_path(model)
@@ -544,5 +536,5 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
                          chi=1.0, diagnostics=diag)
     if risk is not None:
         report.diagnostics["certificate"] = certify(model, utility, risk, x,
-                                                    report=report, chi=1.0)
+                                                    report=report)
     return report

@@ -49,10 +49,6 @@ class ThetaHatNegative(JumpfolioError):
     """Compensated market price of risk has a negative component."""
 
 
-class NegativeJumpsPresent(JumpfolioError):
-    """Negative jumps present and no adjustment method selected."""
-
-
 class EpsilonTooLarge(JumpfolioError):
     """Negative-jump probability is too large for the level adjustment."""
 

@@ -133,7 +133,6 @@ class JumpDist:
 
     z: np.ndarray
     w: np.ndarray
-    kind: str = "points"
 
     def __post_init__(self):
         z = _frozen(self.z)
@@ -158,7 +157,7 @@ class JumpDist:
         total = p.sum()
         if abs(total - 1.0) > 1e-12:
             raise OutOfRange(f"point-mass probabilities sum to {total}, not 1")
-        return cls(z=z, w=p, kind="points")
+        return cls(z=z, w=p)
 
     @classmethod
     def degenerate(cls, z: float = 0.0) -> "JumpDist":
@@ -179,7 +178,7 @@ class JumpDist:
         mass = w.sum()
         if abs(mass - 1.0) > 1e-8:
             raise OutOfRange(f"density integrates to {mass}, not 1")
-        return cls(z=z, w=w / mass, kind="density")
+        return cls(z=z, w=w / mass)
 
     @property
     def mean(self) -> float:

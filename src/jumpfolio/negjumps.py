@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AssumptionJViolated,
     ConditionViolated,
     EpsilonTooLarge,
-    NegativeJumpsPresent,
     OutOfRange,
 )
 from .market import JumpSpec, MarketModel, UtilitySpec
@@ -84,13 +84,14 @@ class EffectiveLevel:
 def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
     """Resolve the risk level against the market's jump signs.
 
-    With adjustment off, negative jumps are rejected; otherwise eps_T is
-    estimated by the selected method and the level is tightened.
+    With adjustment off, negative jumps violate Assumption J and raise
+    AssumptionJViolated; otherwise eps_T is estimated by the selected
+    method and the level is tightened.
     """
     method = risk.negjump_method
     if method == NegJumpMethod.OFF:
         if model.jumps.has_negative_jumps():
-            raise NegativeJumpsPresent(
+            raise AssumptionJViolated(
                 "market allows negative jumps; pick a negjump method")
         return EffectiveLevel(beta=risk.beta,
                               q_level=normal_quantile(risk.beta),
@@ -130,11 +131,9 @@ def adjusted_solve(model: MarketModel, risk: RiskSpec | None,
     if utility.is_equal:
         cert = constrained.certify(model, utility, risk, x)
         if cert.active and not force:
-            err = ConditionViolated(
+            raise ConditionViolated(
                 "inactivity certificate failed: lhs="
                 f"{cert.condition_lhs:.6g} > kappa={cert.condition_rhs:.6g}")
-            err.certificate = cert
-            raise err
         report = cert.report
         report.diagnostics["certificate"] = cert
         return report

@@ -103,18 +103,6 @@ def F_beta(u, beta: float):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def gaussian_tail_bounds(z: float) -> tuple:
-    """Classical bracket for the upper Gaussian tail at z > 0.
-
-    Returns ((1/z - 1/z^3) phi(z), phi(z)/z); the tail 1 - Phi(z) lies
-    strictly between the two for every z > 0.
-    """
-    if z <= 0:
-        raise OutOfRange("bounds hold for z > 0 only")
-    p = _phi(z)
-    return ((1.0 / z - 1.0 / z**3) * p, p / z)
-
-
 # ---------------------------------------------------------------------------
 # Empirical counterparts (order-statistic conventions)
 # ---------------------------------------------------------------------------

@@ -353,12 +353,6 @@ def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
 # Constraint profiles
 # ---------------------------------------------------------------------------
 
-def _profile_from_slack(slack: np.ndarray, kappa: float) -> np.ndarray:
-    # risk ratio implied by the transformed slack:
-    # slack = 0 means the ratio touches 1 exactly
-    return (1.0 - (1.0 - kappa) * np.exp(slack)) / kappa
-
-
 def constraint_profile(source, model: MarketModel, risk: RiskSpec,
                        x: float) -> np.ndarray:
     """Ratio Risk_t / (kappa x e^{R_t}) along the grid; feasible iff <= 1.
@@ -371,7 +365,9 @@ def constraint_profile(source, model: MarketModel, risk: RiskSpec,
     R = R_path(model)
     ref = x * np.exp(R)
     if isinstance(source, Strategy):
-        return _profile_from_slack(slack_path(source, model, risk), risk.kappa)
+        # the risk ratio implied by the slack; slack = 0 is a ratio of 1
+        slack = slack_path(source, model, risk)
+        return (1.0 - (1.0 - risk.kappa) * np.exp(slack)) / risk.kappa
     var = risk.kind == RiskKind.VAR
     if isinstance(source, NodeStats):
         if source.beta != risk.beta:

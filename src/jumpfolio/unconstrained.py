@@ -62,6 +62,11 @@ _MAX_HALVINGS = 40
 # Strategies and solve reports
 # ---------------------------------------------------------------------------
 
+def _in_box(pi: np.ndarray) -> bool:
+    """Whether every wealth fraction lies in [0, 1], up to _BOX_TOL."""
+    return bool(np.all((pi >= -_BOX_TOL) & (pi <= 1.0 + _BOX_TOL)))
+
+
 def _as_paths(values) -> np.ndarray:
     """values as a float (..., N, d) array; an (N,) path becomes (N, 1)."""
     values = np.asarray(values, dtype=float)
@@ -149,7 +154,7 @@ class Strategy:
             raise InvalidStrategy("strategy and model shapes disagree")
         if not all(np.all(np.isfinite(a)) for a in (self.y, self.pi, self.v)):
             raise InvalidStrategy("y, pi and v must be finite")
-        if np.any(self.pi < -_BOX_TOL) or np.any(self.pi > 1.0 + _BOX_TOL):
+        if not _in_box(self.pi):
             raise InvalidStrategy("pi must stay componentwise in [0, 1]")
         if np.any(self.v < -_BOX_TOL):
             raise InvalidStrategy("consumption rate must be nonnegative")
@@ -277,7 +282,8 @@ def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
     Requires mu_t^j >= r_t everywhere.  When the excess drift vanishes in
     time-L2 norm any box allocation is optimal and we return pi = 0;
     otherwise pi*_t = (mu_t - r_t 1) sqrt(T) / ||mu - r 1||_T and
-    J* = x exp(R_T + sqrt(T) ||mu - r 1||_T).
+    J* = x exp(R_T + sqrt(T) ||mu - r 1||_T).  A pi* outside the box
+    [0, 1]^d raises ConditionViolated.
     """
     check_initial_wealth(x)
     c = model.coeffs
@@ -290,16 +296,16 @@ def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
     if norm <= 1e-14:
         strategy = Strategy.riskless(model)
         J = x * float(np.exp(R_T))
-        diag = {"excess_norm": norm, "pi_in_box": True}
     else:
         pi = excess * np.sqrt(grid.horizon) / norm
+        if not _in_box(pi):
+            raise ConditionViolated(
+                "the linear-utility optimum leaves [0, 1]: max pi = "
+                f"{pi.max():.6g}")
         strategy = Strategy.from_pi(model, pi)
         J = x * float(np.exp(R_T + np.sqrt(grid.horizon) * norm))
-        diag = {
-            "excess_norm": norm,
-            "pi_in_box": bool(np.all((pi >= -_BOX_TOL) & (pi <= 1 + _BOX_TOL))),
-        }
-    return SolveReport(strategy=strategy, J_star=J, diagnostics=diag)
+    return SolveReport(strategy=strategy, J_star=J,
+                       diagnostics={"excess_norm": norm, "pi_in_box": True})
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +426,6 @@ class MertonComparison:
     v_diffusion: np.ndarray
     report_jump: SolveReport
     report_diffusion: SolveReport
-
-    CSV_HEADER = "t,pi_jump,pi_diffusion,v_jump,v_diffusion"
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack(
-            [self.t, self.pi_jump, self.pi_diffusion, self.v_jump, self.v_diffusion]
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
 
 
 def compare_merton(model: MarketModel, utility: UtilitySpec) -> MertonComparison:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import jumpfolio as jf
-from jumpfolio.cli import config_text, dump_config, load_config, main
+from jumpfolio.cli import config_text, load_config, main
 from jumpfolio.errors import ConditionViolated
-from jumpfolio.market import R_path
+from jumpfolio.market import GL_NODES_DEFAULT, R_path
 
 from conftest import make_model, make_model_2d
 
@@ -315,6 +315,7 @@ def test_compare_command_schema_and_orderings(tmp_path):
     assert main(["compare", "--config", str(cfg)]) == 0
     lines = (out / "compare.csv").read_text().splitlines()
     assert lines[0] == "t,pi_jump,pi_diffusion,v_jump,v_diffusion"
+    assert len(lines) == load_config(cfg).model.grid.n + 1
     data = np.loadtxt(out / "compare.csv", delimiter=",", skiprows=1)
     assert np.all(data[:, 1] <= data[:, 2] + 1e-12)
     assert np.all(data[:, 3] >= data[:, 4] - 1e-12)
@@ -336,7 +337,7 @@ def test_uniform_density_jump_config(tmp_path):
         "kind = uniform\nsupport = 0.0, 0.1")
     cfg.write_text(text)
     config = load_config(cfg)
-    assert config.model.jumps.dists[0].kind == "density"
+    assert config.model.jumps.dists[0].z.size == GL_NODES_DEFAULT
     assert config.model.jumps.dists[0].mean == pytest.approx(0.05, abs=1e-12)
     assert main(["solve", "--config", str(cfg)]) == 0
 
@@ -380,7 +381,7 @@ def test_undumpable_law_fails_before_any_file_is_written(tmp_path, capsys,
                                                          monkeypatch):
     cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
     config = load_config(cfg)
-    law = jf.JumpDist(z=[0.04, 0.1], w=[1.0, 0.0], kind="density")
+    law = jf.JumpDist(z=[0.04, 0.1], w=[1.0, 0.0])
     model = jf.MarketModel(config.model.grid, config.model.coeffs,
                            jf.JumpSpec(np.array([0.5]), (law,)))
     config.model = model
@@ -391,6 +392,22 @@ def test_undumpable_law_fails_before_any_file_is_written(tmp_path, capsys,
     assert err["error"] == "parse_error"
     assert err["type"] == "ConfigError"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_of_box_gamma1_optimum_is_a_condition_violation(tmp_path,
+                                                             capsys):
+    cfg, out = write_config(tmp_path, mu=0.25, kappa=0.9)
+    cfg.write_text(cfg.read_text()
+                   .replace("horizon = 1.0\nnodes = 129",
+                            "horizon = 2.0\nnodes = 65")
+                   .replace("sigma = 0.3", "sigma = 0.2")
+                   .replace("points = 0.04:1.0", "points = 0.05:1.0"))
+    for command in ("solve", "simulate", "verify"):
+        assert main([command, "--config", str(cfg)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "condition_violation"
+        assert error["type"] == "ConditionViolated"
+    assert not out.exists()
 
 
 # gamma1 = 1 with gamma2 < 1 fits no solver

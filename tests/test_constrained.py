@@ -101,6 +101,24 @@ def test_solve_var_gamma1_feasibility_and_binding(gamma1_model):
     assert rep.diagnostics["pi_in_box"]
 
 
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("kind", ["var", "es"])
+def test_gamma1_solves_refuse_an_out_of_box_optimum(kind, force):
+    # the radius cap puts pi = sqrt(T) = 1.414 on every node, outside
+    # [0, 1]; |q| >= 2 ||theta||_T, so the ES level condition holds
+    model = make_model(n=65, horizon=2.0, mu=0.10, sigma=0.2, lam=0.5,
+                       jump=jf.JumpDist.point_masses([0.05], [1.0]))
+    risk = jf.RiskSpec(kind, 0.05, 0.9)
+    if kind == "var":
+        solve = lambda: jf.solve_var_gamma1(model, risk)
+    else:
+        solve = lambda: jf.solve_es_gamma1(model, risk, force=force)
+    with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
+        solve()
+    with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
+        jf.adjusted_solve(model, risk, jf.UtilitySpec(1.0, 1.0), force=force)
+
+
 def test_solve_var_gamma1_rejects_negative_theta_hat():
     model = make_model(mu=0.05, r=0.02, sigma=0.3, lam=1.0,
                        jump=jf.JumpDist.point_masses([0.08], [1.0]))

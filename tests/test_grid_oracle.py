@@ -15,9 +15,9 @@ import pytest
 
 import jumpfolio as jf
 from jumpfolio.errors import (
+    AssumptionJViolated,
     EmptyFeasibleSet,
     EpsilonTooLarge,
-    NegativeJumpsPresent,
     OutOfRange,
 )
 
@@ -245,12 +245,28 @@ def test_bad_wealth_is_reported_before_an_empty_feasible_set():
         jf.grid_oracle(*args, 0.0, [0.9, 1.0], [5.0, 8.0])
 
 
+_NEGJUMP_OFF_CALLS = {
+    "slack_path": lambda m, u, r, s: jf.slack_path(s, m, r),
+    "grid_oracle": lambda m, u, r, s: jf.grid_oracle(m, u, r, 1.0, [0.5],
+                                                     [0.5]),
+    "constraint_profile": lambda m, u, r, s: jf.constraint_profile(s, m, r,
+                                                                   1.0),
+    "adjusted_solve": lambda m, u, r, s: jf.adjusted_solve(m, r, u),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NEGJUMP_OFF_CALLS))
+def test_negative_jumps_without_a_method_violate_assumption_j(call):
+    model = make_model(n=65, mu=0.07, sigma=0.3, lam=0.6, jump=MIXED)
+    strategy = jf.Strategy.from_pi(model, np.full((65, 1), 0.5))
+    with pytest.raises(AssumptionJViolated):
+        _NEGJUMP_OFF_CALLS[call](model, jf.UtilitySpec.equal(0.5),
+                                 jf.RiskSpec("var", 0.05, 0.5), strategy)
+
+
 def test_bad_wealth_is_reported_before_the_level_adjustment():
     model = make_model(n=65, mu=0.07, sigma=0.3, lam=0.6, jump=MIXED)
     utility = jf.UtilitySpec.equal(0.5)
-    with pytest.raises(NegativeJumpsPresent):
-        jf.grid_oracle(model, utility, jf.RiskSpec("var", 0.05, 0.5), 1.0,
-                       [0.5], [0.5])
     too_large = jf.RiskSpec("var", 0.05, 0.5, "thinning")
     with pytest.raises(EpsilonTooLarge):
         jf.grid_oracle(model, utility, too_large, 1.0, [0.5], [0.5])

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import jumpfolio as jf
-from jumpfolio.errors import EpsilonTooLarge, KappaOutOfRange
+from jumpfolio.errors import EpsilonTooLarge, JumpfolioError, KappaOutOfRange
 from jumpfolio.negjumps import effective_level
 from jumpfolio.riskmetrics import NegJumpMethod
 
@@ -220,3 +221,75 @@ def test_consume_all_var_keeps_kappa_with_negative_jumps():
     rep = jf.solve_diff_gamma(model, utility, risk)
     assert rep.eta_kappa == pytest.approx(0.15, abs=1e-14)
     assert jf.slack_path(rep.strategy, model, risk).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# Every solve on a random market refuses or is admissible and feasible
+# ---------------------------------------------------------------------------
+
+@st.composite
+def solve_cases(draw):
+    """Inputs of one adjusted_solve: d <= 3 assets with drifts linear in
+    time, atoms in (-1, 5), intensities up to 5, horizons up to 3, any
+    utility kind and an optional VaR or ES limit under any method."""
+    d = draw(st.integers(1, 3))
+    atoms = st.lists(st.floats(-1.0, 5.0, exclude_min=True,
+                               exclude_max=True), min_size=1, max_size=3)
+    jumps = [(draw(st.floats(0.0, 5.0)), draw(atoms)) for _ in range(d)]
+    utility = draw(st.sampled_from(["linear", "equal", "distinct"]))
+    return dict(
+        n=draw(st.sampled_from([5, 9, 17])),
+        horizon=draw(st.floats(0.1, 3.0)),
+        r=draw(st.floats(0.0, 0.05)),
+        mu=[(draw(st.floats(-0.05, 0.5)), draw(st.floats(-0.05, 0.5)))
+            for _ in range(d)],
+        sigma=[[draw(st.floats(0.1, 0.6)) if i == j
+                else draw(st.floats(-0.2, 0.2)) if j < i else 0.0
+                for j in range(d)] for i in range(d)],
+        jumps=jumps,
+        gammas={"linear": (1.0, 1.0),
+                "equal": (draw(st.floats(0.05, 0.95)),) * 2,
+                "distinct": (draw(st.floats(0.05, 0.45)),
+                             draw(st.floats(0.55, 0.95)))}[utility],
+        risk=draw(st.none() | st.tuples(
+            st.sampled_from(["var", "es"]), st.floats(0.01, 0.5),
+            st.floats(0.01, 0.99),
+            st.sampled_from(["off", "paper", "thinning"]))),
+    )
+
+
+def _case_inputs(case):
+    n = case["n"]
+    grid = jf.TimeGrid.uniform(case["horizon"], n)
+    mu = np.column_stack([np.linspace(a, b, n) for a, b in case["mu"]])
+    coeffs = jf.CoefficientPath(r=np.full(n, case["r"]), mu=mu,
+                                sigma=np.tile(case["sigma"], (n, 1, 1)))
+    dists = tuple(jf.JumpDist.point_masses(z, np.full(len(z), 1.0 / len(z)))
+                  for _, z in case["jumps"])
+    lambdas = np.array([lam for lam, _ in case["jumps"]])
+    model = jf.MarketModel(grid, coeffs, jf.JumpSpec(lambdas, dists))
+    risk = None if case["risk"] is None else jf.RiskSpec(*case["risk"])
+    return model, jf.UtilitySpec(*case["gammas"]), risk
+
+
+# pi* = sqrt(T) = 1.414 at the gamma = 1 radius cap, outside [0, 1]
+_BOX_CASE = dict(n=65, horizon=2.0, r=0.02, mu=[(0.25, 0.25)],
+                 sigma=[[0.2]], jumps=[(0.5, [0.05])], gammas=(1.0, 1.0),
+                 risk=("var", 0.05, 0.9, "off"))
+
+
+@given(solve_cases())
+@example(_BOX_CASE)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_adjusted_solve_refuses_or_returns_a_feasible_strategy(case):
+    model, utility, risk = _case_inputs(case)
+    try:
+        report = jf.adjusted_solve(model, risk, utility)
+    except JumpfolioError:
+        return
+    report.strategy.validate(model)
+    if risk is not None:
+        assert jf.slack_path(report.strategy, model, risk).min() >= -1e-10
+    assert math.isfinite(report.J_star)
+    for key, value in report.diagnostics.items():
+        assert not isinstance(value, float) or math.isfinite(value), key

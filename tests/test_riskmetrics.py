@@ -122,18 +122,6 @@ def test_F_beta_values():
     assert np.isfinite(jf.F_beta(40.0, beta))
 
 
-def test_gaussian_tail_bounds():
-    lo, hi = jf.gaussian_tail_bounds(2.0)
-    tail = _mp_tail(2.0)
-    assert lo < tail < hi
-    assert tail == pytest.approx(0.02275, abs=1e-5)
-    for z in np.linspace(0.5, 6.0, 30):
-        lo, hi = jf.gaussian_tail_bounds(z)
-        assert lo < _mp_tail(z) < hi
-        if z >= 1.0:
-            assert lo <= hi
-
-
 # ---------------------------------------------------------------------------
 # Empirical conventions and monotonicity
 # ---------------------------------------------------------------------------

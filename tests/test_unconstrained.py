@@ -7,7 +7,12 @@ from scipy.optimize import brentq
 
 import jumpfolio as jf
 from jumpfolio import unconstrained
-from jumpfolio.errors import DriftBelowRate, InvalidStrategy, NoConvergence
+from jumpfolio.errors import (
+    ConditionViolated,
+    DriftBelowRate,
+    InvalidStrategy,
+    NoConvergence,
+)
 from jumpfolio.market import (
     R_path,
     cumtrapz,
@@ -73,6 +78,17 @@ def test_solve_linear_closed_form():
 def test_solve_linear_rejects_drift_below_rate():
     model = make_model(mu=0.01, r=0.02)
     with pytest.raises(DriftBelowRate):
+        jf.solve_linear(model)
+
+
+def test_solve_linear_refuses_an_out_of_box_optimum():
+    # pi* = (mu - r) sqrt(T) / ||mu - r||_T climbs to 1.68 where mu peaks
+    grid = jf.TimeGrid.uniform(1.0, 5)
+    coeffs = jf.CoefficientPath(r=np.full(5, 0.02),
+                                mu=np.linspace(0.03, 0.30, 5)[:, None],
+                                sigma=np.full((5, 1, 1), 0.3))
+    model = jf.MarketModel(grid, coeffs, jf.JumpSpec.none(1))
+    with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
         jf.solve_linear(model)
 
 
@@ -383,11 +399,3 @@ def test_compare_merton_orderings(jump_1d):
     assert np.all(cmp.v_jump >= cmp.v_diffusion - 1e-12)
     assert np.all(cmp.report_jump.rho <= cmp.report_diffusion.rho + 1e-12)
 
-
-def test_compare_merton_csv(tmp_path, jump_1d):
-    cmp = jf.compare_merton(jump_1d, jf.UtilitySpec.equal(0.5))
-    path = tmp_path / "compare.csv"
-    cmp.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,pi_jump,pi_diffusion,v_jump,v_diffusion"
-    assert len(lines) == jump_1d.grid.n + 1

@@ -1,11 +1,13 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name is read somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level private name is read somewhere in the package, and every
+error class is raised somewhere in the package.
 
 A stdlib `ast` scan, so no linter is needed: an import binding that no
 `Name` node in the module reads is a leftover of a deleted caller, and so
-is a private function, class or constant (`_x`) that no module reads.
-`__init__.py` re-exports names on purpose and is skipped by the import
-scan.
+is a private function, class or constant (`_x`) that no module reads, or
+an error class in `errors.py` that no `raise` names (a base class of other
+errors excepted).  `__init__.py` re-exports names on purpose and is
+skipped by the import scan.
 """
 
 import ast
@@ -59,6 +61,24 @@ def unread_private_names(sources: dict) -> list:
     return sorted(entry for entry in defined if entry[2] not in read)
 
 
+def unraised_errors(errors_source: str, sources: dict) -> list:
+    """Names of the classes in errors_source that no `raise` in sources, a
+    {module: source} dict, names and that no other class there derives
+    from."""
+    classes = [node for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases
+             if isinstance(base, ast.Name)}
+    raised = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)   # X or X(...)
+                raised.add(getattr(exc, "id", None))
+    return sorted(node.name for node in classes
+                  if node.name not in raised | bases)
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == [(1, "os")]
 
@@ -79,3 +99,18 @@ def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_scan_finds_an_unraised_error():
+    errors = ("class Base(Exception):\n    pass\n"
+              "class Used(Base):\n    pass\n"
+              "class Dead(Base):\n    pass\n")
+    sources = {"a": "from errors import Used\nraise Used('x')\n",
+               "b": "try:\n    pass\nexcept Dead:\n    raise\n"}
+    assert unraised_errors(errors, sources) == ["Dead"]
+
+
+def test_every_error_class_is_raised():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    assert unraised_errors(errors, sources) == []
