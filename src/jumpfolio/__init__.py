@@ -55,11 +55,9 @@ from .simulate import (
     simulate_node_stats,
 )
 from .unconstrained import (
-    MertonComparison,
     SolveReport,
     Strategy,
     chi_value,
-    compare_merton,
     cost_function,
     rho_path,
     solve_linear,

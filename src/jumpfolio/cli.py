@@ -216,7 +216,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def _points_line(dist: JumpDist) -> str:
-    """A jump law as `points = z:w, ...` at 17 significant digits.
+    """A jump law as the `z:w, ...` list of `points`, 17 significant digits.
 
     A tabulated density goes out as its weighted atoms, the law that every
     computation uses, so it reloads as the same atoms and weights.  A zero
@@ -225,56 +225,38 @@ def _points_line(dist: JumpDist) -> str:
     if np.any(dist.w <= 0.0):
         raise ConfigError("a jump law with a zero-weight atom cannot be "
                           "dumped as points")
-    return "points = " + ", ".join(f"{z:.17g}:{w:.17g}"
-                                   for z, w in zip(dist.z, dist.w))
+    return ", ".join(f"{z:.17g}:{w:.17g}" for z, w in zip(dist.z, dist.w))
 
 
 def config_text(config: RunConfig) -> str:
     """The canonical config text that `solve --dump-config` writes."""
-    model, lines = config.model, []
-    grid = model.grid
-    lines.append("[grid]")
-    lines.append(f"times = {','.join(f'{t:.17g}' for t in grid.nodes)}")
-    lines.append("")
-    lines.append("[coefficients]")
-    lines.append(f"dimension = {model.d}")
-    lines.append(f"r = {','.join(f'{v:.17g}' for v in model.coeffs.r)}")
-    mu_cols = [",".join(f"{v:.17g}" for v in model.coeffs.mu[:, j])
-               for j in range(model.d)]
-    lines.append("mu = " + "; ".join(mu_cols))
-    sig = model.coeffs.sigma[0]
-    lines.append("sigma = " + "; ".join(
-        ",".join(f"{v:.17g}" for v in row) for row in sig))
-    for j in range(model.d):
-        lam = model.jumps.lambdas[j]
-        dist = model.jumps.dists[j]
-        lines.append("")
-        lines.append(f"[jump.{j + 1}]")
-        lines.append(f"lambda = {lam:.17g}")
-        if lam == 0.0:
-            lines.append("kind = none")
-        else:
-            lines.append("kind = points")
-            lines.append(_points_line(dist))
-    lines.append("")
-    lines.append("[utility]")
-    lines.append(f"gamma1 = {config.utility.gamma1:.17g}")
-    lines.append(f"gamma2 = {config.utility.gamma2:.17g}")
-    lines.append("")
-    lines.append("[risk]")
-    if config.risk is None:
-        lines.append("kind = none")
-    else:
-        lines.append(f"kind = {config.risk.kind.value}")
-        lines.append(f"beta = {config.risk.beta:.17g}")
-        lines.append(f"kappa = {config.risk.kappa:.17g}")
-        lines.append(f"negjump_method = {config.risk.negjump_method.value}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"paths = {config.n_paths}")
-    lines.append(f"seed = {config.seed}")
-    lines.append(f"out = {config.out_dir}")
-    return "\n".join(lines) + "\n"
+    model, risk = config.model, config.risk
+    c, jumps = model.coeffs, model.jumps
+
+    def joined(values):
+        return ",".join(_fmt(v) for v in values)
+
+    sections = [
+        ("grid", [("times", joined(model.grid.nodes))]),
+        ("coefficients", [
+            ("dimension", model.d), ("r", joined(c.r)),
+            ("mu", "; ".join(joined(col) for col in c.mu.T)),
+            ("sigma", "; ".join(joined(row) for row in c.sigma[0]))]),
+    ]
+    for j, (lam, dist) in enumerate(zip(jumps.lambdas, jumps.dists)):
+        law = ([("kind", "none")] if lam == 0.0 else
+               [("kind", "points"), ("points", _points_line(dist))])
+        sections.append((f"jump.{j + 1}", [("lambda", lam)] + law))
+    sections.append(("utility", [("gamma1", config.utility.gamma1),
+                                 ("gamma2", config.utility.gamma2)]))
+    sections.append(("risk", [("kind", "none")] if risk is None else [
+        ("kind", risk.kind.value), ("beta", risk.beta),
+        ("kappa", risk.kappa), ("negjump_method", risk.negjump_method.value)]))
+    sections.append(("run", [("paths", config.n_paths), ("seed", config.seed),
+                             ("out", config.out_dir)]))
+    return "\n".join(f"[{name}]\n" + "".join(f"{key} = {_fmt(value)}\n"
+                                             for key, value in rows)
+                     for name, rows in sections)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +274,16 @@ def _fmt(value) -> str:
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write a CSV, creating its directory.  A NaN cell raises OutOfRange
+    before the directory is made or the file opened."""
+    lines = [header]
+    for i, row in enumerate(rows, start=1):
+        cells = [_fmt(v) for v in row]
+        lines.append(",".join(cells))
+        if "nan" in cells:
+            raise OutOfRange(f"{path}: row {i} has a NaN cell: {lines[-1]}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_strategy_csv(path: Path, strategy: Strategy) -> None:
@@ -359,7 +347,6 @@ def cmd_solve(config: RunConfig, args) -> int:
     report = negjumps.adjusted_solve(config.model, config.risk, config.utility,
                                      x=1.0, force=args.force)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     write_strategy_csv(out / "strategy.csv", report.strategy)
     _write_rows(out / "report.csv", "key,value", _report_rows(report))
     if dumped is not None:
@@ -373,7 +360,6 @@ def cmd_certify(config: RunConfig, args) -> int:
         raise ConditionViolated("certify needs a risk section")
     cert = constrained.certify(config.model, config.utility, config.risk)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "report.csv", "key,value", _certificate_rows(cert))
     print(f"constraint {'ACTIVE (not certified)' if cert.active else 'inactive'}; "
           f"wrote {out / 'report.csv'}")
@@ -387,7 +373,6 @@ def cmd_simulate(config: RunConfig, args) -> int:
     stats = simulate_node_stats(config.model, report.strategy, 1.0, beta,
                                     config.n_paths, config.seed)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     rows = [
         (k, t, stats.mean[k], stats.q_beta[k], stats.tail_mean[k])
         for k, t in enumerate(config.model.grid.nodes)
@@ -398,11 +383,12 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 
 def cmd_compare(config: RunConfig, args) -> int:
-    cmp = unconstrained.compare_merton(config.model, config.utility)
+    model = config.model
+    jump, diffusion = (unconstrained.solve_power_1d(m, config.utility).strategy
+                       for m in (model, model.without_jumps()))
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rows = np.column_stack([cmp.t, cmp.pi_jump, cmp.pi_diffusion,
-                            cmp.v_jump, cmp.v_diffusion])
+    rows = np.column_stack([model.grid.nodes, jump.pi[:, 0],
+                            diffusion.pi[:, 0], jump.v, diffusion.v])
     _write_rows(out / "compare.csv",
                 "t,pi_jump,pi_diffusion,v_jump,v_diffusion", rows)
     print(f"wrote {out / 'compare.csv'}")
@@ -488,7 +474,6 @@ def _verify_checks(config: RunConfig, args) -> list:
 def cmd_verify(config: RunConfig, args) -> int:
     checks = _verify_checks(config, args)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / "verify.csv", "name,lhs,rhs,tolerance,pass",
                 [(n, l, r, t, ok) for n, l, r, t, ok in checks])
     failed = [name for name, *_rest, ok in checks if not ok]

@@ -24,6 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     ConditionViolated,
+    ConfigError,
     EpsilonTooLarge,
     KappaOutOfRange,
     ThetaHatNegative,
@@ -62,26 +63,26 @@ _SLACK_TOL = 1e-10
 # Transformed constraints
 # ---------------------------------------------------------------------------
 
-def _strategy_slack(kind: RiskKind, strategy: Strategy, model: MarketModel,
-                    risk: RiskSpec) -> np.ndarray:
-    """Transformed VaR or ES slack along the last axis, for one strategy or
-    a stack (the result then has the candidate axes in front)."""
+def slack_path(strategy: Strategy, model: MarketModel,
+               risk: RiskSpec) -> np.ndarray:
+    """Slack of the transformed constraint of the risk spec's kind, VaR or
+    ES, at every node (>= 0 is ok); a stack of strategies gives one slack
+    path per candidate, with the candidate axes in front."""
     lev = effective_level(model, risk)
     ynorm, V = strategy.y_norm_path(), strategy.V
     ip = inner_product_path(model.grid, strategy.y, theta_hat_path(model))
-    if kind == RiskKind.VAR:
+    if risk.kind == RiskKind.VAR:
         body = -0.5 * ynorm**2 + lev.q_level * ynorm - V + ip
     else:
         body = -V + ip + lev.F(ynorm + abs(lev.q_level))
     return body - math.log1p(-risk.kappa)
 
 
-def slack_path(strategy: Strategy, model: MarketModel,
-               risk: RiskSpec) -> np.ndarray:
-    """Slack of the transformed constraint of the risk spec's kind, VaR or
-    ES, at every node (>= 0 is ok); a stack of strategies gives one slack
-    path per candidate."""
-    return _strategy_slack(risk.kind, strategy, model, risk)
+def _require_kind(risk: RiskSpec, kind: RiskKind, solver: str) -> None:
+    """Raise ConfigError unless the limit is of the solver's own kind."""
+    if risk.kind != kind:
+        raise ConfigError(f"{solver} takes a {kind.value} limit, got "
+                          f"{risk.kind.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +189,9 @@ def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
 
 
 def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
-                  binding_radius) -> SolveReport:
-    """Shared body of the gamma = 1 solvers; binding_radius() returns the
-    RadiusSolution of the limit's kind."""
+                  force: bool = False) -> SolveReport:
+    """Shared body of the gamma = 1 solvers, at the binding radius of the
+    limit's kind; force skips the ES level condition."""
     check_initial_wealth(x)
     grid = model.grid
     R_T = float(R_path(model)[-1])
@@ -212,7 +213,8 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
                            diagnostics=diag)
     if np.min(theta_hat_path(model)) < -1e-12:
         raise ThetaHatNegative("theta_hat has a negative component")
-    radius = binding_radius()
+    radius = (rho_var_gamma1(model, risk) if risk.kind == RiskKind.VAR
+              else rho_es_gamma1(model, risk, force))
     y = theta_path(model) * (radius.rho_bar / radius.theta_norm)
     strategy = Strategy.from_y(model, y)
     if not _in_box(strategy.pi):
@@ -245,15 +247,16 @@ def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
     J* = x exp(R_T + ||theta||_T rho_bar).  Needs a componentwise
     nonnegative theta_hat; a pi* outside [0, 1]^d raises ConditionViolated.
     """
-    return _solve_gamma1(model, risk, x, lambda: rho_var_gamma1(model, risk))
+    _require_kind(risk, RiskKind.VAR, "solve_var_gamma1")
+    return _solve_gamma1(model, risk, x)
 
 
 def solve_es_gamma1(model: MarketModel, risk: RiskSpec, x: float = 1.0,
                     force: bool = False) -> SolveReport:
     """Optimal rule under the ES limit for gamma1 = gamma2 = 1; force skips
     the level condition on |q|, not the box check."""
-    return _solve_gamma1(model, risk, x,
-                         lambda: rho_es_gamma1(model, risk, force))
+    _require_kind(risk, RiskKind.ES, "solve_es_gamma1")
+    return _solve_gamma1(model, risk, x, force)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     return check(model, utility, risk, x, report)
 
 
-def _certificate(kind: RiskKind, model: MarketModel, risk: RiskSpec,
+def _certificate(model: MarketModel, risk: RiskSpec,
                  report: SolveReport, lhs: float, b: float,
                  diag: dict) -> ConstraintCertificate:
     """Check the norm bound ||y*||_T <= b = q ||theta||_T, record it and the
@@ -295,11 +298,11 @@ def _certificate(kind: RiskKind, model: MarketModel, risk: RiskSpec,
     inactive when lhs <= kappa and the bound holds."""
     y_norm_T = float(report.strategy.y_norm_path()[-1])
     norm_bound_ok = y_norm_T <= b + 1e-10
-    slack = _strategy_slack(kind, report.strategy, model, risk)
+    slack = slack_path(report.strategy, model, risk)
     diag.update(y_norm_T=y_norm_T, norm_budget=b, norm_bound_ok=norm_bound_ok,
                 min_slack=float(slack.min()))
     return ConstraintCertificate(
-        kind=kind,
+        kind=risk.kind,
         active=not (lhs <= risk.kappa and norm_bound_ok),
         condition_lhs=lhs,
         condition_rhs=risk.kappa,
@@ -320,6 +323,7 @@ def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
     strategy; c vanishes when theta_hat is componentwise nonnegative.  The
     norm bound ||y*||_T <= q ||theta||_T is verified before certifying.
     """
+    _require_kind(risk, RiskKind.VAR, "certify_var_gamma")
     _power_gamma(utility, x, "certify_var_gamma")
     lev = effective_level(model, risk)
     report = solve_power_equal(model, utility, x) if report is None else report
@@ -331,7 +335,7 @@ def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
     lhs = 1.0 - report.chi * math.exp(l_star + correction)
     diag = {"l_star": l_star, "chi": report.chi,
             "cross_term_correction": correction}
-    return _certificate(RiskKind.VAR, model, risk, report, lhs, b, diag)
+    return _certificate(model, risk, report, lhs, b, diag)
 
 
 def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
@@ -345,6 +349,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     2 ||theta_hat||_T.  The first-order jump aggregate M and its pairing
     with theta_hat are reported for reference.
     """
+    _require_kind(risk, RiskKind.ES, "certify_es_gamma")
     gamma = _power_gamma(utility, x, "certify_es_gamma")
     lev = effective_level(model, risk)
     grid = model.grid
@@ -372,7 +377,7 @@ def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
     diag = {"m_star": m_star, "chi": report.chi,
             "cross_term_correction": correction,
             "M_hat_theta_T": float(m_hat_theta_T)}
-    return _certificate(RiskKind.ES, model, risk, report, lhs, b, diag)
+    return _certificate(model, risk, report, lhs, b, diag)
 
 
 # ---------------------------------------------------------------------------

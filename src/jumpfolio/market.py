@@ -79,22 +79,16 @@ class TimeGrid:
         return _frozen(np.diff(self.nodes))
 
 
-def cumtrapz(grid: TimeGrid, values: np.ndarray, axis: int = 0) -> np.ndarray:
+def cumtrapz(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral along the grid, starting at 0.
 
-    Integration runs over `axis` of values, which has length N: the first
-    axis by default, so (N,) or (N, ...) paths, or axis=-1 for stacked
-    (..., N) paths.  The sums run node by node in time order whatever the
-    axis, so each path gets the same bits either way.
+    Integration runs over the last axis of values, which has length N: an
+    (N,) path or a stack (..., N) of paths, one integral per path.
     """
     values = np.asarray(values, dtype=float)
-    axis = axis % values.ndim
-    dt = grid.dt.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
-    head = (slice(None),) * axis
-    increments = 0.5 * (values[head + (slice(1, None),)]
-                        + values[head + (slice(None, -1),)]) * dt
+    increments = 0.5 * (values[..., 1:] + values[..., :-1]) * grid.dt
     out = np.zeros(values.shape)
-    np.cumsum(increments, axis=axis, out=out[head + (slice(1, None),)])
+    np.cumsum(increments, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -110,7 +104,7 @@ def l2_time_norm_sq_path(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     sq = values**2 if values.ndim == 1 else np.sum(values**2, axis=-1)
-    return cumtrapz(grid, sq, axis=-1)
+    return cumtrapz(grid, sq)
 
 
 def l2_time_norm(grid: TimeGrid, values: np.ndarray) -> float:
@@ -160,8 +154,8 @@ class JumpDist:
         return cls(z=z, w=p)
 
     @classmethod
-    def degenerate(cls, z: float = 0.0) -> "JumpDist":
-        return cls.point_masses([z], [1.0])
+    def degenerate(cls) -> "JumpDist":
+        return cls.point_masses([0.0], [1.0])
 
     @classmethod
     def from_density(cls, pdf, lo: float, hi: float) -> "JumpDist":
@@ -403,7 +397,7 @@ def inner_product_path(grid: TimeGrid, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     other = np.asarray(other, dtype=float)
     prod = y * other if y.ndim == 1 else np.sum(y * other, axis=-1)
-    return cumtrapz(grid, prod, axis=-1)
+    return cumtrapz(grid, prod)
 
 
 # ---------------------------------------------------------------------------

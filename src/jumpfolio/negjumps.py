@@ -74,7 +74,6 @@ class EffectiveLevel:
     q_level: float          # lower quantile at the effective level
     log_shift: float        # additive ES shift ln(1 - eps_T)
     epsilon_T: float
-    method: NegJumpMethod = NegJumpMethod.OFF   # how eps_T was estimated
 
     def F(self, u):
         """Effective log tail function, zero-shifted at u = |q_level|."""
@@ -99,8 +98,7 @@ def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
     eps = epsilon_t(model.jumps, model.grid.horizon, method)
     bh = beta_hat(risk.beta, eps)
     return EffectiveLevel(beta=bh, q_level=normal_quantile(bh),
-                          log_shift=math.log1p(-eps), epsilon_T=eps,
-                          method=method)
+                          log_shift=math.log1p(-eps), epsilon_T=eps)
 
 
 def adjusted_solve(model: MarketModel, risk: RiskSpec | None,

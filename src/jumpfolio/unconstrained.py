@@ -140,7 +140,7 @@ class Strategy:
         """Cumulative consumption integral V_t."""
         if self.V_path is not None:
             return self.V_path
-        return cumtrapz(self.grid, self.v, axis=-1)
+        return cumtrapz(self.grid, self.v)
 
     def y_norm_path(self) -> np.ndarray:
         return np.sqrt(l2_time_norm_sq_path(self.grid, self.y))
@@ -257,8 +257,7 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
     ip = inner_product_path(grid, strategy.y, theta_path(model))
     ysq = l2_time_norm_sq_path(grid, strategy.y)
     jump_integral = {
-        g: cumtrapz(grid, K_transform_path(model.jumps, strategy.pi, g),
-                    axis=-1)
+        g: cumtrapz(grid, K_transform_path(model.jumps, strategy.pi, g))
         for g in {g1, g2}}
 
     def exponent(g: float, node=slice(None)):
@@ -409,39 +408,3 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
                        J_star=cost_function(model, utility, strategy, x),
                        h_star=h, g=g, rho=rho, chi=chi_value(grid, g, utility),
                        diagnostics=diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Jump versus no-jump comparison
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MertonComparison:
-    """Optimal policies with jumps against the pure-diffusion market."""
-
-    t: np.ndarray
-    pi_jump: np.ndarray
-    pi_diffusion: np.ndarray
-    v_jump: np.ndarray
-    v_diffusion: np.ndarray
-    report_jump: SolveReport
-    report_diffusion: SolveReport
-
-
-def compare_merton(model: MarketModel, utility: UtilitySpec) -> MertonComparison:
-    """Solve the one-asset problem with jumps and with jumps switched off.
-
-    Positive jump laws pull the allocation down and the consumption rate up
-    relative to the pure-diffusion optimum.
-    """
-    rep_jump = solve_power_1d(model, utility)
-    rep_diff = solve_power_1d(model.without_jumps(), utility)
-    return MertonComparison(
-        t=model.grid.nodes.copy(),
-        pi_jump=rep_jump.strategy.pi[:, 0].copy(),
-        pi_diffusion=rep_diff.strategy.pi[:, 0].copy(),
-        v_jump=rep_jump.strategy.v.copy(),
-        v_diffusion=rep_diff.strategy.v.copy(),
-        report_jump=rep_jump,
-        report_diffusion=rep_diff,
-    )

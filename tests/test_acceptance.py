@@ -338,10 +338,12 @@ def test_criterion_9_policy_ordering():
     ok = True
     for gamma, kwargs in cases:
         model = make_model(n=257, **kwargs)
-        cmp = jf.compare_merton(model, jf.UtilitySpec.equal(gamma))
-        ok &= bool(np.all(cmp.pi_jump <= cmp.pi_diffusion + 1e-12))
-        ok &= bool(np.all(cmp.v_jump >= cmp.v_diffusion - 1e-12))
-        ok &= bool(np.any(cmp.pi_jump < cmp.pi_diffusion - 1e-8))
+        utility = jf.UtilitySpec.equal(gamma)
+        jump = jf.solve_power_1d(model, utility).strategy
+        diffusion = jf.solve_power_1d(model.without_jumps(), utility).strategy
+        ok &= bool(np.all(jump.pi <= diffusion.pi + 1e-12))
+        ok &= bool(np.all(jump.v >= diffusion.v - 1e-12))
+        ok &= bool(np.any(jump.pi < diffusion.pi - 1e-8))
     _report("criterion 9 (policy ordering)", ok,
             "pi_jump <= pi_diffusion and v_jump >= v_diffusion at every node "
             "on 3 instances")

@@ -1,14 +1,18 @@
-"""Every package name the benchmark reads still resolves.
+"""Every package name the benchmark reads still resolves, and every call
+it makes still binds.
 
 The benchmark under bench/ traces the functions listed in
 `bench/tracing.py::TRACED` and calls into the package through the module
-aliases of `bench/workloads.py`.  A rename in the package would break it
-without failing any other test, so both files are parsed here (not
-imported, so nothing under bench/ is written) and each name is looked up.
+aliases of `bench/workloads.py`.  A rename in the package, of a function
+or of one of its parameters, would break it without failing any other
+test, so both files are parsed here (not imported, so nothing under
+bench/ is written), each name is looked up and each call's positional
+count and keyword names are bound to today's signature.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -47,6 +51,43 @@ def _dotted(node):
     return None
 
 
+def _resolve(dotted, absent=None):
+    """The package object a dotted name on a module alias reads, or absent
+    when some attribute on the chain is missing."""
+    alias, *path = dotted.split(".")
+    obj = importlib.import_module(ALIASES[alias])
+    for attr in path:
+        obj = getattr(obj, attr, absent)
+    return obj
+
+
+def _workload_calls(source):
+    """(dotted name, positional count, keyword names) of each call whose
+    function is a package name; starred arguments are not counted."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        dotted = _dotted(node.func) if isinstance(node, ast.Call) else None
+        if dotted and dotted.split(".")[0] in ALIASES:
+            calls.append((dotted,
+                          sum(not isinstance(a, ast.Starred)
+                              for a in node.args),
+                          [k.arg for k in node.keywords if k.arg]))
+    return calls
+
+
+def _unbound_calls(source):
+    """The calls of source that today's signatures refuse, with the
+    reason."""
+    refused = []
+    for dotted, n_args, keywords in _workload_calls(source):
+        try:
+            inspect.signature(_resolve(dotted)).bind(
+                *range(n_args), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            refused.append(f"{dotted}: {exc}")
+    return refused
+
+
 def _workload_reads():
     """Every dotted name read from a package alias in bench/workloads.py;
     a chain a.b.c also yields its prefix a.b."""
@@ -72,12 +113,22 @@ def test_traced_name_resolves(module, attr):
 def test_workloads_read_names_that_resolve():
     reads = _workload_reads()
     assert "unconstrained.Strategy.from_pi" in reads
-    absent, missing = object(), []
-    for dotted in reads:
-        alias, *path = dotted.split(".")
-        obj = importlib.import_module(ALIASES[alias])
-        for attr in path:
-            obj = getattr(obj, attr, absent)
-        if obj is absent:
-            missing.append(dotted)
+    absent = object()
+    missing = [name for name in reads if _resolve(name, absent) is absent]
     assert not missing, missing
+
+
+def test_workload_calls_bind_to_todays_signatures():
+    source = (BENCH / "workloads.py").read_text(encoding="utf-8")
+    assert len(_workload_calls(source)) > 20
+    refused = _unbound_calls(source)
+    assert not refused, refused
+
+
+def test_a_renamed_keyword_fails_to_bind():
+    ok = "constrained.solve_es_gamma1(model, risk, 1.0, force=True)\n"
+    assert _unbound_calls(ok) == []
+    [refused] = _unbound_calls(ok.replace("force=", "forced="))
+    assert refused.startswith("constrained.solve_es_gamma1:")
+    assert "forced" in refused
+    assert _unbound_calls("jf.UtilitySpec(0.5, 0.5, 0.5)\n")

@@ -1,13 +1,14 @@
 import dataclasses
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 import jumpfolio as jf
-from jumpfolio.cli import config_text, load_config, main
-from jumpfolio.errors import ConditionViolated
+from jumpfolio.cli import _write_rows, config_text, load_config, main
+from jumpfolio.errors import ConditionViolated, OutOfRange
 from jumpfolio.market import GL_NODES_DEFAULT, R_path
 
 from conftest import make_model, make_model_2d
@@ -328,6 +329,35 @@ def test_compare_no_jumps_coincide(tmp_path):
     data = np.loadtxt(out / "compare.csv", delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], data[:, 2])
     assert np.array_equal(data[:, 3], data[:, 4])
+
+
+def test_write_rows_refuses_a_nan_cell_before_making_anything(tmp_path):
+    path = tmp_path / "out" / "table.csv"
+    with pytest.raises(OutOfRange, match=r"table\.csv: row 2 .*: 3,nan"):
+        _write_rows(path, "a,b", [(1.0, 2.0), (3.0, math.nan)])
+    assert not path.parent.exists()
+    # inf is a value, not a defect: a forced solve writes it on purpose
+    _write_rows(path, "a,b", [(1.0, math.inf), (True, "x")])
+    assert path.read_text() == "a,b\n1,inf\n1,x\n"
+
+
+def test_nan_result_exits_2_without_writing_a_csv(tmp_path, capsys,
+                                                  monkeypatch):
+    cfg, out = write_config(tmp_path, mu=0.055, g1=0.5, g2=0.5, kappa=0.8)
+    certify = jf.certify
+
+    def nan_certificate(*args, **kwargs):
+        cert = certify(*args, **kwargs)
+        cert.condition_lhs = math.nan
+        return cert
+
+    monkeypatch.setattr("jumpfolio.constrained.certify", nan_certificate)
+    assert main(["certify", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "condition_violation"
+    assert err["type"] == "OutOfRange"
+    assert "condition_lhs,nan" in err["message"]
+    assert not out.exists()
 
 
 def test_uniform_density_jump_config(tmp_path):

@@ -9,6 +9,7 @@ from jumpfolio.constrained import slack_path
 from jumpfolio.errors import (
     AssumptionJViolated,
     ConditionViolated,
+    ConfigError,
     KappaOutOfRange,
     OutOfRange,
     ThetaHatNegative,
@@ -117,6 +118,29 @@ def test_gamma1_solves_refuse_an_out_of_box_optimum(kind, force):
         solve()
     with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
         jf.adjusted_solve(model, risk, jf.UtilitySpec(1.0, 1.0), force=force)
+
+
+_NAMED_ENTRY_POINTS = {
+    "solve_var_gamma1": (ES, lambda m, risk: jf.solve_var_gamma1(m, risk)),
+    "solve_es_gamma1": (VAR, lambda m, risk: jf.solve_es_gamma1(m, risk)),
+    "certify_var_gamma": (ES, lambda m, risk: jf.certify_var_gamma(
+        m, jf.UtilitySpec.equal(0.5), risk)),
+    "certify_es_gamma": (VAR, lambda m, risk: jf.certify_es_gamma(
+        m, jf.UtilitySpec.equal(0.5), risk)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_ENTRY_POINTS))
+def test_named_entry_points_refuse_a_limit_of_the_other_kind(gamma1_model,
+                                                             name,
+                                                             monkeypatch):
+    # the refusal comes before any solve
+    for solver in ("_optimal_allocation", "solve_power_equal",
+                   "rho_var_gamma1", "rho_es_gamma1"):
+        monkeypatch.setattr(f"jumpfolio.constrained.{solver}", None)
+    risk, call = _NAMED_ENTRY_POINTS[name]
+    with pytest.raises(ConfigError, match=name):
+        call(gamma1_model, risk)
 
 
 def test_solve_var_gamma1_rejects_negative_theta_hat():

@@ -51,10 +51,10 @@ def test_path_integral_piecewise_linear_vs_riemann():
 
 def test_cumtrapz_vector_shape():
     grid = jf.TimeGrid.uniform(1.0, 5)
-    vals = np.ones((5, 3))
+    vals = np.ones((3, 5))
     out = cumtrapz(grid, vals)
-    assert out.shape == (5, 3)
-    assert np.allclose(out[-1], 1.0)
+    assert out.shape == (3, 5)
+    assert np.allclose(out[:, -1], 1.0)
 
 
 # ---------------------------------------------------------------------------

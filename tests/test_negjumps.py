@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 import jumpfolio as jf
 from jumpfolio.errors import EpsilonTooLarge, JumpfolioError, KappaOutOfRange
 from jumpfolio.negjumps import effective_level
-from jumpfolio.riskmetrics import NegJumpMethod
 
 from conftest import make_model
 
@@ -106,7 +105,6 @@ def test_effective_level_off_and_adjusted(mixed_jump_1d):
     eps = jf.epsilon_t(mixed_jump_1d.jumps, 1.0, "thinning")
     assert lev.epsilon_T == pytest.approx(eps, rel=1e-14)
     assert lev.beta == pytest.approx(jf.beta_hat(0.25, eps), rel=1e-14)
-    assert lev.method is NegJumpMethod.THINNING
 
     clean = make_model(lam=0.5, jump=jf.JumpDist.point_masses([0.05], [1.0]))
     lev0 = effective_level(clean, jf.RiskSpec("var", 0.25, 0.2, "thinning"))
@@ -228,21 +226,22 @@ def test_consume_all_var_keeps_kappa_with_negative_jumps():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def solve_cases(draw):
+def solve_cases(draw, atoms=(-1.0, 5.0), lam_max=5.0, mu=(-0.05, 0.5),
+                beta_max=0.5):
     """Inputs of one adjusted_solve: d <= 3 assets with drifts linear in
     time, atoms in (-1, 5), intensities up to 5, horizons up to 3, any
-    utility kind and an optional VaR or ES limit under any method."""
+    utility kind and an optional VaR or ES limit under any method; the
+    keywords narrow the atoms, intensities, drifts and levels."""
     d = draw(st.integers(1, 3))
-    atoms = st.lists(st.floats(-1.0, 5.0, exclude_min=True,
-                               exclude_max=True), min_size=1, max_size=3)
-    jumps = [(draw(st.floats(0.0, 5.0)), draw(atoms)) for _ in range(d)]
+    sizes = st.lists(st.floats(*atoms, exclude_min=True, exclude_max=True),
+                     min_size=1, max_size=3)
+    jumps = [(draw(st.floats(0.0, lam_max)), draw(sizes)) for _ in range(d)]
     utility = draw(st.sampled_from(["linear", "equal", "distinct"]))
     return dict(
         n=draw(st.sampled_from([5, 9, 17])),
         horizon=draw(st.floats(0.1, 3.0)),
         r=draw(st.floats(0.0, 0.05)),
-        mu=[(draw(st.floats(-0.05, 0.5)), draw(st.floats(-0.05, 0.5)))
-            for _ in range(d)],
+        mu=[(draw(st.floats(*mu)), draw(st.floats(*mu))) for _ in range(d)],
         sigma=[[draw(st.floats(0.1, 0.6)) if i == j
                 else draw(st.floats(-0.2, 0.2)) if j < i else 0.0
                 for j in range(d)] for i in range(d)],
@@ -252,7 +251,7 @@ def solve_cases(draw):
                 "distinct": (draw(st.floats(0.05, 0.45)),
                              draw(st.floats(0.55, 0.95)))}[utility],
         risk=draw(st.none() | st.tuples(
-            st.sampled_from(["var", "es"]), st.floats(0.01, 0.5),
+            st.sampled_from(["var", "es"]), st.floats(0.01, beta_max),
             st.floats(0.01, 0.99),
             st.sampled_from(["off", "paper", "thinning"]))),
     )
@@ -293,3 +292,106 @@ def test_adjusted_solve_refuses_or_returns_a_feasible_strategy(case):
     assert math.isfinite(report.J_star)
     for key, value in report.diagnostics.items():
         assert not isinstance(value, float) or math.isfinite(value), key
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations: each solve against a transformed copy of itself
+# ---------------------------------------------------------------------------
+
+def _solve_case(case, x=1.0):
+    """The report of adjusted_solve on a case, or the type it raises."""
+    model, utility, risk = _case_inputs(case)
+    try:
+        return jf.adjusted_solve(model, risk, utility, x)
+    except JumpfolioError as exc:
+        return type(exc)
+
+
+def _refused(a, b) -> bool:
+    """Whether both outcomes are refusals, which must then be of one type;
+    a refusal on one side only fails."""
+    if isinstance(a, type) or isinstance(b, type):
+        assert a is b, (a, b)
+        return True
+    return False
+
+
+def _assert_same_strategy(a, b):
+    for path in ("y", "pi", "v", "V"):
+        assert (getattr(a.strategy, path).tobytes()
+                == getattr(b.strategy, path).tobytes()), path
+
+
+def _with_null_asset(case):
+    """The case plus an asset with mu = r, no jumps and its own Brownian
+    motion, which an optimum leaves alone."""
+    d = len(case["mu"])
+    sigma = [row + [0.0] for row in case["sigma"]] + [[0.0] * d + [0.3]]
+    return dict(case, mu=case["mu"] + [(case["r"], case["r"])], sigma=sigma,
+                jumps=case["jumps"] + [(0.0, [0.0])])
+
+
+def _relabelled(case, order):
+    """The case with its assets in the given order."""
+    return dict(case, mu=[case["mu"][i] for i in order],
+                sigma=[case["sigma"][i] for i in order],
+                jumps=[case["jumps"][i] for i in order])
+
+
+# milder markets than solve_cases' defaults, so that each branch answers
+# often enough for its relations to be checked
+@given(solve_cases(atoms=(-0.05, 0.2), lam_max=0.5, mu=(0.03, 0.1),
+                   beta_max=0.2),
+       st.floats(0.1, 10.0), st.permutations(range(3)))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_solves_obey_the_metamorphic_relations(case, c, order):
+    base = _solve_case(case)
+    gamma1, gamma2 = case["gammas"]
+
+    # homogeneity for equal gamma: J*(c x) = c^gamma J*(x), same strategy
+    if gamma1 == gamma2:
+        scaled = _solve_case(case, c)
+        if not _refused(scaled, base):
+            assert scaled.J_star == pytest.approx(c**gamma1 * base.J_star,
+                                                  rel=1e-12)
+            _assert_same_strategy(scaled, base)
+
+    # relabelling the assets relabels pi and leaves J* alone
+    order = [i for i in order if i < len(case["mu"])]
+    moved = _solve_case(_relabelled(case, order))
+    if not _refused(moved, base):
+        assert moved.J_star == pytest.approx(base.J_star, rel=1e-12)
+        np.testing.assert_allclose(moved.strategy.pi,
+                                   base.strategy.pi[:, order],
+                                   rtol=0.0, atol=1e-12)
+
+    # a null asset leaves J* and pi alone for gamma < 1.  Not for gamma = 1,
+    # whose radius cap counts every asset's sigma, nor under `paper`, whose
+    # product over assets reads eps_T = 0 once one asset cannot jump.
+    if max(gamma1, gamma2) < 1.0 and (case["risk"] is None
+                                      or case["risk"][3] != "paper"):
+        more = _solve_case(_with_null_asset(case))
+        if not _refused(more, base):
+            assert more.J_star == pytest.approx(base.J_star, rel=1e-12)
+            np.testing.assert_allclose(more.strategy.pi[:, :-1],
+                                       base.strategy.pi, rtol=0.0, atol=1e-12)
+
+    if case["risk"] is None:
+        return
+    kind, beta, kappa, method = case["risk"]
+
+    # without negative atoms every method solves bit for bit as `off` does
+    clean = dict(case, jumps=[(lam, [abs(z) for z in sizes])
+                              for lam, sizes in case["jumps"]])
+    off = _solve_case(dict(clean, risk=(kind, beta, kappa, "off")))
+    for other in ("paper", "thinning"):
+        adjusted = _solve_case(dict(clean, risk=(kind, beta, kappa, other)))
+        if not _refused(adjusted, off):
+            assert adjusted.J_star == off.J_star
+            _assert_same_strategy(adjusted, off)
+
+    # J* is nondecreasing in kappa over the kappas that get an answer
+    answers = [_solve_case(dict(case, risk=(kind, beta, k, method)))
+               for k in (0.05, 0.2, 0.5, 0.8, 0.95)]
+    values = [a.J_star for a in answers if not isinstance(a, type)]
+    assert all(lo <= hi * (1.0 + 1e-12) for lo, hi in zip(values, values[1:]))

@@ -385,17 +385,24 @@ def test_V_integral(jump_1d):
 # Jump versus diffusion comparison
 # ---------------------------------------------------------------------------
 
+def _jump_and_diffusion(model, utility):
+    """The one-asset optima with jumps and with jumps switched off, the two
+    solves that `jumpfolio compare` writes."""
+    return (jf.solve_power_1d(model, utility),
+            jf.solve_power_1d(model.without_jumps(), utility))
+
+
 def test_compare_merton_no_jumps_identical():
     model = make_model(mu=0.047, sigma=0.3, lam=0.0)
-    cmp = jf.compare_merton(model, jf.UtilitySpec.equal(0.5))
-    assert np.array_equal(cmp.pi_jump, cmp.pi_diffusion)
-    assert np.array_equal(cmp.v_jump, cmp.v_diffusion)
+    jump, diffusion = _jump_and_diffusion(model, jf.UtilitySpec.equal(0.5))
+    assert np.array_equal(jump.strategy.pi, diffusion.strategy.pi)
+    assert np.array_equal(jump.strategy.v, diffusion.strategy.v)
 
 
 def test_compare_merton_orderings(jump_1d):
-    cmp = jf.compare_merton(jump_1d, jf.UtilitySpec.equal(0.5))
-    assert np.all(cmp.pi_jump <= cmp.pi_diffusion + 1e-12)
-    assert np.any(cmp.pi_jump < cmp.pi_diffusion - 1e-6)
-    assert np.all(cmp.v_jump >= cmp.v_diffusion - 1e-12)
-    assert np.all(cmp.report_jump.rho <= cmp.report_diffusion.rho + 1e-12)
-
+    jump, diffusion = _jump_and_diffusion(jump_1d, jf.UtilitySpec.equal(0.5))
+    pi_jump, pi_diffusion = jump.strategy.pi[:, 0], diffusion.strategy.pi[:, 0]
+    assert np.all(pi_jump <= pi_diffusion + 1e-12)
+    assert np.any(pi_jump < pi_diffusion - 1e-6)
+    assert np.all(jump.strategy.v >= diffusion.strategy.v - 1e-12)
+    assert np.all(jump.rho <= diffusion.rho + 1e-12)
