@@ -273,17 +273,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    """Write a CSV, creating its directory.  A NaN cell raises OutOfRange
-    before the directory is made or the file opened."""
+def _csv_text(path: Path, header: str, rows) -> str:
+    """The text of a CSV at `path`; a NaN cell raises OutOfRange."""
     lines = [header]
     for i, row in enumerate(rows, start=1):
         cells = [_fmt(v) for v in row]
         lines.append(",".join(cells))
         if "nan" in cells:
             raise OutOfRange(f"{path}: row {i} has a NaN cell: {lines[-1]}")
+    return "\n".join(lines) + "\n"
+
+
+def _write_rows(path: Path, header: str, rows) -> None:
+    """Write a CSV, creating its directory.  A NaN cell raises OutOfRange
+    before the directory is made or the file opened."""
+    text = _csv_text(path, header, rows)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
 
 
 def write_strategy_csv(path: Path, strategy: Strategy) -> None:
@@ -347,8 +353,12 @@ def cmd_solve(config: RunConfig, args) -> int:
     report = negjumps.adjusted_solve(config.model, config.risk, config.utility,
                                      x=1.0, force=args.force)
     out = config.out_dir
+    # every file is formatted and checked before the first one is written,
+    # the strategy by write_strategy_csv, which also makes the directory
+    report_text = _csv_text(out / "report.csv", "key,value",
+                            _report_rows(report))
     write_strategy_csv(out / "strategy.csv", report.strategy)
-    _write_rows(out / "report.csv", "key,value", _report_rows(report))
+    (out / "report.csv").write_text(report_text, encoding="utf-8")
     if dumped is not None:
         (out / "config_dump.ini").write_text(dumped, encoding="utf-8")
     print(f"wrote {out / 'strategy.csv'} and {out / 'report.csv'}")

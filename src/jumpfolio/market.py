@@ -209,14 +209,16 @@ class JumpSpec:
     def d(self) -> int:
         return int(self.lambdas.size)
 
-    @property
+    @cached_property
     def xi_lambda(self) -> np.ndarray:
-        """Compensator vector lambda_j * E[xi_j], shape (d,)."""
-        return self.lambdas * np.array([dist.mean for dist in self.dists])
+        """Compensator vector lambda_j * E[xi_j], shape (d,); computed once,
+        read-only."""
+        return _frozen(self.lambdas * np.array([d.mean for d in self.dists]))
 
-    @property
+    @cached_property
     def negative_mass(self) -> np.ndarray:
-        return np.array([dist.negative_mass for dist in self.dists])
+        """P(xi_j < 0) per asset, shape (d,); computed once, read-only."""
+        return _frozen([dist.negative_mass for dist in self.dists])
 
     def has_negative_jumps(self) -> bool:
         """True when some active asset can jump down."""

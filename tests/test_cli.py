@@ -360,6 +360,24 @@ def test_nan_result_exits_2_without_writing_a_csv(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_solve_checks_every_file_before_writing_any(tmp_path, capsys,
+                                                    monkeypatch):
+    cfg, out = write_config(tmp_path)
+    cli = importlib.import_module("jumpfolio.cli")
+    report_rows = cli._report_rows
+
+    def nan_rows(report):
+        return report_rows(report) + [("residual", math.nan)]
+
+    monkeypatch.setattr(cli, "_report_rows", nan_rows)
+    assert main(["solve", "--config", str(cfg), "--dump-config"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["type"] == "OutOfRange"
+    assert not (out / "strategy.csv").exists()
+    assert not out.exists()
+
+
 def test_uniform_density_jump_config(tmp_path):
     cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
     text = cfg.read_text().replace(

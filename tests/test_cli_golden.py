@@ -73,7 +73,7 @@ GOLDEN = {
     ("ref_var_gamma1", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("ref_var_gamma1", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "6506bb9968d7b536a3b0ec363ebdd912c5bd8385ac12e1b1f65a6492ce93d9c0"}},
+            "752b9b72a479303535e5bb0adada38f05fbe57511bca1e50b9e688c1e19dbccf"}},
     ("ref_es_equal2", "solve"): {"exit": 0, "files": {
         "report.csv":
             "0dd4fe58cd3c244f623eb7fa07b6344992887150f62c2c995b4c214fa90918c4",
@@ -85,7 +85,7 @@ GOLDEN = {
     ("ref_es_equal2", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("ref_es_equal2", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "4b84647652d44daaeef8b13ff7e29cb05f4a7a819cf320de89a1bbd88ac33015"}},
+            "f1ab9721f383ad9aa4ce052a4ca057513040d0c100f0919a201dd93fa4aefb58"}},
     ("power_equal_1d", "solve"): {"exit": 0, "files": {
         "report.csv":
             "dfa4a3bc56c9aee6cb9ea35c90903067fa09da942479e5f59156078cd78c2a8f",
@@ -97,7 +97,7 @@ GOLDEN = {
             "c94298d43d4ddf66687170c5043ab92050fc17bec6933d9902cb6f6da8a08f52"}},
     ("power_equal_1d", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "3cc593d6b083a9a4cc1c48bc3b1ed9bd3255930b1d92356b7e78b5441bc2a850"}},
+            "62550d564a374ecc02012f78967f19175515f0e5eb01139ff7c35e1925563aeb"}},
     ("diff_gamma_var", "solve"): {"exit": 0, "files": {
         "report.csv":
             "adfc6049d89647aca3e8eac06e099d25cb5205d86d1f3f5135e6bfe59637052d",

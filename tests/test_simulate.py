@@ -117,10 +117,11 @@ def test_rejects_ensemble_too_large_to_store(sim_model, sim_strategy):
 @pytest.mark.parametrize("shape", [(64,), (66,), (65, 1), ()])
 def test_rejects_thresholds_of_wrong_shape_before_drawing(
         sim_model, sim_strategy, shape, monkeypatch):
+    # every block stream starts from this constructor
     def no_draws(seed):
         raise AssertionError("drew random numbers before validating")
 
-    monkeypatch.setattr(np.random, "Philox", no_draws)
+    monkeypatch.setattr(np.random, "SFC64", no_draws)
     with pytest.raises(OutOfRange):
         jf.simulate_node_stats(sim_model, sim_strategy, 1.0, 0.05, 100, 1,
                                thresholds=np.ones(shape))
@@ -146,11 +147,14 @@ def test_callback_error_reaches_caller_and_stops_the_worker(
 
 def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     """Reference: every block's draws and every node update in one loop on
-    one thread.  Block b draws from Philox(seed) advanced by b jumps; per
-    group of intervals (as many as 2^18 normals cover, at least one) it
-    draws its normals interval by interval, then per asset with jumps one
-    Poisson total per interval, the jumps' path indices, their offsets
-    inside the interval and, unless the law has one atom, their sizes."""
+    one thread.  Block b draws from SFC64 seeded by child b of the seed's
+    SeedSequence, spawned here as the last of b + 1 children (its spawn
+    key is (b,) however many are spawned); per group of intervals (as many
+    as 2^18 normals cover, at least one) it draws its normals interval by
+    interval, then per asset with jumps one Poisson total per interval,
+    the jumps' path indices, their offsets inside the interval and, unless
+    the law has one atom, their sizes.  Returns the wealth, the jump
+    counts and each block's first normal."""
     grid = model.grid
     n = grid.n
     det_log = (math.log(x) + R_path(model) - strategy.V
@@ -161,13 +165,17 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     rows = min(n - 1, max(1, (1 << 18) // n_paths))
     inc = np.empty((n - 1, n_paths))
     counts = np.zeros((n_paths, model.d), dtype=np.int64)
+    first_normals = []
     for b, lo in enumerate(range(0, n_paths, block_paths)):
         hi = min(lo + block_paths, n_paths)
-        rng = np.random.Generator(np.random.Philox(seed).jumped(b))
+        child = np.random.SeedSequence(seed).spawn(b + 1)[b]
+        rng = np.random.Generator(np.random.SFC64(child))
         for first in range(0, n - 1, rows):
             group = np.arange(first, min(first + rows, n - 1))
             for i in group:
                 z = rng.standard_normal(hi - lo)
+                if i == 0:
+                    first_normals.append(z[0])
                 inc[i, lo:hi] = (z * math.sqrt(s2[i])
                                  + (det_log[i + 1] - det_log[i] - 0.5 * s2[i]))
             for j in range(model.d):
@@ -197,7 +205,7 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     for k in range(1, n):
         log_w += inc[k - 1]
         wealth[:, k] = np.exp(log_w)
-    return wealth, counts
+    return wealth, counts, first_normals
 
 
 def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
@@ -216,8 +224,10 @@ def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
                           np.full(grid.n, 0.5)])
     strategy = jf.Strategy.from_pi(model, pi)
     n_paths = 100_000
-    wealth, counts = _serial_march(model, strategy, 1.0, n_paths, 21,
-                                   block_paths=1 << 15)
+    wealth, counts, first_normals = _serial_march(
+        model, strategy, 1.0, n_paths, 21, block_paths=1 << 15)
+    # the four blocks of the seed draw from four different streams
+    assert len(set(first_normals)) == 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

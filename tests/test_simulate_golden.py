@@ -8,8 +8,10 @@ of intervals; an asset with no jumps; fewer paths than a typical draw;
 an asset whose intensity is positive but draws no jump; and more paths
 than one block, so that both draw workers fill blocks.  A change to the
 draw order, the block streams or the per-node arithmetic changes a
-digest.  The digests hold for the numpy version and CPU the
-suite runs on (Philox streams are stable within a numpy release).
+digest.  The streams are SFC64, seeded per block by children of the
+seed's SeedSequence, so the digests hold for the numpy release and CPU
+the suite runs on: numpy keeps SeedSequence, SFC64 and its distributions
+stable within a release, not across every release.
 
 The same cases, plus a tabulated jump density, also pin `cost_function`
 and the transformed VaR and ES slack paths, which share their formulas
@@ -86,23 +88,23 @@ CASES = {
 
 GOLDEN = {
     "no_jump_drawn": (
-        "41bc5255f4d8b8df3309c6f72970f2a737cb12919e35a9c77a9b51a2bf8e02a4",
-        "3f0416537a94002315f35b52c2f8f22a73e7f4449576ad0fed2ed8ef5f7c8f02"),
+        "482806618abed8538afd1ce402dbd8a41d87d3e876a6c2896f37e14f08f073c6",
+        "c64566c7eb4b49009de6b76528b10febc4022bdf96227597771ec39c6af6f2a4"),
     "long_grid": (
-        "a8a4ac1ad07f1a6bf86dd2af7d2481b60070a978968a5bad707770cb21133da4",
-        "f399516fdcbbb3d862262827d1a969aaf1bddf739fe5e6fb68479da5e6d3ec38"),
+        "afd2b49fb26625606938cb05c610e34d0028ff7af1c4461bce08732b22523cee",
+        "6bc956357de33b05739e7e60a000fbe784fa4e1ea0c263bf35a30b2685e35753"),
     "one_asset_without_jumps": (
-        "299b5c14d082e1167f2b07358410a7c0cbc0a36f68dc44ee0b577c301a0aaf74",
-        "338dd93ffe7240abc9a684fc2fdb1dce127575cb93f577bfcd4e3e02e67f6ded"),
+        "9b06447dfdba807d301dbfe3a32908a14c91ff392b074d8459ed1799194db5d8",
+        "7902edd58813a234b38a861b7eb05cb60d6da750649385df8126bb7b4ab6411b"),
     "seven_paths": (
-        "79a3b830ae2f2f5a2b991456566855aaf40429591d9073b4f19f14167baef300",
-        "848b5a31ce720c1221122bbf91ab53f04dd08e8a26be88353f8cbc4b66595aca"),
+        "c1cf189576f51a1b11037922f91c0dc2b8f1e0e4ec80360063ee4e7314e72957",
+        "2e57b29e7f53075357ed1b8fe0892d22d2e5d500c14521b205a0c72fa518aba9"),
     "two_asset_negative_jump": (
-        "029e1ff553caa027ed2690d169c284318042b7ebd367fc6c61add7f783d414bb",
-        "9a5c1e1ad2f57343f61d7b7b4015b05fbfd2d65624103fd4b6fa809cfcbee4f3"),
+        "f7645619d65b523635f0a13f8e640d507cb6e74762655ed4ccda9a46b5700ba6",
+        "12d67f5327d68e837c8d7a2c313d0641241b842b0d989e9b545f25f6d65ef77d"),
     "two_blocks": (
-        "128abb451264943498bee3530af04fb5ae5a09b8952ce0e5cff47f85d0f82373",
-        "5f5ac0050312949654783b06116227dfd0b77706a216515bd0b20741d0495004"),
+        "2f51841428070714838a4718a4619fa3262c9eae4525f6bc55a08f3576cacb7b",
+        "23018755d0eba72aac5e2938c9e76dc861b9fe24fe7d8e414d694273a1d90a54"),
 }
 
 

@@ -138,6 +138,19 @@ def test_each_path_is_one_read_only_array_per_model(path):
     assert np.array_equal(path(other), first)
 
 
+def test_jump_vectors_are_one_read_only_array_per_spec():
+    jumps = MODELS["two_assets_negative_jumps"]().jumps
+    for name, fresh in (
+            ("xi_lambda", jumps.lambdas * np.array([d.mean
+                                                    for d in jumps.dists])),
+            ("negative_mass", np.array([d.negative_mass
+                                        for d in jumps.dists]))):
+        first = getattr(jumps, name)
+        assert getattr(jumps, name) is first
+        assert not first.flags.writeable
+        assert first.tobytes() == fresh.tobytes()
+
+
 def test_model_inputs_are_read_only_copies():
     mu = np.full((17, 1), 0.07)
     grid = jf.TimeGrid.uniform(1.0, 17)
