@@ -7,8 +7,9 @@ strategy that satisfies the jump-free transformed constraint
     ES:   -V_t + (y, theta_hat)_t + F(||y||_t + |q|)          >= ln(1-kappa)
 
 at every t also satisfies the original constraint on the jump-diffusion
-wealth.  The linear-utility solvers pick the largest feasible radius rho
-along the direction theta_t / ||theta||_T; the equal-gamma certificates test
+wealth.  The linear-utility solvers return the box optimum when it meets
+the limit and otherwise the binding radius rho along the direction
+theta_t / ||theta||_T; the equal-gamma certificates test
 whether the unconstrained optimum already satisfies the transform; for
 distinct gammas the constraint forces consuming everything at an explicit
 rate.  Negative jumps are handled by the tightened level from `negjumps`.
@@ -53,6 +54,7 @@ from .unconstrained import (
     _optimal_allocation,
     _power_gamma,
     check_initial_wealth,
+    solve_linear,
     solve_power_equal,
 )
 
@@ -86,16 +88,8 @@ def _require_kind(risk: RiskSpec, kind: RiskKind, solver: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared scalars for the linear-utility solvers
+# Linear utility: the box optimum, else the paper's ray
 # ---------------------------------------------------------------------------
-
-def _radius_cap(model: MarketModel) -> float:
-    """Budget sqrt(T) ||sigma||_T on the radius; ||sigma||_T is the time-L2
-    norm of the Frobenius norm of sigma_t."""
-    fro_sq = np.sum(model.coeffs.sigma**2, axis=(1, 2))
-    norm = float(np.sqrt(trapz(model.grid, fro_sq)))
-    return math.sqrt(model.grid.horizon) * norm
-
 
 def _radius_terms(model: MarketModel, risk: RiskSpec) -> tuple:
     """Effective level, ||theta||_T, compensator drag K and ln(1 - kappa)
@@ -119,11 +113,9 @@ def _radius_terms(model: MarketModel, risk: RiskSpec) -> tuple:
 
 @dataclass(frozen=True)
 class RadiusSolution:
-    """Feasible allocation radius for the linear-utility solvers."""
+    """Binding allocation radius of the linear-utility solvers."""
 
     rho_star: float      # root of the binding transformed constraint
-    cap: float           # budget sqrt(T) ||sigma||_T on the radius
-    rho_bar: float       # usable radius min(rho_star, cap)
     residual: float      # defining-equation defect at rho_star
     theta_norm: float
     drag: float          # compensator drag K used in the equation
@@ -134,7 +126,7 @@ def rho_var_gamma1(model: MarketModel, risk: RiskSpec) -> RadiusSolution:
     """Binding radius of the transformed VaR constraint for gamma = 1.
 
     Solves -rho^2/2 + (q - K + ||theta||_T) rho = ln(1 - kappa) in closed
-    form and caps the result by sqrt(T) ||sigma||_T.
+    form.
     """
     lev, theta_norm, drag, target = _radius_terms(model, risk)
     floor = max(0.0, 1.0 - math.exp(0.5 * lev.q_level**2
@@ -145,9 +137,7 @@ def rho_var_gamma1(model: MarketModel, risk: RiskSpec) -> RadiusSolution:
     b = theta_norm - abs(lev.q_level) - drag
     rho_star = b + math.sqrt(b * b - 2.0 * target)
     residual = (-0.5 * rho_star**2 + b * rho_star) - target
-    cap = _radius_cap(model)
-    return RadiusSolution(rho_star=rho_star, cap=cap,
-                          rho_bar=min(rho_star, cap), residual=residual,
+    return RadiusSolution(rho_star=rho_star, residual=residual,
                           theta_norm=theta_norm, drag=drag, kappa_floor=floor)
 
 
@@ -181,60 +171,49 @@ def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
         raise ConditionViolated("could not bracket the ES radius")
     rho_star = float(brentq(lambda r: psi(r) - target, 0.0, hi,
                             xtol=1e-15, rtol=8.9e-16))
-    cap = _radius_cap(model)
-    return RadiusSolution(rho_star=rho_star, cap=cap,
-                          rho_bar=min(rho_star, cap),
-                          residual=psi(rho_star) - target,
+    return RadiusSolution(rho_star=rho_star, residual=psi(rho_star) - target,
                           theta_norm=theta_norm, drag=drag)
+
+
+def _slack_diagnostics(slack: np.ndarray) -> dict:
+    """The slack keys of every gamma = 1 report."""
+    return {"min_slack": float(slack.min()), "slack_at_T": float(slack[-1])}
 
 
 def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
                   force: bool = False) -> SolveReport:
-    """Shared body of the gamma = 1 solvers, at the binding radius of the
-    limit's kind; force skips the ES level condition."""
-    check_initial_wealth(x)
-    grid = model.grid
-    R_T = float(R_path(model)[-1])
-    theta_norm = l2_time_norm(grid, theta_path(model))
-    if theta_norm <= 1e-14:
-        # vanishing price of risk: stay riskless, consume nothing
-        lev = effective_level(model, risk)
-        strategy = Strategy.riskless(model)
-        xi_norm = l2_time_norm(grid, sigma_inv_xi_lambda_path(model))
-        rho0 = (math.sqrt((abs(lev.q_level) + xi_norm) ** 2
-                          - 2.0 * math.log1p(-risk.kappa))
-                - abs(lev.q_level) - xi_norm)
-        diag = {
-            "case": "zero_theta",
-            "rho_0": rho0,
-            "y_norm_budget": min(rho0, _radius_cap(model)),
-        }
-        return SolveReport(strategy=strategy, J_star=x * math.exp(R_T),
-                           diagnostics=diag)
+    """Shared body of the gamma = 1 solvers over the box [0, 1]^d.
+
+    The box optimum of solve_linear when it meets the limit (case "box");
+    otherwise the paper's ray theta_t / ||theta||_T at the binding radius
+    rho* of the limit's kind (case "directional"), refused with
+    ConditionViolated when it leaves the box.  force skips the ES level
+    condition.
+    """
+    report = solve_linear(model, x)
+    slack = slack_path(report.strategy, model, risk)
+    if slack.min() >= -_SLACK_TOL:
+        report.diagnostics.update(case="box", **_slack_diagnostics(slack))
+        return report
     if np.min(theta_hat_path(model)) < -1e-12:
         raise ThetaHatNegative("theta_hat has a negative component")
     radius = (rho_var_gamma1(model, risk) if risk.kind == RiskKind.VAR
               else rho_es_gamma1(model, risk, force))
-    y = theta_path(model) * (radius.rho_bar / radius.theta_norm)
+    y = theta_path(model) * (radius.rho_star / radius.theta_norm)
     strategy = Strategy.from_y(model, y)
     if not _in_box(strategy.pi):
         raise ConditionViolated(
             "the gamma = 1 optimum leaves [0, 1]: pi ranges over "
             f"[{strategy.pi.min():.6g}, {strategy.pi.max():.6g}]")
-    slack = slack_path(strategy, model, risk)
     diag = {
         "case": "directional",
         "rho_star": radius.rho_star,
-        "rho_bar": radius.rho_bar,
-        "cap": radius.cap,
-        "binding": radius.rho_bar == radius.rho_star,
         "rho_residual": radius.residual,
         "drag": radius.drag,
-        "min_slack": float(slack.min()),
-        "slack_at_T": float(slack[-1]),
-        "pi_in_box": True,
+        **_slack_diagnostics(slack_path(strategy, model, risk)),
     }
-    J = x * math.exp(R_T + radius.theta_norm * radius.rho_bar)
+    R_T = float(R_path(model)[-1])
+    J = x * math.exp(R_T + radius.theta_norm * radius.rho_star)
     return SolveReport(strategy=strategy, J_star=J, diagnostics=diag)
 
 
@@ -242,10 +221,11 @@ def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
                      x: float = 1.0) -> SolveReport:
     """Optimal rule under the VaR limit for gamma1 = gamma2 = 1.
 
-    With ||theta||_T = 0 the riskless account is optimal.  Otherwise the
-    optimum rides theta_t / ||theta||_T at the largest feasible radius and
-    J* = x exp(R_T + ||theta||_T rho_bar).  Needs a componentwise
-    nonnegative theta_hat; a pi* outside [0, 1]^d raises ConditionViolated.
+    The box optimum pi_t^j = 1{mu_t^j > r_t} when it meets the limit;
+    otherwise the optimum rides theta_t / ||theta||_T at the binding radius
+    rho* and J* = x exp(R_T + ||theta||_T rho*).  The ray needs a
+    componentwise nonnegative theta_hat; a ray outside [0, 1]^d raises
+    ConditionViolated.
     """
     _require_kind(risk, RiskKind.VAR, "solve_var_gamma1")
     return _solve_gamma1(model, risk, x)

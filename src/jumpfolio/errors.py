@@ -25,10 +25,6 @@ class MomentDiverges(JumpfolioError):
     """An exponential jump moment is not finite."""
 
 
-class DriftBelowRate(JumpfolioError):
-    """Some asset drift falls below the riskless rate where required."""
-
-
 class NoConvergence(JumpfolioError):
     """An iterative solver did not converge within its iteration budget."""
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     ConditionViolated,
-    DriftBelowRate,
     InvalidStrategy,
     NoConvergence,
     OutOfRange,
@@ -43,7 +42,6 @@ from .market import (
     cumtrapz,
     inner_product_path,
     jump_terms_path,
-    l2_time_norm,
     l2_time_norm_sq_path,
     theta_path,
     trapz,
@@ -276,35 +274,23 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
 # ---------------------------------------------------------------------------
 
 def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
-    """Optimal rule for gamma1 = gamma2 = 1 (consume nothing, ride the drift).
+    """Optimal rule for gamma1 = gamma2 = 1 over the box [0, 1]^d with
+    v >= 0: consume nothing and hold pi*_t^j = 1{mu_t^j > r_t}.
 
-    Requires mu_t^j >= r_t everywhere.  When the excess drift vanishes in
-    time-L2 norm any box allocation is optimal and we return pi = 0;
-    otherwise pi*_t = (mu_t - r_t 1) sqrt(T) / ||mu - r 1||_T and
-    J* = x exp(R_T + sqrt(T) ||mu - r 1||_T).  A pi* outside the box
-    [0, 1]^d raises ConditionViolated.
+    The gamma = 1 cost x exp(R_T - V_T + int pi_t . (mu_t - r_t 1) dt) is
+    linear in pi (K vanishes at gamma = 1), so each component sits at the
+    bound its excess drift points to, and J* = x exp(R_T + int sum_j
+    (mu_t^j - r_t)^+ dt), the integral by trapezoid.  Consuming nothing is
+    optimal when the growth rate r_t + sum_j (mu_t^j - r_t)^+ is
+    nonnegative at every node, as with r >= 0.
     """
     check_initial_wealth(x)
     c = model.coeffs
     excess = c.mu - c.r[:, None]
-    if np.any(excess < -1e-12):
-        raise DriftBelowRate("mu_t^j < r_t at some node")
-    grid = model.grid
-    R_T = float(R_path(model)[-1])
-    norm = l2_time_norm(grid, excess)
-    if norm <= 1e-14:
-        strategy = Strategy.riskless(model)
-        J = x * float(np.exp(R_T))
-    else:
-        pi = excess * np.sqrt(grid.horizon) / norm
-        if not _in_box(pi):
-            raise ConditionViolated(
-                "the linear-utility optimum leaves [0, 1]: max pi = "
-                f"{pi.max():.6g}")
-        strategy = Strategy.from_pi(model, pi)
-        J = x * float(np.exp(R_T + np.sqrt(grid.horizon) * norm))
-    return SolveReport(strategy=strategy, J_star=J,
-                       diagnostics={"excess_norm": norm, "pi_in_box": True})
+    strategy = Strategy.from_pi(model, (excess > 0.0).astype(float))
+    gain = trapz(model.grid, np.sum(np.maximum(excess, 0.0), axis=1))
+    J = x * float(np.exp(float(R_path(model)[-1]) + gain))
+    return SolveReport(strategy=strategy, J_star=J)
 
 
 # ---------------------------------------------------------------------------

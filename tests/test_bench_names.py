@@ -7,7 +7,9 @@ aliases of `bench/workloads.py`.  A rename in the package, of a function
 or of one of its parameters, would break it without failing any other
 test, so both files are parsed here (not imported, so nothing under
 bench/ is written), each name is looked up and each call's positional
-count and keyword names are bound to today's signature.
+count and keyword names are bound to today's signature.  The same holds
+for the diagnostics keys the benchmark's checks read: a renamed key would
+turn its check off, so each is pinned to a solve that emits it.
 """
 
 import ast
@@ -16,6 +18,10 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+import jumpfolio as jf
+
+from conftest import make_model
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -132,3 +138,52 @@ def test_a_renamed_keyword_fails_to_bind():
     assert refused.startswith("constrained.solve_es_gamma1:")
     assert "forced" in refused
     assert _unbound_calls("jf.UtilitySpec(0.5, 0.5, 0.5)\n")
+
+
+def _is_diag(node):
+    return isinstance(node, ast.Name) and node.id == "diag"
+
+
+def _diagnostic_reads():
+    """The string keys bench/workloads.py reads off a dict named diag, by
+    subscript, `in` or `.get`."""
+    keys = set()
+    for node in ast.walk(_tree("workloads.py")):
+        if isinstance(node, ast.Subscript) and _is_diag(node.value):
+            key = node.slice
+        elif isinstance(node, ast.Compare) and any(
+                _is_diag(c) for c in node.comparators):
+            key = node.left
+        elif isinstance(node, ast.Call) and _dotted(node.func) == "diag.get":
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+    return keys
+
+
+# each key the benchmark reads, and a solve that emits it; the gamma = 1
+# VaR solve is a directional one, as pi = 1 breaks a 10% limit
+EMITTED_BY = {
+    "rho_residual": lambda: jf.solve_var_gamma1(
+        make_model(), jf.RiskSpec("var", 0.05, 0.1)),
+    "foc_residual": lambda: jf.solve_power_equal(
+        make_model(), jf.UtilitySpec.equal(0.5)),
+    "boundary_clipped": lambda: jf.solve_power_equal(
+        make_model(), jf.UtilitySpec.equal(0.5)),
+    "certificate": lambda: jf.adjusted_solve(
+        make_model(mu=0.047), jf.RiskSpec("var", 0.05, 0.7),
+        jf.UtilitySpec.equal(0.5)),
+}
+# read by the benchmark's power check, emitted by no solver
+NOT_EMITTED = {"eta_residual"}
+
+
+def test_bench_reads_only_pinned_diagnostic_keys():
+    assert _diagnostic_reads() == set(EMITTED_BY) | NOT_EMITTED
+
+
+@pytest.mark.parametrize("key", sorted(EMITTED_BY))
+def test_a_diagnostic_key_the_bench_reads_is_emitted(key):
+    assert key in EMITTED_BY[key]().diagnostics

@@ -69,7 +69,7 @@ def test_solve_writes_strategy_and_report(tmp_path):
     rep = jf.solve_var_gamma1(model_cfg.model, model_cfg.risk)
     assert float(report["J_star"]) == rep.J_star
     radius = jf.rho_var_gamma1(model_cfg.model, model_cfg.risk)
-    assert float(report["rho_bar"]) == radius.rho_bar
+    assert float(report["rho_star"]) == radius.rho_star
 
 
 def test_solve_diffusion_strategy_matches_merton(tmp_path):
@@ -444,18 +444,36 @@ def test_undumpable_law_fails_before_any_file_is_written(tmp_path, capsys,
 
 def test_out_of_box_gamma1_optimum_is_a_condition_violation(tmp_path,
                                                              capsys):
-    cfg, out = write_config(tmp_path, mu=0.25, kappa=0.9)
+    # pi = 1 breaks the limit, and the ray at rho* climbs above 1 where mu
+    # peaks
+    cfg, out = write_config(tmp_path, kappa=0.2)
     cfg.write_text(cfg.read_text()
-                   .replace("horizon = 1.0\nnodes = 129",
-                            "horizon = 2.0\nnodes = 65")
-                   .replace("sigma = 0.3", "sigma = 0.2")
-                   .replace("points = 0.04:1.0", "points = 0.05:1.0"))
+                   .replace("nodes = 129", "nodes = 5")
+                   .replace("mu = 0.07",
+                            "mu = 0.03, 0.0975, 0.165, 0.2325, 0.3")
+                   .replace("lambda = 0.5", "lambda = 0.0"))
     for command in ("solve", "simulate", "verify"):
         assert main([command, "--config", str(cfg)]) == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "condition_violation"
         assert error["type"] == "ConditionViolated"
     assert not out.exists()
+
+
+def test_gamma1_box_optimum_is_solved(tmp_path):
+    # the ray at rho* would put pi at 6.9, but pi = 1 meets the limit
+    cfg, out = write_config(tmp_path, mu=0.25, kappa=0.9)
+    cfg.write_text(cfg.read_text()
+                   .replace("horizon = 1.0\nnodes = 129",
+                            "horizon = 2.0\nnodes = 65")
+                   .replace("sigma = 0.3", "sigma = 0.2")
+                   .replace("points = 0.04:1.0", "points = 0.05:1.0"))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    data = np.loadtxt(out / "strategy.csv", delimiter=",", skiprows=1)
+    assert np.all(data[:, 2] == 1.0)
+    report = dict(line.split(",") for line in
+                  (out / "report.csv").read_text().splitlines()[1:])
+    assert report["case"] == "box"
 
 
 # gamma1 = 1 with gamma2 < 1 fits no solver

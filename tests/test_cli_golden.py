@@ -66,7 +66,7 @@ COMMANDS = {
 GOLDEN = {
     ("ref_var_gamma1", "solve"): {"exit": 0, "files": {
         "report.csv":
-            "48c229d8d9d28b4dc7125629b0ee023769bc3f7955296e6198b844534d4c520b",
+            "8d68c7ad3d719250d6ae425dceff23ec79abe759c19e101aa8fd33da034d6cdc",
         "strategy.csv":
             "54dcb648c33097955c6047c2a2e6d3179e5fd4fee35d0209feda07e1d2506a73"}},
     ("ref_var_gamma1", "certify"): {"exit": 2, "error": "ConditionViolated"},

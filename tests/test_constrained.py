@@ -90,26 +90,33 @@ def test_solve_var_gamma1_zero_theta():
     rep = jf.solve_var_gamma1(model, VAR, x=3.0)
     assert rep.J_star == pytest.approx(3.0 * math.exp(0.02), rel=1e-14)
     assert np.all(rep.strategy.y == 0.0)
-    assert rep.diagnostics["rho_0"] > 0
+    assert rep.diagnostics["case"] == "box"
 
 
 def test_solve_var_gamma1_feasibility_and_binding(gamma1_model):
     rep = jf.solve_var_gamma1(gamma1_model, VAR)
     slack = slack_path(rep.strategy, gamma1_model, VAR)
     assert slack.min() >= -1e-10
-    assert rep.diagnostics["binding"]
+    assert rep.diagnostics["case"] == "directional"
     assert abs(rep.diagnostics["slack_at_T"]) < 1e-10
-    assert rep.diagnostics["pi_in_box"]
+
+
+def _rising_drift_model():
+    # mu climbs from 0.03 to 0.30 over five nodes: pi = 1 breaks a tight
+    # limit, and the ray theta_t / ||theta||_T at rho* peaks above 1
+    grid = jf.TimeGrid.uniform(1.0, 5)
+    coeffs = jf.CoefficientPath(r=np.full(5, 0.02),
+                                mu=np.linspace(0.03, 0.30, 5)[:, None],
+                                sigma=np.full((5, 1, 1), 0.3))
+    return jf.MarketModel(grid, coeffs, jf.JumpSpec.none(1))
 
 
 @pytest.mark.parametrize("force", [False, True])
 @pytest.mark.parametrize("kind", ["var", "es"])
 def test_gamma1_solves_refuse_an_out_of_box_optimum(kind, force):
-    # the radius cap puts pi = sqrt(T) = 1.414 on every node, outside
-    # [0, 1]; |q| >= 2 ||theta||_T, so the ES level condition holds
-    model = make_model(n=65, horizon=2.0, mu=0.10, sigma=0.2, lam=0.5,
-                       jump=jf.JumpDist.point_masses([0.05], [1.0]))
-    risk = jf.RiskSpec(kind, 0.05, 0.9)
+    # |q| >= 2 ||theta||_T, so the ES level condition holds
+    model = _rising_drift_model()
+    risk = jf.RiskSpec(kind, 0.05, 0.3)
     if kind == "var":
         solve = lambda: jf.solve_var_gamma1(model, risk)
     else:
@@ -118,6 +125,23 @@ def test_gamma1_solves_refuse_an_out_of_box_optimum(kind, force):
         solve()
     with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
         jf.adjusted_solve(model, risk, jf.UtilitySpec(1.0, 1.0), force=force)
+
+
+@pytest.mark.parametrize("kind, kappa", [("var", 0.3), ("es", 0.4)])
+def test_gamma1_solves_return_a_feasible_box_optimum(kind, kappa):
+    # the ray at rho* would put pi above 1 on a two-year horizon, but the
+    # box optimum pi = 1 meets the limit
+    model = make_model(n=65, horizon=2.0, mu=0.10, sigma=0.2)
+    risk = jf.RiskSpec(kind, 0.05, kappa)
+    rep = jf.adjusted_solve(model, risk, jf.UtilitySpec(1.0, 1.0))
+    assert rep.diagnostics["case"] == "box"
+    assert np.all(rep.strategy.pi == 1.0)
+    assert rep.J_star == pytest.approx(1.2214028, abs=1e-7)
+    assert rep.J_star == pytest.approx(
+        jf.cost_function(model, jf.UtilitySpec(1.0, 1.0), rep.strategy, 1.0),
+        rel=1e-14)
+    assert slack_path(rep.strategy, model, risk).min() >= -1e-10
+    assert rep.diagnostics["min_slack"] >= -1e-10
 
 
 _NAMED_ENTRY_POINTS = {
@@ -160,7 +184,7 @@ def test_var_proof_function_decreasing_in_u(gamma1_model):
     q = jf.normal_quantile(0.05)
     theta_norm = sol.theta_norm
     u = np.linspace(0.0, 1.0, 501)
-    rho = sol.rho_bar
+    rho = sol.rho_star
     g = (-0.5 * u**2 * rho**2 + q * u * rho + u**2 * theta_norm * rho
          - rho * sol.drag)
     assert np.all(np.diff(g) < 0)
@@ -200,7 +224,7 @@ def test_solve_es_gamma1_feasible_and_conservative(gamma1_model):
     assert slack_path(rep_es.strategy, gamma1_model, ES).min() >= -1e-10
     assert abs(rep_es.diagnostics["slack_at_T"]) < 1e-10
     # the averaged tail is the stricter measure, so the radius is smaller
-    assert rep_es.diagnostics["rho_bar"] < rep_var.diagnostics["rho_bar"]
+    assert rep_es.diagnostics["rho_star"] < rep_var.diagnostics["rho_star"]
 
 
 def test_es_proof_function_minimized_at_full_radius(gamma1_model):

@@ -271,7 +271,8 @@ def _case_inputs(case):
     return model, jf.UtilitySpec(*case["gammas"]), risk
 
 
-# pi* = sqrt(T) = 1.414 at the gamma = 1 radius cap, outside [0, 1]
+# a two-year horizon where the gamma = 1 ray at rho* leaves [0, 1] but the
+# box optimum pi = 1 meets the limit
 _BOX_CASE = dict(n=65, horizon=2.0, r=0.02, mu=[(0.25, 0.25)],
                  sigma=[[0.2]], jumps=[(0.5, [0.05])], gammas=(1.0, 1.0),
                  risk=("var", 0.05, 0.9, "off"))
@@ -365,11 +366,9 @@ def test_solves_obey_the_metamorphic_relations(case, c, order):
                                    base.strategy.pi[:, order],
                                    rtol=0.0, atol=1e-12)
 
-    # a null asset leaves J* and pi alone for gamma < 1.  Not for gamma = 1,
-    # whose radius cap counts every asset's sigma, nor under `paper`, whose
-    # product over assets reads eps_T = 0 once one asset cannot jump.
-    if max(gamma1, gamma2) < 1.0 and (case["risk"] is None
-                                      or case["risk"][3] != "paper"):
+    # a null asset leaves J* and pi alone, but not under `paper`, whose
+    # product over assets reads eps_T = 0 once one asset cannot jump
+    if case["risk"] is None or case["risk"][3] != "paper":
         more = _solve_case(_with_null_asset(case))
         if not _refused(more, base):
             assert more.J_star == pytest.approx(base.J_star, rel=1e-12)
@@ -379,6 +378,11 @@ def test_solves_obey_the_metamorphic_relations(case, c, order):
     if case["risk"] is None:
         return
     kind, beta, kappa, method = case["risk"]
+
+    # for equal gamma a limit can only lower J*
+    if gamma1 == gamma2 and not isinstance(base, type):
+        free = _solve_case(dict(case, risk=None))
+        assert base.J_star <= free.J_star * (1.0 + 1e-12)
 
     # without negative atoms every method solves bit for bit as `off` does
     clean = dict(case, jumps=[(lam, [abs(z) for z in sizes])

@@ -7,12 +7,7 @@ from scipy.optimize import brentq
 
 import jumpfolio as jf
 from jumpfolio import unconstrained
-from jumpfolio.errors import (
-    ConditionViolated,
-    DriftBelowRate,
-    InvalidStrategy,
-    NoConvergence,
-)
+from jumpfolio.errors import InvalidStrategy, NoConvergence
 from jumpfolio.market import (
     R_path,
     cumtrapz,
@@ -75,21 +70,32 @@ def test_solve_linear_closed_form():
     assert np.allclose(rep.strategy.pi, 1.0)
 
 
-def test_solve_linear_rejects_drift_below_rate():
+def test_solve_linear_holds_no_asset_below_the_rate():
     model = make_model(mu=0.01, r=0.02)
-    with pytest.raises(DriftBelowRate):
-        jf.solve_linear(model)
+    rep = jf.solve_linear(model)
+    assert np.all(rep.strategy.pi == 0.0)
+    assert rep.J_star == pytest.approx(math.exp(0.02), rel=1e-14)
 
 
-def test_solve_linear_refuses_an_out_of_box_optimum():
-    # pi* = (mu - r) sqrt(T) / ||mu - r||_T climbs to 1.68 where mu peaks
+def test_solve_linear_is_the_box_optimum_on_every_node():
+    # the gamma = 1 cost is linear in pi, so pi_j = 1{mu_j > r} at every
+    # node: a drift that rises across the rate, and two assets
     grid = jf.TimeGrid.uniform(1.0, 5)
     coeffs = jf.CoefficientPath(r=np.full(5, 0.02),
-                                mu=np.linspace(0.03, 0.30, 5)[:, None],
+                                mu=np.linspace(0.0, 0.30, 5)[:, None],
                                 sigma=np.full((5, 1, 1), 0.3))
     model = jf.MarketModel(grid, coeffs, jf.JumpSpec.none(1))
-    with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
-        jf.solve_linear(model)
+    linear = jf.UtilitySpec(1.0, 1.0)
+    rep = jf.solve_linear(model)
+    assert np.array_equal(rep.strategy.pi[:, 0], [0.0, 1.0, 1.0, 1.0, 1.0])
+    assert rep.J_star == pytest.approx(
+        jf.cost_function(model, linear, rep.strategy, 1.0), rel=1e-14)
+    rep_2d = jf.solve_linear(make_model_2d())
+    assert np.all(rep_2d.strategy.pi == 1.0)
+    assert rep_2d.J_star == pytest.approx(1.0941743, abs=1e-7)
+    rep_2d.strategy.validate(make_model_2d())
+    below = jf.solve_linear(make_model_2d(mu=(0.06, 0.01)))
+    assert np.all(below.strategy.pi == [1.0, 0.0])
 
 
 def test_solve_linear_brute_force_grid():
