@@ -4,8 +4,9 @@ Each case runs one command through `cli.main` on one config and records
 the sha256 of every file the command writes, or, where the command refuses
 the config, the exit code and the `type` of the JSON error line.  The
 configs are the two committed reference configs in `bench/configs/`, an
-unconstrained equal-gamma one-asset market and a distinct-gamma VaR market
-in the consume-all regime.  `verify` runs with 2000 paths at the config's
+unconstrained equal-gamma one-asset market, the same market under a VaR
+limit its certificate clears, and a distinct-gamma VaR market in the
+consume-all regime.  `verify` runs with 2000 paths at the config's
 seed.  The digests hold for the numpy version and CPU the suite runs on.
 """
 
@@ -51,6 +52,9 @@ INLINE_CONFIGS = {
     "power_equal_1d": MARKET.format(
         nodes=129, mu=0.055, points="0.03:0.6, 0.1:0.4", g1=0.5, g2=0.5,
         risk="kind = none"),
+    "power_equal_var": MARKET.format(
+        nodes=129, mu=0.055, points="0.03:0.6, 0.1:0.4", g1=0.5, g2=0.5,
+        risk="kind = var\nbeta = 0.05\nkappa = 0.7\nnegjump_method = off"),
     "diff_gamma_var": MARKET.format(
         nodes=257, mu=0.04, points="0.02:1.0", g1=0.3, g2=0.7,
         risk="kind = var\nbeta = 0.01\nkappa = 0.15\nnegjump_method = off"),
@@ -98,6 +102,20 @@ GOLDEN = {
     ("power_equal_1d", "verify"): {"exit": 0, "files": {
         "verify.csv":
             "62550d564a374ecc02012f78967f19175515f0e5eb01139ff7c35e1925563aeb"}},
+    ("power_equal_var", "solve"): {"exit": 0, "files": {
+        "report.csv":
+            "766dd29572b98ed677727f9e710f3b7e2f797680c85706e1dfe4120d383be7eb",
+        "strategy.csv":
+            "58e5452e292b4e2749529427f2a426b38962d5d58f0886cbcc5de6642a9a26e7"}},
+    ("power_equal_var", "certify"): {"exit": 0, "files": {
+        "report.csv":
+            "dc61c8ad637ceb551627fc4d4853c7fa1b1d26c21c68857425e5872c676f398b"}},
+    ("power_equal_var", "compare"): {"exit": 0, "files": {
+        "compare.csv":
+            "c94298d43d4ddf66687170c5043ab92050fc17bec6933d9902cb6f6da8a08f52"}},
+    ("power_equal_var", "verify"): {"exit": 0, "files": {
+        "verify.csv":
+            "534798ee4bf46707b39b12187704e3be9e0108e17f1537dc0ad41e98527989e8"}},
     ("diff_gamma_var", "solve"): {"exit": 0, "files": {
         "report.csv":
             "adfc6049d89647aca3e8eac06e099d25cb5205d86d1f3f5135e6bfe59637052d",
