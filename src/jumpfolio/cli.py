@@ -36,9 +36,9 @@ Config files are flat key-value sections (INI syntax).  Schema:
     out = out
 
 Commands exit 0 on success, 1 on config/parse errors, 2 when a solver
-precondition fails (machine-readable reason on stderr), 3 when cmd_verify
-finds a failing check.  All numeric CSV output carries 17 significant
-digits.
+precondition fails or a computation overflows (machine-readable reason on
+stderr), 3 when cmd_verify finds a failing check.  All numeric CSV output
+carries 17 significant digits.
 """
 
 from __future__ import annotations
@@ -550,12 +550,17 @@ def main(argv=None) -> int:
         _emit_error("parse_error", exc)
         return 1
     try:
-        return args.func(config, args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(config, args)
     except ConfigError as exc:
         _emit_error("parse_error", exc)
         return 1
     except JumpfolioError as exc:
         _emit_error("condition_violation", exc)
+        return 2
+    except (FloatingPointError, OverflowError) as exc:
+        _emit_error("condition_violation",
+                    OutOfRange(f"input out of floating-point range: {exc}"))
         return 2
 
 

@@ -119,7 +119,6 @@ class RadiusSolution:
     residual: float      # defining-equation defect at rho_star
     theta_norm: float
     drag: float          # compensator drag K used in the equation
-    kappa_floor: float = 0.0
 
 
 def rho_var_gamma1(model: MarketModel, risk: RiskSpec) -> RadiusSolution:
@@ -138,7 +137,7 @@ def rho_var_gamma1(model: MarketModel, risk: RiskSpec) -> RadiusSolution:
     rho_star = b + math.sqrt(b * b - 2.0 * target)
     residual = (-0.5 * rho_star**2 + b * rho_star) - target
     return RadiusSolution(rho_star=rho_star, residual=residual,
-                          theta_norm=theta_norm, drag=drag, kappa_floor=floor)
+                          theta_norm=theta_norm, drag=drag)
 
 
 def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
@@ -175,11 +174,6 @@ def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
                           theta_norm=theta_norm, drag=drag)
 
 
-def _slack_diagnostics(slack: np.ndarray) -> dict:
-    """The slack keys of every gamma = 1 report."""
-    return {"min_slack": float(slack.min()), "slack_at_T": float(slack[-1])}
-
-
 def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
                   force: bool = False) -> SolveReport:
     """Shared body of the gamma = 1 solvers over the box [0, 1]^d.
@@ -193,28 +187,27 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
     report = solve_linear(model, x)
     slack = slack_path(report.strategy, model, risk)
     if slack.min() >= -_SLACK_TOL:
-        report.diagnostics.update(case="box", **_slack_diagnostics(slack))
-        return report
-    if np.min(theta_hat_path(model)) < -1e-12:
-        raise ThetaHatNegative("theta_hat has a negative component")
-    radius = (rho_var_gamma1(model, risk) if risk.kind == RiskKind.VAR
-              else rho_es_gamma1(model, risk, force))
-    y = theta_path(model) * (radius.rho_star / radius.theta_norm)
-    strategy = Strategy.from_y(model, y)
-    if not _in_box(strategy.pi):
-        raise ConditionViolated(
-            "the gamma = 1 optimum leaves [0, 1]: pi ranges over "
-            f"[{strategy.pi.min():.6g}, {strategy.pi.max():.6g}]")
-    diag = {
-        "case": "directional",
-        "rho_star": radius.rho_star,
-        "rho_residual": radius.residual,
-        "drag": radius.drag,
-        **_slack_diagnostics(slack_path(strategy, model, risk)),
-    }
-    R_T = float(R_path(model)[-1])
-    J = x * math.exp(R_T + radius.theta_norm * radius.rho_star)
-    return SolveReport(strategy=strategy, J_star=J, diagnostics=diag)
+        report.diagnostics["case"] = "box"
+    else:
+        if np.min(theta_hat_path(model)) < -1e-12:
+            raise ThetaHatNegative("theta_hat has a negative component")
+        radius = (rho_var_gamma1(model, risk) if risk.kind == RiskKind.VAR
+                  else rho_es_gamma1(model, risk, force))
+        y = theta_path(model) * (radius.rho_star / radius.theta_norm)
+        strategy = Strategy.from_y(model, y)
+        if not _in_box(strategy.pi):
+            raise ConditionViolated(
+                "the gamma = 1 optimum leaves [0, 1]: pi ranges over "
+                f"[{strategy.pi.min():.6g}, {strategy.pi.max():.6g}]")
+        R_T = float(R_path(model)[-1])
+        J = x * math.exp(R_T + radius.theta_norm * radius.rho_star)
+        report = SolveReport(strategy=strategy, J_star=J, diagnostics=dict(
+            case="directional", rho_star=radius.rho_star,
+            rho_residual=radius.residual, drag=radius.drag))
+        slack = slack_path(strategy, model, risk)
+    report.diagnostics.update(min_slack=float(slack.min()),
+                              slack_at_T=float(slack[-1]))
+    return report
 
 
 def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
@@ -270,17 +263,51 @@ def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     return check(model, utility, risk, x, report)
 
 
-def _certificate(model: MarketModel, risk: RiskSpec,
-                 report: SolveReport, lhs: float, b: float,
-                 diag: dict) -> ConstraintCertificate:
-    """Check the norm bound ||y*||_T <= b = q ||theta||_T, record it and the
-    direct slack of the solved strategy in diag, and certify the limit
-    inactive when lhs <= kappa and the bound holds."""
+def _certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
+             x: float, report: SolveReport | None,
+             solver: str) -> ConstraintCertificate:
+    """Shared body of the equal-gamma certificates: the limit is inactive
+    when 1 - chi exp(e + c) <= kappa and ||y*||_T <= b = q ||theta||_T (q the
+    utility conjugate exponent).  The limit's kind picks the exponent e and
+    the cross term c, the nonpositive part of a minimum over the nodes:
+
+        VaR:  e = l* = -b^2 + q_beta b,  c from (y*, theta_hat)_t
+        ES:   e = m* = min_t q ||theta_hat||_t^2 + F(q ||theta||_t + |q_beta|),
+              c from (y* - q theta_hat, theta_hat)_t;  needs |q_beta| >=
+              2 ||theta_hat||_T and reports M paired with theta_hat
+    """
+    gamma = _power_gamma(utility, x, solver)
+    lev = effective_level(model, risk)
+    grid = model.grid
+    thh = theta_hat_path(model)
+    es = risk.kind == RiskKind.ES
+    if es and abs(lev.q_level) < 2.0 * l2_time_norm(grid, thh):
+        raise ConditionViolated(
+            f"|q| = {abs(lev.q_level):.6g} < 2 ||theta_hat||_T = "
+            f"{2 * l2_time_norm(grid, thh):.6g}")
+    report = solve_power_equal(model, utility, x) if report is None else report
+    qq = utility.q
+    b = qq * l2_time_norm(grid, theta_path(model))
+    cross = inner_product_path(grid, report.strategy.y, thh)
+    if es:
+        th_norm = np.sqrt(l2_time_norm_sq_path(grid, theta_path(model)))
+        thh_sq = l2_time_norm_sq_path(grid, thh)
+        e = float(np.min(qq * thh_sq + lev.F(qq * th_norm + abs(lev.q_level))))
+        cross = cross - qq * thh_sq
+        qv = jump_terms_path(model.jumps, report.strategy.pi, gamma)[1]
+        m_path = _sigma_solve(model, qv)
+        diag = {"m_star": e, "M_hat_theta_T":
+                float(trapz(grid, np.sum(thh * m_path, axis=1)))}
+    else:
+        e = -b * b + lev.q_level * b
+        diag = {"l_star": e}
+    c = min(0.0, float(np.min(cross)))
+    lhs = 1.0 - report.chi * math.exp(e + c)
     y_norm_T = float(report.strategy.y_norm_path()[-1])
     norm_bound_ok = y_norm_T <= b + 1e-10
-    slack = slack_path(report.strategy, model, risk)
-    diag.update(y_norm_T=y_norm_T, norm_budget=b, norm_bound_ok=norm_bound_ok,
-                min_slack=float(slack.min()))
+    slack = float(slack_path(report.strategy, model, risk).min())
+    diag.update(chi=report.chi, cross_term_correction=c, y_norm_T=y_norm_T,
+                norm_budget=b, norm_bound_ok=norm_bound_ok, min_slack=slack)
     return ConstraintCertificate(
         kind=risk.kind,
         active=not (lhs <= risk.kappa and norm_bound_ok),
@@ -295,69 +322,19 @@ def _certificate(model: MarketModel, risk: RiskSpec,
 def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
                       risk: RiskSpec, x: float = 1.0,
                       report: SolveReport | None = None) -> ConstraintCertificate:
-    """Certify that the VaR limit is inactive at the equal-gamma optimum.
-
-    Tests 1 - chi exp(l* + c) <= kappa with l* = -(q ||theta||_T)^2 +
-    q_beta q ||theta||_T (q the utility conjugate exponent) and c the
-    nonpositive part of min_t (y*, theta_hat)_t, evaluated on the solved
-    strategy; c vanishes when theta_hat is componentwise nonnegative.  The
-    norm bound ||y*||_T <= q ||theta||_T is verified before certifying.
-    """
+    """Certify that the VaR limit is inactive at the equal-gamma optimum:
+    `_certify` with e = l*."""
     _require_kind(risk, RiskKind.VAR, "certify_var_gamma")
-    _power_gamma(utility, x, "certify_var_gamma")
-    lev = effective_level(model, risk)
-    report = solve_power_equal(model, utility, x) if report is None else report
-    b = utility.q * l2_time_norm(model.grid, theta_path(model))
-    cross = inner_product_path(model.grid, report.strategy.y,
-                               theta_hat_path(model))
-    correction = min(0.0, float(np.min(cross)))
-    l_star = -b * b + lev.q_level * b
-    lhs = 1.0 - report.chi * math.exp(l_star + correction)
-    diag = {"l_star": l_star, "chi": report.chi,
-            "cross_term_correction": correction}
-    return _certificate(model, risk, report, lhs, b, diag)
+    return _certify(model, utility, risk, x, report, "certify_var_gamma")
 
 
 def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
                      risk: RiskSpec, x: float = 1.0,
                      report: SolveReport | None = None) -> ConstraintCertificate:
-    """Certify that the ES limit is inactive at the equal-gamma optimum.
-
-    The exponent is the worst node of q ||theta_hat||_t^2 +
-    F(q ||theta||_t + |q_beta|), shifted by the nonpositive part of
-    min_t (y* - q theta_hat, theta_hat)_t; requires |q_beta| >=
-    2 ||theta_hat||_T.  The first-order jump aggregate M and its pairing
-    with theta_hat are reported for reference.
-    """
+    """Certify that the ES limit is inactive at the equal-gamma optimum:
+    `_certify` with e = m*."""
     _require_kind(risk, RiskKind.ES, "certify_es_gamma")
-    gamma = _power_gamma(utility, x, "certify_es_gamma")
-    lev = effective_level(model, risk)
-    grid = model.grid
-    thh = theta_hat_path(model)
-    thh_norm_T = l2_time_norm(grid, thh)
-    if abs(lev.q_level) < 2.0 * thh_norm_T:
-        raise ConditionViolated(
-            f"|q| = {abs(lev.q_level):.6g} < 2 ||theta_hat||_T = "
-            f"{2 * thh_norm_T:.6g}")
-    report = solve_power_equal(model, utility, x) if report is None else report
-    qq = utility.q
-    th_norm_path = np.sqrt(l2_time_norm_sq_path(grid, theta_path(model)))
-    thh_sq_path = l2_time_norm_sq_path(grid, thh)
-    worst = qq * thh_sq_path + lev.F(qq * th_norm_path + abs(lev.q_level))
-    m_star = float(np.min(worst))
-    cross = inner_product_path(grid, report.strategy.y, thh)
-    correction = min(0.0, float(np.min(cross - qq * thh_sq_path)))
-    lhs = 1.0 - report.chi * math.exp(m_star + correction)
-
-    qv = jump_terms_path(model.jumps, report.strategy.pi, gamma)[1]
-    m_path = _sigma_solve(model, qv)
-    m_hat_theta_T = trapz(grid, np.sum(thh * m_path, axis=1))
-
-    b = qq * l2_time_norm(grid, theta_path(model))
-    diag = {"m_star": m_star, "chi": report.chi,
-            "cross_term_correction": correction,
-            "M_hat_theta_T": float(m_hat_theta_T)}
-    return _certificate(model, risk, report, lhs, b, diag)
+    return _certify(model, utility, risk, x, report, "certify_es_gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -374,24 +351,6 @@ class DiffGammaReport(SolveReport):
     rho_eta: np.ndarray         # feasible allocation budget along eta
     M_hat: np.ndarray           # upper-bound curve along eta
     condition_ok: bool
-
-
-def _golden_max(f, lo: float, hi: float) -> float:
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
@@ -429,11 +388,22 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         return (x**g1 * eta**g1 * norm1
                 + x**g2 * (1.0 - eta) ** g2 * ghat2_T)
 
-    def m_hat_prime(eta: float) -> float:
-        return (g1 * x**g1 * eta ** (g1 - 1.0) * norm1
-                - g2 * x**g2 * (1.0 - eta) ** (g2 - 1.0) * ghat2_T)
+    # M_hat' falls strictly from +inf to -inf on (0, 1), so its root is the
+    # argmax.  The log ratio of its two terms has its sign; in the logit
+    # w = ln(eta / (1 - eta)) it is finite and nearly linear at both ends.
+    log_c = math.log(g1 * norm1 / (g2 * ghat2_T)) + (g1 - g2) * math.log(x)
 
-    eta_max = _golden_max(lambda e: float(m_hat(e)), 0.0, 1.0)
+    def log_ratio(w: float) -> float:    # ln eta = -ln(1 + e^-w)
+        return (log_c + (1.0 - g1) * np.logaddexp(0.0, -w)
+                - (1.0 - g2) * np.logaddexp(0.0, w))
+
+    lo, hi = math.log(5e-324), 53.0 * math.log(2.0)  # eta 5e-324, 1 - 2^-53
+    if log_ratio(hi) > 0.0:
+        eta_max = 1.0
+    else:
+        w = (brentq(log_ratio, lo, hi, xtol=1e-300)
+             if log_ratio(lo) > 0.0 else lo)
+        eta_max = math.exp(-np.logaddexp(0.0, -w))
     kappa, eps = risk.kappa, lev.epsilon_T
     if risk.kind == RiskKind.ES:
         if eps >= kappa:
@@ -445,11 +415,11 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         problems.append(f"kappa = {kappa:.6g} exceeds argmax "
                         f"{eta_max:.6g} of the upper-bound curve")
 
-    # log-derivative of the bound, smallest over [0, kappa] (attained at
-    # kappa since the bound is concave increasing there)
-    eta_probe = np.linspace(1e-9, min(kappa, eta_max), 64)
-    log_der = np.array([m_hat_prime(e) / float(m_hat(e)) for e in eta_probe])
-    d_star = float(log_der.min())
+    # log-derivative M_hat'/M_hat of the bound, smallest over [0, kappa]:
+    # the bound is concave, so it is read at the right end
+    e = min(kappa, eta_max)
+    d_star = (g1 * x**g1 * e ** (g1 - 1.0) * norm1 - g2 * x**g2
+              * (1.0 - e) ** (g2 - 1.0) * ghat2_T) / float(m_hat(e))
     thh_norm = l2_time_norm(grid, theta_hat_path(model))
     q_abs = abs(lev.q_level)
     if d_star <= 0:

@@ -282,13 +282,21 @@ def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
     bound its excess drift points to, and J* = x exp(R_T + int sum_j
     (mu_t^j - r_t)^+ dt), the integral by trapezoid.  Consuming nothing is
     optimal when the growth rate r_t + sum_j (mu_t^j - r_t)^+ is
-    nonnegative at every node, as with r >= 0.
+    nonnegative at every node, as with r >= 0; a negative growth rate at
+    some node raises ConditionViolated.
     """
     check_initial_wealth(x)
     c = model.coeffs
     excess = c.mu - c.r[:, None]
+    gains = np.sum(np.maximum(excess, 0.0), axis=1)
+    growth = c.r + gains
+    k = int(np.argmin(growth))
+    if growth[k] < 0.0:
+        raise ConditionViolated(
+            f"growth rate r + sum (mu - r)^+ = {growth[k]:.6g} < 0 at "
+            f"t = {model.grid.nodes[k]:.6g}: consuming nothing is not optimal")
     strategy = Strategy.from_pi(model, (excess > 0.0).astype(float))
-    gain = trapz(model.grid, np.sum(np.maximum(excess, 0.0), axis=1))
+    gain = trapz(model.grid, gains)
     J = x * float(np.exp(float(R_path(model)[-1]) + gain))
     return SolveReport(strategy=strategy, J_star=J)
 

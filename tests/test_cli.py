@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +376,43 @@ def test_solve_checks_every_file_before_writing_any(tmp_path, capsys,
     assert len(err) == 1
     assert json.loads(err[0])["type"] == "OutOfRange"
     assert not (out / "strategy.csv").exists()
+    assert not out.exists()
+
+
+REF_ES = (Path(__file__).resolve().parents[1] / "bench" / "configs"
+          / "ref_es_equal2.ini")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("points = 0.03:1.0", "points = 1e300:1.0"),
+    ("r = 0.02", "r = 1e300"),
+    ("sigma = 0.3, 0.05", "sigma = 1e200, 0.05"),
+])
+def test_overflow_is_out_of_range_without_a_warning(tmp_path, capsys, old,
+                                                    new):
+    # finite inputs whose formulas overflow: exit 2 with one JSON line and
+    # no numpy RuntimeWarning on stderr
+    text = REF_ES.read_text()
+    assert old in text
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(text.replace(old, new, 1))
+    out = tmp_path / "out"
+    for command in ("solve", "certify", "simulate", "verify"):
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--paths", "200"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert json.loads(err[0])["type"] == "OutOfRange"
+        assert not out.exists()
+
+
+def test_python_float_overflow_is_out_of_range(tmp_path, capsys):
+    # r = 1100 overflows math.exp in the consume-all bound, not in numpy
+    cfg, out = write_config(tmp_path, mu=1100.02, g1=0.3, g2=0.7, kappa=0.15)
+    cfg.write_text(cfg.read_text().replace("r = 0.02", "r = 1100"))
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["type"] == "OutOfRange"
     assert not out.exists()
 
 

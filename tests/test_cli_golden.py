@@ -118,7 +118,7 @@ GOLDEN = {
             "534798ee4bf46707b39b12187704e3be9e0108e17f1537dc0ad41e98527989e8"}},
     ("diff_gamma_var", "solve"): {"exit": 0, "files": {
         "report.csv":
-            "adfc6049d89647aca3e8eac06e099d25cb5205d86d1f3f5135e6bfe59637052d",
+            "097582890562e2c422ce1ab1f67f3edfa6dddb5d63c15386f04f92aa917869ed",
         "strategy.csv":
             "a2f7b9d9d769bd0ff1bdff3ad57cdd44ddb91a3c7c704e9074cbc18966c426bc"}},
     ("diff_gamma_var", "certify"): {"exit": 2, "error": "ConditionViolated"},

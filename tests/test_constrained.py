@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -410,6 +411,46 @@ def test_diff_gamma_upper_bound_curve_shape(diff_setup):
         fbar = np.exp(g * thh * rep.rho_eta
                       - 0.5 * g * (1.0 - g) * rep.rho_eta**2)
         assert np.all(np.diff(fbar * m) >= -1e-12)
+
+
+def test_diff_gamma_argmax_is_the_exact_root(diff_setup):
+    # eta_argmax is the root of M_hat', 0.25817309013488614 by an mpmath
+    # root; the log-derivative is read at the right end, kappa
+    model, utility, risk = diff_setup
+    rep = jf.solve_diff_gamma(model, utility, risk)
+    assert abs(rep.diagnostics["eta_argmax"] - 0.25817309013488614) <= 1e-15
+    g1, g2 = utility.gamma1, utility.gamma2
+    norm1, k = rep.diagnostics["norm1"], risk.kappa
+    ghat2_T = math.exp(g2 * 0.02)
+    m_hat = k**g1 * norm1 + (1.0 - k) ** g2 * ghat2_T
+    m_hat_prime = (g1 * k ** (g1 - 1.0) * norm1
+                   - g2 * (1.0 - k) ** (g2 - 1.0) * ghat2_T)
+    assert rep.diagnostics["log_derivative_min"] == pytest.approx(
+        m_hat_prime / m_hat, rel=1e-14)
+
+
+@pytest.mark.parametrize("g1, g2, x", [(0.15, 0.25, 1e-60), (0.9, 0.8, 1e26),
+                                       (0.3, 0.7, 1e300), (0.99, 0.5, 1e-10)])
+def test_diff_gamma_argmax_at_extreme_wealth(diff_setup, g1, g2, x):
+    # argmaxes 2e-8 and 6e-14 below 1, near 1e-172, and below the smallest
+    # double (read as 5e-324): M_hat' changes sign there, by the log ratio
+    # of its two terms at 50 digits
+    model, _, risk = diff_setup
+    rep = jf.solve_diff_gamma(model, jf.UtilitySpec(g1, g2), risk, x=x,
+                              force=True)
+    eta, norm1 = rep.diagnostics["eta_argmax"], rep.diagnostics["norm1"]
+    with mpmath.workdps(50):
+        def log_ratio(e):
+            return (mpmath.log(g1 * norm1 / g2) - g2 * mpmath.mpf(0.02)
+                    + (g1 - g2) * mpmath.log(x) + (g1 - 1) * mpmath.log(e)
+                    - (g2 - 1) * mpmath.log1p(-e))
+
+        if eta == 5e-324:
+            assert log_ratio(mpmath.mpf(eta)) < 0
+        else:
+            h = 1e-9 * eta if eta < 0.5 else 1e-15 + 1e-9 * (1.0 - eta)
+            assert log_ratio(mpmath.mpf(eta) - h) > 0
+            assert log_ratio(mpmath.mpf(eta) + h) < 0
 
 
 def test_diff_gamma_condition_failures(diff_setup):

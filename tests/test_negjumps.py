@@ -227,16 +227,20 @@ def test_consume_all_var_keeps_kappa_with_negative_jumps():
 
 @st.composite
 def solve_cases(draw, atoms=(-1.0, 5.0), lam_max=5.0, mu=(-0.05, 0.5),
-                beta_max=0.5):
+                beta_max=0.5, optional_limit=True):
     """Inputs of one adjusted_solve: d <= 3 assets with drifts linear in
     time, atoms in (-1, 5), intensities up to 5, horizons up to 3, any
     utility kind and an optional VaR or ES limit under any method; the
-    keywords narrow the atoms, intensities, drifts and levels."""
+    keywords narrow the atoms, intensities, drifts and levels, or make the
+    limit certain."""
     d = draw(st.integers(1, 3))
     sizes = st.lists(st.floats(*atoms, exclude_min=True, exclude_max=True),
                      min_size=1, max_size=3)
     jumps = [(draw(st.floats(0.0, lam_max)), draw(sizes)) for _ in range(d)]
     utility = draw(st.sampled_from(["linear", "equal", "distinct"]))
+    limits = st.tuples(st.sampled_from(["var", "es"]),
+                       st.floats(0.01, beta_max), st.floats(0.01, 0.99),
+                       st.sampled_from(["off", "paper", "thinning"]))
     return dict(
         n=draw(st.sampled_from([5, 9, 17])),
         horizon=draw(st.floats(0.1, 3.0)),
@@ -250,10 +254,7 @@ def solve_cases(draw, atoms=(-1.0, 5.0), lam_max=5.0, mu=(-0.05, 0.5),
                 "equal": (draw(st.floats(0.05, 0.95)),) * 2,
                 "distinct": (draw(st.floats(0.05, 0.45)),
                              draw(st.floats(0.55, 0.95)))}[utility],
-        risk=draw(st.none() | st.tuples(
-            st.sampled_from(["var", "es"]), st.floats(0.01, beta_max),
-            st.floats(0.01, 0.99),
-            st.sampled_from(["off", "paper", "thinning"]))),
+        risk=draw(st.none() | limits if optional_limit else limits),
     )
 
 
@@ -278,21 +279,56 @@ _BOX_CASE = dict(n=65, horizon=2.0, r=0.02, mu=[(0.25, 0.25)],
                  risk=("var", 0.05, 0.9, "off"))
 
 
-@given(solve_cases())
-@example(_BOX_CASE)
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-def test_adjusted_solve_refuses_or_returns_a_feasible_strategy(case):
-    model, utility, risk = _case_inputs(case)
-    try:
-        report = jf.adjusted_solve(model, risk, utility)
-    except JumpfolioError:
-        return
-    report.strategy.validate(model)
-    if risk is not None:
-        assert jf.slack_path(report.strategy, model, risk).min() >= -1e-10
-    assert math.isfinite(report.J_star)
-    for key, value in report.diagnostics.items():
-        assert not isinstance(value, float) or math.isfinite(value), key
+# milder markets than solve_cases' defaults, so that each branch answers
+# often enough to be checked
+_MILD = dict(atoms=(-0.05, 0.2), lam_max=0.5, mu=(0.03, 0.1), beta_max=0.2)
+
+
+def _branch(report) -> str:
+    """The constrained branch of adjusted_solve that gave the report, with
+    the certificate's kind."""
+    if isinstance(report, jf.DiffGammaReport):
+        return "distinct gamma"
+    if "certificate" in report.diagnostics:
+        kind = report.diagnostics["certificate"].kind.value
+        return f"certified equal gamma, {kind}"
+    return "gamma = 1"
+
+
+def test_adjusted_solve_refuses_or_returns_a_feasible_strategy():
+    # each example solves one case of the wide draws as drawn and one mild
+    # market under a limit for each utility kind; each constrained branch
+    # must answer often enough to be checked
+    answered = dict.fromkeys(
+        ("gamma = 1", "certified equal gamma, var",
+         "certified equal gamma, es", "distinct gamma"), 0)
+
+    def check(case):
+        model, utility, risk = _case_inputs(case)
+        try:
+            report = jf.adjusted_solve(model, risk, utility)
+        except JumpfolioError:
+            return
+        report.strategy.validate(model)
+        if risk is not None:
+            assert jf.slack_path(report.strategy, model, risk).min() >= -1e-10
+            answered[_branch(report)] += 1
+        assert math.isfinite(report.J_star)
+        for key, value in report.diagnostics.items():
+            assert not isinstance(value, float) or math.isfinite(value), key
+
+    @given(solve_cases(), solve_cases(**_MILD, optional_limit=False),
+           st.floats(0.05, 0.95), st.floats(0.05, 0.45), st.floats(0.55, 0.95))
+    @example(_BOX_CASE, _BOX_CASE, 0.5, 0.3, 0.7)
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    def run(case, mild, gamma, gamma1, gamma2):
+        check(case)
+        for gammas in ((1.0, 1.0), (gamma, gamma), (gamma1, gamma2)):
+            check(dict(mild, gammas=gammas))
+
+    run()
+    assert min(answered.values()) >= 5, answered
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +375,7 @@ def _relabelled(case, order):
                 jumps=[case["jumps"][i] for i in order])
 
 
-# milder markets than solve_cases' defaults, so that each branch answers
-# often enough for its relations to be checked
-@given(solve_cases(atoms=(-0.05, 0.2), lam_max=0.5, mu=(0.03, 0.1),
-                   beta_max=0.2),
-       st.floats(0.1, 10.0), st.permutations(range(3)))
+@given(solve_cases(**_MILD), st.floats(0.1, 10.0), st.permutations(range(3)))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_solves_obey_the_metamorphic_relations(case, c, order):
     base = _solve_case(case)

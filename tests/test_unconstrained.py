@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 import jumpfolio as jf
 from jumpfolio import unconstrained
-from jumpfolio.errors import InvalidStrategy, NoConvergence
+from jumpfolio.errors import ConditionViolated, InvalidStrategy, NoConvergence
 from jumpfolio.market import (
     R_path,
     cumtrapz,
@@ -75,6 +75,22 @@ def test_solve_linear_holds_no_asset_below_the_rate():
     rep = jf.solve_linear(model)
     assert np.all(rep.strategy.pi == 0.0)
     assert rep.J_star == pytest.approx(math.exp(0.02), rel=1e-14)
+
+
+def test_solve_linear_refuses_a_negative_growth_rate():
+    # r + (mu - r)^+ = -0.05 < 0: consuming fast beats consuming nothing,
+    # whose J* would read exp(R_T) = 0.95123
+    model = make_model(r=-0.05, mu=-0.06, sigma=0.2)
+    zeros = np.zeros((model.grid.n, 1))
+    fast = jf.Strategy(model.grid, zeros, zeros.copy(),
+                       np.full(model.grid.n, 50.0))
+    linear = jf.UtilitySpec(1.0, 1.0)
+    assert jf.cost_function(model, linear, fast, 1.0) > math.exp(-0.05)
+    with pytest.raises(ConditionViolated, match="growth rate"):
+        jf.solve_linear(model)
+    for risk in (jf.RiskSpec("var", 0.05, 0.3), jf.RiskSpec("es", 0.05, 0.3)):
+        with pytest.raises(ConditionViolated, match="growth rate"):
+            jf.adjusted_solve(model, risk, linear)
 
 
 def test_solve_linear_is_the_box_optimum_on_every_node():
