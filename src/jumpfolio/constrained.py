@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     EpsilonTooLarge,
     KappaOutOfRange,
+    OutOfRange,
     ThetaHatNegative,
 )
 from .market import (
@@ -80,6 +81,15 @@ def slack_path(strategy: Strategy, model: MarketModel,
     return body - math.log1p(-risk.kappa)
 
 
+def _exp(value: float, name: str) -> float:
+    """math.exp(value); raises OutOfRange where it overflows a float."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        raise OutOfRange(
+            f"{name} = exp({value:.6g}) overflows a float") from None
+
+
 def _require_kind(risk: RiskSpec, kind: RiskKind, solver: str) -> None:
     """Raise ConfigError unless the limit is of the solver's own kind."""
     if risk.kind != kind:
@@ -128,8 +138,8 @@ def rho_var_gamma1(model: MarketModel, risk: RiskSpec) -> RadiusSolution:
     form.
     """
     lev, theta_norm, drag, target = _radius_terms(model, risk)
-    floor = max(0.0, 1.0 - math.exp(0.5 * lev.q_level**2
-                                    - abs(lev.q_level) * theta_norm))
+    exponent = 0.5 * lev.q_level**2 - abs(lev.q_level) * theta_norm
+    floor = max(0.0, 1.0 - _exp(exponent, "kappa floor"))
     if risk.kappa <= floor:
         raise KappaOutOfRange(
             f"kappa = {risk.kappa:.6g} must exceed {floor:.6g}")
@@ -200,7 +210,7 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
                 "the gamma = 1 optimum leaves [0, 1]: pi ranges over "
                 f"[{strategy.pi.min():.6g}, {strategy.pi.max():.6g}]")
         R_T = float(R_path(model)[-1])
-        J = x * math.exp(R_T + radius.theta_norm * radius.rho_star)
+        J = x * _exp(R_T + radius.theta_norm * radius.rho_star, "J*")
         report = SolveReport(strategy=strategy, J_star=J, diagnostics=dict(
             case="directional", rho_star=radius.rho_star,
             rho_residual=radius.residual, drag=radius.drag))
@@ -302,7 +312,7 @@ def _certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         e = -b * b + lev.q_level * b
         diag = {"l_star": e}
     c = min(0.0, float(np.min(cross)))
-    lhs = 1.0 - report.chi * math.exp(e + c)
+    lhs = 1.0 - report.chi * _exp(e + c, "certificate bound")
     y_norm_T = float(report.strategy.y_norm_path()[-1])
     norm_bound_ok = y_norm_T <= b + 1e-10
     slack = float(slack_path(report.strategy, model, risk).min())
@@ -381,7 +391,7 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     A = cumtrapz(grid, ghat1_q1)          # ||ghat1||_{q1,t}^{q1}
     A_T = float(A[-1])
     norm1 = A_T ** (1.0 / q1)             # ||ghat1||_{q1,T}
-    ghat2_T = math.exp(g2 * float(R[-1]))
+    ghat2_T = _exp(g2 * float(R[-1]), "ghat2(T)")
 
     def m_hat(eta):
         eta = np.asarray(eta, dtype=float)

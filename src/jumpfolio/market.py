@@ -86,14 +86,25 @@ def cumtrapz(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     (N,) path or a stack (..., N) of paths, one integral per path.
     """
     values = np.asarray(values, dtype=float)
-    increments = 0.5 * (values[..., 1:] + values[..., :-1]) * grid.dt
+    increments = values[..., 1:] + values[..., :-1]
+    increments *= 0.5
+    increments *= grid.dt
     out = np.zeros(values.shape)
-    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    increments.cumsum(axis=-1, out=out[..., 1:])
     return out
 
 
-def trapz(grid: TimeGrid, values: np.ndarray) -> float:
-    return float(np.trapezoid(np.asarray(values, dtype=float), grid.nodes))
+def trapz(grid: TimeGrid, values: np.ndarray) -> float | np.ndarray:
+    """Trapezoid integral over the last axis of values, which has length N:
+    a float for an (N,) path, an array for a stack (..., N).  Bit-identical
+    to np.trapezoid on the grid nodes, on the grid's kept interval lengths
+    instead of a new np.diff per call."""
+    values = np.asarray(values, dtype=float)
+    terms = values[..., 1:] + values[..., :-1]
+    np.multiply(grid.dt, terms, out=terms)
+    terms /= 2.0
+    total = terms.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def l2_time_norm_sq_path(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
@@ -103,7 +114,7 @@ def l2_time_norm_sq_path(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     (..., N, d) of them.
     """
     values = np.asarray(values, dtype=float)
-    sq = values**2 if values.ndim == 1 else np.sum(values**2, axis=-1)
+    sq = values**2 if values.ndim == 1 else (values**2).sum(axis=-1)
     return cumtrapz(grid, sq)
 
 
@@ -219,6 +230,14 @@ class JumpSpec:
     def negative_mass(self) -> np.ndarray:
         """P(xi_j < 0) per asset, shape (d,); computed once, read-only."""
         return _frozen([dist.negative_mass for dist in self.dists])
+
+    @cached_property
+    def active(self) -> tuple:
+        """(j, lambda_j, z_j, w_j) for each asset j with lambda_j > 0, in
+        asset order; computed once."""
+        return tuple((j, lam, dist.z, dist.w) for j, (lam, dist)
+                     in enumerate(zip(self.lambdas.tolist(), self.dists))
+                     if lam > 0)
 
     def has_negative_jumps(self) -> bool:
         """True when some active asset can jump down."""
@@ -398,7 +417,7 @@ def inner_product_path(grid: TimeGrid, y: np.ndarray,
     of an (N,), (N, d) or stacked (..., N, d) y against other."""
     y = np.asarray(y, dtype=float)
     other = np.asarray(other, dtype=float)
-    prod = y * other if y.ndim == 1 else np.sum(y * other, axis=-1)
+    prod = y * other if y.ndim == 1 else (y * other).sum(axis=-1)
     return cumtrapz(grid, prod)
 
 
@@ -415,13 +434,12 @@ def K_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.n
     """
     pi_path = np.asarray(pi_path, dtype=float)
     total = np.zeros(pi_path.shape[:-1])
-    for j, (lam, dist) in enumerate(zip(jumps.lambdas.tolist(), jumps.dists)):
-        if lam > 0:
-            p = pi_path[..., j, None]
-            base = 1.0 + p * dist.z
-            if base.min() <= 0.0:
-                raise UnsupportedSupport("1 + pi*z must stay positive on the support")
-            total += lam * ((base**gamma - 1.0 - gamma * p * dist.z) @ dist.w)
+    for j, lam, z, w in jumps.active:
+        p = pi_path[..., j, None]
+        base = 1.0 + p * z
+        if base.min() <= 0.0:
+            raise UnsupportedSupport("1 + pi*z must stay positive on the support")
+        total += lam * ((base**gamma - 1.0 - gamma * p * z) @ w)
     return total
 
 
@@ -439,8 +457,7 @@ def jump_terms_path(jumps: JumpSpec, pi: np.ndarray, gamma: float):
     q = np.zeros_like(pi)
     dq = np.zeros_like(pi)
     q_size = np.zeros_like(pi)
-    for j in np.flatnonzero(jumps.lambdas > 0):
-        lam, z, w = jumps.lambdas[j], jumps.dists[j].z, jumps.dists[j].w
+    for j, lam, z, w in jumps.active:
         pz = pi[:, j, None] * z
         base = 1.0 + pz
         if base.min() <= 0.0:
@@ -462,8 +479,7 @@ def expected_jump_exponential(jumps: JumpSpec, grid: TimeGrid, a) -> float:
     exponential jump functional.
     """
     inner = np.zeros(grid.n)
-    for j in np.flatnonzero(jumps.lambdas > 0):
-        lam, z, w = jumps.lambdas[j], jumps.dists[j].z, jumps.dists[j].w
+    for _, lam, z, w in jumps.active:
         for k, t in enumerate(grid.nodes):
             with np.errstate(over="ignore"):
                 vals = np.expm1(np.asarray(a(t, z), dtype=float))

@@ -85,8 +85,18 @@ def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
 
     With adjustment off, negative jumps violate Assumption J and raise
     AssumptionJViolated; otherwise eps_T is estimated by the selected
-    method and the level is tightened.
+    method and the level is tightened.  The level is kept on the model per
+    risk spec from the first call on; both are frozen, so it cannot go
+    stale.  A refusal is not kept.
     """
+    levels = model.__dict__.setdefault("effective_levels", {})
+    if risk not in levels:               # frozen: write the instance dict
+        levels[risk] = _resolve_level(model, risk)
+    return levels[risk]
+
+
+def _resolve_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
+    """The body of effective_level, run once per (model, risk)."""
     method = risk.negjump_method
     if method == NegJumpMethod.OFF:
         if model.jumps.has_negative_jumps():

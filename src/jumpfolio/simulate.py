@@ -183,10 +183,8 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     sd = np.sqrt(s2)
     shift = np.diff(det_log) - 0.5 * s2
 
-    jumps = [(j, float(model.jumps.lambdas[j]) * grid.dt, strategy.pi[:, j],
-              dist.z, _cumulative(dist.w))
-             for j, dist in enumerate(model.jumps.dists)
-             if model.jumps.lambdas[j] > 0.0]
+    jumps = [(j, lam * grid.dt, strategy.pi[:, j], z, _cumulative(w))
+             for j, lam, z, w in model.jumps.active]
     counts = np.zeros((n_paths, model.d), dtype=np.int64)
     rows = min(n_nodes - 1, max(1, _NORMALS_PER_DRAW // n_paths))
     buffers = [np.empty(rows * n_paths) for _ in range(_BUFFERS)]

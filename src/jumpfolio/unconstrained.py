@@ -24,6 +24,7 @@ for the value-function coefficient rho(t).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .market import (
     R_path,
     TimeGrid,
     UtilitySpec,
+    _frozen,
     cumtrapz,
-    inner_product_path,
     jump_terms_path,
     l2_time_norm_sq_path,
     theta_path,
@@ -71,7 +72,7 @@ def _as_paths(values) -> np.ndarray:
     return values[:, None] if values.ndim == 1 else values
 
 
-@dataclass
+@dataclass(frozen=True)
 class Strategy:
     """Deterministic strategy: allocation paths and consumption rate.
 
@@ -80,6 +81,10 @@ class Strategy:
     rate, zero if not given.  All paths are sampled on the grid.  Solvers
     that know the consumption integral in closed form may pass it as
     V_path; otherwise V is the trapezoid integral of v.
+
+    The paths are kept as read-only copies (the caller's arrays stay
+    writable), so the integrals V and ||y||_t^2, computed on first use and
+    kept, cannot go stale.
 
     A stack of candidates has leading axes, y and pi (..., N, d) and v (...,
     N), that broadcast against each other; `cost_function` and `slack_path`
@@ -94,21 +99,25 @@ class Strategy:
 
     def __post_init__(self):
         n = self.grid.n
-        self.y, self.pi = _as_paths(self.y), _as_paths(self.pi)
-        self.v = np.zeros(n) if self.v is None else np.asarray(self.v, float)
-        if self.y.shape != self.pi.shape or self.y.shape[-2] != n:
+        y, pi = _frozen(_as_paths(self.y)), _frozen(_as_paths(self.pi))
+        v = _frozen(np.zeros(n) if self.v is None else self.v)
+        if y.shape != pi.shape or y.shape[-2] != n:
             raise InvalidStrategy("y and pi must both be (..., N, d) paths")
-        if self.v.shape[-1:] != (n,):
+        if v.shape[-1:] != (n,):
             raise InvalidStrategy("v must be an (..., N) path")
         if self.V_path is not None:
-            self.V_path = np.asarray(self.V_path, dtype=float)
-            if self.V_path.shape != self.v.shape:
+            V_path = _frozen(self.V_path)
+            if V_path.shape != v.shape:
                 raise InvalidStrategy("V_path must have the shape of v")
+            object.__setattr__(self, "V_path", V_path)
         try:
-            np.broadcast_shapes(self.y.shape[:-2], self.v.shape[:-1])
+            if y.shape[:-2] != v.shape[:-1]:
+                np.broadcast_shapes(y.shape[:-2], v.shape[:-1])
         except ValueError as exc:
             raise InvalidStrategy("the candidate axes of pi and v must "
                                   "broadcast") from exc
+        for name, value in (("y", y), ("pi", pi), ("v", v)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_pi(cls, model: MarketModel, pi, v=None) -> "Strategy":
@@ -133,15 +142,20 @@ class Strategy:
     def d(self) -> int:
         return int(self.y.shape[-1])
 
-    @property
+    @cached_property
     def V(self) -> np.ndarray:
-        """Cumulative consumption integral V_t."""
+        """Cumulative consumption integral V_t; computed once, read-only."""
         if self.V_path is not None:
             return self.V_path
-        return cumtrapz(self.grid, self.v)
+        return _frozen(cumtrapz(self.grid, self.v))
+
+    @cached_property
+    def y_norm_sq(self) -> np.ndarray:
+        """Cumulative squared norm ||y||_t^2; computed once, read-only."""
+        return _frozen(l2_time_norm_sq_path(self.grid, self.y))
 
     def y_norm_path(self) -> np.ndarray:
-        return np.sqrt(l2_time_norm_sq_path(self.grid, self.y))
+        return np.sqrt(self.y_norm_sq)
 
     def validate(self, model: MarketModel) -> None:
         """Check admissibility against a model; raises InvalidStrategy,
@@ -245,27 +259,35 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
 
     J = x^g1 int_0^T v_t^g1 exp(A_g1(t)) dt + x^g2 exp(A_g2(T)) with A_g the
     log power moment exponent; all time integrals by trapezoid on the grid.
-    A float for one strategy, an array over the candidate axes for a stack;
-    sum_j K_j is evaluated once per distinct gamma.
+    A float for one strategy, an array over the candidate axes for a stack.
+    The cumulative integrals of (y, theta) and of sum_j K_j, once per
+    distinct gamma, are one stacked cumtrapz; V and ||y||_t^2 are the
+    strategy's own.
     """
     check_initial_wealth(x)
     grid = model.grid
     g1, g2 = utility.gamma1, utility.gamma2
-    R, V = R_path(model), strategy.V
-    ip = inner_product_path(grid, strategy.y, theta_path(model))
-    ysq = l2_time_norm_sq_path(grid, strategy.y)
-    jump_integral = {
-        g: cumtrapz(grid, K_transform_path(model.jumps, strategy.pi, g))
-        for g in {g1, g2}}
+    R, V, ysq = R_path(model), strategy.V, strategy.y_norm_sq
+    gammas = (g1,) if g1 == g2 else (g1, g2)
+    integrands = np.empty((1 + len(gammas),) + strategy.pi.shape[:-1])
+    integrands[0] = (strategy.y * theta_path(model)).sum(axis=-1)
+    for row, g in zip(integrands[1:], gammas):
+        row[...] = K_transform_path(model.jumps, strategy.pi, g)
+    ip, *jumps = cumtrapz(grid, integrands)
+    jump_integral = dict(zip(gammas, jumps))
 
     def exponent(g: float, node=slice(None)):
-        return (g * (R[node] - V[..., node] + ip[..., node]
-                     - 0.5 * (1.0 - g) * ysq[..., node])
-                + jump_integral[g][..., node])
+        # in place on the first, full-shape sum; each step is the
+        # closed form's own operation, so the bits do not move
+        e = R[node] - V[..., node] + ip[..., node]
+        e -= 0.5 * (1.0 - g) * ysq[..., node]
+        e *= g
+        e += jump_integral[g][..., node]
+        return e
 
-    consumption = np.trapezoid(strategy.v**g1 * np.exp(exponent(g1)),
-                               grid.nodes, axis=-1)
-    cost = x**g1 * consumption + x**g2 * np.exp(exponent(g2, -1))
+    integrand = np.exp(exponent(g1))
+    integrand *= strategy.v**g1
+    cost = x**g1 * trapz(grid, integrand) + x**g2 * np.exp(exponent(g2, -1))
     return float(cost) if cost.ndim == 0 else cost
 
 

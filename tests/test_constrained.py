@@ -510,6 +510,40 @@ def test_no_consumption_certificate(jump_1d):
 
 
 # ---------------------------------------------------------------------------
+# Finite inputs whose scalar formulas overflow
+# ---------------------------------------------------------------------------
+
+def _overflowing_diff_gamma():
+    # g2 R_T = 770 overflows exp(g2 R_T) = ghat2(T)
+    model = make_model(n=257, r=1100.0, mu=1100.02, sigma=0.3)
+    return jf.solve_diff_gamma(model, jf.UtilitySpec(0.3, 0.7),
+                               jf.RiskSpec("var", 0.01, 0.15))
+
+
+def _overflowing_gamma1_value():
+    # the ray's J* = x exp(R_T + ||theta||_T rho*) with R_T = 720; the box
+    # optimum's J* is already inf, which numpy only warns about
+    model = make_model(r=720.0, mu=720.07, sigma=0.3, lam=0.5,
+                       jump=jf.JumpDist.point_masses([0.04], [1.0]))
+    with np.errstate(over="ignore"):
+        return jf.solve_var_gamma1(model, VAR)
+
+
+def _overflowing_kappa_floor():
+    # 0.5 q_beta^2 is about 720 at beta = 1e-315, and ||theta||_T is tiny
+    model = make_model(r=0.02, mu=0.0201, sigma=0.3)
+    return jf.rho_var_gamma1(model, jf.RiskSpec("var", 1e-315, 0.1))
+
+
+@pytest.mark.parametrize("solve", [_overflowing_diff_gamma,
+                                   _overflowing_gamma1_value,
+                                   _overflowing_kappa_floor])
+def test_overflowing_scalar_formulas_raise_out_of_range(solve):
+    with pytest.raises(OutOfRange, match="overflows"):
+        solve()
+
+
+# ---------------------------------------------------------------------------
 # Initial wealth
 # ---------------------------------------------------------------------------
 

@@ -375,9 +375,40 @@ def _relabelled(case, order):
                 jumps=[case["jumps"][i] for i in order])
 
 
-@given(solve_cases(**_MILD), st.floats(0.1, 10.0), st.permutations(range(3)))
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_solves_obey_the_metamorphic_relations(case, c, order):
+def test_solves_obey_the_metamorphic_relations():
+    # each example checks one case as drawn and one market under a certain
+    # limit for each utility kind, equal gamma under both kinds of limit;
+    # each constrained branch must answer often enough for its relations to
+    # be checked
+    answered = dict.fromkeys(
+        ("gamma = 1", "certified equal gamma, var",
+         "certified equal gamma, es", "distinct gamma"), 0)
+
+    def check(case, c, order):
+        base = _check_relations(case, c, order)
+        if case["risk"] is not None and not isinstance(base, type):
+            answered[_branch(base)] += 1
+
+    @given(solve_cases(**_MILD), solve_cases(**_MILD, optional_limit=False),
+           st.floats(0.05, 0.95), st.floats(0.05, 0.45), st.floats(0.55, 0.95),
+           st.floats(0.1, 10.0), st.permutations(range(3)))
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    def run(case, limited, gamma, gamma1, gamma2, c, order):
+        check(case, c, order)
+        for gammas in ((1.0, 1.0), (gamma, gamma), (gamma1, gamma2)):
+            check(dict(limited, gammas=gammas), c, order)
+        kind, *level = limited["risk"]
+        check(dict(limited, gammas=(gamma, gamma),
+                   risk=("es" if kind == "var" else "var", *level)), c, order)
+
+    run()
+    assert min(answered.values()) >= 5, answered
+
+
+def _check_relations(case, c, order):
+    """Check every relation that applies to the case; returns the report of
+    its own solve, or the type it raised."""
     base = _solve_case(case)
     gamma1, gamma2 = case["gammas"]
 
@@ -408,7 +439,7 @@ def test_solves_obey_the_metamorphic_relations(case, c, order):
                                        base.strategy.pi, rtol=0.0, atol=1e-12)
 
     if case["risk"] is None:
-        return
+        return base
     kind, beta, kappa, method = case["risk"]
 
     # for equal gamma a limit can only lower J*
@@ -431,3 +462,4 @@ def test_solves_obey_the_metamorphic_relations(case, c, order):
                for k in (0.05, 0.2, 0.5, 0.8, 0.95)]
     values = [a.J_star for a in answers if not isinstance(a, type)]
     assert all(lo <= hi * (1.0 + 1e-12) for lo, hi in zip(values, values[1:]))
+    return base

@@ -3,16 +3,21 @@
 A stack of candidates (y and pi (..., N, d), v (..., N)) is costed by one
 call each to `cost_function` and `slack_path`.  Both must return, bit for
 bit, what the per-candidate loop returns for each candidate; the loop here
-is the reference.  The derived market paths are computed once per model
-and handed out read-only.
+is the reference.  The derived market paths and the risk level are
+computed once per model and handed out read-only; a strategy keeps
+read-only copies of its paths and its own integrals V and ||y||_t^2.
 """
+
+import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
 import jumpfolio as jf
-from jumpfolio.errors import InvalidStrategy
-from jumpfolio.market import R_path, sigma_inv_xi_lambda_path
+from jumpfolio import negjumps
+from jumpfolio.errors import AssumptionJViolated, InvalidStrategy
+from jumpfolio.market import R_path, cumtrapz, sigma_inv_xi_lambda_path
 
 from conftest import make_model, make_model_2d
 
@@ -161,3 +166,123 @@ def test_model_inputs_are_read_only_copies():
     assert not any(a.flags.writeable for a in arrays)
     mu[0, 0] = 1.0        # the caller's array stays theirs
     assert coeffs.mu[0, 0] == 0.07
+
+
+def test_jump_atoms_of_the_active_assets_are_kept_once_per_spec():
+    jumps = _three_assets().jumps
+    active = jumps.active
+    assert jumps.active is active
+    assert [j for j, *_ in active] == [0, 2]
+    for j, lam, z, w in active:
+        assert type(lam) is float and lam == jumps.lambdas[j]
+        assert z is jumps.dists[j].z and w is jumps.dists[j].w
+
+
+# ---------------------------------------------------------------------------
+# A strategy keeps its own integrals; the risk level is kept per model
+# ---------------------------------------------------------------------------
+
+def _cost_and_slack(model, pi, v, order):
+    """Cost under each utility and slack under each risk of one strategy
+    built from pi and v, called in the given order: "slack first", "cost
+    first", or "fresh", a new strategy for every call."""
+    strategy = jf.Strategy.from_pi(model, pi, v)
+
+    def fresh():
+        return jf.Strategy.from_pi(model, pi, v) if order == "fresh" else strategy
+
+    def costs():
+        return [jf.cost_function(model, u, fresh(), 1.5) for u in UTILITIES]
+
+    def slacks():
+        return [jf.slack_path(fresh(), model, risk) for risk in RISKS]
+
+    if order == "cost first":
+        cost = costs()
+        return cost, slacks()
+    slack = slacks()
+    return costs(), slack
+
+
+@pytest.mark.parametrize("b", [None, 5], ids=["one", "stack"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_call_order_does_not_move_the_bits(name, b):
+    model = MODELS[name]()
+    pi, v = _candidates(model, np.random.default_rng(23), b or 1)
+    if b is None:
+        pi, v = pi[0], v[0]
+    want_cost, want_slack = _cost_and_slack(model, pi, v, "fresh")
+    for order in ("slack first", "cost first"):
+        cost, slack = _cost_and_slack(model, pi, v, order)
+        assert np.asarray(cost).tobytes() == np.asarray(want_cost).tobytes()
+        for got, want in zip(slack, want_slack):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_strategy_holds_read_only_copies_and_its_integrals():
+    model = make_model(n=17)
+    y, pi, v = np.full((17, 1), 0.09), np.full((17, 1), 0.3), np.ones(17)
+    V_path = np.linspace(0.0, 1.0, 17)
+    strategy = jf.Strategy(model.grid, y, pi, v, V_path=V_path)
+    kept = (strategy.y, strategy.pi, strategy.v, strategy.V_path,
+            strategy.V, strategy.y_norm_sq)
+    assert not any(a.flags.writeable for a in kept)
+    with pytest.raises(ValueError):
+        strategy.v[0] = 2.0
+    for caller in (y, pi, v, V_path):     # the caller's arrays stay theirs
+        assert caller.flags.writeable
+        caller[0] = 7.0
+    assert strategy.y[0, 0] == 0.09 and strategy.V[0] == 0.0
+    for field in ("y", "pi", "v", "V_path", "grid"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(strategy, field, None)
+    # the integrals are computed once and kept
+    assert strategy.V is strategy.V and strategy.y_norm_sq is strategy.y_norm_sq
+    assert np.array_equal(strategy.y_norm_path(), np.sqrt(strategy.y_norm_sq))
+    rate = jf.Strategy(model.grid, y, pi, v)
+    assert not rate.V.flags.writeable
+    assert rate.V.tobytes() == cumtrapz(model.grid, v).tobytes()
+
+
+def test_risk_level_is_resolved_once_per_model_and_risk(monkeypatch):
+    # count the normal quantiles and negative-jump probabilities that
+    # effective_level computes
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("normal_quantile", "epsilon_t"):
+        monkeypatch.setattr(negjumps, name,
+                            counted(name, getattr(negjumps, name)))
+    model = MODELS["two_assets_negative_jumps"]()
+    pi, v = _candidates(model, np.random.default_rng(3), 4)
+    risk = jf.RiskSpec("es", 0.45, 0.3, "thinning")
+    level = negjumps.effective_level(model, risk)
+    for p, w in zip(pi, v):
+        jf.slack_path(jf.Strategy.from_pi(model, p, w), model, risk)
+    # an equal spec shares the level
+    jf.slack_path(jf.Strategy.from_pi(model, pi, v), model,
+                  jf.RiskSpec("es", 0.45, 0.3, "thinning"))
+    assert negjumps.effective_level(model, risk) is level
+    assert calls == {"normal_quantile": 1, "epsilon_t": 1}
+    # a second spec on the same model gets its own level, once
+    other = jf.RiskSpec("var", 0.2, 0.3, "thinning")
+    for _ in range(3):
+        jf.slack_path(jf.Strategy.from_pi(model, pi, v), model, other)
+    assert negjumps.effective_level(model, other).beta != level.beta
+    assert calls == {"normal_quantile": 2, "epsilon_t": 2}
+    # a new model resolves its own
+    negjumps.effective_level(MODELS["two_assets_negative_jumps"](), risk)
+    assert calls == {"normal_quantile": 3, "epsilon_t": 3}
+
+
+def test_a_refused_risk_level_is_refused_on_every_call():
+    model = MODELS["two_assets_negative_jumps"]()
+    risk = jf.RiskSpec("var", 0.05, 0.3)        # negative jumps, method off
+    for _ in range(2):
+        with pytest.raises(AssumptionJViolated):
+            negjumps.effective_level(model, risk)
