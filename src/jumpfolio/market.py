@@ -29,9 +29,10 @@ DET_FLOOR = 1e-12          # |det sigma_t| below this counts as singular
 GL_NODES_DEFAULT = 129     # Gauss-Legendre resolution for tabulated densities
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float copy of values; the caller's array stays writable."""
-    out = np.array(values, dtype=float)
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values, float unless dtype says otherwise; the
+    caller's array stays writable."""
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -371,13 +372,18 @@ def _sigma_solve(model: MarketModel, rhs: np.ndarray) -> np.ndarray:
 
 def _once_per_model(path):
     """Keep path(model) on the model, read-only, from the first call on; the
-    model's inputs are read-only too, so a kept path cannot go stale."""
+    model's inputs are read-only too, so a kept path cannot go stale.  A
+    float path is kept as a float copy, a tuple of arrays as a tuple of
+    copies of their own dtypes."""
     name = path.__name__
 
     @wraps(path)
-    def cached(model: MarketModel) -> np.ndarray:
+    def cached(model: MarketModel):
         if name not in model.__dict__:   # frozen: write the instance dict
-            model.__dict__[name] = _frozen(path(model))
+            value = path(model)
+            model.__dict__[name] = (
+                tuple(_frozen(part, part.dtype) for part in value)
+                if isinstance(value, tuple) else _frozen(value))
         return model.__dict__[name]
 
     return cached
@@ -388,6 +394,29 @@ def theta_path(model: MarketModel) -> np.ndarray:
     """Market price of risk at every node, shape (N, d)."""
     c = model.coeffs
     return _sigma_solve(model, c.mu - c.r[:, None])
+
+
+@_once_per_model
+def node_map(model: MarketModel) -> tuple:
+    """The distinct coefficient samples (r_t, mu_t, sigma_t) of the grid.
+
+    Returns first, the node where each distinct sample first appears, in
+    node order, and node, for every node the position in first of the
+    sample it equals; first[node] picks an equal sample for every node.
+    Samples are equal when their bits are.  A constant market has one
+    distinct sample, a market that changes at every node N of them.
+    """
+    c = model.coeffs
+    n = model.grid.n
+    rows = np.concatenate([c.r[:, None], c.mu, c.sigma.reshape(n, -1)],
+                          axis=1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, node = np.unique(keys[:, 0], return_index=True,
+                               return_inverse=True)
+    order = np.argsort(first)       # np.unique sorts by key, not by node
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[node]
 
 
 @_once_per_model

@@ -44,6 +44,7 @@ from .market import (
     cumtrapz,
     jump_terms_path,
     l2_time_norm_sq_path,
+    node_map,
     theta_path,
     trapz,
 )
@@ -330,6 +331,13 @@ def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
 def _optimal_allocation(model: MarketModel, gamma: float):
     """Maximize the growth rate h(t; pi) over the box [0, 1]^d at every node.
 
+    The maximization at a node depends only on its coefficient sample
+    (r_t, mu_t, sigma_t) and on the jump law, so the Newton loop below runs
+    once per distinct sample of `node_map`, and its pi is laid back on every
+    node; y, h* and exp(int h*) are then formed on the full grid.  A
+    constant market solves one node, a market that changes at every node
+    all N.
+
     h is strictly concave for gamma < 1.  In units of the gradient
     g = grad_pi h / gamma = (mu - r) - (1 - gamma) sigma sigma' pi + Q(pi),
     a projected Newton step (Bertsekas 1982) starts from the jump-free
@@ -344,10 +352,12 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     boundary_clipped.
     """
     c, jumps = model.coeffs, model.jumps
-    n, d = c.mu.shape
-    excess = c.mu - c.r[:, None]
-    cov = (1.0 - gamma) * c.sigma @ c.sigma.transpose(0, 2, 1)
-    sigma_inv = np.linalg.inv(c.sigma)
+    first, node = node_map(model)
+    excess = c.mu[first] - c.r[first, None]
+    sigma = c.sigma[first]
+    m, d = excess.shape
+    cov = (1.0 - gamma) * sigma @ sigma.transpose(0, 2, 1)
+    sigma_inv = np.linalg.inv(sigma)
     diag = np.arange(d)
 
     def evaluate(rows, pi):
@@ -364,7 +374,7 @@ def _optimal_allocation(model: MarketModel, gamma: float):
         return f, g, dq, held, np.max(np.abs(kkt), axis=1), done
 
     pi = np.clip(np.linalg.solve(cov, excess[..., None])[..., 0], 0.0, 1.0)
-    f, g, dq, held, res, done = evaluate(np.arange(n), pi)
+    f, g, dq, held, res, done = evaluate(np.arange(m), pi)
     iterations = 0
     while not np.all(done):
         if iterations == _MAX_ITER:
@@ -392,6 +402,7 @@ def _optimal_allocation(model: MarketModel, gamma: float):
             if rows.size == 0:
                 break
             alpha *= 0.5
+    pi = pi[node]
     y = np.einsum("nji,nj->ni", c.sigma, pi)
     h = growth_rate_path(model, gamma, y, pi)
     diagnostics = {
