@@ -28,13 +28,13 @@ from .errors import (
     ConfigError,
     EpsilonTooLarge,
     KappaOutOfRange,
-    OutOfRange,
     ThetaHatNegative,
 )
 from .market import (
     MarketModel,
     R_path,
     UtilitySpec,
+    _exp,
     _sigma_solve,
     cumtrapz,
     inner_product_path,
@@ -79,15 +79,6 @@ def slack_path(strategy: Strategy, model: MarketModel,
     else:
         body = -V + ip + lev.F(ynorm + abs(lev.q_level))
     return body - math.log1p(-risk.kappa)
-
-
-def _exp(value: float, name: str) -> float:
-    """math.exp(value); raises OutOfRange where it overflows a float."""
-    try:
-        return math.exp(value)
-    except OverflowError:
-        raise OutOfRange(
-            f"{name} = exp({value:.6g}) overflows a float") from None
 
 
 def _require_kind(risk: RiskSpec, kind: RiskKind, solver: str) -> None:

@@ -12,6 +12,7 @@ to weighted sums in both cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -27,6 +28,15 @@ from .errors import (
 
 DET_FLOOR = 1e-12          # |det sigma_t| below this counts as singular
 GL_NODES_DEFAULT = 129     # Gauss-Legendre resolution for tabulated densities
+
+
+def _exp(value: float, name: str) -> float:
+    """math.exp(value); raises OutOfRange where it overflows a float."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        raise OutOfRange(
+            f"{name} = exp({value:.6g}) overflows a float") from None
 
 
 def _frozen(values, dtype=float) -> np.ndarray:

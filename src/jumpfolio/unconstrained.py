@@ -40,6 +40,7 @@ from .market import (
     R_path,
     TimeGrid,
     UtilitySpec,
+    _exp,
     _frozen,
     cumtrapz,
     jump_terms_path,
@@ -320,7 +321,7 @@ def solve_linear(model: MarketModel, x: float = 1.0) -> SolveReport:
             f"t = {model.grid.nodes[k]:.6g}: consuming nothing is not optimal")
     strategy = Strategy.from_pi(model, (excess > 0.0).astype(float))
     gain = trapz(model.grid, gains)
-    J = x * float(np.exp(float(R_path(model)[-1]) + gain))
+    J = x * _exp(float(R_path(model)[-1]) + gain, "J*")
     return SolveReport(strategy=strategy, J_star=J)
 
 

@@ -521,12 +521,12 @@ def _overflowing_diff_gamma():
 
 
 def _overflowing_gamma1_value():
-    # the ray's J* = x exp(R_T + ||theta||_T rho*) with R_T = 720; the box
-    # optimum's J* is already inf, which numpy only warns about
+    # R_T = 720: the box optimum's J* = x exp(R_T + int (mu - r)^+), which
+    # the gamma = 1 solvers cost first, overflows before the ray's
+    # J* = x exp(R_T + ||theta||_T rho*) is reached
     model = make_model(r=720.0, mu=720.07, sigma=0.3, lam=0.5,
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
-    with np.errstate(over="ignore"):
-        return jf.solve_var_gamma1(model, VAR)
+    return jf.solve_var_gamma1(model, VAR)
 
 
 def _overflowing_kappa_floor():
@@ -535,9 +535,22 @@ def _overflowing_kappa_floor():
     return jf.rho_var_gamma1(model, jf.RiskSpec("var", 1e-315, 0.1))
 
 
+def _overflowing_linear_value():
+    # solve_linear's J* = x exp(R_T + int (mu - r)^+) at R_T = 720
+    return jf.solve_linear(make_model(r=720.0, mu=720.07, sigma=0.3))
+
+
+def _overflowing_gamma1_box():
+    # a limit the box optimum meets, so its overflowing J* is the answer
+    model = make_model(r=720.0, mu=720.07, sigma=0.3)
+    return jf.solve_var_gamma1(model, jf.RiskSpec("var", 0.05, 0.99))
+
+
 @pytest.mark.parametrize("solve", [_overflowing_diff_gamma,
                                    _overflowing_gamma1_value,
-                                   _overflowing_kappa_floor])
+                                   _overflowing_kappa_floor,
+                                   _overflowing_linear_value,
+                                   _overflowing_gamma1_box])
 def test_overflowing_scalar_formulas_raise_out_of_range(solve):
     with pytest.raises(OutOfRange, match="overflows"):
         solve()
