@@ -295,6 +295,43 @@ def _branch(report) -> str:
     return "gamma = 1"
 
 
+# one market with a negative atom, eps_T 0.049 under thinning, on which
+# every constrained branch of adjusted_solve answers at beta 0.1: the
+# utility and the limit's kind and kappa pick the branch
+_ONE_MARKET = dict(n=33, horizon=1.0, r=0.02, mu=[(0.07, 0.07)],
+                   sigma=[[0.3]], jumps=[(0.15, [-0.05, 0.08, 0.1])])
+
+# gammas, (kind, kappa), the branch and the gamma = 1 case it answers with
+_BRANCH_CASES = {
+    "gamma = 1 box": ((1.0, 1.0), ("var", 0.6), "gamma = 1", "box"),
+    "gamma = 1 ray, var": ((1.0, 1.0), ("var", 0.1), "gamma = 1",
+                           "directional"),
+    "gamma = 1 ray, es": ((1.0, 1.0), ("es", 0.1), "gamma = 1",
+                          "directional"),
+    "certified var": ((0.5, 0.5), ("var", 0.9),
+                      "certified equal gamma, var", None),
+    "certified es": ((0.5, 0.5), ("es", 0.9), "certified equal gamma, es",
+                     None),
+    "distinct gamma, var": ((0.3, 0.7), ("var", 0.1), "distinct gamma", None),
+    "distinct gamma, es": ((0.3, 0.7), ("es", 0.1), "distinct gamma", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRANCH_CASES))
+def test_each_constrained_branch_answers_on_a_fixed_market(name):
+    # the random draws below reach each branch only as luck allows; this
+    # reaches each one by construction
+    gammas, (kind, kappa), branch, case = _BRANCH_CASES[name]
+    model, utility, risk = _case_inputs(dict(
+        _ONE_MARKET, gammas=gammas, risk=(kind, 0.1, kappa, "thinning")))
+    report = jf.adjusted_solve(model, risk, utility)
+    assert _branch(report) == branch
+    assert report.diagnostics.get("case") == case
+    report.strategy.validate(model)
+    assert jf.slack_path(report.strategy, model, risk).min() >= -1e-10
+    assert math.isfinite(report.J_star)
+
+
 def test_adjusted_solve_refuses_or_returns_a_feasible_strategy():
     # each example solves one case of the wide draws as drawn and one mild
     # market under a limit for each utility kind; each constrained branch
