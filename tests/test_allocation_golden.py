@@ -10,6 +10,10 @@ ramp drives the allocation from the interior onto the bound pi = 1.  A
 change to the per-node allocation solve, or to how its answer is laid on
 the grid, changes a digest.  The digests hold for the numpy release and
 CPU the suite runs on.
+
+The two-regime market also checks the node map: the allocation is solved
+once per distinct coefficient sample, so each node must read, bit for
+bit, the answer of the constant market of its regime.
 """
 
 import hashlib
@@ -18,6 +22,8 @@ import numpy as np
 import pytest
 
 import jumpfolio as jf
+from jumpfolio.market import node_map
+from jumpfolio.unconstrained import _optimal_allocation
 
 N = 33
 RAMP = np.linspace(0.03, 0.3, N)
@@ -116,3 +122,34 @@ def solve_digests(market, d):
 @pytest.mark.parametrize("d", (1, 2))
 def test_time_varying_allocation_is_bit_identical(market, d):
     assert solve_digests(market, d) == GOLDEN[(market, d)]
+
+
+# ---------------------------------------------------------------------------
+# The allocation is solved once per distinct node and laid back on the grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_two_regime_nodes_match_their_constant_market(d):
+    model = two_regime_market(d)
+    first, node = node_map(model)
+    assert first.tolist() == [0, SWITCH]
+    assert node.tolist() == [0] * SWITCH + [1] * (N - SWITCH)
+    _, pi, h, _, diagnostics = _optimal_allocation(model, 0.5)
+    regimes = [_optimal_allocation(regime_market(d, k), 0.5) for k in (0, 1)]
+    for (_, pi_k, h_k, _, _), part in zip(
+            regimes, (slice(None, SWITCH), slice(SWITCH, None))):
+        assert pi[part].tobytes() == pi_k[part].tobytes()
+        assert h[part].tobytes() == h_k[part].tobytes()
+    assert diagnostics["iterations"] == max(
+        diag["iterations"] for *_, diag in regimes)
+
+
+def test_node_map_is_read_only():
+    model = two_regime_market(2)
+    first, node = node_map(model)
+    assert node_map(model)[0] is first
+    for kept in (first, node):
+        with pytest.raises(ValueError):
+            kept[0] = 1
+    assert node_map(ramp_market(1))[0].tolist() == list(range(N))
+    assert node_map(regime_market(1, 0))[0].tolist() == [0]
