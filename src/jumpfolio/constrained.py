@@ -295,7 +295,7 @@ def _certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         thh_sq = l2_time_norm_sq_path(grid, thh)
         e = float(np.min(qq * thh_sq + lev.F(qq * th_norm + abs(lev.q_level))))
         cross = cross - qq * thh_sq
-        qv = jump_terms_path(model.jumps, report.strategy.pi, gamma)[1]
+        qv = jump_terms_path(model.jumps, report.strategy.pi, gamma)[0]
         m_path = _sigma_solve(model, qv)
         diag = {"m_star": e, "M_hat_theta_T":
                 float(trapz(grid, np.sum(thh * m_path, axis=1)))}

@@ -483,16 +483,15 @@ def K_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.n
 
 
 def jump_terms_path(jumps: JumpSpec, pi: np.ndarray, gamma: float):
-    """sum_j K_j(pi_j), Q_j(pi_j) and Q_j'(pi_j) in one pass over the atoms.
+    """Q_j(pi_j), Q_j'(pi_j) and a bound on the terms of Q_j in one pass
+    over the atoms, each (m, d) for the m allocations that are rows of pi.
 
-    The first-order jump term Q_j(pi) = lambda_j E[((1 + pi xi)^(gamma-1)
-    - 1) xi] is nonpositive on a nonnegative support when gamma < 1, and
-    Q_j'(pi) = lambda_j (gamma - 1) E[(1 + pi xi)^(gamma-2) xi^2]; each row
-    of the (m, d) array pi is one allocation.  The fourth output,
-    lambda_j E[|xi| ((1 + pi xi)^(gamma-1) + 1)], bounds the terms summed
-    into Q_j, which sets the float resolution of Q_j.
+    Q_j(pi) = lambda_j E[((1 + pi xi)^(gamma-1) - 1) xi] is nonpositive on
+    a nonnegative support when gamma < 1, Q_j'(pi) = lambda_j (gamma - 1)
+    E[(1 + pi xi)^(gamma-2) xi^2], and lambda_j E[|xi| ((1 + pi
+    xi)^(gamma-1) + 1)] bounds the terms summed into Q_j, which sets the
+    float resolution of Q_j.
     """
-    k = np.zeros(pi.shape[0])
     q = np.zeros_like(pi)
     dq = np.zeros_like(pi)
     q_size = np.zeros_like(pi)
@@ -503,11 +502,10 @@ def jump_terms_path(jumps: JumpSpec, pi: np.ndarray, gamma: float):
             raise UnsupportedSupport("1 + pi*z must stay positive on the support")
         power = base**gamma
         slope = power / base                    # (1 + pi z)^(gamma - 1)
-        k += lam * ((power - 1.0 - gamma * pz) @ w)
         q[:, j] = lam * (((slope - 1.0) * z) @ w)
         dq[:, j] = lam * (gamma - 1.0) * ((slope / base * z * z) @ w)
         q_size[:, j] = lam * (((slope + 1.0) * np.abs(z)) @ w)
-    return k, q, dq, q_size
+    return q, dq, q_size
 
 
 def expected_jump_exponential(jumps: JumpSpec, grid: TimeGrid, a) -> float:

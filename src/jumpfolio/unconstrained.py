@@ -56,7 +56,6 @@ _BOX_TOL = 1e-10
 # few ulps above float resolution at any scale of the coefficients.
 _NEWTON_TOL = 1e-14
 _MAX_ITER = 50
-_MAX_HALVINGS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +340,15 @@ def _optimal_allocation(model: MarketModel, gamma: float):
 
     h is strictly concave for gamma < 1.  In units of the gradient
     g = grad_pi h / gamma = (mu - r) - (1 - gamma) sigma sigma' pi + Q(pi),
-    a projected Newton step (Bertsekas 1982) starts from the jump-free
-    optimum clipped to the box.  Components at a bound whose gradient points
-    out of the box stay there; the others take the Newton step on their
-    block of the Hessian -(1 - gamma) sigma sigma' + diag Q'(pi), and the
-    result is clipped to the box.  Each node halves its step until h rises
-    or the first-order defect falls: near the optimum a rise of h is below
-    float resolution.  Returns y, pi, the growth rate h*, exp(int h*) and
-    the diagnostics foc_residual, the largest max |sigma^{-1} P(g)| over
-    nodes (P zeroes the components held at a bound), iterations and
-    boundary_clipped.
+    projected Newton (Bertsekas 1982) starts from the jump-free optimum
+    clipped to the box.  Components at a bound whose gradient points out
+    of the box stay there; the others take the full Newton step on their
+    block of the Hessian -(1 - gamma) sigma sigma' + diag Q'(pi), clipped
+    to the box, until the free gradient passes the relative test of
+    _NEWTON_TOL; after _MAX_ITER steps NoConvergence is raised.  Returns
+    y, pi, the growth rate h*, exp(int h*) and the diagnostics
+    foc_residual, the largest max |sigma^{-1} P(g)| over nodes (P zeroes
+    the components held at a bound), iterations and boundary_clipped.
     """
     c, jumps = model.coeffs, model.jumps
     first, node = node_map(model)
@@ -362,9 +360,8 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     diag = np.arange(d)
 
     def evaluate(rows, pi):
-        k, q, dq, q_size = jump_terms_path(jumps, pi, gamma)
+        q, dq, q_size = jump_terms_path(jumps, pi, gamma)
         cov_pi = np.einsum("nij,nj->ni", cov[rows], pi)
-        f = np.sum(pi * (excess[rows] - 0.5 * cov_pi), axis=1) + k / gamma
         g = excess[rows] - cov_pi + q
         held = ((pi == 0.0) & (g <= 0.0)) | ((pi == 1.0) & (g >= 0.0))
         pg = np.where(held, 0.0, g)
@@ -372,10 +369,10 @@ def _optimal_allocation(model: MarketModel, gamma: float):
                 + np.einsum("nij,nj->ni", np.abs(cov[rows]), pi))
         done = np.all(np.abs(pg) <= _NEWTON_TOL * size, axis=1)
         kkt = np.einsum("nij,nj->ni", sigma_inv[rows], pg)
-        return f, g, dq, held, np.max(np.abs(kkt), axis=1), done
+        return g, dq, held, np.max(np.abs(kkt), axis=1), done
 
     pi = np.clip(np.linalg.solve(cov, excess[..., None])[..., 0], 0.0, 1.0)
-    f, g, dq, held, res, done = evaluate(np.arange(m), pi)
+    g, dq, held, res, done = evaluate(np.arange(m), pi)
     iterations = 0
     while not np.all(done):
         if iterations == _MAX_ITER:
@@ -390,19 +387,10 @@ def _optimal_allocation(model: MarketModel, gamma: float):
         hess[:, diag, diag] += np.where(free, dq[rows], -1.0)
         rhs = np.where(free, -g[rows], 0.0)
         step = np.linalg.solve(hess, rhs[..., None])[..., 0]
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = np.clip(pi[rows] + alpha * step, 0.0, 1.0)
-            new = evaluate(rows, trial)
-            # accept where h rose or the first-order residual fell
-            ok = (new[0] > f[rows]) | (new[4] < res[rows])
-            pi[rows[ok]] = trial[ok]
-            for old, value in zip((f, g, dq, held, res, done), new):
-                old[rows[ok]] = value[ok]
-            rows, step = rows[~ok], step[~ok]
-            if rows.size == 0:
-                break
-            alpha *= 0.5
+        pi[rows] = np.clip(pi[rows] + step, 0.0, 1.0)
+        for old, value in zip((g, dq, held, res, done),
+                              evaluate(rows, pi[rows])):
+            old[rows] = value
     pi = pi[node]
     y = np.einsum("nji,nj->ni", c.sigma, pi)
     h = growth_rate_path(model, gamma, y, pi)

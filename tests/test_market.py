@@ -137,7 +137,7 @@ def K_at(jumps, pi, gamma):
 
 def Q_at(jumps, pi, gamma):
     """Q_1(pi) of a one-asset jump spec, through the solver's kernel."""
-    return jump_terms_path(jumps, np.array([[pi]]), gamma)[1][0, 0]
+    return jump_terms_path(jumps, np.array([[pi]]), gamma)[0][0, 0]
 
 
 def test_K_transform_rejects_nonpositive_argument():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 import jumpfolio as jf
 from jumpfolio import unconstrained
@@ -141,7 +141,7 @@ def eta_1d(model, node, pi, gamma):
     on [0, 1]; an interior optimum is its unique root.
     """
     c = model.coeffs
-    q = jump_terms_path(model.jumps, np.array([[pi]]), gamma)[1][0, 0]
+    q = jump_terms_path(model.jumps, np.array([[pi]]), gamma)[0][0, 0]
     return (c.mu[node, 0] - c.r[node]
             + (gamma - 1.0) * c.sigma[node, 0, 0] ** 2 * pi + q)
 
@@ -297,6 +297,46 @@ def test_solve_power_equal_beats_box_grid(d, steps, seed):
     for k in range(model.grid.n):
         best = _growth_at(model, k, gamma, pts).max()
         assert rep.h_star[k] >= best - 1e-12
+
+
+def _small_sigma_market():
+    """Three assets, one with a tiny volatility, and strong two-sided
+    jumps; a step-halving projected Newton stalled here at a first-order
+    residual of 2.05e-11 and raised NoConvergence."""
+    grid = jf.TimeGrid.uniform(1.0, 3)
+    sigma = [(0.04286405346638882, -0.00179033070469671, -0.00224736761441616),
+             (0.0, 0.04011940564126842, -0.00454894031376698),
+             (0.0, 0.0, -0.00016243274406207)]
+    coeffs = jf.CoefficientPath.constant(
+        grid, 0.020463332041587293,
+        (1.5941581956115922, -0.4671135855959078, 2.012034384661421), sigma)
+    dists = (
+        jf.JumpDist.point_masses(
+            (1.906001314151719, 0.6965636301141552, -0.30388644009725274),
+            (0.14376128199837937, 0.8055697432439315, 0.05066897475768906)),
+        jf.JumpDist.point_masses(
+            (-0.13080016086362523, 2.5326140814411566, 0.05449850397485095),
+            (0.4762202144102943, 0.18223348919342292, 0.34154629639628287)),
+        jf.JumpDist.point_masses((3.297499095793654,), (1.0,)))
+    lambdas = np.array((6.199368242020327, 9.90805173971686,
+                        17.841752208325993))
+    return jf.MarketModel(grid, coeffs, jf.JumpSpec(lambdas, dists))
+
+
+def test_small_sigma_market_reaches_the_box_maximum():
+    model = _small_sigma_market()
+    gamma = 0.42542117357486553
+    rep = jf.solve_power_equal(model, jf.UtilitySpec.equal(gamma))
+    assert rep.diagnostics["iterations"] <= 10
+    # an independent maximum of h over the box: L-BFGS-B from 20 starts
+    starts = np.random.default_rng(0).uniform(0.0, 1.0, (20, 3))
+    best = min((minimize(lambda p: -_growth_at(model, 0, gamma, p[None])[0],
+                         x0, method="L-BFGS-B", bounds=[(0.0, 1.0)] * 3,
+                         options=dict(ftol=1e-16, gtol=1e-14))
+                for x0 in starts), key=lambda res: res.fun)
+    assert np.all(np.abs(rep.h_star + best.fun) <= 1e-14)
+    assert np.max(np.abs(rep.strategy.pi - best.x)) < 1e-6
+    assert rep.strategy.pi[0, 1] == 0.0
 
 
 def test_solve_power_equal_beats_random_candidates(jump_1d):
