@@ -124,9 +124,7 @@ def l2_time_norm_sq_path(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     values is (N,) for scalars, (N, d) for vector paths or a stack
     (..., N, d) of them.
     """
-    values = np.asarray(values, dtype=float)
-    sq = values**2 if values.ndim == 1 else (values**2).sum(axis=-1)
-    return cumtrapz(grid, sq)
+    return inner_product_path(grid, values, values)
 
 
 def l2_time_norm(grid: TimeGrid, values: np.ndarray) -> float:
@@ -381,20 +379,24 @@ def _sigma_solve(model: MarketModel, rhs: np.ndarray) -> np.ndarray:
 
 
 def _once_per_model(path):
-    """Keep path(model) on the model, read-only, from the first call on; the
-    model's inputs are read-only too, so a kept path cannot go stale.  A
-    float path is kept as a float copy, a tuple of arrays as a tuple of
-    copies of their own dtypes."""
+    """Keep path(model, *key) on the model, per key, from the first call
+    on; the model's inputs are read-only, so a kept value cannot go stale.
+    An array is kept as a read-only float copy, a tuple of arrays as a
+    tuple of read-only copies in their own dtypes, any other value as it
+    is.  A call that raises keeps nothing."""
     name = path.__name__
 
     @wraps(path)
-    def cached(model: MarketModel):
-        if name not in model.__dict__:   # frozen: write the instance dict
-            value = path(model)
-            model.__dict__[name] = (
-                tuple(_frozen(part, part.dtype) for part in value)
-                if isinstance(value, tuple) else _frozen(value))
-        return model.__dict__[name]
+    def cached(model: MarketModel, *key):
+        kept = model.__dict__.setdefault(name, {})  # frozen: the instance dict
+        if key not in kept:
+            value = path(model, *key)
+            if isinstance(value, tuple):
+                value = tuple(_frozen(part, part.dtype) for part in value)
+            elif isinstance(value, np.ndarray):
+                value = _frozen(value)
+            kept[key] = value
+        return kept[key]
 
     return cached
 

@@ -30,7 +30,7 @@ from .errors import (
     EpsilonTooLarge,
     OutOfRange,
 )
-from .market import JumpSpec, MarketModel, UtilitySpec
+from .market import JumpSpec, MarketModel, UtilitySpec, _once_per_model
 from .riskmetrics import F_beta, NegJumpMethod, RiskKind, RiskSpec, normal_quantile
 from .unconstrained import solve_linear, solve_power_equal
 
@@ -80,6 +80,7 @@ class EffectiveLevel:
         return F_beta(u, self.beta) + self.log_shift
 
 
+@_once_per_model
 def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
     """Resolve the risk level against the market's jump signs.
 
@@ -89,14 +90,6 @@ def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
     risk spec from the first call on; both are frozen, so it cannot go
     stale.  A refusal is not kept.
     """
-    levels = model.__dict__.setdefault("effective_levels", {})
-    if risk not in levels:               # frozen: write the instance dict
-        levels[risk] = _resolve_level(model, risk)
-    return levels[risk]
-
-
-def _resolve_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
-    """The body of effective_level, run once per (model, risk)."""
     method = risk.negjump_method
     if method == NegJumpMethod.OFF:
         if model.jumps.has_negative_jumps():

@@ -52,6 +52,7 @@ from .market import (
     UtilitySpec,
     inner_product_path,
     theta_hat_path,
+    trapz,
 )
 from .riskmetrics import (
     RiskKind,
@@ -338,17 +339,15 @@ def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
     if n < 2:
         raise OutOfRange(f"a cost estimate needs at least 2 paths, got {n}")
     g1, g2 = utility.gamma1, utility.gamma2
-    wealth, v, dt = ensemble.wealth, strategy.v, ensemble.grid.dt
+    wealth, v = ensemble.wealth, strategy.v
     per_path = np.empty(n)
     rows = max(1, _COST_BLOCK // wealth.shape[1])
     for start in range(0, n, rows):
         block = wealth[start:start + rows]
         c = v * block
         c **= g1
-        s = c[:, 1:] + c[:, :-1]
-        np.multiply(dt, s, out=s)
-        s /= 2.0
-        per_path[start:start + rows] = s.sum(axis=1) + block[:, -1] ** g2
+        per_path[start:start + rows] = (trapz(ensemble.grid, c)
+                                        + block[:, -1] ** g2)
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
 
 
