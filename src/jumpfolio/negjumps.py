@@ -8,11 +8,11 @@ log tail function at beta_hat shifted down by ln(1 - eps_T),
 F_beta_hat(u) + ln(1 - eps_T), evaluated at the beta_hat quantile offset
 (`EffectiveLevel.F`).
 
-Two estimates of eps_T ship side by side.  ExactThinning computes the exact
-probability of seeing at least one negative jump (thinned Poisson counts per
-asset); PaperFormula evaluates the product formula
+`epsilon_t` estimates eps_T two ways.  NegJumpMethod.THINNING computes the
+exact probability of seeing at least one negative jump (thinned Poisson
+counts per asset); NegJumpMethod.PAPER evaluates the paper's product formula
 prod_j (1 - exp(-lambda_j t)) P(xi_j < 0), which disagrees with the exact
-count on generic inputs and is kept for comparison.
+count on generic inputs and reads 0 once one asset cannot jump down.
 
 `adjusted_solve` is the one solve dispatcher, with or without a risk spec.
 """
@@ -37,7 +37,13 @@ from .unconstrained import solve_linear, solve_power_equal
 
 def epsilon_t(jumps: JumpSpec, t: float,
               method: NegJumpMethod = NegJumpMethod.THINNING) -> float:
-    """Probability of at least one negative jump in any asset on [0, t]."""
+    """Probability of at least one negative jump in any asset on [0, t].
+
+    THINNING is that probability exactly.  PAPER is the paper's product
+    over assets, which one asset that cannot jump down (lambda_j = 0 or
+    P(xi_j < 0) = 0) zeroes whatever the others do, so THINNING is the
+    safe choice.
+    """
     if not t >= 0:
         raise OutOfRange(f"t must be nonnegative, got {t}")
     method = NegJumpMethod(method)

@@ -428,16 +428,31 @@ def test_uniform_density_jump_config(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 0
 
 
-def test_uniform_support_of_zero_width_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("law", ["kind = uniform\nsupport = 0.05, 0.05",
+                                 "kind = uniform\nsupport = 0.05",
+                                 "kind = points\npoints ="],
+                         ids=["zero_width", "one_bound", "no_pairs"])
+def test_malformed_jump_law_exits_1(tmp_path, capsys, law):
     cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
     cfg.write_text(cfg.read_text().replace(
-        "kind = points\npoints = 0.04:1.0",
-        "kind = uniform\nsupport = 0.05, 0.05"))
+        "kind = points\npoints = 0.04:1.0", law))
     assert main(["solve", "--config", str(cfg)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "parse_error"
     assert error["type"] == "ConfigError"
     assert not out.exists()
+
+
+def test_asset_without_a_jump_section_has_no_jumps(tmp_path):
+    cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
+    cfg.write_text(cfg.read_text().replace(
+        "dimension = 1\nr = 0.02\nmu = 0.07\nsigma = 0.3",
+        "dimension = 2\nr = 0.02\nmu = 0.07; 0.05\nsigma = 0.3, 0.0; 0.0, 0.2"))
+    jumps = load_config(cfg).model.jumps
+    assert jumps.lambdas.tolist() == [0.5, 0.0]
+    assert jumps.dists[1].z.tolist() == [0.0]
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert (out / "strategy.csv").exists()
 
 
 UNIFORM_JUMPS = """
@@ -547,9 +562,13 @@ def test_solver_precondition_is_a_condition_violation(tmp_path, capsys, case):
         _PRECONDITIONS[case]()
 
 
-@pytest.mark.parametrize("body", [None, "t,y1,pi1,v\n0,0,0,zero\n"],
-                         ids=["missing", "non_numeric"])
-def test_unreadable_strategy_file_exits_1(tmp_path, capsys, body):
+@pytest.mark.parametrize("body, message", [
+    (None, "cannot read"),
+    ("t,y1,pi1,v\n0,0,0,zero\n", "cannot read"),
+    ("t,y1,pi1\n0,0,0\n", "needs 4 columns"),
+    ("t,y1,pi1,v\n0,0,0,0\n1,0,0,0\n", "rows do not match"),
+], ids=["missing", "non_numeric", "wrong_columns", "wrong_rows"])
+def test_unreadable_strategy_file_exits_1(tmp_path, capsys, body, message):
     cfg, out = write_config(tmp_path)
     strategy = tmp_path / "strategy.csv"
     if body is not None:
@@ -559,4 +578,5 @@ def test_unreadable_strategy_file_exits_1(tmp_path, capsys, body):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "parse_error"
     assert error["type"] == "ConfigError"
+    assert message in error["message"]
     assert not out.exists()

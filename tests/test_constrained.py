@@ -213,6 +213,17 @@ def test_rho_es_root_and_scan_oracle(gamma1_model):
     assert abs(rho_grid[crossing] - sol.rho_star) <= rho_grid[1] - rho_grid[0]
 
 
+def test_rho_es_doubles_its_bracket_past_one():
+    # a loose limit on a jump-free market puts the root beyond [0, 1]
+    model = make_model(n=33)
+    sol = jf.rho_es_gamma1(model, jf.RiskSpec("es", 0.05, 0.95))
+    assert sol.rho_star == pytest.approx(1.2274, abs=1e-4)
+    assert abs(sol.residual) < 1e-12
+    q = abs(jf.normal_quantile(0.05))
+    psi = sol.theta_norm * sol.rho_star + jf.F_beta(sol.rho_star + q, 0.05)
+    assert abs(psi - math.log(0.05)) < 1e-12
+
+
 def test_rho_es_condition_violated():
     model = make_model(mu=0.30, r=0.02, sigma=0.3, lam=0.0)
     with pytest.raises(ConditionViolated):

@@ -1,16 +1,23 @@
-"""Bad input to the model and spec constructors, and a NaN level, time,
-wealth or threshold given to the level adjustment or the tail statistics,
-raises a typed error.
+"""Bad input to the model, spec and strategy constructors, a strategy that
+does not fit its model, and a NaN level, time, wealth or threshold given to
+the level adjustment or the tail statistics, raises a typed error.
 
 Every refusal is a JumpfolioError, and the input-check errors ConfigError and
 OutOfRange are also ValueErrors, so callers that catch ValueError still work.
+A site that raises another type names it as the third item of its row.
 """
 
 import numpy as np
 import pytest
 
 import jumpfolio as jf
-from jumpfolio.errors import ConfigError, JumpfolioError, OutOfRange
+from jumpfolio.errors import (
+    ConfigError,
+    InvalidStrategy,
+    JumpfolioError,
+    OutOfRange,
+    UnsupportedSupport,
+)
 
 
 def _coeffs(n=3, r=None, mu=None):
@@ -25,6 +32,16 @@ ONE = (jf.JumpDist.degenerate(),)
 def _tiny_model():
     return jf.MarketModel(jf.TimeGrid.uniform(1.0, 3), _coeffs(),
                           jf.JumpSpec.none(1))
+
+
+def _path(value, d=1):
+    return np.full((3, d), value)
+
+
+def _validate(d=1, y=0.0, pi=0.0, v=None):
+    """Strategy(...).validate against the one-asset sigma = 0.3 model."""
+    grid = jf.TimeGrid.uniform(1.0, 3)
+    jf.Strategy(grid, _path(y, d), _path(pi, d), v).validate(_tiny_model())
 
 
 def _node_stats(beta=0.05, thresholds=None):
@@ -57,6 +74,9 @@ SITES = {
                    "sum to"),
     "density_sign": (lambda: jf.JumpDist.from_density(
         lambda z: -np.ones_like(z), 0.0, 1.0), "nonnegative"),
+    "density_support": (lambda: jf.JumpDist.from_density(
+        lambda z: np.full_like(z, 0.5), -1.0, 1.0), "support must lie",
+        UnsupportedSupport),
     "density_mass": (lambda: jf.JumpDist.from_density(
         lambda z: 3.0 * np.ones_like(z), 0.0, 1.0), "integrates"),
     "intensity": (lambda: jf.JumpSpec([-1.0], ONE), "intensities"),
@@ -93,6 +113,22 @@ SITES = {
     "node_stats_thresholds": (lambda: _node_stats(thresholds=np.full(3, np.inf)),
                               "thresholds must be finite"),
     "profile_wealth_nan": (lambda: _profile_at(np.nan), "initial wealth"),
+    "strategy_shapes": (lambda: jf.Strategy(jf.TimeGrid.uniform(1.0, 3),
+                                            _path(0.0), _path(0.0, 2)),
+                        "y and pi must both", InvalidStrategy),
+    "strategy_v": (lambda: jf.Strategy(jf.TimeGrid.uniform(1.0, 3),
+                                       _path(0.0), _path(0.0), np.zeros(2)),
+                   "v must be an", InvalidStrategy),
+    "strategy_V_path": (lambda: jf.Strategy(jf.TimeGrid.uniform(1.0, 3),
+                                            _path(0.0), _path(0.0),
+                                            np.zeros(3), np.zeros(4)),
+                        "V_path must have", InvalidStrategy),
+    "validate_dimension": (lambda: _validate(d=2), "shapes disagree",
+                           InvalidStrategy),
+    "validate_consumption": (lambda: _validate(v=np.array([0.1, -0.1, 0.1])),
+                             "consumption rate", InvalidStrategy),
+    "validate_y": (lambda: _validate(y=0.1, pi=0.5), "y != sigma' pi",
+                   InvalidStrategy),
     "risk_beta": (lambda: jf.RiskSpec("var", 0.6, 0.1), "beta must"),
     "risk_kappa": (lambda: jf.RiskSpec("var", 0.1, 1.0), "kappa must"),
 }
@@ -100,10 +136,10 @@ SITES = {
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_bad_input_raises_a_typed_value_error(site):
-    call, message = SITES[site]
+    call, message, *error = SITES[site]
     with pytest.raises(JumpfolioError, match=message) as info:
         call()
-    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, error[0] if error else ValueError)
 
 
 def test_input_errors_are_value_errors():

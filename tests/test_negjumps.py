@@ -34,6 +34,23 @@ def test_epsilon_single_asset_values():
     assert abs(got - got_paper) > 0.05
 
 
+@pytest.mark.parametrize("null", [
+    (0.0, jf.JumpDist.degenerate()),
+    (1.0, jf.JumpDist.point_masses([0.1], [1.0])),
+], ids=["no_jumps", "up_only"])
+def test_paper_epsilon_is_zeroed_by_an_asset_that_cannot_jump_down(null):
+    # the paper's product over assets has a zero factor for such an asset;
+    # the thinned count is the probability of a negative jump either way
+    down = jf.JumpDist.point_masses([-0.05, 0.08], [0.4, 0.6])
+    one = jf.JumpSpec(np.array([0.3]), (down,))
+    two = jf.JumpSpec(np.array([0.3, null[0]]), (down, null[1]))
+    assert jf.epsilon_t(one, 1.0, "paper") == pytest.approx(0.10367, abs=1e-5)
+    assert jf.epsilon_t(two, 1.0, "paper") == 0.0
+    thinning = jf.epsilon_t(one, 1.0, "thinning")
+    assert thinning == pytest.approx(0.11308, abs=1e-5)
+    assert jf.epsilon_t(two, 1.0, "thinning") == thinning
+
+
 def test_epsilon_monotone_in_time():
     jumps = jf.JumpSpec(
         np.array([1.0, 0.5]),
