@@ -38,10 +38,13 @@ def _path(value, d=1):
     return np.full((3, d), value)
 
 
-def _validate(d=1, y=0.0, pi=0.0, v=None):
-    """Strategy(...).validate against the one-asset sigma = 0.3 model."""
-    grid = jf.TimeGrid.uniform(1.0, 3)
-    jf.Strategy(grid, _path(y, d), _path(pi, d), v).validate(_tiny_model())
+def _strategy(y, pi, *rest):
+    """A Strategy on the grid of _tiny_model."""
+    return jf.Strategy(jf.TimeGrid.uniform(1.0, 3), y, pi, *rest)
+
+
+def _validate(strategy):
+    strategy.validate(_tiny_model())
 
 
 def _node_stats(beta=0.05, thresholds=None):
@@ -113,22 +116,21 @@ SITES = {
     "node_stats_thresholds": (lambda: _node_stats(thresholds=np.full(3, np.inf)),
                               "thresholds must be finite"),
     "profile_wealth_nan": (lambda: _profile_at(np.nan), "initial wealth"),
-    "strategy_shapes": (lambda: jf.Strategy(jf.TimeGrid.uniform(1.0, 3),
-                                            _path(0.0), _path(0.0, 2)),
+    "strategy_shapes": (lambda: _strategy(_path(0.0), _path(0.0, 2)),
                         "y and pi must both", InvalidStrategy),
-    "strategy_v": (lambda: jf.Strategy(jf.TimeGrid.uniform(1.0, 3),
-                                       _path(0.0), _path(0.0), np.zeros(2)),
+    "strategy_v": (lambda: _strategy(_path(0.0), _path(0.0), np.zeros(2)),
                    "v must be an", InvalidStrategy),
-    "strategy_V_path": (lambda: jf.Strategy(jf.TimeGrid.uniform(1.0, 3),
-                                            _path(0.0), _path(0.0),
-                                            np.zeros(3), np.zeros(4)),
+    "strategy_V_path": (lambda: _strategy(_path(0.0), _path(0.0),
+                                          np.zeros(3), np.zeros(4)),
                         "V_path must have", InvalidStrategy),
-    "validate_dimension": (lambda: _validate(d=2), "shapes disagree",
-                           InvalidStrategy),
-    "validate_consumption": (lambda: _validate(v=np.array([0.1, -0.1, 0.1])),
-                             "consumption rate", InvalidStrategy),
-    "validate_y": (lambda: _validate(y=0.1, pi=0.5), "y != sigma' pi",
-                   InvalidStrategy),
+    "validate_dimension": (lambda: _validate(_strategy(_path(0.0, 2),
+                                                       _path(0.0, 2))),
+                           "shapes disagree", InvalidStrategy),
+    "validate_consumption": (lambda: _validate(_strategy(
+        _path(0.0), _path(0.0), np.array([0.1, -0.1, 0.1]))),
+        "consumption rate", InvalidStrategy),
+    "validate_y": (lambda: _validate(_strategy(_path(0.1), _path(0.5))),
+                   "y != sigma' pi", InvalidStrategy),
     "risk_beta": (lambda: jf.RiskSpec("var", 0.6, 0.1), "beta must"),
     "risk_kappa": (lambda: jf.RiskSpec("var", 0.1, 1.0), "kappa must"),
 }
