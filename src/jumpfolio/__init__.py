@@ -57,13 +57,11 @@ from .simulate import (
 from .unconstrained import (
     SolveReport,
     Strategy,
-    chi_value,
     cost_function,
-    rho_path,
     solve_linear,
     solve_power_1d,
     solve_power_equal,
-    v_star_path,
+    value_terms,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .errors import (
     OutOfRange,
 )
 from .market import JumpSpec, MarketModel, UtilitySpec, _once_per_model
-from .riskmetrics import F_beta, NegJumpMethod, RiskKind, RiskSpec, normal_quantile
+from .riskmetrics import F_beta, NegJumpMethod, RiskSpec, normal_quantile
 from .unconstrained import solve_linear, solve_power_equal
 
 
@@ -91,20 +91,18 @@ def effective_level(model: MarketModel, risk: RiskSpec) -> EffectiveLevel:
     """Resolve the risk level against the market's jump signs.
 
     With adjustment off, negative jumps violate Assumption J and raise
-    AssumptionJViolated; otherwise eps_T is estimated by the selected
-    method and the level is tightened.  The level is kept on the model per
-    risk spec from the first call on; both are frozen, so it cannot go
-    stale.  A refusal is not kept.
+    AssumptionJViolated, and otherwise eps_T = 0 leaves beta as it is;
+    under another method eps_T is estimated by that method and the level
+    is tightened.  The level is kept on the model per risk spec from the
+    first call on; both are frozen, so it cannot go stale.  A refusal is
+    not kept.
     """
     method = risk.negjump_method
-    if method == NegJumpMethod.OFF:
-        if model.jumps.has_negative_jumps():
-            raise AssumptionJViolated(
-                "market allows negative jumps; pick a negjump method")
-        return EffectiveLevel(beta=risk.beta,
-                              q_level=normal_quantile(risk.beta),
-                              log_shift=0.0, epsilon_T=0.0)
-    eps = epsilon_t(model.jumps, model.grid.horizon, method)
+    if method == NegJumpMethod.OFF and model.jumps.has_negative_jumps():
+        raise AssumptionJViolated(
+            "market allows negative jumps; pick a negjump method")
+    eps = (0.0 if method == NegJumpMethod.OFF
+           else epsilon_t(model.jumps, model.grid.horizon, method))
     bh = beta_hat(risk.beta, eps)
     return EffectiveLevel(beta=bh, q_level=normal_quantile(bh),
                           log_shift=math.log1p(-eps), epsilon_T=eps)
@@ -132,9 +130,7 @@ def adjusted_solve(model: MarketModel, risk: RiskSpec | None,
             "unconstrained solve with distinct gammas is not provided; "
             "add a risk section")
     if utility.is_linear:
-        if risk.kind == RiskKind.VAR:
-            return constrained.solve_var_gamma1(model, risk, x)
-        return constrained.solve_es_gamma1(model, risk, x, force=force)
+        return constrained._solve_gamma1(model, risk, x, force)
     if utility.is_equal:
         cert = constrained.certify(model, utility, risk, x)
         if cert.active and not force:

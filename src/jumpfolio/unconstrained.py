@@ -204,38 +204,21 @@ def growth_rate_path(model: MarketModel, gamma: float, y: np.ndarray,
             + K_transform_path(model.jumps, pi, gamma))
 
 
-def _gq_terms(grid: TimeGrid, h_star: np.ndarray, utility: UtilitySpec):
-    """q, g^q(t) and g^q(T) + int_t^T g^q with g = exp(int h*)."""
-    q = utility.q
-    gq = np.exp(cumtrapz(grid, np.asarray(h_star, dtype=float))) ** q
-    cum = cumtrapz(grid, gq)
-    return q, gq, gq[-1] + (cum[-1] - cum)
+def value_terms(grid: TimeGrid, g: np.ndarray, utility: UtilitySpec):
+    """Optimal consumption rate v*, value coefficient rho and terminal
+    discount chi, all read from one power g^q of g = exp(int h*):
 
-
-def rho_path(grid: TimeGrid, h_star: np.ndarray, utility: UtilitySpec) -> np.ndarray:
-    """Value-function coefficient rho(t) from the growth-rate path.
-
-    rho(t) = [(g^q(T) + int_t^T g^q) / g^q(t)]^(1/q) with g = exp(int h*);
-    solves rho' + h* rho = (gamma - 1) rho^(gamma/(gamma-1)), rho(T) = 1.
-    """
-    q, gq, denominator = _gq_terms(grid, h_star, utility)
-    return (denominator / gq) ** (1.0 / q)
-
-
-def v_star_path(grid: TimeGrid, h_star: np.ndarray, utility: UtilitySpec) -> np.ndarray:
-    """Optimal consumption rate v*_t = g^q(t) / (g^q(T) + int_t^T g^q)."""
-    _, gq, denominator = _gq_terms(grid, h_star, utility)
-    return gq / denominator
-
-
-def chi_value(grid: TimeGrid, g: np.ndarray, utility: UtilitySpec) -> float:
-    """Terminal consumption discount chi = g^q(T) / (||g||_{q,T}^q + g^q(T)).
-
-    Equals exp(-V*_T) for the optimal consumption rate.
+        v*_t   = g^q(t) / (g^q(T) + int_t^T g^q)
+        rho(t) = [(g^q(T) + int_t^T g^q) / g^q(t)]^(1/q), which solves
+                 rho' + h* rho = (gamma - 1) rho^(gamma/(gamma-1)), rho(T) = 1
+        chi    = g^q(T) / (||g||_{q,T}^q + g^q(T)) = exp(-V*_T)
     """
     q = utility.q
     gq = np.asarray(g, dtype=float) ** q
-    return float(gq[-1] / (trapz(grid, gq) + gq[-1]))
+    cum = cumtrapz(grid, gq)
+    denominator = gq[-1] + (cum[-1] - cum)
+    chi = float(gq[-1] / (trapz(grid, gq) + gq[-1]))
+    return gq / denominator, (denominator / gq) ** (1.0 / q), chi
 
 
 def check_initial_wealth(x: float) -> None:
@@ -416,11 +399,10 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
     allocation at every node, then the optimal consumption rate."""
     gamma = _power_gamma(utility, x, "solve_power_equal")
     y, pi, h, g, diagnostics = _optimal_allocation(model, gamma)
-    grid = model.grid
-    rho = rho_path(grid, h, utility)
-    strategy = Strategy(grid, y, pi, v_star_path(grid, h, utility))
+    v_star, rho, chi = value_terms(model.grid, g, utility)
+    strategy = Strategy(model.grid, y, pi, v_star)
     diagnostics["J_star_rho0"] = x**gamma * float(rho[0])
     return SolveReport(strategy=strategy,
                        J_star=cost_function(model, utility, strategy, x),
-                       h_star=h, g=g, rho=rho, chi=chi_value(grid, g, utility),
+                       h_star=h, g=g, rho=rho, chi=chi,
                        diagnostics=diagnostics)

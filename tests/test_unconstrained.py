@@ -358,7 +358,7 @@ def test_solve_power_equal_beats_random_candidates(jump_1d):
 def test_rho_path_flat_growth():
     grid = jf.TimeGrid.uniform(1.0, 101)
     utility = jf.UtilitySpec.equal(0.5)
-    rho = jf.rho_path(grid, np.zeros(101), utility)
+    _, rho, _ = jf.value_terms(grid, np.ones(101), utility)
     expected = (1.0 + 1.0 - grid.nodes) ** (1.0 / utility.q)
     assert np.max(np.abs(rho - expected)) < 1e-13
     assert rho[-1] == 1.0
@@ -380,7 +380,7 @@ def test_rho_path_ode_residual(jump_1d):
 def test_v_star_flat_growth_and_identities(jump_1d):
     grid = jf.TimeGrid.uniform(1.0, 101)
     utility = jf.UtilitySpec.equal(0.5)
-    v = jf.v_star_path(grid, np.zeros(101), utility)
+    v, _, _ = jf.value_terms(grid, np.ones(101), utility)
     assert np.max(np.abs(v - 1.0 / (2.0 - grid.nodes))) < 1e-13
     assert v[-1] == pytest.approx(1.0, abs=1e-14)
 
@@ -399,7 +399,7 @@ def test_v_star_flat_growth_and_identities(jump_1d):
 def test_chi_value_cases():
     grid = jf.TimeGrid.uniform(2.0, 65)
     utility = jf.UtilitySpec.equal(0.5)
-    assert jf.chi_value(grid, np.ones(65), utility) == pytest.approx(
+    assert jf.value_terms(grid, np.ones(65), utility)[2] == pytest.approx(
         1.0 / 3.0, abs=1e-12)
 
 
@@ -411,7 +411,7 @@ def test_chi_value_in_unit_interval(h_samples):
     grid = jf.TimeGrid.uniform(1.0, n)
     utility = jf.UtilitySpec.equal(0.6)
     g = np.exp(cumtrapz(grid, np.asarray(h_samples)))
-    chi = jf.chi_value(grid, g, utility)
+    _, _, chi = jf.value_terms(grid, g, utility)
     assert 0.0 < chi < 1.0
 
 
