@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     EpsilonTooLarge,
     KappaOutOfRange,
+    OutOfRange,
     ThetaHatNegative,
 )
 from .market import (
@@ -383,6 +384,9 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     A_T = float(A[-1])
     norm1 = A_T ** (1.0 / q1)             # ||ghat1||_{q1,T}
     ghat2_T = _exp(g2 * float(R[-1]), "ghat2(T)")
+    if g2 * ghat2_T == 0.0:              # log_c below divides by it
+        raise OutOfRange(f"ghat2(T) = exp({g2 * float(R[-1]):.6g}) "
+                         "underflows to 0")
 
     def m_hat(eta):
         eta = np.asarray(eta, dtype=float)

@@ -72,8 +72,8 @@ class TimeGrid:
     @classmethod
     def uniform(cls, horizon: float, n: int) -> "TimeGrid":
         """Uniform grid with n nodes on [0, horizon]."""
-        if horizon <= 0:
-            raise OutOfRange("horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise OutOfRange("horizon must be positive and finite")
         return cls(np.linspace(0.0, float(horizon), int(n)))
 
     @property

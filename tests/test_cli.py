@@ -136,9 +136,14 @@ def test_dump_config_keeps_point_mass_weights(tmp_path):
         assert np.array_equal(reloaded.w, law.w)
 
 
-def test_malformed_config_exits_1_without_output(tmp_path):
+@pytest.mark.parametrize("text", [
+    "[grid]\nhorizon = nonsense\n",
+    "horizon = 1.0\n",
+    "[grid]\nhorizon = 1.0\n[grid]\nnodes = 9\n",
+], ids=["bad_value", "no_section_header", "duplicate_section"])
+def test_malformed_config_exits_1_without_output(tmp_path, text):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[grid]\nhorizon = nonsense\n")
+    bad.write_text(text)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(bad), "--out", str(out)]) == 1
     assert not out.exists()

@@ -17,7 +17,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumpfolio.cli import main
 
@@ -102,6 +102,9 @@ def _written_numbers(out: Path):
 
 
 @given(mutations(), st.sampled_from(COMMANDS))
+# ghat2(T) = exp(gamma2 R_T) underflows to 0.0; an infinite horizon
+@example(("diff_gamma_var", "coefficients", "r", "-1e300"), "solve")
+@example(("var_gamma1", "grid", "horizon", "inf"), "solve")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_a_mutated_config_exits_with_a_contract_code(mutation, command):
     name, section, option, value = mutation

@@ -567,6 +567,15 @@ def test_overflowing_scalar_formulas_raise_out_of_range(solve):
         solve()
 
 
+def test_underflowing_ghat2_raises_out_of_range():
+    # g2 R_T = -770 underflows ghat2(T) = exp(g2 R_T) to 0.0, which the
+    # argmax of the upper-bound curve divides by
+    model = make_model(n=17, r=-1100.0, mu=0.04, sigma=0.3)
+    with pytest.raises(OutOfRange, match="underflows"):
+        jf.solve_diff_gamma(model, jf.UtilitySpec(0.3, 0.7),
+                            jf.RiskSpec("var", 0.01, 0.15))
+
+
 # ---------------------------------------------------------------------------
 # Initial wealth
 # ---------------------------------------------------------------------------

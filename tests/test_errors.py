@@ -1,6 +1,8 @@
 """Bad input to the model, spec and strategy constructors, a strategy that
-does not fit its model, and a NaN level, time, wealth or threshold given to
-the level adjustment or the tail statistics, raises a typed error.
+does not fit its model, a NaN level, time, wealth or threshold given to the
+level adjustment or the tail statistics, a negative norm or a level outside
+(0, 1) given to the closed-form tail functions, and a gamma = 1 radius asked
+of a market whose drift equals the rate, raises a typed error.
 
 Every refusal is a JumpfolioError, and the input-check errors ConfigError and
 OutOfRange are also ValueErrors, so callers that catch ValueError still work.
@@ -12,6 +14,7 @@ import pytest
 
 import jumpfolio as jf
 from jumpfolio.errors import (
+    ConditionViolated,
     ConfigError,
     InvalidStrategy,
     JumpfolioError,
@@ -66,6 +69,7 @@ SITES = {
                    "strictly increasing"),
     "grid_finite": (lambda: jf.TimeGrid(np.array([0.0, np.inf])), "finite"),
     "grid_horizon": (lambda: jf.TimeGrid.uniform(0.0, 5), "horizon"),
+    "grid_horizon_inf": (lambda: jf.TimeGrid.uniform(np.inf, 5), "horizon"),
     "atoms_shape": (lambda: jf.JumpDist([0.1, 0.2], [1.0]), "matching"),
     "atoms_finite": (lambda: jf.JumpDist([np.nan], [1.0]), "finite"),
     "weights_sign": (lambda: jf.JumpDist([0.1, 0.2], [1.5, -0.5]),
@@ -131,6 +135,16 @@ SITES = {
         "consumption rate", InvalidStrategy),
     "validate_y": (lambda: _validate(_strategy(_path(0.1), _path(0.5))),
                    "y != sigma' pi", InvalidStrategy),
+    "rho_var_gamma1": (lambda: jf.rho_var_gamma1(
+        _tiny_model(), jf.RiskSpec("var", 0.05, 0.1)), "theta",
+        ConditionViolated),
+    "rho_es_gamma1": (lambda: jf.rho_es_gamma1(
+        _tiny_model(), jf.RiskSpec("es", 0.05, 0.1)), "theta",
+        ConditionViolated),
+    "quantile_stoch_exp": (lambda: jf.quantile_stoch_exp(-0.1, 0.05),
+                           "nonnegative"),
+    "es_stoch_exp": (lambda: jf.es_stoch_exp(-0.1, 0.05), "nonnegative"),
+    "F_beta": (lambda: jf.F_beta(0.0, 1.5), "beta must"),
     "risk_beta": (lambda: jf.RiskSpec("var", 0.6, 0.1), "beta must"),
     "risk_kappa": (lambda: jf.RiskSpec("var", 0.1, 1.0), "kappa must"),
 }
