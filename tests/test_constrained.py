@@ -531,6 +531,20 @@ def _overflowing_diff_gamma():
                                jf.RiskSpec("var", 0.01, 0.15))
 
 
+def _overflowing_ghat1_power():
+    # g1 q1 R_T = 0.7 / 0.3 * 400 = 933 overflows ghat1^q1 = exp(g1 q1 R_t),
+    # while g2 R_T = 120 keeps ghat2(T) finite
+    model = make_model(n=17, r=400.0, mu=400.04, sigma=0.3)
+    return jf.solve_diff_gamma(model, jf.UtilitySpec(0.7, 0.3),
+                               jf.RiskSpec("var", 0.01, 0.15))
+
+
+def _overflowing_growth_factor():
+    # h* is about 750, so g(T) = exp(int h*) overflows itself
+    model = make_model(n=17, r=1500.0, mu=1500.07, sigma=0.3)
+    return jf.solve_no_consumption(model, jf.UtilitySpec.equal(0.5))
+
+
 def _overflowing_gamma1_value():
     # R_T = 720: the box optimum's J* = x exp(R_T + int (mu - r)^+), which
     # the gamma = 1 solvers cost first, overflows before the ray's
@@ -558,6 +572,8 @@ def _overflowing_gamma1_box():
 
 
 @pytest.mark.parametrize("solve", [_overflowing_diff_gamma,
+                                   _overflowing_ghat1_power,
+                                   _overflowing_growth_factor,
                                    _overflowing_gamma1_value,
                                    _overflowing_kappa_floor,
                                    _overflowing_linear_value,
@@ -565,6 +581,21 @@ def _overflowing_gamma1_box():
 def test_overflowing_scalar_formulas_raise_out_of_range(solve):
     with pytest.raises(OutOfRange, match="overflows"):
         solve()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda m: jf.solve_power_equal(m, jf.UtilitySpec.equal(0.5)),
+    lambda m: jf.certify_var_gamma(m, jf.UtilitySpec.equal(0.5), VAR),
+    lambda m: jf.adjusted_solve(m, VAR, jf.UtilitySpec.equal(0.5)),
+], ids=["solve_power_equal", "certify_var_gamma", "adjusted_solve"])
+@pytest.mark.parametrize("r, mu", [(720.0, 720.07), (-1100.0, -1099.9)],
+                         ids=["overflow", "underflow"])
+def test_a_power_of_g_outside_the_float_range_raises_out_of_range(solve, r,
+                                                                  mu):
+    # h* is about r / 2, so g = exp(int h*) stays finite and nonzero, but
+    # g^q = g^2 reaches exp(+-r) and leaves the float range
+    with pytest.raises(OutOfRange, match=r"g\^q"):
+        solve(make_model(n=17, r=r, mu=mu, sigma=0.3))
 
 
 def test_underflowing_ghat2_raises_out_of_range():
