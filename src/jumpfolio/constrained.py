@@ -379,9 +379,13 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     grid = model.grid
     q1 = 1.0 / (1.0 - g1)
     R = R_path(model)
-    ghat1_q1 = np.exp(g1 * q1 * R)
-    A = cumtrapz(grid, ghat1_q1)          # ||ghat1||_{q1,t}^{q1}
+    with np.errstate(over="ignore"):
+        ghat1_q1 = np.exp(g1 * q1 * R)
+        A = cumtrapz(grid, ghat1_q1)      # ||ghat1||_{q1,t}^{q1}
     A_T = float(A[-1])
+    if not math.isfinite(A_T):            # ghat1_q1 >= 0 and A rises to A_T
+        raise OutOfRange("||ghat1||_{q1,T}^{q1} = int exp(g1 q1 R_t) dt "
+                         "overflows a float")
     norm1 = A_T ** (1.0 / q1)             # ||ghat1||_{q1,T}
     ghat2_T = _exp(g2 * float(R[-1]), "ghat2(T)")
     if g2 * ghat2_T == 0.0:              # log_c below divides by it

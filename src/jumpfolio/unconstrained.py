@@ -23,6 +23,7 @@ for the value-function coefficient rho(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -212,13 +213,19 @@ def value_terms(grid: TimeGrid, g: np.ndarray, utility: UtilitySpec):
         rho(t) = [(g^q(T) + int_t^T g^q) / g^q(t)]^(1/q), which solves
                  rho' + h* rho = (gamma - 1) rho^(gamma/(gamma-1)), rho(T) = 1
         chi    = g^q(T) / (||g||_{q,T}^q + g^q(T)) = exp(-V*_T)
+
+    Raises OutOfRange where g^q leaves the float range: rho or chi not finite.
     """
     q = utility.q
-    gq = np.asarray(g, dtype=float) ** q
-    cum = cumtrapz(grid, gq)
-    denominator = gq[-1] + (cum[-1] - cum)
-    chi = float(gq[-1] / (trapz(grid, gq) + gq[-1]))
-    return gq / denominator, (denominator / gq) ** (1.0 / q), chi
+    with np.errstate(all="ignore"):
+        gq = np.asarray(g, dtype=float) ** q
+        cum = cumtrapz(grid, gq)
+        denominator = gq[-1] + (cum[-1] - cum)
+        chi = float(gq[-1] / (trapz(grid, gq) + gq[-1]))
+        rho = (denominator / gq) ** (1.0 / q)
+    if not (math.isfinite(rho.max()) and math.isfinite(chi)):
+        raise OutOfRange(f"g^q at q = {q:.6g} leaves the float range")
+    return gq / denominator, rho, chi
 
 
 def check_initial_wealth(x: float) -> None:
@@ -382,7 +389,9 @@ def _optimal_allocation(model: MarketModel, gamma: float):
         "iterations": iterations,
         "boundary_clipped": bool(np.any((pi == 0.0) | (pi == 1.0))),
     }
-    return y, pi, h, np.exp(cumtrapz(model.grid, h)), diagnostics
+    log_g = cumtrapz(model.grid, h)
+    _exp(float(log_g.max()), "g = exp(int h*)")
+    return y, pi, h, np.exp(log_g), diagnostics
 
 
 def solve_power_1d(model: MarketModel, utility: UtilitySpec,
