@@ -32,6 +32,11 @@ thread, so every output depends only on the seed and _BLOCK_PATHS, not on
 the worker count or the scheduling: it is bit-identical to a serial loop
 over the blocks and reproducible bit for bit from the seed and the block
 size for a given numpy release.
+
+Storage is node-major: `PathEnsemble.wealth` is the transpose of an
+(N, n_paths) array, so writing or reading one node is contiguous.  A
+reader that works path by path copies a block of rows in C order first,
+as `estimate_cost` does.
 """
 
 from __future__ import annotations
@@ -87,7 +92,10 @@ _COST_BLOCK = 1 << 17
 
 @dataclass
 class PathEnsemble:
-    """Simulated wealth paths on the grid plus per-asset jump totals."""
+    """Simulated wealth paths on the grid plus per-asset jump totals.
+
+    `simulate` stores wealth node-major (see the module docstring): a
+    node's column is contiguous, a path's row is not."""
 
     grid: object
     x: float
@@ -249,7 +257,7 @@ def simulate(model: MarketModel, strategy: Strategy, x: float,
     if n_paths * model.grid.n > 300_000_000:
         raise OutOfRange("ensemble too large to materialize; "
                          "use simulate_node_stats instead")
-    wealth = np.empty((n_paths, model.grid.n))
+    wealth = np.empty((model.grid.n, n_paths)).T
 
     def collect(k, log_w):
         np.exp(log_w, out=wealth[:, k])
@@ -330,24 +338,26 @@ def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
 
     Each path's cost is the trapezoid integral of (v W)^gamma1 over the
     grid plus W_T^gamma2.  Paths go in blocks of about _COST_BLOCK
-    elements, so no temporary is as large as the wealth matrix; each
-    path's sum is still one pairwise reduction over its row, and the
-    result is bit-identical to np.trapezoid on the whole matrix.  Needs
-    at least 2 paths for the standard error, else raises OutOfRange.
+    elements, each copied in C order, so no temporary is as large as the
+    wealth matrix and each path's sum is one pairwise reduction over its
+    row in any layout: the result is bit-identical to np.trapezoid on a
+    C-ordered copy of the whole matrix.  A v that is zero everywhere skips
+    the integral, whose terms are then +-0 and add nothing to a finite
+    W_T^gamma2.  Needs at least 2 paths for the standard error, else
+    raises OutOfRange.
     """
     n = ensemble.n_paths
     if n < 2:
         raise OutOfRange(f"a cost estimate needs at least 2 paths, got {n}")
     g1, g2 = utility.gamma1, utility.gamma2
     wealth, v = ensemble.wealth, strategy.v
-    per_path = np.empty(n)
-    rows = max(1, _COST_BLOCK // wealth.shape[1])
-    for start in range(0, n, rows):
-        block = wealth[start:start + rows]
-        c = v * block
-        c **= g1
-        per_path[start:start + rows] = (trapz(ensemble.grid, c)
-                                        + block[:, -1] ** g2)
+    per_path = wealth[:, -1] ** g2
+    if np.any(v):
+        rows = max(1, _COST_BLOCK // wealth.shape[1])
+        for start in range(0, n, rows):
+            c = np.multiply(v, wealth[start:start + rows], order="C")
+            c **= g1
+            per_path[start:start + rows] += trapz(ensemble.grid, c)
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
 
 

@@ -3,6 +3,7 @@ import importlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,29 @@ def test_node_stats_consistent_with_full_ensemble(sim_model, sim_strategy):
         q = jf.riskmetrics.empirical_lower_quantile(col, 0.05)
         assert stats.q_beta[k] == q
         assert stats.mean[k] == pytest.approx(col.mean(), rel=1e-14)
+
+
+def test_wealth_is_stored_node_major(sim_model, sim_strategy):
+    ens = jf.simulate(sim_model, sim_strategy, 1.0, 1000, 5)
+    assert ens.wealth.shape == (1000, sim_model.grid.n)
+    assert ens.wealth.flags.f_contiguous
+
+
+def test_simulate_allocates_no_second_wealth_matrix(sim_model, sim_strategy):
+    # the wealth matrix and the normal buffers, plus about 0.5 MB of log
+    # wealth, jump counts and jump marks; a full-size copy of the matrix
+    # (10.4 MB here) would not fit in the margin
+    n_paths = 20_000
+    tracemalloc.start()
+    try:
+        ens = jf.simulate(sim_model, sim_strategy, 1.0, n_paths, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = min(sim_model.grid.n - 1,
+               max(1, simulate_module._NORMALS_PER_DRAW // n_paths))
+    buffers = simulate_module._BUFFERS * rows * n_paths * 8
+    assert peak <= ens.wealth.nbytes + buffers + (1 << 20)
 
 
 def test_wealth_positive(sim_model, sim_strategy):
@@ -461,10 +485,12 @@ def test_estimate_cost_matches_closed_form(sim_model, sim_strategy):
 
 
 def _trapezoid_cost(ensemble, strategy, utility):
-    """The whole-matrix formula estimate_cost must match bit for bit."""
-    consumption = (strategy.v[None, :] * ensemble.wealth) ** utility.gamma1
+    """The whole-matrix formula estimate_cost must match bit for bit, on a
+    row-major copy, so that each path's sum is one pairwise reduction."""
+    wealth = np.ascontiguousarray(ensemble.wealth)
+    consumption = (strategy.v[None, :] * wealth) ** utility.gamma1
     per_path = (np.trapezoid(consumption, ensemble.grid.nodes, axis=1)
-                + ensemble.wealth[:, -1] ** utility.gamma2)
+                + wealth[:, -1] ** utility.gamma2)
     n = ensemble.n_paths
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
 
@@ -482,7 +508,9 @@ def _cost_case(case):
         model = jf.MarketModel(grid, coeffs, jumps)
     else:
         model = make_model(n=n, mu=0.06, lam=0.8)
-    v = np.zeros(n) if case == "no_consumption" else np.linspace(0.1, 0.4, n)
+    v = {"no_consumption": np.zeros(n),
+         "signed_zero_consumption": np.resize([0.0, -0.0], n)}.get(
+        case, np.linspace(0.1, 0.4, n))
     strategy = jf.Strategy.from_pi(model, np.full((n, 1), 0.5), v)
     n_paths = {"one_block": rows // 3, "ragged_blocks": 2 * rows + 37}.get(
         case, rows + 5)
@@ -491,9 +519,12 @@ def _cost_case(case):
 
 @pytest.mark.parametrize("gamma1", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("case", ["one_block", "ragged_blocks",
-                                  "non_uniform_grid", "no_consumption"])
+                                  "non_uniform_grid", "no_consumption",
+                                  "signed_zero_consumption"])
 def test_estimate_cost_blocks_match_the_trapezoid_formula(case, gamma1):
     model, strategy, n_paths = _cost_case(case)
+    if case == "signed_zero_consumption":
+        assert np.any(np.signbit(strategy.v))
     ens = jf.simulate(model, strategy, 1.0, n_paths, 31)
     utility = jf.UtilitySpec(gamma1, 0.7)
     assert jf.estimate_cost(ens, strategy, utility) == _trapezoid_cost(
@@ -509,6 +540,20 @@ def test_estimate_cost_needs_two_paths(sim_model, sim_strategy):
 # ---------------------------------------------------------------------------
 # Constraint profiles
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["var", "es"])
+def test_ensemble_profile_matches_the_columns_of_a_row_major_copy(
+        sim_model, sim_strategy, kind):
+    ens = jf.simulate(sim_model, sim_strategy, 1.0, 20_000, 8)
+    risk = jf.RiskSpec(kind, 0.05, 0.1)
+    tail = empirical_lower_quantile if kind == "var" else empirical_shortfall
+    wealth = np.ascontiguousarray(ens.wealth)
+    tail_value = np.array([tail(wealth[:, k], risk.beta)
+                           for k in range(sim_model.grid.n)])
+    ref = 1.0 * np.exp(R_path(sim_model))
+    assert np.array_equal(jf.constraint_profile(ens, sim_model, risk, 1.0),
+                          (ref - tail_value) / (risk.kappa * ref))
+
 
 def test_profile_bank_account_zero(sim_model):
     risk = jf.RiskSpec("var", 0.05, 0.1)
