@@ -5,8 +5,9 @@ the sha256 of every file the command writes, or, where the command refuses
 the config, the exit code and the `type` of the JSON error line.  The
 configs are the two committed reference configs in `bench/configs/`, an
 unconstrained equal-gamma one-asset market, the same market under a VaR
-limit its certificate clears, and a distinct-gamma VaR market in the
-consume-all regime.  `verify` runs with 2000 paths at the config's
+limit its certificate clears, a distinct-gamma VaR market in the
+consume-all regime, and a linear-utility ES market whose box optimum
+breaks the limit, so the answer is the ray at the binding radius.  `verify` runs with 2000 paths at the config's
 seed.  The digests hold for the numpy version and CPU the suite runs on.
 """
 
@@ -58,6 +59,9 @@ INLINE_CONFIGS = {
     "diff_gamma_var": MARKET.format(
         nodes=257, mu=0.04, points="0.02:1.0", g1=0.3, g2=0.7,
         risk="kind = var\nbeta = 0.01\nkappa = 0.15\nnegjump_method = off"),
+    "es_gamma1": MARKET.format(
+        nodes=129, mu=0.07, points="0.03:0.6, 0.1:0.4", g1=1.0, g2=1.0,
+        risk="kind = es\nbeta = 0.05\nkappa = 0.1"),
 }
 
 COMMANDS = {
@@ -126,6 +130,16 @@ GOLDEN = {
     ("diff_gamma_var", "verify"): {"exit": 0, "files": {
         "verify.csv":
             "f1652c290b03a88377779660bf5d1c4972242597731dafc27151ceeab1a3982b"}},
+    ("es_gamma1", "solve"): {"exit": 0, "files": {
+        "report.csv":
+            "c46f41e847569af3a69fdd5400c1409666f5bee6f290e02bba20c6e4e73cb602",
+        "strategy.csv":
+            "98a3ebd9231f30cb6d9c64893bbd34202ce82e64c3562fdd2e626928a11aad7d"}},
+    ("es_gamma1", "certify"): {"exit": 2, "error": "ConditionViolated"},
+    ("es_gamma1", "compare"): {"exit": 2, "error": "ConditionViolated"},
+    ("es_gamma1", "verify"): {"exit": 0, "files": {
+        "verify.csv":
+            "f291e8ed90e5f35330d41f7624d1d060c4f26cf14c4f571a804275f950ce4889"}},
 }
 
 
