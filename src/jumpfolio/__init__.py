@@ -9,8 +9,6 @@ from .constrained import (
     certify,
     certify_es_gamma,
     certify_var_gamma,
-    rho_es_gamma1,
-    rho_var_gamma1,
     slack_path,
     solve_diff_gamma,
     solve_es_gamma1,

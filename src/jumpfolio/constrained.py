@@ -93,64 +93,36 @@ def _require_kind(risk: RiskSpec, kind: RiskKind, solver: str) -> None:
 # Linear utility: the box optimum, else the paper's ray
 # ---------------------------------------------------------------------------
 
-def _radius_terms(model: MarketModel, risk: RiskSpec) -> tuple:
-    """Effective level, ||theta||_T, compensator drag K and ln(1 - kappa)
-    of a gamma = 1 radius; raises ConditionViolated when ||theta||_T = 0.
+def _ray_radius(model: MarketModel, risk: RiskSpec, force: bool) -> tuple:
+    """(rho*, residual, ||theta||_T, K) of the gamma = 1 ray theta_t /
+    ||theta||_T: the binding radius, the defect of its defining equation
 
-    K is the largest cumulative drag (theta, sigma^{-1} xi_lambda)_t /
-    ||theta||_T.  Under nonnegative jumps and componentwise nonnegative
-    prices of risk the integrand is nonnegative and the maximum sits at
-    t = T; taking the max keeps the uniform bound valid in general.
+        VaR:  -rho^2/2 + (q - K + ||theta||_T) rho = ln(1 - kappa)  (closed)
+        ES:   ||theta||_T rho + F(rho + |q|) - K rho = ln(1 - kappa)  (Brent)
+
+    and the drag K = max_t (theta, sigma^{-1} xi_lambda)_t / ||theta||_T, a
+    uniform bound (the max sits at T under nonnegative jumps and prices of
+    risk).  ES needs |q| >= 2 ||theta||_T, so that the worst time is the
+    horizon, unless force.  ||theta||_T = 0 raises ConditionViolated.
     """
     lev = effective_level(model, risk)
     theta = theta_path(model)
     theta_norm = l2_time_norm(model.grid, theta)
     if theta_norm <= 1e-14:
         raise ConditionViolated("||theta||_T = 0; use the riskless case")
-    drag = inner_product_path(model.grid, theta,
-                              sigma_inv_xi_lambda_path(model))
-    return (lev, theta_norm, float(np.max(drag)) / theta_norm,
-            math.log1p(-risk.kappa))
-
-
-@dataclass(frozen=True)
-class RadiusSolution:
-    """Binding allocation radius of the linear-utility solvers."""
-
-    rho_star: float      # root of the binding transformed constraint
-    residual: float      # defining-equation defect at rho_star
-    theta_norm: float
-    drag: float          # compensator drag K used in the equation
-
-
-def rho_var_gamma1(model: MarketModel, risk: RiskSpec) -> RadiusSolution:
-    """Binding radius of the transformed VaR constraint for gamma = 1.
-
-    Solves -rho^2/2 + (q - K + ||theta||_T) rho = ln(1 - kappa) in closed
-    form.
-    """
-    lev, theta_norm, drag, target = _radius_terms(model, risk)
-    exponent = 0.5 * lev.q_level**2 - abs(lev.q_level) * theta_norm
-    floor = max(0.0, 1.0 - _exp(exponent, "kappa floor"))
-    if risk.kappa <= floor:
-        raise KappaOutOfRange(
-            f"kappa = {risk.kappa:.6g} must exceed {floor:.6g}")
-    b = theta_norm - abs(lev.q_level) - drag
-    rho_star = b + math.sqrt(b * b - 2.0 * target)
-    residual = (-0.5 * rho_star**2 + b * rho_star) - target
-    return RadiusSolution(rho_star=rho_star, residual=residual,
-                          theta_norm=theta_norm, drag=drag)
-
-
-def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
-                  force: bool = False) -> RadiusSolution:
-    """Binding radius of the transformed ES constraint for gamma = 1.
-
-    Root of ||theta||_T rho + F(rho + |q|) - K rho = ln(1 - kappa), found by
-    doubling the bracket until the sign flips and polishing with Brent.
-    Requires |q| >= 2 ||theta||_T so the worst time is the horizon.
-    """
-    lev, theta_norm, drag, target = _radius_terms(model, risk)
+    drag = float(np.max(inner_product_path(
+        model.grid, theta, sigma_inv_xi_lambda_path(model)))) / theta_norm
+    target = math.log1p(-risk.kappa)
+    if risk.kind == RiskKind.VAR:
+        exponent = 0.5 * lev.q_level**2 - abs(lev.q_level) * theta_norm
+        floor = max(0.0, 1.0 - _exp(exponent, "kappa floor"))
+        if risk.kappa <= floor:
+            raise KappaOutOfRange(
+                f"kappa = {risk.kappa:.6g} must exceed {floor:.6g}")
+        b = theta_norm - abs(lev.q_level) - drag
+        rho_star = b + math.sqrt(b * b - 2.0 * target)
+        residual = (-0.5 * rho_star**2 + b * rho_star) - target
+        return rho_star, residual, theta_norm, drag
     if abs(lev.q_level) < 2.0 * theta_norm and not force:
         raise ConditionViolated(
             f"|q| = {abs(lev.q_level):.6g} < 2 ||theta||_T = "
@@ -172,8 +144,7 @@ def rho_es_gamma1(model: MarketModel, risk: RiskSpec,
         raise ConditionViolated("could not bracket the ES radius")
     rho_star = float(brentq(lambda r: psi(r) - target, 0.0, hi,
                             xtol=1e-15, rtol=8.9e-16))
-    return RadiusSolution(rho_star=rho_star, residual=psi(rho_star) - target,
-                          theta_norm=theta_norm, drag=drag)
+    return rho_star, psi(rho_star) - target, theta_norm, drag
 
 
 def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
@@ -193,19 +164,19 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
     else:
         if np.min(theta_hat_path(model)) < -1e-12:
             raise ThetaHatNegative("theta_hat has a negative component")
-        radius = (rho_var_gamma1(model, risk) if risk.kind == RiskKind.VAR
-                  else rho_es_gamma1(model, risk, force))
-        y = theta_path(model) * (radius.rho_star / radius.theta_norm)
+        rho_star, residual, theta_norm, drag = _ray_radius(model, risk,
+                                                           force)
+        y = theta_path(model) * (rho_star / theta_norm)
         strategy = Strategy.from_y(model, y)
         if not _in_box(strategy.pi):
             raise ConditionViolated(
                 "the gamma = 1 optimum leaves [0, 1]: pi ranges over "
                 f"[{strategy.pi.min():.6g}, {strategy.pi.max():.6g}]")
         R_T = float(R_path(model)[-1])
-        J = x * _exp(R_T + radius.theta_norm * radius.rho_star, "J*")
+        J = x * _exp(R_T + theta_norm * rho_star, "J*")
         report = SolveReport(strategy=strategy, J_star=J, diagnostics=dict(
-            case="directional", rho_star=radius.rho_star,
-            rho_residual=radius.residual, drag=radius.drag))
+            case="directional", rho_star=rho_star, rho_residual=residual,
+            drag=drag))
         slack = slack_path(strategy, model, risk)
     report.diagnostics.update(min_slack=float(slack.min()),
                               slack_at_T=float(slack[-1]))

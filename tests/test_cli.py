@@ -69,8 +69,7 @@ def test_solve_writes_strategy_and_report(tmp_path):
     model_cfg = load_config(cfg)
     rep = jf.solve_var_gamma1(model_cfg.model, model_cfg.risk)
     assert float(report["J_star"]) == rep.J_star
-    radius = jf.rho_var_gamma1(model_cfg.model, model_cfg.risk)
-    assert float(report["rho_star"]) == radius.rho_star
+    assert float(report["rho_star"]) == rep.diagnostics["rho_star"]
 
 
 def test_solve_diffusion_strategy_matches_merton(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import jumpfolio as jf
-from jumpfolio.constrained import slack_path
+from jumpfolio.constrained import _ray_radius, slack_path
 from jumpfolio.errors import (
     AssumptionJViolated,
     ConditionViolated,
@@ -21,6 +22,27 @@ from conftest import make_model, make_model_2d
 
 VAR = jf.RiskSpec("var", 0.05, 0.1)
 ES = jf.RiskSpec("es", 0.05, 0.1)
+
+
+def _ray(model, risk):
+    """rho_star, residual, theta_norm and drag of a gamma = 1 solve whose
+    box optimum breaks the limit, read from its diagnostics."""
+    solve = jf.solve_var_gamma1 if risk.kind == jf.RiskKind.VAR else \
+        jf.solve_es_gamma1
+    diag = solve(model, risk).diagnostics
+    assert diag["case"] == "directional"
+    return SimpleNamespace(
+        rho_star=diag["rho_star"], residual=diag["rho_residual"],
+        theta_norm=l2_time_norm(model.grid, theta_path(model)),
+        drag=diag["drag"])
+
+
+def _radius(model, risk):
+    """The same four numbers from the radius step alone, for markets whose
+    box optimum may meet the limit."""
+    return SimpleNamespace(**dict(zip(
+        ("rho_star", "residual", "theta_norm", "drag"),
+        _ray_radius(model, risk, False))))
 
 
 @pytest.fixture
@@ -54,7 +76,7 @@ def test_slack_grows_with_kappa(gamma1_model):
 # ---------------------------------------------------------------------------
 
 def test_rho_var_defining_equation(gamma1_model):
-    sol = jf.rho_var_gamma1(gamma1_model, VAR)
+    sol = _ray(gamma1_model, VAR)
     assert abs(sol.residual) < 1e-12
     # binding radius reproduced by an independent bracketed root search
     q = jf.normal_quantile(0.05)
@@ -70,7 +92,7 @@ def test_rho_var_defining_equation(gamma1_model):
 
 def test_rho_var_pure_diffusion_reduction():
     model = make_model(mu=0.07, r=0.02, sigma=0.3, lam=0.0)
-    sol = jf.rho_var_gamma1(model, VAR)
+    sol = _ray(model, VAR)
     q = abs(jf.normal_quantile(0.05))
     theta_norm = l2_time_norm(model.grid, theta_path(model))
     expected = (math.sqrt((theta_norm - q) ** 2 - 2.0 * math.log(1.0 - 0.1))
@@ -82,7 +104,7 @@ def test_rho_var_pure_diffusion_reduction():
 def test_rho_var_kappa_floor():
     model = make_model(mu=0.27, r=0.02, sigma=0.3, lam=0.0)
     with pytest.raises(KappaOutOfRange):
-        jf.rho_var_gamma1(model, jf.RiskSpec("var", 0.05, 0.01))
+        _radius(model, jf.RiskSpec("var", 0.05, 0.01))
 
 
 def test_solve_var_gamma1_zero_theta():
@@ -161,7 +183,7 @@ def test_named_entry_points_refuse_a_limit_of_the_other_kind(gamma1_model,
                                                              monkeypatch):
     # the refusal comes before any solve
     for solver in ("_optimal_allocation", "solve_power_equal",
-                   "rho_var_gamma1", "rho_es_gamma1"):
+                   "_ray_radius", "solve_linear"):
         monkeypatch.setattr(f"jumpfolio.constrained.{solver}", None)
     risk, call = _NAMED_ENTRY_POINTS[name]
     with pytest.raises(ConfigError, match=name):
@@ -181,7 +203,7 @@ def test_solve_var_gamma1_rejects_negative_jumps_without_method(mixed_jump_1d):
 
 
 def test_var_proof_function_decreasing_in_u(gamma1_model):
-    sol = jf.rho_var_gamma1(gamma1_model, VAR)
+    sol = _ray(gamma1_model, VAR)
     q = jf.normal_quantile(0.05)
     theta_norm = sol.theta_norm
     u = np.linspace(0.0, 1.0, 501)
@@ -196,12 +218,12 @@ def test_var_proof_function_decreasing_in_u(gamma1_model):
 # ---------------------------------------------------------------------------
 
 def test_rho_es_small_kappa_limit(gamma1_model):
-    sol = jf.rho_es_gamma1(gamma1_model, jf.RiskSpec("es", 0.05, 1e-8))
+    sol = _ray(gamma1_model, jf.RiskSpec("es", 0.05, 1e-8))
     assert 0.0 < sol.rho_star < 1e-6
 
 
 def test_rho_es_root_and_scan_oracle(gamma1_model):
-    sol = jf.rho_es_gamma1(gamma1_model, ES)
+    sol = _ray(gamma1_model, ES)
     assert abs(sol.residual) < 1e-12
     q = abs(jf.normal_quantile(0.05))
     theta_norm = sol.theta_norm
@@ -216,7 +238,7 @@ def test_rho_es_root_and_scan_oracle(gamma1_model):
 def test_rho_es_doubles_its_bracket_past_one():
     # a loose limit on a jump-free market puts the root beyond [0, 1]
     model = make_model(n=33)
-    sol = jf.rho_es_gamma1(model, jf.RiskSpec("es", 0.05, 0.95))
+    sol = _radius(model, jf.RiskSpec("es", 0.05, 0.95))
     assert sol.rho_star == pytest.approx(1.2274, abs=1e-4)
     assert abs(sol.residual) < 1e-12
     q = abs(jf.normal_quantile(0.05))
@@ -227,7 +249,7 @@ def test_rho_es_doubles_its_bracket_past_one():
 def test_rho_es_condition_violated():
     model = make_model(mu=0.30, r=0.02, sigma=0.3, lam=0.0)
     with pytest.raises(ConditionViolated):
-        jf.rho_es_gamma1(model, ES)
+        jf.solve_es_gamma1(model, ES)
 
 
 def test_solve_es_gamma1_feasible_and_conservative(gamma1_model):
@@ -240,7 +262,7 @@ def test_solve_es_gamma1_feasible_and_conservative(gamma1_model):
 
 
 def test_es_proof_function_minimized_at_full_radius(gamma1_model):
-    sol = jf.rho_es_gamma1(gamma1_model, ES)
+    sol = _ray(gamma1_model, ES)
     q = abs(jf.normal_quantile(0.05))
     u = np.linspace(0.0, 1.0, 1000)
     psi = (u**2 * sol.theta_norm * sol.rho_star
@@ -557,7 +579,7 @@ def _overflowing_gamma1_value():
 def _overflowing_kappa_floor():
     # 0.5 q_beta^2 is about 720 at beta = 1e-315, and ||theta||_T is tiny
     model = make_model(r=0.02, mu=0.0201, sigma=0.3)
-    return jf.rho_var_gamma1(model, jf.RiskSpec("var", 1e-315, 0.1))
+    return _radius(model, jf.RiskSpec("var", 1e-315, 0.1))
 
 
 def _overflowing_linear_value():

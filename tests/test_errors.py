@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import jumpfolio as jf
+from jumpfolio.constrained import _ray_radius
 from jumpfolio.errors import (
     ConditionViolated,
     ConfigError,
@@ -135,11 +136,11 @@ SITES = {
         "consumption rate", InvalidStrategy),
     "validate_y": (lambda: _validate(_strategy(_path(0.1), _path(0.5))),
                    "y != sigma' pi", InvalidStrategy),
-    "rho_var_gamma1": (lambda: jf.rho_var_gamma1(
-        _tiny_model(), jf.RiskSpec("var", 0.05, 0.1)), "theta",
+    "ray_radius_var": (lambda: _ray_radius(
+        _tiny_model(), jf.RiskSpec("var", 0.05, 0.1), False), "theta",
         ConditionViolated),
-    "rho_es_gamma1": (lambda: jf.rho_es_gamma1(
-        _tiny_model(), jf.RiskSpec("es", 0.05, 0.1)), "theta",
+    "ray_radius_es": (lambda: _ray_radius(
+        _tiny_model(), jf.RiskSpec("es", 0.05, 0.1), False), "theta",
         ConditionViolated),
     "quantile_stoch_exp": (lambda: jf.quantile_stoch_exp(-0.1, 0.05),
                            "nonnegative"),
