@@ -339,6 +339,7 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     y, pi, the growth rate h*, exp(int h*) and the diagnostics
     foc_residual, the largest max |sigma^{-1} P(g)| over nodes (P zeroes
     the components held at a bound), iterations and boundary_clipped.
+    OutOfRange is raised where exp(int h*) overflows or underflows to 0.
     """
     c, jumps = model.coeffs, model.jumps
     first, node = node_map(model)
@@ -391,6 +392,8 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     }
     log_g = cumtrapz(model.grid, h)
     _exp(float(log_g.max()), "g = exp(int h*)")
+    if math.exp(float(log_g.min())) == 0.0:    # rho = g(T) / g reads 0/0
+        raise OutOfRange(f"g = exp({log_g.min():.6g}) underflows to 0")
     return y, pi, h, np.exp(log_g), diagnostics
 
 

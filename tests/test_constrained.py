@@ -620,6 +620,15 @@ def test_a_power_of_g_outside_the_float_range_raises_out_of_range(solve, r,
         solve(make_model(n=17, r=r, mu=mu, sigma=0.3))
 
 
+@pytest.mark.parametrize("solve", [jf.solve_no_consumption,
+                                   jf.solve_power_equal])
+def test_an_underflowing_growth_factor_raises_out_of_range(solve):
+    # h* is about r / 2 = -800, so g = exp(int h*) underflows to 0 before T
+    model = make_model(n=17, r=-1600.0, mu=-1599.9, sigma=0.3)
+    with pytest.raises(OutOfRange, match=r"g = exp\(.*\) underflows"):
+        solve(model, jf.UtilitySpec.equal(0.5))
+
+
 def test_underflowing_ghat2_raises_out_of_range():
     # g2 R_T = -770 underflows ghat2(T) = exp(g2 R_T) to 0.0, which the
     # argmax of the upper-bound curve divides by
