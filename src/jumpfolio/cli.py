@@ -143,7 +143,8 @@ def _parse_jump_section(section) -> tuple:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse a config file into a validated RunConfig."""
+    """Parse a config file into a validated RunConfig: ConfigError where it
+    does not parse, OutOfRange where its market leaves the float range."""
     overrides = overrides or {}
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -181,7 +182,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
                 lam, dist = 0.0, JumpDist.degenerate()
             lams.append(lam)
             dists.append(dist)
-        model = MarketModel(grid, coeffs, JumpSpec(np.asarray(lams), tuple(dists)))
+        jumps = JumpSpec(np.asarray(lams), tuple(dists))
 
         util_sec = parser["utility"]
         utility = UtilitySpec(util_sec.getfloat("gamma1"),
@@ -211,8 +212,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise
     except (KeyError, ValueError, TypeError, JumpfolioError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
-    return RunConfig(model=model, utility=utility, risk=risk,
-                     n_paths=n_paths, seed=seed, out_dir=out_dir)
+    return RunConfig(model=MarketModel(grid, coeffs, jumps), utility=utility,
+                     risk=risk, n_paths=n_paths, seed=seed, out_dir=out_dir)
 
 
 def _points_line(dist: JumpDist) -> str:
@@ -546,10 +547,6 @@ def main(argv=None) -> int:
         ("negjump_method", args.negjump_method)) if v is not None}
     try:
         config = load_config(args.config, overrides)
-    except ConfigError as exc:
-        _emit_error("parse_error", exc)
-        return 1
-    try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(config, args)
     except ConfigError as exc:

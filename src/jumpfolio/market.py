@@ -318,6 +318,15 @@ class MarketModel:
             raise ConfigError("coefficient paths and grid disagree in length")
         if self.coeffs.d != self.jumps.d:
             raise ConfigError("coefficients and jump spec disagree in dimension")
+        # the solvers square and sum these rates: refuse them here, before
+        # a product or a trapezoid overflows
+        c = self.coeffs
+        with np.errstate(over="ignore"):
+            squares = sum(float(np.vdot(a, a)) for a in
+                          (c.r, c.mu, c.sigma, self.jumps.xi_lambda))
+        if not math.isfinite(squares):
+            raise OutOfRange("the squares of r, mu, sigma and lambda E[xi] "
+                             "sum past the float range")
 
     @property
     def d(self) -> int:

@@ -1,11 +1,13 @@
-"""Finite in, finite out at the CLI, on configs mutated one key at a time.
+"""Finite in, finite out at the CLI and the library, on configs mutated
+one key at a time.
 
 Each example takes a valid config, replaces the value of one key with a
 zero, negative, tiny, huge, non-finite or malformed value, and runs one
 command through `cli.main` in-process at 200 paths.  Whatever the input,
 the command must exit 0, 1, 2 or 3; exits 1 and 2 print exactly one JSON
 line on stderr; nothing prints a traceback or a warning; and every number
-the command writes is finite.
+the command writes is finite.  The library table runs every such mutation
+through `cli.load_config` and the public solvers.
 """
 
 import contextlib
@@ -17,9 +19,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from jumpfolio.cli import main
+from jumpfolio import adjusted_solve, certify, solve_power_1d
+from jumpfolio.cli import load_config, main
+from jumpfolio.errors import JumpfolioError
 
 # small versions of the two reference configs and a consume-all market
 CONFIGS = {
@@ -62,6 +67,16 @@ FORMS = ("0", "-1", "1e-300", "1e300", "-1e300", "1e308", "nan", "inf",
 NUMBER = re.compile(r"[-+]?\d+(\.\d*)?(e[-+]?\d+)?")
 
 
+def mutated_value(value: str, form: str, end: int) -> str:
+    """value with its first (end 0) or last (end -1) number replaced by
+    form, or form itself where value holds no number."""
+    spans = [m.span() for m in NUMBER.finditer(value)]
+    if not spans:
+        return form
+    lo, hi = spans[end]
+    return value[:lo] + form + value[hi:]
+
+
 @st.composite
 def mutations(draw):
     """A config name, section and key, and the key's new value: its first
@@ -70,16 +85,24 @@ def mutations(draw):
     name, section, key = draw(st.sampled_from(KEYS))
     form = draw(st.sampled_from(FORMS))
     value = CONFIGS[name][section][key]
-    spans = [m.span() for m in NUMBER.finditer(value)]
-    if spans:
-        lo, hi = spans[draw(st.sampled_from((0, -1)))]
-        value = value[:lo] + form + value[hi:]
-    else:
-        value = form
-    return name, section, key, value
+    end = draw(st.sampled_from((0, -1))) if NUMBER.search(value) else 0
+    return name, section, key, mutated_value(value, form, end)
+
+
+# every mutation the strategy can draw, once each
+TABLE = sorted({(name, section, key,
+                 mutated_value(CONFIGS[name][section][key], form, end))
+                for name, section, key in KEYS
+                for form in FORMS for end in (0, -1)})
 
 
 COMMANDS = ("solve", "certify", "simulate", "verify", "compare")
+
+
+def _mutated_config(name: str, section: str, key: str, value: str) -> dict:
+    config = {s: dict(v) for s, v in CONFIGS[name].items()}
+    config[section][key] = value
+    return config
 
 
 def _config_text(config: dict) -> str:
@@ -107,12 +130,9 @@ def _written_numbers(out: Path):
 @example(("var_gamma1", "grid", "horizon", "inf"), "solve")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_a_mutated_config_exits_with_a_contract_code(mutation, command):
-    name, section, option, value = mutation
-    config = {s: dict(v) for s, v in CONFIGS[name].items()}
-    config[section][option] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "market.ini"
-        path.write_text(_config_text(config))
+        path.write_text(_config_text(_mutated_config(*mutation)))
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
@@ -132,3 +152,40 @@ def test_a_mutated_config_exits_with_a_contract_code(mutation, command):
             assert {"error", "type", "message"} <= json.loads(lines[0]).keys()
         for file, number in _written_numbers(out):
             assert math.isfinite(number), (file, number)
+
+
+LIBRARY_CALLS = {
+    "adjusted_solve": lambda run: adjusted_solve(run.model, run.risk,
+                                                 run.utility),
+    "certify": lambda run: certify(run.model, run.utility, run.risk).report,
+    "solve_power_1d": lambda run: solve_power_1d(run.model, run.utility),
+}
+
+
+def test_every_mutated_market_is_refused_or_finite_at_the_library(tmp_path):
+    # each mutation of TABLE that cli.load_config accepts, through each
+    # public solver with warnings as errors: a typed refusal or a finite
+    # J_star, pi, y and v
+    path = tmp_path / "market.ini"
+    faults = []
+    for mutation in TABLE:
+        path.write_text(_config_text(_mutated_config(*mutation)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                run = load_config(path)
+            except JumpfolioError:
+                continue
+            for solver, call in LIBRARY_CALLS.items():
+                try:
+                    report = call(run)
+                except JumpfolioError:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - recorded below
+                    faults.append((*mutation, solver, repr(exc)))
+                    continue
+                s = report.strategy
+                if not all(np.all(np.isfinite(a))
+                           for a in (report.J_star, s.pi, s.y, s.v)):
+                    faults.append((*mutation, solver, "not finite"))
+    assert not faults, (len(faults), faults[:5])

@@ -100,6 +100,14 @@ SITES = {
     "model_dimension": (lambda: jf.MarketModel(jf.TimeGrid.uniform(1.0, 3),
                                                _coeffs(), jf.JumpSpec.none(2)),
                         "disagree in dimension"),
+    "model_squares": (lambda: jf.MarketModel(
+        jf.TimeGrid.uniform(1.0, 3), _coeffs(r=np.full(3, 1e300)),
+        jf.JumpSpec.none(1)), "float range"),
+    "model_jump_squares": (lambda: jf.MarketModel(
+        jf.TimeGrid.uniform(1.0, 3), _coeffs(),
+        jf.JumpSpec(np.array([1e300]),
+                    (jf.JumpDist.point_masses([0.04], [1.0]),))),
+        "float range"),
     "gamma_range": (lambda: jf.UtilitySpec(1.5, 0.5), "gamma must lie"),
     "gamma_unequal": (lambda: jf.UtilitySpec(0.3, 0.5).gamma,
                       "equal utilities"),
