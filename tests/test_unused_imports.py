@@ -1,13 +1,16 @@
 """Every name a package module imports is used in that module, every
-module-level private name is read somewhere in the package, and every
-error class is raised somewhere in the package.
+module-level private name is read somewhere in the package, every error
+class is raised somewhere in the package, and every name `__init__.py`
+re-exports is read by a package module or by the benchmark.
 
 A stdlib `ast` scan, so no linter is needed: an import binding that no
 `Name` node in the module reads is a leftover of a deleted caller, and so
 is a private function, class or constant (`_x`) that no module reads, or
 an error class in `errors.py` that no `raise` names (a base class of other
 errors excepted).  `__init__.py` re-exports names on purpose and is
-skipped by the import scan.
+skipped by the import scan; a re-export that neither the package nor
+`bench/*.py` reads is a public name with no caller, allowed only where
+TEST_ONLY_EXPORTS lists it.
 """
 
 import ast
@@ -15,8 +18,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jumpfolio"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jumpfolio"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# public names that only the tests call: closed-form references the tests
+# compare against, and the Monte Carlo constraint profile
+TEST_ONLY_EXPORTS = {"constraint_profile", "es_stoch_exp",
+                     "expected_jump_exponential", "quantile_stoch_exp"}
 
 
 def unused_imports(source: str) -> list:
@@ -32,6 +41,27 @@ def unused_imports(source: str) -> list:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+def read_names(source: str) -> set:
+    """Every name source reads, as a name or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_exports(init_source: str, sources: dict) -> list:
+    """The names init_source imports (its re-exports) that no source in
+    sources, a {module: source} dict, reads."""
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set().union(*map(read_names, sources.values()))
+    return sorted(exported - read)
 
 
 def unread_private_names(sources: dict) -> list:
@@ -53,11 +83,7 @@ def unread_private_names(sources: dict) -> list:
                 continue
             defined += [(module, node.lineno, name) for name in targets
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= read_names(source)
     return sorted(entry for entry in defined if entry[2] not in read)
 
 
@@ -114,3 +140,16 @@ def test_every_error_class_is_raised():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
     assert unraised_errors(errors, sources) == []
+
+
+def test_scan_finds_an_unread_export():
+    init = "from .a import used, dead\nfrom . import b\n"
+    sources = {"b": "from a import used\nused()\n", "c": "import a\na.b\n"}
+    assert unread_exports(init, sources) == ["dead"]
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    sources = {p: p.read_text(encoding="utf-8")
+               for p in [*MODULES, *(ROOT / "bench").glob("*.py")]}
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unread_exports(init, sources) == sorted(TEST_ONLY_EXPORTS)
