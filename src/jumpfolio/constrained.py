@@ -25,7 +25,6 @@ from scipy.optimize import brentq
 
 from .errors import (
     ConditionViolated,
-    ConfigError,
     EpsilonTooLarge,
     KappaOutOfRange,
     OutOfRange,
@@ -80,13 +79,6 @@ def slack_path(strategy: Strategy, model: MarketModel,
     else:
         body = -V + ip + lev.F(ynorm + abs(lev.q_level))
     return body - math.log1p(-risk.kappa)
-
-
-def _require_kind(risk: RiskSpec, kind: RiskKind, solver: str) -> None:
-    """Raise ConfigError unless the limit is of the solver's own kind."""
-    if risk.kind != kind:
-        raise ConfigError(f"{solver} takes a {kind.value} limit, got "
-                          f"{risk.kind.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +139,17 @@ def _ray_radius(model: MarketModel, risk: RiskSpec, force: bool) -> tuple:
     return rho_star, psi(rho_star) - target, theta_norm, drag
 
 
-def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
-                  force: bool = False) -> SolveReport:
-    """Shared body of the gamma = 1 solvers over the box [0, 1]^d.
+def solve_gamma1(model: MarketModel, risk: RiskSpec, x: float = 1.0,
+                 force: bool = False) -> SolveReport:
+    """Optimal rule under the VaR or ES limit for gamma1 = gamma2 = 1 over
+    the box [0, 1]^d; the limit's kind picks the radius.
 
-    The box optimum of solve_linear when it meets the limit (case "box");
-    otherwise the paper's ray theta_t / ||theta||_T at the binding radius
-    rho* of the limit's kind (case "directional"), refused with
-    ConditionViolated when it leaves the box.  force skips the ES level
-    condition.
+    The box optimum pi_t^j = 1{mu_t^j > r_t} when it meets the limit (case
+    "box"); otherwise the optimum rides theta_t / ||theta||_T at the
+    binding radius rho* and J* = x exp(R_T + ||theta||_T rho*) (case
+    "directional").  The ray needs a componentwise nonnegative theta_hat; a
+    ray outside [0, 1]^d raises ConditionViolated.  force skips the ES
+    level condition on |q|, not the box check.
     """
     report = solve_linear(model, x)
     slack = slack_path(report.strategy, model, risk)
@@ -183,26 +177,7 @@ def _solve_gamma1(model: MarketModel, risk: RiskSpec, x: float,
     return report
 
 
-def solve_var_gamma1(model: MarketModel, risk: RiskSpec,
-                     x: float = 1.0) -> SolveReport:
-    """Optimal rule under the VaR limit for gamma1 = gamma2 = 1.
-
-    The box optimum pi_t^j = 1{mu_t^j > r_t} when it meets the limit;
-    otherwise the optimum rides theta_t / ||theta||_T at the binding radius
-    rho* and J* = x exp(R_T + ||theta||_T rho*).  The ray needs a
-    componentwise nonnegative theta_hat; a ray outside [0, 1]^d raises
-    ConditionViolated.
-    """
-    _require_kind(risk, RiskKind.VAR, "solve_var_gamma1")
-    return _solve_gamma1(model, risk, x)
-
-
-def solve_es_gamma1(model: MarketModel, risk: RiskSpec, x: float = 1.0,
-                    force: bool = False) -> SolveReport:
-    """Optimal rule under the ES limit for gamma1 = gamma2 = 1; force skips
-    the level condition on |q|, not the box check."""
-    _require_kind(risk, RiskKind.ES, "solve_es_gamma1")
-    return _solve_gamma1(model, risk, x, force)
+solve_var_gamma1 = solve_es_gamma1 = solve_gamma1
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +205,10 @@ class ConstraintCertificate:
 def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
             x: float = 1.0,
             report: SolveReport | None = None) -> ConstraintCertificate:
-    """Inactivity certificate for the risk spec's kind: certify_var_gamma
-    for a VaR limit, certify_es_gamma for an ES limit."""
-    check = certify_var_gamma if risk.kind == RiskKind.VAR else certify_es_gamma
-    return check(model, utility, risk, x, report)
-
-
-def _certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
-             x: float, report: SolveReport | None,
-             solver: str) -> ConstraintCertificate:
-    """Shared body of the equal-gamma certificates: the limit is inactive
-    when 1 - chi exp(e + c) <= kappa and ||y*||_T <= b = q ||theta||_T (q the
-    utility conjugate exponent).  The limit's kind picks the exponent e and
+    """Inactivity certificate for the equal-gamma optimum under the risk
+    spec's limit, VaR or ES: the limit is inactive when 1 - chi exp(e + c)
+    <= kappa and ||y*||_T <= b = q ||theta||_T (q the utility conjugate
+    exponent).  The limit's kind picks the exponent e and
     the cross term c, the nonpositive part of a minimum over the nodes:
 
         VaR:  e = l* = -b^2 + q_beta b,  c from (y*, theta_hat)_t
@@ -249,7 +216,7 @@ def _certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
               c from (y* - q theta_hat, theta_hat)_t;  needs |q_beta| >=
               2 ||theta_hat||_T and reports M paired with theta_hat
     """
-    gamma = _power_gamma(utility, x, solver)
+    gamma = _power_gamma(utility, x, "certify")
     lev = effective_level(model, risk)
     grid = model.grid
     thh = theta_hat_path(model)
@@ -292,22 +259,7 @@ def _certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     )
 
 
-def certify_var_gamma(model: MarketModel, utility: UtilitySpec,
-                      risk: RiskSpec, x: float = 1.0,
-                      report: SolveReport | None = None) -> ConstraintCertificate:
-    """Certify that the VaR limit is inactive at the equal-gamma optimum:
-    `_certify` with e = l*."""
-    _require_kind(risk, RiskKind.VAR, "certify_var_gamma")
-    return _certify(model, utility, risk, x, report, "certify_var_gamma")
-
-
-def certify_es_gamma(model: MarketModel, utility: UtilitySpec,
-                     risk: RiskSpec, x: float = 1.0,
-                     report: SolveReport | None = None) -> ConstraintCertificate:
-    """Certify that the ES limit is inactive at the equal-gamma optimum:
-    `_certify` with e = m*."""
-    _require_kind(risk, RiskKind.ES, "certify_es_gamma")
-    return _certify(model, utility, risk, x, report, "certify_es_gamma")
+certify_var_gamma = certify_es_gamma = certify
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def adjusted_solve(model: MarketModel, risk: RiskSpec | None,
             "unconstrained solve with distinct gammas is not provided; "
             "add a risk section")
     if utility.is_linear:
-        return constrained._solve_gamma1(model, risk, x, force)
+        return constrained.solve_gamma1(model, risk, x, force)
     if utility.is_equal:
         cert = constrained.certify(model, utility, risk, x)
         if cert.active and not force:

@@ -7,11 +7,10 @@ import pytest
 from scipy.optimize import brentq
 
 import jumpfolio as jf
-from jumpfolio.constrained import _ray_radius, slack_path
+from jumpfolio.constrained import _ray_radius, slack_path, solve_gamma1
 from jumpfolio.errors import (
     AssumptionJViolated,
     ConditionViolated,
-    ConfigError,
     KappaOutOfRange,
     OutOfRange,
     ThetaHatNegative,
@@ -168,26 +167,38 @@ def test_gamma1_solves_return_a_feasible_box_optimum(kind, kappa):
 
 
 _NAMED_ENTRY_POINTS = {
-    "solve_var_gamma1": (ES, lambda m, risk: jf.solve_var_gamma1(m, risk)),
-    "solve_es_gamma1": (VAR, lambda m, risk: jf.solve_es_gamma1(m, risk)),
-    "certify_var_gamma": (ES, lambda m, risk: jf.certify_var_gamma(
-        m, jf.UtilitySpec.equal(0.5), risk)),
-    "certify_es_gamma": (VAR, lambda m, risk: jf.certify_es_gamma(
-        m, jf.UtilitySpec.equal(0.5), risk)),
+    "solve_var_gamma1": (solve_gamma1, ES),
+    "solve_es_gamma1": (solve_gamma1, VAR),
+    "certify_var_gamma": (jf.certify, ES),
+    "certify_es_gamma": (jf.certify, VAR),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NAMED_ENTRY_POINTS))
-def test_named_entry_points_refuse_a_limit_of_the_other_kind(gamma1_model,
-                                                             name,
-                                                             monkeypatch):
-    # the refusal comes before any solve
-    for solver in ("_optimal_allocation", "solve_power_equal",
-                   "_ray_radius", "solve_linear"):
-        monkeypatch.setattr(f"jumpfolio.constrained.{solver}", None)
-    risk, call = _NAMED_ENTRY_POINTS[name]
-    with pytest.raises(ConfigError, match=name):
-        call(gamma1_model, risk)
+def test_named_entry_points_answer_for_the_spec_kind(gamma1_model, name):
+    # each name is the one function, so a limit of the other kind is
+    # answered at its own kind's radius or exponent
+    function, risk = _NAMED_ENTRY_POINTS[name]
+    named = getattr(jf, name)
+    assert named is function
+    if function is jf.certify:
+        utility = jf.UtilitySpec.equal(0.5)
+        got, want = named(gamma1_model, utility, risk), \
+            jf.certify(gamma1_model, utility, risk)
+        assert (got.kind, got.active, got.condition_lhs) == \
+            (want.kind, want.active, want.condition_lhs)
+        assert got.kind == risk.kind
+        return
+    got = named(gamma1_model, risk)
+    want = jf.adjusted_solve(gamma1_model, risk, jf.UtilitySpec(1.0, 1.0))
+    assert got.J_star == want.J_star
+    assert got.strategy.pi.tobytes() == want.strategy.pi.tobytes()
+    assert got.diagnostics["rho_star"] == want.diagnostics["rho_star"]
+    assert got.diagnostics["rho_star"] == _radius(gamma1_model,
+                                                  risk).rho_star
+    other = VAR if risk.kind == jf.RiskKind.ES else ES
+    assert got.diagnostics["rho_star"] != _radius(gamma1_model,
+                                                  other).rho_star
 
 
 def test_solve_var_gamma1_rejects_negative_theta_hat():
