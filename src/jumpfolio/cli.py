@@ -285,12 +285,20 @@ def _csv_text(path: Path, header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a file, creating its directory; a path that cannot be written
+    raises ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_rows(path: Path, header: str, rows) -> None:
     """Write a CSV, creating its directory.  A NaN cell raises OutOfRange
     before the directory is made or the file opened."""
-    text = _csv_text(path, header, rows)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    _write_text(path, _csv_text(path, header, rows))
 
 
 def write_strategy_csv(path: Path, strategy: Strategy) -> None:
@@ -359,9 +367,9 @@ def cmd_solve(config: RunConfig, args) -> int:
     report_text = _csv_text(out / "report.csv", "key,value",
                             _report_rows(report))
     write_strategy_csv(out / "strategy.csv", report.strategy)
-    (out / "report.csv").write_text(report_text, encoding="utf-8")
+    _write_text(out / "report.csv", report_text)
     if dumped is not None:
-        (out / "config_dump.ini").write_text(dumped, encoding="utf-8")
+        _write_text(out / "config_dump.ini", dumped)
     print(f"wrote {out / 'strategy.csv'} and {out / 'report.csv'}")
     return 0
 
@@ -501,8 +509,16 @@ def cmd_verify(config: RunConfig, args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, but an argument error raises ConfigError instead of
+    printing usage and exiting 2; --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="jumpfolio",
         description="optimal investment and consumption under downside-risk "
                     "limits in jump-diffusion markets")
@@ -541,11 +557,11 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in (
-        ("out", args.out), ("paths", args.paths), ("seed", args.seed),
-        ("negjump_method", args.negjump_method)) if v is not None}
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {k: v for k, v in (
+            ("out", args.out), ("paths", args.paths), ("seed", args.seed),
+            ("negjump_method", args.negjump_method)) if v is not None}
         config = load_config(args.config, overrides)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(config, args)

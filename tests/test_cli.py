@@ -169,6 +169,50 @@ def test_missing_config_exits_1(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--config", "{cfg}", "--paths", "abc"], "invalid int value"),
+    (["solve"], "required: --config"),
+    (["solve", "--config", "{cfg}", "--bogus"], "unrecognized arguments"),
+    (["simulate", "--config", "{cfg}", "--negjump-method", "all"],
+     "invalid choice"),
+    (["bogus", "--config", "{cfg}"], "invalid choice"),
+    ([], "required: command"),
+], ids=["non_int_paths", "no_config", "unknown_flag", "bad_choice",
+        "unknown_command", "no_command"])
+def test_argument_error_exits_1_with_a_json_line(tmp_path, capsys, argv,
+                                                 message):
+    cfg, out = write_config(tmp_path)
+    assert main([a.format(cfg=cfg) for a in argv]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "parse_error"
+    assert error["type"] == "ConfigError"
+    assert message in error["message"]
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "simulate",
+                                     "verify", "compare"])
+def test_an_output_path_that_is_a_file_exits_1(tmp_path, capsys, command):
+    gamma = 1.0 if command in ("solve", "simulate", "verify") else 0.5
+    cfg, out = write_config(tmp_path, g1=gamma, g2=gamma)
+    out.write_text("not a directory")
+    assert main([command, "--config", str(cfg), "--paths", "200"]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "parse_error"
+    assert error["type"] == "ConfigError"
+    assert str(out) in error["message"]
+    assert out.read_text() == "not a directory"
+
+
 def test_condition_violation_exits_2(tmp_path):
     # distinct gammas without a risk section have no provided solution
     cfg, _ = write_config(tmp_path, g1=0.3, g2=0.7, kind="none")
