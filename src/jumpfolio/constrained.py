@@ -107,7 +107,7 @@ def _ray_radius(model: MarketModel, risk: RiskSpec, force: bool) -> tuple:
     target = math.log1p(-risk.kappa)
     if risk.kind == RiskKind.VAR:
         exponent = 0.5 * lev.q_level**2 - abs(lev.q_level) * theta_norm
-        floor = max(0.0, 1.0 - _exp(exponent, "kappa floor"))
+        floor = 1.0 - math.exp(min(exponent, 0.0))  # 0 once exp >= 1
         if risk.kappa <= floor:
             raise KappaOutOfRange(
                 f"kappa = {risk.kappa:.6g} must exceed {floor:.6g}")

@@ -587,12 +587,6 @@ def _overflowing_gamma1_value():
     return jf.solve_var_gamma1(model, VAR)
 
 
-def _overflowing_kappa_floor():
-    # 0.5 q_beta^2 is about 720 at beta = 1e-315, and ||theta||_T is tiny
-    model = make_model(r=0.02, mu=0.0201, sigma=0.3)
-    return _radius(model, jf.RiskSpec("var", 1e-315, 0.1))
-
-
 def _overflowing_linear_value():
     # solve_linear's J* = x exp(R_T + int (mu - r)^+) at R_T = 720
     return jf.solve_linear(make_model(r=720.0, mu=720.07, sigma=0.3))
@@ -608,12 +602,25 @@ def _overflowing_gamma1_box():
                                    _overflowing_ghat1_power,
                                    _overflowing_growth_factor,
                                    _overflowing_gamma1_value,
-                                   _overflowing_kappa_floor,
                                    _overflowing_linear_value,
                                    _overflowing_gamma1_box])
 def test_overflowing_scalar_formulas_raise_out_of_range(solve):
     with pytest.raises(OutOfRange, match="overflows"):
         solve()
+
+
+def test_the_var_kappa_floor_is_zero_where_its_exponential_overflows():
+    # 0.5 q_beta^2 is about 720 at beta = 1e-315 and ||theta||_T is tiny,
+    # so exp(0.5 q^2 - |q| ||theta||_T) would overflow; the floor
+    # 1 - exp(...) is 0 once the exponent passes 0, and the ray is answered
+    model = make_model(r=0.02, mu=0.0201, sigma=0.3)
+    rep = jf.solve_var_gamma1(model, jf.RiskSpec("var", 1e-315, 0.1))
+    assert rep.diagnostics["case"] == "directional"
+    assert rep.diagnostics["rho_star"] == pytest.approx(0.0027768809711545828,
+                                                        rel=1e-12)
+    assert abs(rep.diagnostics["rho_residual"]) < 1e-12
+    assert rep.strategy.pi == pytest.approx(0.00925627, rel=1e-6)
+    assert rep.diagnostics["min_slack"] >= -1e-10
 
 
 @pytest.mark.parametrize("solve", [
