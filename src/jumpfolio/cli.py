@@ -35,10 +35,10 @@ Config files are flat key-value sections (INI syntax).  Schema:
     seed = 20240811
     out = out
 
-Commands exit 0 on success, 1 on config/parse errors, 2 when a solver
-precondition fails or a computation overflows (machine-readable reason on
-stderr), 3 when cmd_verify finds a failing check.  All numeric CSV output
-carries 17 significant digits.
+Commands exit 0 on success, 1 on config, argument or output-path errors, 2
+when a solver precondition fails or a computation overflows
+(machine-readable reason on stderr), 3 when cmd_verify finds a failing
+check.  All numeric CSV output carries 17 significant digits.
 """
 
 from __future__ import annotations

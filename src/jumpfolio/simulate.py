@@ -28,10 +28,11 @@ jump counts with uniform jump times, as a per-path draw would.  _WORKERS
 draw threads share the blocks round robin and draw a few groups ahead,
 while the calling thread turns the draws into log-wealth increments and
 applies each node.  Each block's stream is drawn in its fixed order by one
-thread, so every output depends only on the seed and _BLOCK_PATHS, not on
-the worker count or the scheduling: it is bit-identical to a serial loop
-over the blocks and reproducible bit for bit from the seed and the block
-size for a given numpy release.
+thread, so every output depends only on the seed, _BLOCK_PATHS and
+_NORMALS_PER_DRAW (which sets the intervals per group, and so where a
+block's jump draws fall between its normals), not on the worker count or
+the scheduling: it is bit-identical to a serial loop over the blocks and
+reproducible bit for bit from those three for a given numpy release.
 
 Storage is node-major: `PathEnsemble.wealth` is the transpose of an
 (N, n_paths) array, so writing or reading one node is contiguous.  A
@@ -69,7 +70,8 @@ from .riskmetrics import (
 from .unconstrained import Strategy, check_initial_wealth, cost_function
 
 # Paths per block: block b draws from its own SFC64 stream, spawned from the
-# seed's SeedSequence, so the output depends on the seed and this size only.
+# seed's SeedSequence, so the output depends on the seed, this size and
+# _NORMALS_PER_DRAW only.
 # Every numpy call of a block's draws hands the interpreter lock between the
 # draw threads, so blocks are large: a run of up to 2^18 paths is one block
 # on one worker, and 10^6 paths are four, two per worker.
@@ -77,7 +79,8 @@ _BLOCK_PATHS = 1 << 18
 # Draw threads; block b goes to worker b % _WORKERS.
 _WORKERS = 2
 # Standard normals per draw: small ensembles take several intervals per
-# group, so thread hand-offs stay rare.
+# group, so thread hand-offs stay rare.  A block draws each group's normals
+# before its jumps, so changing this changes seeded output.
 _NORMALS_PER_DRAW = 1 << 18
 # Normal buffers in memory at once: the group being applied plus up to
 # three drawn ahead.
