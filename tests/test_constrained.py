@@ -183,11 +183,11 @@ def test_named_entry_points_answer_for_the_spec_kind(gamma1_model, name):
     assert named is function
     if function is jf.certify:
         utility = jf.UtilitySpec.equal(0.5)
-        got, want = named(gamma1_model, utility, risk), \
-            jf.certify(gamma1_model, utility, risk)
-        assert (got.kind, got.active, got.condition_lhs) == \
-            (want.kind, want.active, want.condition_lhs)
-        assert got.kind == risk.kind
+        got = named(gamma1_model, utility, risk)
+        want = jf.certify(gamma1_model, utility, risk)
+        assert got.kind == want.kind == risk.kind
+        assert got.active == want.active
+        assert got.condition_lhs == want.condition_lhs
         return
     got = named(gamma1_model, risk)
     want = jf.adjusted_solve(gamma1_model, risk, jf.UtilitySpec(1.0, 1.0))
