@@ -7,13 +7,10 @@ from .constrained import (
     ConstraintCertificate,
     DiffGammaReport,
     certify,
-    certify_es_gamma,
-    certify_var_gamma,
     slack_path,
     solve_diff_gamma,
-    solve_es_gamma1,
+    solve_gamma1,
     solve_no_consumption,
-    solve_var_gamma1,
 )
 from .market import (
     CoefficientPath,
@@ -57,7 +54,6 @@ from .unconstrained import (
     Strategy,
     cost_function,
     solve_linear,
-    solve_power_1d,
     solve_power_equal,
     value_terms,
 )

@@ -403,7 +403,9 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 def cmd_compare(config: RunConfig, args) -> int:
     model = config.model
-    jump, diffusion = (unconstrained.solve_power_1d(m, config.utility).strategy
+    if model.d != 1:
+        raise ConditionViolated("compare needs a one-asset market")
+    jump, diffusion = (unconstrained.solve_power_equal(m, config.utility).strategy
                        for m in (model, model.without_jumps()))
     out = config.out_dir
     rows = np.column_stack([model.grid.nodes, jump.pi[:, 0],

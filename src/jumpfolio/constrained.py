@@ -177,7 +177,7 @@ def solve_gamma1(model: MarketModel, risk: RiskSpec, x: float = 1.0,
     return report
 
 
-solve_var_gamma1 = solve_es_gamma1 = solve_gamma1
+solve_var_gamma1 = solve_es_gamma1 = solve_gamma1  # bench/ reads; ROADMAP item 10
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     )
 
 
-certify_var_gamma = certify_es_gamma = certify
+certify_var_gamma = certify_es_gamma = certify  # bench/ reads; ROADMAP item 10
 
 
 # ---------------------------------------------------------------------------

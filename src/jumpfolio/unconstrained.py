@@ -397,14 +397,6 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     return y, pi, h, np.exp(log_g), diagnostics
 
 
-def solve_power_1d(model: MarketModel, utility: UtilitySpec,
-                   x: float = 1.0) -> SolveReport:
-    """One-asset entry point to solve_power_equal."""
-    if model.d != 1:
-        raise ConditionViolated("solve_power_1d needs a one-asset market")
-    return solve_power_equal(model, utility, x)
-
-
 def solve_power_equal(model: MarketModel, utility: UtilitySpec,
                       x: float = 1.0) -> SolveReport:
     """Equal-gamma solver in d dimensions: the box-constrained optimal
@@ -418,3 +410,6 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
                        J_star=cost_function(model, utility, strategy, x),
                        h_star=h, g=g, rho=rho, chi=chi,
                        diagnostics=diagnostics)
+
+
+solve_power_1d = solve_power_equal  # bench/ reads; ROADMAP item 10

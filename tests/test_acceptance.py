@@ -187,7 +187,7 @@ def test_criterion_5_grid_dominance():
     for gamma, kwargs in cases:
         model = make_model(n=257, **kwargs)
         utility = jf.UtilitySpec.equal(gamma)
-        rep = jf.solve_power_1d(model, utility)
+        rep = jf.solve_power_equal(model, utility)
         oracle = jf.grid_oracle(model, utility, None, 1.0,
                                 np.linspace(0.0, 1.0, 101),
                                 np.linspace(0.0, 2.0, 51),
@@ -234,8 +234,8 @@ def test_criterion_6_gamma1_feasibility():
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
     var = jf.RiskSpec("var", 0.05, 0.1)
     es = jf.RiskSpec("es", 0.05, 0.1)
-    rep_var = jf.solve_var_gamma1(model, var)
-    rep_es = jf.solve_es_gamma1(model, es)
+    rep_var = jf.solve_gamma1(model, var)
+    rep_es = jf.solve_gamma1(model, es)
     resid = max(abs(rep_var.diagnostics["rho_residual"]),
                 abs(rep_es.diagnostics["rho_residual"]))
     var_ok, _, sup_var, below, band = _feasibility_run(model, var, rep_var, 60)
@@ -270,15 +270,15 @@ def test_criterion_7_certificates():
     inactive_count = 0
     for model, risk in instances:
         if risk.kind == jf.RiskKind.VAR:
-            cert = jf.certify_var_gamma(model, utility, risk)
+            cert = jf.certify(model, utility, risk)
         else:
-            cert = jf.certify_es_gamma(model, utility, risk)
+            cert = jf.certify(model, utility, risk)
         if cert.active:
             continue
         inactive_count += 1
         slack = slack_path(cert.report.strategy, model, risk)
         worst_slack = min(worst_slack, float(slack.min()))
-    active_cert = jf.certify_var_gamma(instances[0][0], utility,
+    active_cert = jf.certify(instances[0][0], utility,
                                        jf.RiskSpec("var", 0.05, 0.05))
     ok = (inactive_count == len(instances) and worst_slack >= -1e-10
           and active_cert.active)
@@ -352,8 +352,8 @@ def test_criterion_9_policy_ordering():
     for gamma, kwargs in cases:
         model = make_model(n=257, **kwargs)
         utility = jf.UtilitySpec.equal(gamma)
-        jump = jf.solve_power_1d(model, utility).strategy
-        diffusion = jf.solve_power_1d(model.without_jumps(), utility).strategy
+        jump = jf.solve_power_equal(model, utility).strategy
+        diffusion = jf.solve_power_equal(model.without_jumps(), utility).strategy
         ok &= bool(np.all(jump.pi <= diffusion.pi + 1e-12))
         ok &= bool(np.all(jump.v >= diffusion.v - 1e-12))
         ok &= bool(np.any(jump.pi < diffusion.pi - 1e-8))
@@ -372,7 +372,7 @@ def test_criterion_10_negative_jump_adjustment():
     model = make_model(n=GRID_N, mu=0.07, r=0.02, sigma=0.3, lam=lam,
                        jump=jump)
     risk = jf.RiskSpec("var", 0.2, 0.15, "thinning")
-    rep = jf.solve_var_gamma1(model, risk)
+    rep = jf.solve_gamma1(model, risk)
     var_ok, _, sup_prof, below, band = _feasibility_run(model, risk, rep, 62)
 
     eps_grid = np.linspace(0.0, 2.0, 21)
@@ -428,7 +428,7 @@ def test_criterion_11_martingale_spot_check():
     model = make_model(n=65, mu=0.055, sigma=0.3, lam=0.8,
                        jump=jf.JumpDist.point_masses([0.03, 0.10], [0.6, 0.4]))
     utility = jf.UtilitySpec.equal(gamma)
-    rep = jf.solve_power_1d(model, utility)
+    rep = jf.solve_power_equal(model, utility)
     checkpoints = np.arange(0, 65, 8)
     n_paths = 200_000
 

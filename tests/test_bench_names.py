@@ -166,7 +166,7 @@ def _diagnostic_reads():
 # each key the benchmark reads, and a solve that emits it; the gamma = 1
 # VaR solve is a directional one, as pi = 1 breaks a 10% limit
 EMITTED_BY = {
-    "rho_residual": lambda: jf.solve_var_gamma1(
+    "rho_residual": lambda: jf.solve_gamma1(
         make_model(), jf.RiskSpec("var", 0.05, 0.1)),
     "foc_residual": lambda: jf.solve_power_equal(
         make_model(), jf.UtilitySpec.equal(0.5)),

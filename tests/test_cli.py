@@ -12,7 +12,7 @@ from jumpfolio.cli import _write_rows, config_text, load_config, main
 from jumpfolio.errors import ConditionViolated, OutOfRange
 from jumpfolio.market import GL_NODES_DEFAULT, R_path
 
-from conftest import make_model, make_model_2d
+from conftest import make_model
 
 BASE_CONFIG = """
 [grid]
@@ -67,7 +67,7 @@ def test_solve_writes_strategy_and_report(tmp_path):
     assert "J_star" in report
     # full-precision round trip against the library closed forms
     model_cfg = load_config(cfg)
-    rep = jf.solve_var_gamma1(model_cfg.model, model_cfg.risk)
+    rep = jf.solve_gamma1(model_cfg.model, model_cfg.risk)
     assert float(report["J_star"]) == rep.J_star
     assert float(report["rho_star"]) == rep.diagnostics["rho_star"]
 
@@ -491,11 +491,14 @@ def test_malformed_jump_law_exits_1(tmp_path, capsys, law):
     assert not out.exists()
 
 
+ONE_ASSET = "dimension = 1\nr = 0.02\nmu = 0.07\nsigma = 0.3"
+TWO_ASSETS = ("dimension = 2\nr = 0.02\nmu = 0.07; 0.05\n"
+              "sigma = 0.3, 0.0; 0.0, 0.2")
+
+
 def test_asset_without_a_jump_section_has_no_jumps(tmp_path):
     cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
-    cfg.write_text(cfg.read_text().replace(
-        "dimension = 1\nr = 0.02\nmu = 0.07\nsigma = 0.3",
-        "dimension = 2\nr = 0.02\nmu = 0.07; 0.05\nsigma = 0.3, 0.0; 0.0, 0.2"))
+    cfg.write_text(cfg.read_text().replace(ONE_ASSET, TWO_ASSETS))
     jumps = load_config(cfg).model.jumps
     assert jumps.lambdas.tolist() == [0.5, 0.0]
     assert jumps.dists[1].z.tolist() == [0.0]
@@ -581,27 +584,36 @@ def test_gamma1_box_optimum_is_solved(tmp_path):
 _HALF_LINEAR = jf.UtilitySpec(1.0, 0.5)
 _VAR, _ES = jf.RiskSpec("var", 0.05, 0.1), jf.RiskSpec("es", 0.05, 0.1)
 _PRECONDITIONS = {
-    "certify_var_gamma": lambda: jf.certify_var_gamma(
+    "certify_var_gamma": lambda: jf.certify(
         make_model(), _HALF_LINEAR, _VAR),
-    "certify_es_gamma": lambda: jf.certify_es_gamma(
+    "certify_es_gamma": lambda: jf.certify(
         make_model(), _HALF_LINEAR, _ES),
     "solve_diff_gamma": lambda: jf.solve_diff_gamma(
         make_model(), _HALF_LINEAR, _VAR),
     "solve_no_consumption": lambda: jf.solve_no_consumption(
         make_model(), _HALF_LINEAR),
-    "solve_power_1d": lambda: jf.solve_power_1d(
-        make_model_2d(), jf.UtilitySpec.equal(0.5)),
     "solve_power_equal": lambda: jf.solve_power_equal(
         make_model(), _HALF_LINEAR),
 }
 
 
-@pytest.mark.parametrize("case", ["cli_solve", *sorted(_PRECONDITIONS)])
+# the CLI cases: a command, its write_config arguments and its market
+_CLI_PRECONDITIONS = {
+    "cli_compare": ("compare", dict(g1=0.5, g2=0.5, kind="none"), TWO_ASSETS),
+    "cli_solve": ("solve", dict(g1=1.0, g2=0.5, kind="var"), ONE_ASSET),
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(_CLI_PRECONDITIONS),
+                                  *sorted(_PRECONDITIONS)])
 def test_solver_precondition_is_a_condition_violation(tmp_path, capsys, case):
-    if case == "cli_solve":
-        cfg, out = write_config(tmp_path, g1=1.0, g2=0.5, kind="var")
-        assert main(["solve", "--config", str(cfg)]) == 2
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    if case in _CLI_PRECONDITIONS:
+        command, arguments, market = _CLI_PRECONDITIONS[case]
+        cfg, out = write_config(tmp_path, **arguments)
+        cfg.write_text(cfg.read_text().replace(ONE_ASSET, market))
+        assert main([command, "--config", str(cfg)]) == 2
+        [line] = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
         assert error["error"] == "condition_violation"
         assert error["type"] == "ConditionViolated"
         assert not out.exists()

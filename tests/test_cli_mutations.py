@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from jumpfolio import adjusted_solve, certify, solve_power_1d
+from jumpfolio import adjusted_solve, certify, solve_power_equal
 from jumpfolio.cli import load_config, main
 from jumpfolio.errors import JumpfolioError
 
@@ -158,7 +158,7 @@ LIBRARY_CALLS = {
     "adjusted_solve": lambda run: adjusted_solve(run.model, run.risk,
                                                  run.utility),
     "certify": lambda run: certify(run.model, run.utility, run.risk).report,
-    "solve_power_1d": lambda run: solve_power_1d(run.model, run.utility),
+    "solve_power_equal": lambda run: solve_power_equal(run.model, run.utility),
 }
 
 

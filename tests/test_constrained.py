@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 import jumpfolio as jf
-from jumpfolio.constrained import _ray_radius, slack_path, solve_gamma1
+from jumpfolio import constrained
+from jumpfolio.constrained import _ray_radius, slack_path
 from jumpfolio.errors import (
     AssumptionJViolated,
     ConditionViolated,
@@ -26,9 +27,7 @@ ES = jf.RiskSpec("es", 0.05, 0.1)
 def _ray(model, risk):
     """rho_star, residual, theta_norm and drag of a gamma = 1 solve whose
     box optimum breaks the limit, read from its diagnostics."""
-    solve = jf.solve_var_gamma1 if risk.kind == jf.RiskKind.VAR else \
-        jf.solve_es_gamma1
-    diag = solve(model, risk).diagnostics
+    diag = jf.solve_gamma1(model, risk).diagnostics
     assert diag["case"] == "directional"
     return SimpleNamespace(
         rho_star=diag["rho_star"], residual=diag["rho_residual"],
@@ -109,14 +108,14 @@ def test_rho_var_kappa_floor():
 def test_solve_var_gamma1_zero_theta():
     model = make_model(mu=0.02, r=0.02, lam=0.5,
                        jump=jf.JumpDist.point_masses([0.0], [1.0]))
-    rep = jf.solve_var_gamma1(model, VAR, x=3.0)
+    rep = jf.solve_gamma1(model, VAR, x=3.0)
     assert rep.J_star == pytest.approx(3.0 * math.exp(0.02), rel=1e-14)
     assert np.all(rep.strategy.y == 0.0)
     assert rep.diagnostics["case"] == "box"
 
 
 def test_solve_var_gamma1_feasibility_and_binding(gamma1_model):
-    rep = jf.solve_var_gamma1(gamma1_model, VAR)
+    rep = jf.solve_gamma1(gamma1_model, VAR)
     slack = slack_path(rep.strategy, gamma1_model, VAR)
     assert slack.min() >= -1e-10
     assert rep.diagnostics["case"] == "directional"
@@ -139,12 +138,8 @@ def test_gamma1_solves_refuse_an_out_of_box_optimum(kind, force):
     # |q| >= 2 ||theta||_T, so the ES level condition holds
     model = _rising_drift_model()
     risk = jf.RiskSpec(kind, 0.05, 0.3)
-    if kind == "var":
-        solve = lambda: jf.solve_var_gamma1(model, risk)
-    else:
-        solve = lambda: jf.solve_es_gamma1(model, risk, force=force)
     with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
-        solve()
+        jf.solve_gamma1(model, risk, force=force)
     with pytest.raises(ConditionViolated, match=r"\[0, 1\]"):
         jf.adjusted_solve(model, risk, jf.UtilitySpec(1.0, 1.0), force=force)
 
@@ -167,8 +162,8 @@ def test_gamma1_solves_return_a_feasible_box_optimum(kind, kappa):
 
 
 _NAMED_ENTRY_POINTS = {
-    "solve_var_gamma1": (solve_gamma1, ES),
-    "solve_es_gamma1": (solve_gamma1, VAR),
+    "solve_var_gamma1": (jf.solve_gamma1, ES),
+    "solve_es_gamma1": (jf.solve_gamma1, VAR),
     "certify_var_gamma": (jf.certify, ES),
     "certify_es_gamma": (jf.certify, VAR),
 }
@@ -177,10 +172,12 @@ _NAMED_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", sorted(_NAMED_ENTRY_POINTS))
 def test_named_entry_points_answer_for_the_spec_kind(gamma1_model, name):
     # each name is the one function, so a limit of the other kind is
-    # answered at its own kind's radius or exponent
+    # answered at its own kind's radius or exponent; the package root
+    # exports only the one function
     function, risk = _NAMED_ENTRY_POINTS[name]
-    named = getattr(jf, name)
+    named = getattr(constrained, name)
     assert named is function
+    assert not hasattr(jf, name)
     if function is jf.certify:
         utility = jf.UtilitySpec.equal(0.5)
         got = named(gamma1_model, utility, risk)
@@ -205,12 +202,12 @@ def test_solve_var_gamma1_rejects_negative_theta_hat():
     model = make_model(mu=0.05, r=0.02, sigma=0.3, lam=1.0,
                        jump=jf.JumpDist.point_masses([0.08], [1.0]))
     with pytest.raises(ThetaHatNegative):
-        jf.solve_var_gamma1(model, VAR)
+        jf.solve_gamma1(model, VAR)
 
 
 def test_solve_var_gamma1_rejects_negative_jumps_without_method(mixed_jump_1d):
     with pytest.raises(AssumptionJViolated):
-        jf.solve_var_gamma1(mixed_jump_1d, VAR)
+        jf.solve_gamma1(mixed_jump_1d, VAR)
 
 
 def test_var_proof_function_decreasing_in_u(gamma1_model):
@@ -260,12 +257,12 @@ def test_rho_es_doubles_its_bracket_past_one():
 def test_rho_es_condition_violated():
     model = make_model(mu=0.30, r=0.02, sigma=0.3, lam=0.0)
     with pytest.raises(ConditionViolated):
-        jf.solve_es_gamma1(model, ES)
+        jf.solve_gamma1(model, ES)
 
 
 def test_solve_es_gamma1_feasible_and_conservative(gamma1_model):
-    rep_es = jf.solve_es_gamma1(gamma1_model, ES)
-    rep_var = jf.solve_var_gamma1(gamma1_model, VAR)
+    rep_es = jf.solve_gamma1(gamma1_model, ES)
+    rep_var = jf.solve_gamma1(gamma1_model, VAR)
     assert slack_path(rep_es.strategy, gamma1_model, ES).min() >= -1e-10
     assert abs(rep_es.diagnostics["slack_at_T"]) < 1e-10
     # the averaged tail is the stricter measure, so the radius is smaller
@@ -286,7 +283,7 @@ def test_es_proof_function_minimized_at_full_radius(gamma1_model):
 # ---------------------------------------------------------------------------
 
 def test_certify_var_near_one_kappa_inactive(jump_1d, equal_utility):
-    cert = jf.certify_var_gamma(jump_1d, equal_utility,
+    cert = jf.certify(jump_1d, equal_utility,
                                 jf.RiskSpec("var", 0.05, 0.999))
     assert not cert.active
     assert cert.kappa_range[0] <= 0.999 < cert.kappa_range[1]
@@ -294,14 +291,14 @@ def test_certify_var_near_one_kappa_inactive(jump_1d, equal_utility):
 
 def test_certify_var_inactive_implies_direct_feasibility(jump_1d, equal_utility):
     risk = jf.RiskSpec("var", 0.05, 0.8)
-    cert = jf.certify_var_gamma(jump_1d, equal_utility, risk)
+    cert = jf.certify(jump_1d, equal_utility, risk)
     assert not cert.active
     slack = slack_path(cert.report.strategy, jump_1d, risk)
     assert slack.min() >= -1e-10
 
 
 def test_certify_var_active_for_small_kappa(jump_1d, equal_utility):
-    cert = jf.certify_var_gamma(jump_1d, equal_utility,
+    cert = jf.certify(jump_1d, equal_utility,
                                 jf.RiskSpec("var", 0.05, 0.05))
     assert cert.active
 
@@ -310,7 +307,7 @@ def test_certify_var_pure_diffusion_formula():
     model = make_model(mu=0.047, sigma=0.3, lam=0.0)
     utility = jf.UtilitySpec.equal(0.5)
     risk = jf.RiskSpec("var", 0.05, 0.8)
-    cert = jf.certify_var_gamma(model, utility, risk)
+    cert = jf.certify(model, utility, risk)
     rep = jf.solve_power_equal(model, utility)
     b = utility.q * l2_time_norm(model.grid, theta_path(model))
     l_star = -b * b + jf.normal_quantile(0.05) * b
@@ -321,7 +318,7 @@ def test_certify_var_pure_diffusion_formula():
 
 def test_certify_es_inactive_implies_direct_feasibility(jump_1d, equal_utility):
     risk = jf.RiskSpec("es", 0.05, 0.8)
-    cert = jf.certify_es_gamma(jump_1d, equal_utility, risk)
+    cert = jf.certify(jump_1d, equal_utility, risk)
     assert not cert.active
     slack = slack_path(cert.report.strategy, jump_1d, risk)
     assert slack.min() >= -1e-10
@@ -332,7 +329,7 @@ def test_certify_es_jump_aggregate_sign(equal_utility):
     model = make_model(mu=0.06, r=0.02, sigma=0.3, lam=0.5,
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
     assert np.min(theta_hat_path(model)) >= 0
-    cert = jf.certify_es_gamma(model, equal_utility,
+    cert = jf.certify(model, equal_utility,
                                jf.RiskSpec("es", 0.05, 0.8))
     assert cert.diagnostics["M_hat_theta_T"] <= 1e-15
     assert cert.diagnostics["cross_term_correction"] == 0.0
@@ -341,13 +338,13 @@ def test_certify_es_jump_aggregate_sign(equal_utility):
 def test_certify_es_level_condition():
     model = make_model(mu=0.30, r=0.02, sigma=0.3, lam=0.0)
     with pytest.raises(ConditionViolated):
-        jf.certify_es_gamma(model, jf.UtilitySpec.equal(0.5),
+        jf.certify(model, jf.UtilitySpec.equal(0.5),
                             jf.RiskSpec("es", 0.05, 0.9))
 
 
 def test_certify_rejects_negative_jumps(mixed_jump_1d, equal_utility):
     with pytest.raises(AssumptionJViolated):
-        jf.certify_var_gamma(mixed_jump_1d, equal_utility, VAR)
+        jf.certify(mixed_jump_1d, equal_utility, VAR)
 
 
 def test_certify_var_2d():
@@ -357,7 +354,7 @@ def test_certify_var_2d():
     model = make_model_2d(mu=(0.05, 0.055), sigma=sigma, lams=(0.4, 0.3),
                           dists=dists)
     risk = jf.RiskSpec("var", 0.05, 0.85)
-    cert = jf.certify_var_gamma(model, jf.UtilitySpec.equal(0.5), risk)
+    cert = jf.certify(model, jf.UtilitySpec.equal(0.5), risk)
     assert not cert.active
     assert slack_path(cert.report.strategy, model, risk).min() >= -1e-10
 
@@ -584,7 +581,7 @@ def _overflowing_gamma1_value():
     # J* = x exp(R_T + ||theta||_T rho*) is reached
     model = make_model(r=720.0, mu=720.07, sigma=0.3, lam=0.5,
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
-    return jf.solve_var_gamma1(model, VAR)
+    return jf.solve_gamma1(model, VAR)
 
 
 def _overflowing_linear_value():
@@ -595,7 +592,7 @@ def _overflowing_linear_value():
 def _overflowing_gamma1_box():
     # a limit the box optimum meets, so its overflowing J* is the answer
     model = make_model(r=720.0, mu=720.07, sigma=0.3)
-    return jf.solve_var_gamma1(model, jf.RiskSpec("var", 0.05, 0.99))
+    return jf.solve_gamma1(model, jf.RiskSpec("var", 0.05, 0.99))
 
 
 @pytest.mark.parametrize("solve", [_overflowing_diff_gamma,
@@ -614,7 +611,7 @@ def test_the_var_kappa_floor_is_zero_where_its_exponential_overflows():
     # so exp(0.5 q^2 - |q| ||theta||_T) would overflow; the floor
     # 1 - exp(...) is 0 once the exponent passes 0, and the ray is answered
     model = make_model(r=0.02, mu=0.0201, sigma=0.3)
-    rep = jf.solve_var_gamma1(model, jf.RiskSpec("var", 1e-315, 0.1))
+    rep = jf.solve_gamma1(model, jf.RiskSpec("var", 1e-315, 0.1))
     assert rep.diagnostics["case"] == "directional"
     assert rep.diagnostics["rho_star"] == pytest.approx(0.0027768809711545828,
                                                         rel=1e-12)
@@ -625,7 +622,7 @@ def test_the_var_kappa_floor_is_zero_where_its_exponential_overflows():
 
 @pytest.mark.parametrize("solve", [
     lambda m: jf.solve_power_equal(m, jf.UtilitySpec.equal(0.5)),
-    lambda m: jf.certify_var_gamma(m, jf.UtilitySpec.equal(0.5), VAR),
+    lambda m: jf.certify(m, jf.UtilitySpec.equal(0.5), VAR),
     lambda m: jf.adjusted_solve(m, VAR, jf.UtilitySpec.equal(0.5)),
 ], ids=["solve_power_equal", "certify_var_gamma", "adjusted_solve"])
 @pytest.mark.parametrize("r, mu", [(720.0, 720.07), (-1100.0, -1099.9)],
@@ -662,17 +659,15 @@ def test_underflowing_ghat2_raises_out_of_range():
 
 _SOLVER_CALLS = {
     "solve_linear": lambda m, x: jf.solve_linear(m, x),
-    "solve_power_1d": lambda m, x: jf.solve_power_1d(
-        m, jf.UtilitySpec.equal(0.5), x),
     "solve_power_equal": lambda m, x: jf.solve_power_equal(
         m, jf.UtilitySpec.equal(0.5), x),
     "solve_no_consumption": lambda m, x: jf.solve_no_consumption(
         m, jf.UtilitySpec.equal(0.5), None, x),
-    "solve_var_gamma1": lambda m, x: jf.solve_var_gamma1(m, VAR, x),
-    "solve_es_gamma1": lambda m, x: jf.solve_es_gamma1(m, ES, x),
-    "certify_var_gamma": lambda m, x: jf.certify_var_gamma(
+    "solve_var_gamma1": lambda m, x: jf.solve_gamma1(m, VAR, x),
+    "solve_es_gamma1": lambda m, x: jf.solve_gamma1(m, ES, x),
+    "certify_var_gamma": lambda m, x: jf.certify(
         m, jf.UtilitySpec.equal(0.5), VAR, x),
-    "certify_es_gamma": lambda m, x: jf.certify_es_gamma(
+    "certify_es_gamma": lambda m, x: jf.certify(
         m, jf.UtilitySpec.equal(0.5), ES, x),
     "solve_diff_gamma": lambda m, x: jf.solve_diff_gamma(
         m, jf.UtilitySpec(0.3, 0.6), VAR, x),

@@ -146,7 +146,7 @@ def test_adjusted_solve_identical_without_negative_jumps():
 
 def test_adjusted_radius_more_conservative(mixed_jump_1d):
     risk = jf.RiskSpec("var", 0.25, 0.15, "thinning")
-    rep = jf.solve_var_gamma1(mixed_jump_1d, risk)
+    rep = jf.solve_gamma1(mixed_jump_1d, risk)
     rho_adj = rep.diagnostics["rho_star"]
     # unadjusted radius from the same closed form at the raw level
     from jumpfolio.market import l2_time_norm, theta_path
@@ -159,10 +159,10 @@ def test_adjusted_radius_more_conservative(mixed_jump_1d):
 
 def test_adjusted_es_solve_feasible(mixed_jump_1d):
     risk = jf.RiskSpec("es", 0.25, 0.35, "thinning")
-    rep = jf.solve_es_gamma1(mixed_jump_1d, risk)
+    rep = jf.solve_gamma1(mixed_jump_1d, risk)
     assert jf.slack_path(rep.strategy, mixed_jump_1d, risk).min() >= -1e-10
     with pytest.raises(KappaOutOfRange):
-        jf.solve_es_gamma1(mixed_jump_1d, jf.RiskSpec("es", 0.25, 0.05,
+        jf.solve_gamma1(mixed_jump_1d, jf.RiskSpec("es", 0.25, 0.05,
                                                       "thinning"))
 
 

@@ -574,7 +574,7 @@ def test_profile_closed_form_binds_at_one():
     model = make_model(n=129, mu=0.07, r=0.02, sigma=0.3, lam=0.5,
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
     risk = jf.RiskSpec("var", 0.05, 0.1)
-    rep = jf.solve_var_gamma1(model, risk)
+    rep = jf.solve_gamma1(model, risk)
     prof = jf.constraint_profile(rep.strategy, model, risk, 1.0)
     assert prof.max() == pytest.approx(1.0, abs=1e-12)
     assert int(np.argmax(prof)) == model.grid.n - 1
@@ -586,7 +586,7 @@ def test_mc_profile_below_diffusion_profile():
     model = make_model(n=129, mu=0.07, r=0.02, sigma=0.3, lam=0.5,
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
     risk = jf.RiskSpec("var", 0.05, 0.1)
-    rep = jf.solve_var_gamma1(model, risk)
+    rep = jf.solve_gamma1(model, risk)
     stats = jf.simulate_node_stats(model, rep.strategy, 1.0, risk.beta,
                                    200_000, 555)
     prof_mc = jf.constraint_profile(stats, model, risk, 1.0)
@@ -628,7 +628,7 @@ def test_grid_oracle_empty_feasible_set(sim_model):
 
 def test_grid_oracle_dominated_by_solver(jump_1d):
     utility = jf.UtilitySpec.equal(0.5)
-    rep = jf.solve_power_1d(jump_1d, utility)
+    rep = jf.solve_power_equal(jump_1d, utility)
     oracle = jf.grid_oracle(jump_1d, utility, None, 1.0,
                             np.linspace(0.0, 1.0, 41),
                             np.linspace(0.0, 2.0, 11),

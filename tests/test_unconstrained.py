@@ -173,7 +173,7 @@ def test_eta_1d_sign_change_and_decreasing(jump_1d):
 def test_solve_power_1d_merton_reduction():
     model = make_model(mu=0.047, r=0.02, sigma=0.3, lam=0.0)
     utility = jf.UtilitySpec.equal(0.5)
-    rep = jf.solve_power_1d(model, utility)
+    rep = jf.solve_power_equal(model, utility)
     merton = (0.047 - 0.02) / ((1.0 - 0.5) * 0.3**2)
     assert np.max(np.abs(rep.strategy.pi - merton)) < 1e-12
     assert not rep.diagnostics["boundary_clipped"]
@@ -181,14 +181,14 @@ def test_solve_power_1d_merton_reduction():
 
 def test_solve_power_1d_merton_clipped():
     model = make_model(mu=0.10, r=0.02, sigma=0.2, lam=0.0)
-    rep = jf.solve_power_1d(model, jf.UtilitySpec.equal(0.8))
+    rep = jf.solve_power_equal(model, jf.UtilitySpec.equal(0.8))
     assert np.all(rep.strategy.pi == 1.0)
     assert rep.diagnostics["boundary_clipped"]
 
 
 def test_solve_power_1d_root_property(jump_1d):
     utility = jf.UtilitySpec.equal(0.5)
-    rep = jf.solve_power_1d(jump_1d, utility)
+    rep = jf.solve_power_equal(jump_1d, utility)
     pi = rep.strategy.pi[:, 0]
     assert np.all((pi > 0) & (pi < 1))
     resid = max(abs(eta_1d(jump_1d, k, pi[k], 0.5))
@@ -198,7 +198,7 @@ def test_solve_power_1d_root_property(jump_1d):
 
 def test_solve_power_equal_matches_1d(jump_1d):
     utility = jf.UtilitySpec.equal(0.5)
-    rep_1d = jf.solve_power_1d(jump_1d, utility)
+    rep_1d = jf.solve_power_equal(jump_1d, utility)
     rep_nd = jf.solve_power_equal(jump_1d, utility)
     assert np.max(np.abs(rep_1d.strategy.pi - rep_nd.strategy.pi)) < 1e-8
     assert rep_nd.J_star == pytest.approx(rep_1d.J_star, rel=1e-10)
@@ -366,7 +366,7 @@ def test_rho_path_flat_growth():
 
 def test_rho_path_ode_residual(jump_1d):
     utility = jf.UtilitySpec.equal(0.5)
-    rep = jf.solve_power_1d(jump_1d, utility)
+    rep = jf.solve_power_equal(jump_1d, utility)
     grid = jump_1d.grid
     rho, h = rep.rho, rep.h_star
     dt = grid.dt[0]
@@ -386,7 +386,7 @@ def test_v_star_flat_growth_and_identities(jump_1d):
 
     fine = make_model(n=512, mu=0.055, sigma=0.3, lam=0.8,
                       jump=jf.JumpDist.point_masses([0.03, 0.10], [0.6, 0.4]))
-    rep = jf.solve_power_1d(fine, utility)
+    rep = jf.solve_power_equal(fine, utility)
     gq = rep.g ** utility.q
     cum = cumtrapz(fine.grid, gq)
     tail = cum[-1] - cum
@@ -450,8 +450,8 @@ def test_V_integral(jump_1d):
 def _jump_and_diffusion(model, utility):
     """The one-asset optima with jumps and with jumps switched off, the two
     solves that `jumpfolio compare` writes."""
-    return (jf.solve_power_1d(model, utility),
-            jf.solve_power_1d(model.without_jumps(), utility))
+    return (jf.solve_power_equal(model, utility),
+            jf.solve_power_equal(model.without_jumps(), utility))
 
 
 def test_compare_merton_no_jumps_identical():
