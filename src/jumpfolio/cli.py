@@ -565,6 +565,9 @@ def main(argv=None) -> int:
             ("out", args.out), ("paths", args.paths), ("seed", args.seed),
             ("negjump_method", args.negjump_method)) if v is not None}
         config = load_config(args.config, overrides)
+        out = config.out_dir
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ConfigError(f"cannot write {out}: not a directory")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(config, args)
     except ConfigError as exc:

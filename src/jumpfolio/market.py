@@ -180,8 +180,9 @@ class JumpDist:
     @classmethod
     def from_density(cls, pdf, lo: float, hi: float) -> "JumpDist":
         """Tabulate a density on [lo, hi] at Gauss-Legendre nodes."""
-        if not (-1.0 < lo < hi):
-            raise UnsupportedSupport("density support must lie in (-1, inf)")
+        if not (-1.0 < lo < hi < math.inf):
+            raise UnsupportedSupport(
+                "density support must lie in (-1, inf) and be finite")
         x, gw = np.polynomial.legendre.leggauss(GL_NODES_DEFAULT)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         z = mid + half * x

@@ -279,7 +279,7 @@ def test_criterion_7_certificates():
         slack = slack_path(cert.report.strategy, model, risk)
         worst_slack = min(worst_slack, float(slack.min()))
     active_cert = jf.certify(instances[0][0], utility,
-                                       jf.RiskSpec("var", 0.05, 0.05))
+                             jf.RiskSpec("var", 0.05, 0.05))
     ok = (inactive_count == len(instances) and worst_slack >= -1e-10
           and active_cert.active)
     _report("criterion 7 (inactivity certificates)", ok,

@@ -22,6 +22,7 @@ import pytest
 import jumpfolio as jf
 
 from conftest import make_model
+from test_unused_imports import PACKAGE, read_names
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -138,6 +139,31 @@ def test_a_renamed_keyword_fails_to_bind():
     assert refused.startswith("constrained.solve_es_gamma1:")
     assert "forced" in refused
     assert _unbound_calls("jf.UtilitySpec(0.5, 0.5, 0.5)\n")
+
+
+# module aliases that only the benchmark reads, with the one function
+# each names; when bench/ stops reading an alias, this fails, and the
+# alias goes (ROADMAP item 10)
+BENCH_ONLY_ALIASES = {
+    ("constrained", "solve_var_gamma1"): "solve_gamma1",
+    ("constrained", "solve_es_gamma1"): "solve_gamma1",
+    ("constrained", "certify_var_gamma"): "certify",
+    ("constrained", "certify_es_gamma"): "certify",
+    ("unconstrained", "solve_power_1d"): "solve_power_equal",
+}
+
+
+@pytest.mark.parametrize("module, alias", sorted(BENCH_ONLY_ALIASES))
+def test_an_alias_kept_for_the_benchmark_is_read_only_there(module, alias):
+    home = importlib.import_module(f"jumpfolio.{module}")
+    assert getattr(home, alias) is getattr(home,
+                                           BENCH_ONLY_ALIASES[module, alias])
+    assert (f"{module}.{alias}" in _workload_reads()
+            or (module, alias) in _traced())
+    assert not hasattr(jf, alias)
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if alias in read_names(path.read_text(encoding="utf-8"))]
+    assert not readers, readers
 
 
 def _is_diag(node):

@@ -199,18 +199,63 @@ def test_help_still_exits_0(capsys):
     assert "--config" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["solve", "certify", "simulate",
-                                     "verify", "compare"])
-def test_an_output_path_that_is_a_file_exits_1(tmp_path, capsys, command):
+def _refuse_before_work(tmp_path, capsys, monkeypatch, command, below):
+    """Run command with --out naming a file, or a path below one, and
+    check that it exits 1 before any solver runs and leaves the file."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    for solver in ("jumpfolio.negjumps.adjusted_solve",
+                   "jumpfolio.constrained.certify",
+                   "jumpfolio.unconstrained.solve_power_equal"):
+        monkeypatch.setattr(solver, no_work)
     gamma = 1.0 if command in ("solve", "simulate", "verify") else 0.5
     cfg, out = write_config(tmp_path, g1=gamma, g2=gamma)
     out.write_text("not a directory")
-    assert main([command, "--config", str(cfg), "--paths", "200"]) == 1
-    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    target = out / "sub" if below else out
+    assert main([command, "--config", str(cfg), "--paths", "200",
+                 "--out", str(target)]) == 1
+    [line] = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(line)
     assert error["error"] == "parse_error"
     assert error["type"] == "ConfigError"
-    assert str(out) in error["message"]
+    assert str(target) in error["message"]
     assert out.read_text() == "not a directory"
+
+
+COMMAND_NAMES = ["solve", "certify", "simulate", "verify", "compare"]
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_an_output_path_that_is_a_file_exits_1(tmp_path, capsys, monkeypatch,
+                                               command):
+    _refuse_before_work(tmp_path, capsys, monkeypatch, command, below=False)
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_an_output_path_below_a_file_exits_1(tmp_path, capsys, monkeypatch,
+                                             command):
+    _refuse_before_work(tmp_path, capsys, monkeypatch, command, below=True)
+
+
+@pytest.mark.parametrize("error_type", [FloatingPointError, OverflowError])
+def test_a_floating_point_error_exits_2_as_out_of_range(tmp_path, capsys,
+                                                       monkeypatch,
+                                                       error_type):
+    # the safety net for a float error that no solver turned into a
+    # typed refusal
+    def overflow(*args, **kwargs):
+        raise error_type("overflow encountered")
+
+    monkeypatch.setattr("jumpfolio.negjumps.adjusted_solve", overflow)
+    cfg, out = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "condition_violation"
+    assert error["type"] == "OutOfRange"
+    assert "overflow encountered" in error["message"]
+    assert not out.exists()
 
 
 def test_condition_violation_exits_2(tmp_path):
@@ -478,14 +523,17 @@ def test_uniform_density_jump_config(tmp_path):
 
 @pytest.mark.parametrize("law", ["kind = uniform\nsupport = 0.05, 0.05",
                                  "kind = uniform\nsupport = 0.05",
-                                 "kind = points\npoints ="],
-                         ids=["zero_width", "one_bound", "no_pairs"])
+                                 "kind = points\npoints =",
+                                 "kind = uniform\nsupport = -0.1, inf"],
+                         ids=["zero_width", "one_bound", "no_pairs",
+                              "infinite_bound"])
 def test_malformed_jump_law_exits_1(tmp_path, capsys, law):
     cfg, out = write_config(tmp_path, g1=0.5, g2=0.5, kind="none")
     cfg.write_text(cfg.read_text().replace(
         "kind = points\npoints = 0.04:1.0", law))
     assert main(["solve", "--config", str(cfg)]) == 1
-    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    [line] = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(line)
     assert error["error"] == "parse_error"
     assert error["type"] == "ConfigError"
     assert not out.exists()

@@ -284,7 +284,7 @@ def test_es_proof_function_minimized_at_full_radius(gamma1_model):
 
 def test_certify_var_near_one_kappa_inactive(jump_1d, equal_utility):
     cert = jf.certify(jump_1d, equal_utility,
-                                jf.RiskSpec("var", 0.05, 0.999))
+                      jf.RiskSpec("var", 0.05, 0.999))
     assert not cert.active
     assert cert.kappa_range[0] <= 0.999 < cert.kappa_range[1]
 
@@ -299,7 +299,7 @@ def test_certify_var_inactive_implies_direct_feasibility(jump_1d, equal_utility)
 
 def test_certify_var_active_for_small_kappa(jump_1d, equal_utility):
     cert = jf.certify(jump_1d, equal_utility,
-                                jf.RiskSpec("var", 0.05, 0.05))
+                      jf.RiskSpec("var", 0.05, 0.05))
     assert cert.active
 
 
@@ -330,7 +330,7 @@ def test_certify_es_jump_aggregate_sign(equal_utility):
                        jump=jf.JumpDist.point_masses([0.04], [1.0]))
     assert np.min(theta_hat_path(model)) >= 0
     cert = jf.certify(model, equal_utility,
-                               jf.RiskSpec("es", 0.05, 0.8))
+                      jf.RiskSpec("es", 0.05, 0.8))
     assert cert.diagnostics["M_hat_theta_T"] <= 1e-15
     assert cert.diagnostics["cross_term_correction"] == 0.0
 
@@ -339,7 +339,7 @@ def test_certify_es_level_condition():
     model = make_model(mu=0.30, r=0.02, sigma=0.3, lam=0.0)
     with pytest.raises(ConditionViolated):
         jf.certify(model, jf.UtilitySpec.equal(0.5),
-                            jf.RiskSpec("es", 0.05, 0.9))
+                   jf.RiskSpec("es", 0.05, 0.9))
 
 
 def test_certify_rejects_negative_jumps(mixed_jump_1d, equal_utility):

@@ -122,6 +122,13 @@ def test_jump_dist_validation():
         jf.JumpDist.from_density(lambda z: 3.0 * np.ones_like(z), 0.0, 1.0)
 
 
+def test_density_support_must_be_finite():
+    # an infinite upper bound is refused before the Gauss-Legendre nodes,
+    # which it would turn into inf and nan
+    with pytest.raises(UnsupportedSupport, match="be finite"):
+        jf.JumpDist.from_density(lambda z: np.ones_like(z), -0.1, np.inf)
+
+
 def test_singular_sigma_rejected():
     from jumpfolio.errors import SingularSigma
     grid = jf.TimeGrid.uniform(1.0, 5)

@@ -163,7 +163,7 @@ def test_adjusted_es_solve_feasible(mixed_jump_1d):
     assert jf.slack_path(rep.strategy, mixed_jump_1d, risk).min() >= -1e-10
     with pytest.raises(KappaOutOfRange):
         jf.solve_gamma1(mixed_jump_1d, jf.RiskSpec("es", 0.25, 0.05,
-                                                      "thinning"))
+                                                   "thinning"))
 
 
 def test_adjusted_solve_certificate_path(mixed_jump_1d):
@@ -300,6 +300,39 @@ _BOX_CASE = dict(n=65, horizon=2.0, r=0.02, mu=[(0.25, 0.25)],
 # often enough to be checked
 _MILD = dict(atoms=(-0.05, 0.2), lam_max=0.5, mu=(0.03, 0.1), beta_max=0.2)
 
+# fixed markets, with (beta, method, high kappa, low kappa): under either
+# kind of limit, gamma = 1 and equal gamma 0.5 (certified) answer at the
+# high kappa, and gamma = 1 and gammas (0.3, 0.7) answer at the low one;
+# so the answer floors below hold whatever the draws
+_FIXED_MARKETS = [
+    (dict(n=9, horizon=1.3, r=0.036, mu=[(0.067, 0.069)], sigma=[[0.35]],
+          jumps=[(0.31, [0.088, 0.118, -0.002])]),
+     (0.198, "paper", 0.95, 0.2)),
+    (dict(n=17, horizon=0.59, r=0.017, mu=[(0.095, 0.092)], sigma=[[0.34]],
+          jumps=[(0.23, [0.117])]),
+     (0.173, "off", 0.95, 0.05)),
+    (dict(n=9, horizon=1.52, r=0.027, mu=[(0.052, 0.065)], sigma=[[0.13]],
+          jumps=[(0.02, [0.069, 0.158, -0.045])]),
+     (0.116, "thinning", 0.95, 0.05)),
+    (dict(n=9, horizon=1.87, r=0.023, mu=[(0.061, 0.061), (0.049, 0.087)],
+          sigma=[[0.33, 0.0], [-0.16, 0.28]],
+          jumps=[(0.24, [0.04]), (0.05, [-0.012, 0.132])]),
+     (0.091, "thinning", 0.95, 0.05)),
+    (dict(n=9, horizon=1.71, r=0.026, mu=[(0.085, 0.091), (0.089, 0.04)],
+          sigma=[[0.55, 0.0], [-0.15, 0.47]],
+          jumps=[(0.02, [-0.017, 0.105]), (0.16, [0.092])]),
+     (0.052, "thinning", 0.95, 0.05)),
+]
+
+
+def _with_examples(arguments):
+    """Add one hypothesis example per tuple of arguments."""
+    def apply(test):
+        for args in arguments:
+            test = example(*args)(test)
+        return test
+    return apply
+
 
 def _branch(report) -> str:
     """The constrained branch of adjusted_solve that gave the report, with
@@ -374,6 +407,14 @@ def test_adjusted_solve_refuses_or_returns_a_feasible_strategy():
     @given(solve_cases(), solve_cases(**_MILD, optional_limit=False),
            st.floats(0.05, 0.95), st.floats(0.05, 0.45), st.floats(0.55, 0.95))
     @example(_BOX_CASE, _BOX_CASE, 0.5, 0.3, 0.7)
+    # per fixed market and kappa: a case under an ES limit, certified at
+    # the high kappa and distinct gamma at the low one, and the market
+    # under a VaR limit
+    @_with_examples([
+        (dict(market, gammas=gammas, risk=("es", beta, kappa, method)),
+         dict(market, risk=("var", beta, kappa, method)), 0.5, 0.3, 0.7)
+        for market, (beta, method, high, low) in _FIXED_MARKETS
+        for gammas, kappa in (((0.5, 0.5), high), ((0.3, 0.7), low))])
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     def run(case, mild, gamma, gamma1, gamma2):
@@ -446,6 +487,13 @@ def test_solves_obey_the_metamorphic_relations():
     @given(solve_cases(**_MILD), solve_cases(**_MILD, optional_limit=False),
            st.floats(0.05, 0.95), st.floats(0.05, 0.45), st.floats(0.55, 0.95),
            st.floats(0.1, 10.0), st.permutations(range(3)))
+    # per fixed market: a distinct-gamma case at the low kappa, and a VaR
+    # limit at the high kappa, which the equal gamma also meets as ES
+    @_with_examples([
+        (dict(market, gammas=(0.3, 0.7), risk=("var", beta, low, method)),
+         dict(market, risk=("var", beta, high, method)), 0.5, 0.3, 0.7,
+         2.0, [2, 0, 1])
+        for market, (beta, method, high, low) in _FIXED_MARKETS])
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
     def run(case, limited, gamma, gamma1, gamma2, c, order):
