@@ -335,58 +335,53 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     of the box stay there; the others take the full Newton step on their
     block of the Hessian -(1 - gamma) sigma sigma' + diag Q'(pi), clipped
     to the box, until the free gradient passes the relative test of
-    _NEWTON_TOL; after _MAX_ITER steps NoConvergence is raised.  Returns
-    y, pi, the growth rate h*, exp(int h*) and the diagnostics
-    foc_residual, the largest max |sigma^{-1} P(g)| over nodes (P zeroes
-    the components held at a bound), iterations and boundary_clipped.
+    _NEWTON_TOL; after _MAX_ITER steps NoConvergence is raised.  All
+    distinct nodes step together; a node that passed holds still.  Returns
+    y, pi, the growth rate h*, exp(int h*) and the diagnostics foc_residual,
+    max |sigma^{-1} P(g)| over nodes at the last iterate (P zeroes the
+    components held at a bound), iterations and boundary_clipped.
     OutOfRange is raised where exp(int h*) overflows or underflows to 0.
     """
     c, jumps = model.coeffs, model.jumps
     first, node = node_map(model)
     excess = c.mu[first] - c.r[first, None]
     sigma = c.sigma[first]
-    m, d = excess.shape
     cov = (1.0 - gamma) * sigma @ sigma.transpose(0, 2, 1)
-    sigma_inv = np.linalg.inv(sigma)
-    diag = np.arange(d)
+    diag = np.arange(excess.shape[1])
 
-    def evaluate(rows, pi):
+    def evaluate(pi):
         q, dq, q_size = jump_terms_path(jumps, pi, gamma)
-        cov_pi = np.einsum("nij,nj->ni", cov[rows], pi)
-        g = excess[rows] - cov_pi + q
+        g = excess - np.einsum("nij,nj->ni", cov, pi) + q
         held = ((pi == 0.0) & (g <= 0.0)) | ((pi == 1.0) & (g >= 0.0))
         pg = np.where(held, 0.0, g)
-        size = (np.abs(excess[rows]) + q_size
-                + np.einsum("nij,nj->ni", np.abs(cov[rows]), pi))
+        size = np.abs(excess) + q_size + np.einsum("nij,nj->ni", np.abs(cov), pi)
         done = np.all(np.abs(pg) <= _NEWTON_TOL * size, axis=1)
-        kkt = np.einsum("nij,nj->ni", sigma_inv[rows], pg)
-        return g, dq, held, np.max(np.abs(kkt), axis=1), done
+        return pg, dq, held, done
 
     pi = np.clip(np.linalg.solve(cov, excess[..., None])[..., 0], 0.0, 1.0)
-    g, dq, held, res, done = evaluate(np.arange(m), pi)
+    pg, dq, held, done = evaluate(pi)
     iterations = 0
-    while not np.all(done):
-        if iterations == _MAX_ITER:
-            raise NoConvergence(
-                "projected Newton stopped at first-order residual "
-                f"{res.max():.3e} after {_MAX_ITER} iterations")
+    while not np.all(done) and iterations < _MAX_ITER:
         iterations += 1
-        rows = np.flatnonzero(~done)
-        free = ~held[rows]
-        # held rows and columns become -identity, so their step is 0
-        hess = np.where(free[:, :, None] & free[:, None, :], -cov[rows], 0.0)
-        hess[:, diag, diag] += np.where(free, dq[rows], -1.0)
-        rhs = np.where(free, -g[rows], 0.0)
-        step = np.linalg.solve(hess, rhs[..., None])[..., 0]
-        pi[rows] = np.clip(pi[rows] + step, 0.0, 1.0)
-        for old, value in zip((g, dq, held, res, done),
-                              evaluate(rows, pi[rows])):
-            old[rows] = value
+        # held components and passed nodes become -identity: their step is 0
+        free = ~held & ~done[:, None]
+        hess = np.where(free[:, :, None] & free[:, None, :], -cov, 0.0)
+        hess[:, diag, diag] += np.where(free, dq, -1.0)
+        rhs = np.where(free, -pg, 0.0)
+        pi = np.clip(pi + np.linalg.solve(hess, rhs[..., None])[..., 0],
+                     0.0, 1.0)
+        pg, dq, held, done = evaluate(pi)
+    kkt = np.einsum("nij,nj->ni", np.linalg.inv(sigma), pg)
+    foc_residual = float(np.max(np.abs(kkt)))
+    if not np.all(done):
+        raise NoConvergence(
+            "projected Newton stopped at first-order residual "
+            f"{foc_residual:.3e} after {_MAX_ITER} iterations")
     pi = pi[node]
     y = np.einsum("nji,nj->ni", c.sigma, pi)
     h = growth_rate_path(model, gamma, y, pi)
     diagnostics = {
-        "foc_residual": float(res.max()),
+        "foc_residual": foc_residual,
         "iterations": iterations,
         "boundary_clipped": bool(np.any((pi == 0.0) | (pi == 1.0))),
     }
