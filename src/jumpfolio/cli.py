@@ -320,6 +320,9 @@ def load_strategy_csv(path, model: MarketModel) -> Strategy:
         raise ConfigError(f"strategy file needs {2 * d + 2} columns")
     if data.shape[0] != model.grid.n:
         raise ConfigError("strategy file rows do not match the grid")
+    nodes = model.grid.nodes
+    if not np.all(np.abs(data[:, 0] - nodes) <= 1e-12 * nodes[-1]):
+        raise ConfigError("strategy file times do not match the grid")
     return Strategy(model.grid, data[:, 1:1 + d], data[:, 1 + d:1 + 2 * d],
                     data[:, -1])
 

@@ -70,7 +70,9 @@ def slack_path(strategy: Strategy, model: MarketModel,
                risk: RiskSpec) -> np.ndarray:
     """Slack of the transformed constraint of the risk spec's kind, VaR or
     ES, at every node (>= 0 is ok); a stack of strategies gives one slack
-    path per candidate, with the candidate axes in front."""
+    path per candidate, with the candidate axes in front.  A strategy that
+    does not fit the model (see Strategy.check_fit) raises InvalidStrategy."""
+    strategy.check_fit(model.grid, model.d)
     lev = effective_level(model, risk)
     ynorm, V = strategy.y_norm_path(), strategy.V
     ip = inner_product_path(model.grid, strategy.y, theta_hat_path(model))

@@ -89,6 +89,10 @@ class TimeGrid:
         """Interval lengths, shape (n - 1,); computed once, read-only."""
         return _frozen(np.diff(self.nodes))
 
+    def same_as(self, other: "TimeGrid") -> bool:
+        """Whether other is this grid: the same object or equal nodes."""
+        return other is self or np.array_equal(other.nodes, self.nodes)
+
 
 def cumtrapz(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral along the grid, starting at 0.

@@ -347,8 +347,9 @@ def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
     C-ordered copy of the whole matrix.  A v that is zero everywhere skips
     the integral, whose terms are then +-0 and add nothing to a finite
     W_T^gamma2.  Needs at least 2 paths for the standard error, else
-    raises OutOfRange.
+    raises OutOfRange; a strategy on another grid raises InvalidStrategy.
     """
+    strategy.check_fit(ensemble.grid)
     n = ensemble.n_paths
     if n < 2:
         raise OutOfRange(f"a cost estimate needs at least 2 paths, got {n}")
@@ -374,7 +375,9 @@ def constraint_profile(source, model: MarketModel, risk: RiskSpec,
 
     Pass a PathEnsemble for the empirical profile at the original level, a
     NodeStats for its streamed version, or a Strategy for the closed-form
-    jump-free profile (the transform the solvers bind against).
+    jump-free profile (the transform the solvers bind against).  An
+    ensemble on another grid, or node statistics of another length, raise
+    OutOfRange.
     """
     check_initial_wealth(x)
     R = R_path(model)
@@ -387,8 +390,12 @@ def constraint_profile(source, model: MarketModel, risk: RiskSpec,
     if isinstance(source, NodeStats):
         if source.beta != risk.beta:
             raise OutOfRange("NodeStats level differs from the risk spec")
+        if source.q_beta.shape != R.shape:
+            raise OutOfRange("NodeStats and model differ in node count")
         tail_value = source.q_beta if var else source.tail_mean
     else:
+        if not model.grid.same_as(source.grid):
+            raise OutOfRange("the ensemble is on another time grid")
         tail = empirical_lower_quantile if var else empirical_shortfall
         tail_value = np.array([tail(column, risk.beta)
                                for column in source.wealth.T])

@@ -159,13 +159,21 @@ class Strategy:
     def y_norm_path(self) -> np.ndarray:
         return np.sqrt(self.y_norm_sq)
 
+    def check_fit(self, grid: TimeGrid, d: int | None = None) -> None:
+        """Raise InvalidStrategy unless the strategy lives on grid (the same
+        object, else equal nodes) and, where d is given, has d assets."""
+        if not grid.same_as(self.grid):
+            raise InvalidStrategy("the strategy is on another time grid")
+        if d is not None and self.d != d:
+            raise InvalidStrategy(f"strategy and model shapes disagree: "
+                                  f"{self.d} assets against {d}")
+
     def validate(self, model: MarketModel) -> None:
         """Check admissibility against a model; raises InvalidStrategy,
         also for a stack of candidates."""
         if self.y.ndim != 2 or self.v.ndim != 1:
             raise InvalidStrategy("expected one strategy, got a stack")
-        if self.d != model.d or self.grid.n != model.grid.n:
-            raise InvalidStrategy("strategy and model shapes disagree")
+        self.check_fit(model.grid, model.d)
         if not all(np.all(np.isfinite(a)) for a in (self.y, self.pi, self.v)):
             raise InvalidStrategy("y, pi and v must be finite")
         if not _in_box(self.pi):
@@ -253,9 +261,11 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
     A float for one strategy, an array over the candidate axes for a stack.
     The cumulative integrals of (y, theta) and of sum_j K_j, once per
     distinct gamma, are one stacked cumtrapz; V and ||y||_t^2 are the
-    strategy's own.
+    strategy's own.  A strategy that does not fit the model (see
+    Strategy.check_fit) raises InvalidStrategy.
     """
     check_initial_wealth(x)
+    strategy.check_fit(model.grid, model.d)
     grid = model.grid
     g1, g2 = utility.gamma1, utility.gamma2
     R, V, ysq = R_path(model), strategy.V, strategy.y_norm_sq

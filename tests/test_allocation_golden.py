@@ -13,13 +13,16 @@ CPU the suite runs on.
 
 The two-regime market also checks the node map: the allocation is solved
 once per distinct coefficient sample, so each node must read, bit for
-bit, the answer of the constant market of its regime.
+bit, the answer of the constant market of its regime.  Drawn regime
+markets check the same up to a few ulps (see
+`test_drawn_regime_nodes_match_their_constant_market`).
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jumpfolio as jf
 from jumpfolio.market import node_map
@@ -153,3 +156,61 @@ def test_node_map_is_read_only():
             kept[0] = 1
     assert node_map(ramp_market(1))[0].tolist() == list(range(N))
     assert node_map(regime_market(1, 0))[0].tolist() == [0]
+
+
+def _drawn_regime_market(seed):
+    """A market of 2-4 constant regimes on N nodes, in d <= 3 assets with
+    jumps that include negative atoms, and the constant market of each
+    regime on the same grid."""
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    grid = jf.TimeGrid.uniform(float(rng.uniform(0.5, 3.0)), N)
+    lams, dists = rng.uniform(0.2, 1.5, d), []
+    for _ in range(d):
+        atoms = rng.uniform(-0.5, 0.4, int(rng.integers(1, 4)))
+        atoms[0] = -abs(atoms[0])
+        dists.append(jf.JumpDist.point_masses(
+            list(atoms), list(rng.dirichlet(np.ones(atoms.size)))))
+    jumps = jf.JumpSpec(lams, tuple(dists))
+    starts = np.sort(rng.choice(np.arange(1, N), k - 1, replace=False))
+    constants = []
+    for _ in range(k):
+        r = rng.uniform(0.005, 0.05)
+        sigma = np.triu(rng.uniform(-0.1, 0.1, (d, d)), 1)
+        sigma[np.diag_indices(d)] = rng.uniform(0.1, 0.5, d)
+        constants.append(jf.CoefficientPath.constant(
+            grid, r, list(r + rng.uniform(-0.05, 0.3, d)), sigma.tolist()))
+    regime = np.searchsorted(starts, np.arange(N), side="right")
+    coeffs = jf.CoefficientPath(*(
+        np.stack([getattr(constants[j], name)[n]
+                  for n, j in enumerate(regime)])
+        for name in ("r", "mu", "sigma")))
+    return (jf.MarketModel(grid, coeffs, jumps), starts, regime,
+            [jf.MarketModel(grid, c, jumps) for c in constants])
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.2, 0.8))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+def test_drawn_regime_nodes_match_their_constant_market(seed, gamma):
+    """Each node of a drawn regime market reads the answer of the constant
+    market of its regime, in pi to 1e-15 and in h* to 1e-14 relative, and
+    the batch takes as many iterations as its slowest regime.
+
+    Not bit for bit: `market.jump_terms_path` contracts the atoms with
+    `(rows, atoms) @ w`, which numpy rounds one way for a single row (the
+    constant market's one distinct node) and another for several (the
+    regime market's k), so a node can move by a few ulps with the number
+    of nodes that share its Newton batch."""
+    model, starts, regime, constants = _drawn_regime_market(seed)
+    first, node = node_map(model)
+    assert first.tolist() == [0] + starts.tolist()
+    assert node.tolist() == regime.tolist()
+    _, pi, h, _, diagnostics = _optimal_allocation(model, gamma)
+    iterations = []
+    for j, constant in enumerate(constants):
+        _, pi_j, h_j, _, diag_j = _optimal_allocation(constant, gamma)
+        part = regime == j
+        np.testing.assert_allclose(pi[part], pi_j[part], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(h[part], h_j[part], rtol=1e-14, atol=0)
+        iterations.append(diag_j["iterations"])
+    assert diagnostics["iterations"] == max(iterations)

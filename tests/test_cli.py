@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import jumpfolio as jf
-from jumpfolio.cli import _write_rows, config_text, load_config, main
+from jumpfolio.cli import (
+    _write_rows,
+    config_text,
+    load_config,
+    load_strategy_csv,
+    main,
+)
 from jumpfolio.errors import ConditionViolated, OutOfRange
 from jumpfolio.market import GL_NODES_DEFAULT, R_path
 
@@ -236,6 +242,18 @@ def test_an_output_path_that_is_a_file_exits_1(tmp_path, capsys, monkeypatch,
 def test_an_output_path_below_a_file_exits_1(tmp_path, capsys, monkeypatch,
                                              command):
     _refuse_before_work(tmp_path, capsys, monkeypatch, command, below=True)
+
+
+def test_an_output_file_that_is_a_directory_exits_1(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, g1=0.5, g2=0.5)
+    (out / "report.csv").mkdir(parents=True)
+    assert main(["certify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.strip().splitlines()
+    error = json.loads(line)
+    assert (error["error"], error["type"]) == ("parse_error", "ConfigError")
+    assert f"cannot write {out / 'report.csv'}" in error["message"]
+    assert "wrote" not in captured.out
 
 
 @pytest.mark.parametrize("error_type", [FloatingPointError, OverflowError])
@@ -688,3 +706,18 @@ def test_unreadable_strategy_file_exits_1(tmp_path, capsys, body, message):
     assert error["type"] == "ConfigError"
     assert message in error["message"]
     assert not out.exists()
+
+
+def test_a_strategy_file_on_another_horizon_exits_1(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    strategy = out / "strategy.csv"
+    # the writer's 17 digits reload its own times exactly
+    load_strategy_csv(strategy, load_config(cfg).model)
+    cfg.write_text(cfg.read_text().replace("horizon = 1.0", "horizon = 5.0"))
+    assert main(["verify", "--config", str(cfg),
+                 "--strategy", str(strategy)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (error["error"], error["type"]) == ("parse_error", "ConfigError")
+    assert "times do not match" in error["message"]
+    assert not (out / "verify.csv").exists()

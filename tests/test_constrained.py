@@ -254,6 +254,14 @@ def test_rho_es_doubles_its_bracket_past_one():
     assert abs(psi - math.log(0.05)) < 1e-12
 
 
+def test_rho_es_refuses_a_radius_beyond_its_bracket():
+    # ||theta||_T is about 1e60, so the ES radius lies beyond 2^200
+    model = make_model_2d(n=33, mu=(1.02, 0.52),
+                          sigma=((1e-60, 0.0), (0.0, 1e60)))
+    with pytest.raises(ConditionViolated, match="could not bracket"):
+        jf.solve_gamma1(model, jf.RiskSpec("es", 0.05, 0.2), force=True)
+
+
 def test_rho_es_condition_violated():
     model = make_model(mu=0.30, r=0.02, sigma=0.3, lam=0.0)
     with pytest.raises(ConditionViolated):

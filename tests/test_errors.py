@@ -1,5 +1,6 @@
 """Bad input to the model, spec and strategy constructors, a strategy that
-does not fit its model, a NaN level, time, wealth or threshold given to the
+does not fit its model (another grid, node count or asset count), an
+ensemble or node statistics from another grid, a NaN level, time, wealth or threshold given to the
 level adjustment or the tail statistics, a negative norm or a level outside
 (0, 1) given to the closed-form tail functions, and a gamma = 1 radius asked
 of a market whose drift equals the rate, raises a typed error.
@@ -33,9 +34,26 @@ def _coeffs(n=3, r=None, mu=None):
 ONE = (jf.JumpDist.degenerate(),)
 
 
-def _tiny_model():
-    return jf.MarketModel(jf.TimeGrid.uniform(1.0, 3), _coeffs(),
+def _tiny_model(n=3, horizon=1.0):
+    return jf.MarketModel(jf.TimeGrid.uniform(horizon, n), _coeffs(n),
                           jf.JumpSpec.none(1))
+
+
+def _two_asset_model():
+    coeffs = jf.CoefficientPath(np.zeros(3), np.full((3, 2), 0.05),
+                                np.tile(0.3 * np.eye(2), (3, 1, 1)))
+    return jf.MarketModel(jf.TimeGrid.uniform(1.0, 3), coeffs,
+                          jf.JumpSpec.none(2))
+
+
+def _consuming(n=3, horizon=1.0):
+    """One riskless asset, consumption at rate 0.1, on its own grid."""
+    return jf.Strategy(jf.TimeGrid.uniform(horizon, n), np.zeros((n, 1)),
+                       np.zeros((n, 1)), np.full(n, 0.1))
+
+
+VAR = jf.RiskSpec("var", 0.05, 0.1)
+EQUAL = jf.UtilitySpec.equal(0.5)
 
 
 def _path(value, d=1):
@@ -51,10 +69,15 @@ def _validate(strategy):
     strategy.validate(_tiny_model())
 
 
-def _node_stats(beta=0.05, thresholds=None):
-    model = _tiny_model()
+def _node_stats(beta=0.05, thresholds=None, n=3):
+    model = _tiny_model(n)
     return jf.simulate_node_stats(model, jf.Strategy.riskless(model), 1.0,
                                   beta, 100, 1, thresholds=thresholds)
+
+
+def _ensemble(n):
+    model = _tiny_model(n)
+    return jf.simulate(model, jf.Strategy.riskless(model), 1.0, 4, 1)
 
 
 def _profile_at(x):
@@ -139,6 +162,31 @@ SITES = {
     "validate_dimension": (lambda: _validate(_strategy(_path(0.0, 2),
                                                        _path(0.0, 2))),
                            "shapes disagree", InvalidStrategy),
+    "fit_cost_nodes": (lambda: jf.cost_function(
+        _tiny_model(), EQUAL, _consuming(5), 1.0), "another time grid",
+        InvalidStrategy),
+    "fit_cost_grid": (lambda: jf.cost_function(
+        _tiny_model(), EQUAL, _consuming(horizon=2.0), 1.0),
+        "another time grid", InvalidStrategy),
+    "fit_cost_assets": (lambda: jf.cost_function(
+        _two_asset_model(), EQUAL, _consuming(), 1.0), "shapes disagree",
+        InvalidStrategy),
+    "fit_slack_nodes": (lambda: jf.slack_path(_consuming(5), _tiny_model(),
+                                              VAR),
+                        "another time grid", InvalidStrategy),
+    "fit_slack_assets": (lambda: jf.slack_path(_consuming(),
+                                               _two_asset_model(), VAR),
+                         "shapes disagree", InvalidStrategy),
+    "fit_simulate_grid": (lambda: jf.simulate(
+        _tiny_model(), _consuming(horizon=2.0), 1.0, 4, 1),
+        "another time grid", InvalidStrategy),
+    "fit_estimate_cost": (lambda: jf.estimate_cost(_ensemble(5), _consuming(),
+                                                   EQUAL),
+                          "another time grid", InvalidStrategy),
+    "fit_profile_ensemble": (lambda: jf.constraint_profile(
+        _ensemble(5), _tiny_model(), VAR, 1.0), "another time grid"),
+    "fit_profile_node_stats": (lambda: jf.constraint_profile(
+        _node_stats(n=5), _tiny_model(), VAR, 1.0), "node count"),
     "validate_consumption": (lambda: _validate(_strategy(
         _path(0.0), _path(0.0), np.array([0.1, -0.1, 0.1]))),
         "consumption rate", InvalidStrategy),
