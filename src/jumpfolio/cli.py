@@ -54,12 +54,7 @@ import numpy as np
 from scipy.stats import binom
 
 from . import constrained, negjumps, unconstrained
-from .simulate import (
-    estimate_cost,
-    grid_oracle,
-    simulate,
-    simulate_node_stats,
-)
+from .simulate import grid_oracle, simulate_node_stats
 from .errors import (
     ConditionViolated,
     ConfigError,
@@ -81,10 +76,12 @@ from .market import (
 from .riskmetrics import NegJumpMethod, RiskKind, RiskSpec
 from .unconstrained import SolveReport, Strategy, cost_function
 
-# Paths of the stored ensemble that verify's terminal-mean and cost checks
-# use.  Up to the cap it holds every path and the profile check counts from
-# it too; above, the profile check streams all the paths.
+# Paths of the streamed run that verify's terminal-mean and cost checks
+# use.  Up to the cap it holds every path and the profile check counts in
+# it too; above, a second streamed run counts all the paths.
 _FULL_ENSEMBLE_CAP = 20_000
+# Tail level of the node statistics of a config without a risk section.
+_NO_RISK_BETA = 0.05
 
 
 @dataclass
@@ -391,7 +388,7 @@ def cmd_certify(config: RunConfig, args) -> int:
 def cmd_simulate(config: RunConfig, args) -> int:
     report = negjumps.adjusted_solve(config.model, config.risk, config.utility,
                                      x=1.0, force=args.force)
-    beta = config.risk.beta if config.risk is not None else 0.05
+    beta = config.risk.beta if config.risk is not None else _NO_RISK_BETA
     stats = simulate_node_stats(config.model, report.strategy, 1.0, beta,
                                     config.n_paths, config.seed)
     out = config.out_dir
@@ -446,37 +443,37 @@ def _verify_checks(config: RunConfig, args) -> list:
 
     x = 1.0
     n_full = min(config.n_paths, _FULL_ENSEMBLE_CAP)
-    ensemble = simulate(model, strategy, x, n_full, config.seed)
+    thresholds, beta = None, _NO_RISK_BETA
+    if risk is not None:
+        thresholds = (1.0 - risk.kappa) * x * np.exp(R_path(model))
+        beta = risk.beta
+    stats = simulate_node_stats(model, strategy, x, beta, n_full,
+                                config.seed, thresholds, config.utility)
 
     # mean of terminal wealth against the closed form
     drift = inner_product_path(model.grid, strategy.y, theta_path(model))
     closed_mean = x * np.exp(R_path(model)[-1] - strategy.V[-1] + drift[-1])
-    sample = ensemble.wealth[:, -1]
-    se = float(sample.std(ddof=1) / np.sqrt(n_full))
-    lhs = float(sample.mean())
+    se = stats.terminal_std / np.sqrt(n_full)
+    lhs = float(stats.mean[-1])
     tol = 3 * se + 1e-12 * abs(closed_mean)   # floor for zero-variance runs
     checks.append(("terminal_mean_mc", lhs, float(closed_mean), tol,
                    abs(lhs - closed_mean) <= tol))
 
     # Monte Carlo cost against the exact cost
-    mc_cost, cost_se = estimate_cost(ensemble, strategy, config.utility)
+    mc_cost, cost_se = stats.cost
     exact = cost_function(model, config.utility, strategy, x)
     tol = 3 * cost_se + 1e-12 * abs(exact)
     checks.append(("cost_mc_match", mc_cost, exact, tol,
                    abs(mc_cost - exact) <= tol))
 
     if risk is not None:
-        thresholds = (1.0 - risk.kappa) * x * np.exp(R_path(model))
-        if n_full == config.n_paths:
-            # the streamed run would draw this same ensemble
-            below = np.count_nonzero(ensemble.wealth < thresholds, axis=0)
-        else:
-            below = simulate_node_stats(model, strategy, x, risk.beta,
+        if n_full < config.n_paths:
+            stats = simulate_node_stats(model, strategy, x, beta,
                                         config.n_paths, config.seed,
-                                        thresholds=thresholds).below
+                                        thresholds)
         band = float(binom.ppf(1.0 - 1e-3 / model.grid.n, config.n_paths,
                                risk.beta))
-        worst = float(below.max())
+        worst = float(stats.below.max())
         checks.append(("profile_within_level", worst, band, 0.0,
                        worst <= band))
 

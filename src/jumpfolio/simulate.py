@@ -35,9 +35,10 @@ the scheduling: it is bit-identical to a serial loop over the blocks and
 reproducible bit for bit from those three for a given numpy release.
 
 Storage is node-major: `PathEnsemble.wealth` is the transpose of an
-(N, n_paths) array, so writing or reading one node is contiguous.  A
-reader that works path by path copies a block of rows in C order first,
-as `estimate_cost` does.
+(N, n_paths) array, so writing or reading one node is contiguous.  Readers
+go node by node in time order: the Monte Carlo cost is accumulated one
+node at a time, over the stored rows by `estimate_cost` or inside the
+march by `simulate_node_stats`, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ from functools import partial
 import numpy as np
 
 from .constrained import _SLACK_TOL, slack_path
-from .errors import EmptyFeasibleSet, OutOfRange
+from .errors import EmptyFeasibleSet, InvalidStrategy, OutOfRange
 from .market import (
     MarketModel,
     R_path,
     UtilitySpec,
     inner_product_path,
     theta_hat_path,
-    trapz,
 )
 from .riskmetrics import (
     RiskKind,
@@ -89,8 +89,6 @@ _BUFFERS = 4
 # enough that a (rows, scales, nodes) cost array or a (rows, nodes, atoms)
 # jump array stays within it, one row at least.
 _ORACLE_BLOCK = 1 << 16
-# Elements of wealth per block of estimate_cost: whole rows, one at least.
-_COST_BLOCK = 1 << 17
 
 
 @dataclass
@@ -133,9 +131,9 @@ def _draw_block(rng, normals, jumps, counts) -> list:
     pi, z, cdf) of `jumps` gives an asset's lambda dt per interval, its pi
     at the rows + 1 nodes around them, and the atoms and cumulative weights
     of its law; a one-atom law draws no sizes.  Counts every jump in column
-    j of counts and returns, per asset, (bounds, path, factor): the jumps
-    of row r are the slice [bounds[r], bounds[r + 1]), each with its path
-    in the block and its log(1 + pi(t) xi).
+    j of counts, unless counts is None, and returns, per asset, (bounds,
+    path, factor): the jumps of row r are the slice [bounds[r], bounds[r +
+    1]), each with its path in the block and its log(1 + pi(t) xi).
     """
     rng.standard_normal(out=normals)
     n = normals.shape[1]
@@ -152,7 +150,8 @@ def _draw_block(rng, normals, jumps, counts) -> list:
         factor += np.repeat(pi[:-1], m)
         factor *= size
         np.log1p(factor, out=factor)
-        np.add.at(counts[:, j], path, 1)
+        if counts is not None:
+            np.add.at(counts[:, j], path, 1)
         marks.append((np.concatenate(([0], np.cumsum(m))), path, factor))
     return marks
 
@@ -175,11 +174,13 @@ def _ahead(pools, groups, depth: int):
 
 
 def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
-           seed: int, node_callback) -> np.ndarray:
+           seed: int, node_callback,
+           count_jumps: bool = True) -> np.ndarray | None:
     """Drive n_paths through the grid, calling node_callback(k, log_wealth).
 
     log_wealth is the (n_paths,) vector of log wealth at node k.  Returns
-    the per-asset jump-count totals.  The draw threads fill each group of
+    the (n_paths, d) per-asset jump counts, or None without count_jumps,
+    which draws the same.  The draw threads fill each group of
     intervals, block by block in each block's stream order (see the module
     docstring), into one of _BUFFERS normal buffers, where each block's
     part is contiguous, and return the jumps.  This thread turns each
@@ -197,7 +198,7 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
 
     jumps = [(j, lam * grid.dt, strategy.pi[:, j], z, _cumulative(w))
              for j, lam, z, w in model.jumps.active]
-    counts = np.zeros((n_paths, model.d), dtype=np.int64)
+    counts = np.zeros((n_paths, model.d), np.int64) if count_jumps else None
     rows = min(n_nodes - 1, max(1, _NORMALS_PER_DRAW // n_paths))
     buffers = [np.empty(rows * n_paths) for _ in range(_BUFFERS)]
     starts = range(0, n_paths, _BLOCK_PATHS)
@@ -214,8 +215,9 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
         for rng, lo, hi in share:
             normals = buffer[rows * lo:rows * lo + (stop - start) * (hi - lo)]
             normals = normals.reshape(stop - start, hi - lo)
+            block_counts = None if counts is None else counts[lo:hi]
             parts.append((slice(lo, hi), normals,
-                          _draw_block(rng, normals, group, counts[lo:hi])))
+                          _draw_block(rng, normals, group, block_counts)))
         return parts
 
     def groups():
@@ -270,9 +272,60 @@ def simulate(model: MarketModel, strategy: Strategy, x: float,
                         wealth=wealth, jump_counts=counts)
 
 
+class _PathCost:
+    """Each path's Monte Carlo cost, fed the wealth node by node in time
+    order: the trapezoid integral of (v W)^gamma1 over the grid plus
+    W_T^gamma2.
+
+    Node k adds dt_k (c_k + c_{k-1}) / 2, with c_k = (v_k W_k)^gamma1, to a
+    running sum: the operations of np.trapezoid over the node axis of the
+    node-major (N, n_paths) matrix, in its order, so the cost is
+    bit-identical to it.  (The sum starts from +0, which can change only
+    the sign of a zero integral, and adding W_T^gamma2 >= 0 erases that.)
+    A v that is zero everywhere skips the integral, whose terms are then
+    +-0.  Needs at least 2 paths for the standard error, else raises
+    OutOfRange.
+    """
+
+    def __init__(self, grid, v: np.ndarray, utility: UtilitySpec,
+                 n_paths: int):
+        if n_paths < 2:
+            raise OutOfRange(f"a cost estimate needs at least 2 paths, "
+                             f"got {n_paths}")
+        self.dt, self.v, self.utility = grid.dt, v, utility
+        self.last, self.consumes = grid.n - 1, bool(np.any(v))
+        self.c, self.prev = np.empty(n_paths), np.empty(n_paths)
+        self.total = np.zeros(n_paths)
+
+    def add(self, k: int, w: np.ndarray) -> None:
+        """Take node k's wealth; k runs 0, 1, ..., N - 1."""
+        if self.consumes:
+            c = np.multiply(self.v[k], w, out=self.c)
+            c **= self.utility.gamma1
+            if k:
+                # the term takes the buffer of c_{k-1}, which is then free
+                term = np.add(c, self.prev, out=self.prev)
+                term *= self.dt[k - 1]
+                term /= 2.0
+                self.total += term
+            self.c, self.prev = self.prev, c
+        if k == self.last:
+            self.total += w ** self.utility.gamma2
+
+    def estimate(self) -> tuple:
+        """(mean, standard error) over the paths, after the last node."""
+        total = self.total
+        return (float(total.mean()),
+                float(total.std(ddof=1) / math.sqrt(total.size)))
+
+
 @dataclass
 class NodeStats:
-    """Per-node tail statistics collected without storing paths."""
+    """Per-node tail statistics collected without storing paths.
+
+    cost (Monte Carlo mean and standard error, see `estimate_cost`) and
+    terminal_std (the sample standard deviation of W_T) are set when the
+    run was given a utility."""
 
     beta: float
     n_paths: int
@@ -282,6 +335,8 @@ class NodeStats:
     mean: np.ndarray
     below: np.ndarray | None  # counts of wealth strictly under thresholds
     thresholds: np.ndarray | None = None
+    cost: tuple | None = None
+    terminal_std: float | None = None
 
     def shortfall_standard_error(self) -> np.ndarray:
         """Influence-function standard error of the tail mean per node."""
@@ -295,40 +350,56 @@ class NodeStats:
 
 def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
                         beta: float, n_paths: int, seed: int,
-                        thresholds: np.ndarray | None = None) -> NodeStats:
+                        thresholds: np.ndarray | None = None,
+                        utility: UtilitySpec | None = None) -> NodeStats:
     """Stream the ensemble node by node, keeping only tail statistics.
 
     Memory stays O(n_paths) regardless of the grid size, and the draws are
-    bit-identical to simulate() with the same seed.  `thresholds`, one
-    finite, nonnegative wealth level per node, adds the count of paths
-    strictly below it.
+    bit-identical to simulate() with the same seed; no jumps are counted.
+    `thresholds`, one finite, nonnegative wealth level per node, adds the
+    count of paths strictly below it.  A `utility` adds the Monte Carlo
+    cost, bit-identical to `estimate_cost` on simulate()'s ensemble, and
+    the standard deviation of terminal wealth; it needs at least 2 paths,
+    else raises OutOfRange.
     """
     _validated(model, strategy, x, n_paths, seed)
     n_nodes = model.grid.n
     k_tail = tail_count(beta, n_paths)
     if thresholds is not None:
         thresholds = _checked_array("thresholds", thresholds, (n_nodes,))
+    cost = (None if utility is None
+            else _PathCost(model.grid, strategy.v, utility, n_paths))
     q = np.empty(n_nodes)
     tail = np.empty(n_nodes)
     spread = np.empty(n_nodes)
     mean = np.empty(n_nodes)
     below = np.empty(n_nodes, dtype=np.int64) if thresholds is not None else None
+    terminal_std = None
     w = np.empty(n_paths)
 
     def collect(k, log_w):
+        nonlocal terminal_std
         np.exp(log_w, out=w)
         mean[k] = w.mean()
         if below is not None:
             below[k] = int(np.count_nonzero(w < thresholds[k]))
+        if cost is not None:
+            # before the partition reorders w
+            cost.add(k, w)
+            if k == n_nodes - 1:
+                terminal_std = float(w.std(ddof=1))
         w.partition(k_tail - 1)
         q[k] = w[k_tail - 1]
         tail[k] = w[:k_tail].mean()
         spread[k] = w[:k_tail].std()
 
-    _march(model, strategy, x, n_paths, seed, collect)
+    # the counts are dropped, so the march skips them
+    _march(model, strategy, x, n_paths, seed, collect, False)
     return NodeStats(beta=beta, n_paths=n_paths, q_beta=q, tail_mean=tail,
                      tail_std=spread, mean=mean, below=below,
-                     thresholds=thresholds)
+                     thresholds=thresholds,
+                     cost=None if cost is None else cost.estimate(),
+                     terminal_std=terminal_std)
 
 
 # ---------------------------------------------------------------------------
@@ -340,29 +411,20 @@ def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
     """Monte Carlo cost estimate (mean, standard error).
 
     Each path's cost is the trapezoid integral of (v W)^gamma1 over the
-    grid plus W_T^gamma2.  Paths go in blocks of about _COST_BLOCK
-    elements, each copied in C order, so no temporary is as large as the
-    wealth matrix and each path's sum is one pairwise reduction over its
-    row in any layout: the result is bit-identical to np.trapezoid on a
-    C-ordered copy of the whole matrix.  A v that is zero everywhere skips
-    the integral, whose terms are then +-0 and add nothing to a finite
-    W_T^gamma2.  Needs at least 2 paths for the standard error, else
-    raises OutOfRange; a strategy on another grid raises InvalidStrategy.
+    grid plus W_T^gamma2, accumulated over the stored node rows in time
+    order (see `_PathCost`): bit-identical to np.trapezoid over the node
+    axis of the node-major matrix, and to `simulate_node_stats` given the
+    utility.  Needs at least 2 paths for the standard error, else raises
+    OutOfRange; a stack of candidates, or a strategy on another grid,
+    raises InvalidStrategy.
     """
+    if strategy.y.ndim != 2 or strategy.v.ndim != 1:
+        raise InvalidStrategy("expected one strategy, got a stack")
     strategy.check_fit(ensemble.grid)
-    n = ensemble.n_paths
-    if n < 2:
-        raise OutOfRange(f"a cost estimate needs at least 2 paths, got {n}")
-    g1, g2 = utility.gamma1, utility.gamma2
-    wealth, v = ensemble.wealth, strategy.v
-    per_path = wealth[:, -1] ** g2
-    if np.any(v):
-        rows = max(1, _COST_BLOCK // wealth.shape[1])
-        for start in range(0, n, rows):
-            c = np.multiply(v, wealth[start:start + rows], order="C")
-            c **= g1
-            per_path[start:start + rows] += trapz(ensemble.grid, c)
-    return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
+    cost = _PathCost(ensemble.grid, strategy.v, utility, ensemble.n_paths)
+    for k, w in enumerate(ensemble.wealth.T):
+        cost.add(k, w)
+    return cost.estimate()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ for the value-function coefficient rho(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -86,7 +86,8 @@ class Strategy:
 
     The paths are kept as read-only copies (the caller's arrays stay
     writable), so the integrals V and ||y||_t^2, computed on first use and
-    kept, cannot go stale.
+    kept, cannot go stale.  `from_pi` and `from_y` hand over the path they
+    compute, which no caller holds, read-only without a copy.
 
     A stack of candidates has leading axes, y and pi (..., N, d) and v (...,
     N), that broadcast against each other; `cost_function` and `slack_path`
@@ -98,10 +99,14 @@ class Strategy:
     pi: np.ndarray      # (..., N, d)
     v: np.ndarray | None = None     # (..., N)
     V_path: np.ndarray | None = None
+    # which of y and pi from_pi or from_y computed; kept without a copy
+    _fresh: InitVar[tuple] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh):
         n = self.grid.n
-        y, pi = _frozen(_as_paths(self.y)), _frozen(_as_paths(self.pi))
+        y, pi = (_as_paths(p) if name in _fresh else _frozen(_as_paths(p))
+                 for name, p in (("y", self.y), ("pi", self.pi)))
+        y.flags.writeable = pi.flags.writeable = False
         v = _frozen(np.zeros(n) if self.v is None else self.v)
         if y.shape != pi.shape or y.shape[-2] != n:
             raise InvalidStrategy("y and pi must both be (..., N, d) paths")
@@ -126,14 +131,14 @@ class Strategy:
         """Strategy with y = sigma' pi; pi may be a stack (..., N, d)."""
         pi = _as_paths(pi)
         y = np.einsum("nji,...nj->...ni", model.coeffs.sigma, pi)
-        return cls(model.grid, y, pi, v)
+        return cls(model.grid, y, pi, v, _fresh=("y",))
 
     @classmethod
     def from_y(cls, model: MarketModel, y, v=None) -> "Strategy":
         y = _as_paths(y)
         sigma_t = model.coeffs.sigma.transpose(0, 2, 1)
         pi = np.linalg.solve(sigma_t, y[..., None])[..., 0]
-        return cls(model.grid, y, pi, v)
+        return cls(model.grid, y, pi, v, _fresh=("pi",))
 
     @classmethod
     def riskless(cls, model: MarketModel) -> "Strategy":

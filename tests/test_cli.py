@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,22 @@ def test_verify_streams_the_profile_above_the_cap(tmp_path, monkeypatch):
                                    config.risk.beta, 1000, config.seed,
                                    thresholds=thresholds)
     assert _verify_lhs(out)["profile_within_level"] == stats.below.max()
+
+
+def test_verify_stores_no_paths_by_nodes_matrix(tmp_path):
+    # the reference ES config: 512 nodes, consumption, and a risk profile
+    cfg = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    cfg = cfg / "ref_es_equal2.ini"
+    n_paths, n_nodes = 20_000, load_config(cfg).model.grid.n
+    assert n_nodes == 512
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--paths", str(n_paths)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_paths * n_nodes * 8 / 4
 
 
 def test_compare_command_schema_and_orderings(tmp_path):

@@ -7,8 +7,9 @@ configs are the two committed reference configs in `bench/configs/`, an
 unconstrained equal-gamma one-asset market, the same market under a VaR
 limit its certificate clears, a distinct-gamma VaR market in the
 consume-all regime, and a linear-utility ES market whose box optimum
-breaks the limit, so the answer is the ray at the binding radius.  `verify` runs with 2000 paths at the config's
-seed.  The digests hold for the numpy version and CPU the suite runs on.
+breaks the limit, so the answer is the ray at the binding radius.  `verify`
+and `simulate` run with 2000 paths at the config's seed.  The digests hold
+for the numpy version and CPU the suite runs on.
 """
 
 import hashlib
@@ -69,6 +70,7 @@ COMMANDS = {
     "certify": [],
     "compare": [],
     "verify": ["--paths", "2000"],
+    "simulate": ["--paths", "2000"],
 }
 
 GOLDEN = {
@@ -82,6 +84,9 @@ GOLDEN = {
     ("ref_var_gamma1", "verify"): {"exit": 0, "files": {
         "verify.csv":
             "752b9b72a479303535e5bb0adada38f05fbe57511bca1e50b9e688c1e19dbccf"}},
+    ("ref_var_gamma1", "simulate"): {"exit": 0, "files": {
+        "ensemble.csv":
+            "914005f690f6780f10bdb117cd79190fd17655ec91486d23a4abeb94211935d0"}},
     ("ref_es_equal2", "solve"): {"exit": 0, "files": {
         "report.csv":
             "0dd4fe58cd3c244f623eb7fa07b6344992887150f62c2c995b4c214fa90918c4",
@@ -93,7 +98,10 @@ GOLDEN = {
     ("ref_es_equal2", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("ref_es_equal2", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "f1ab9721f383ad9aa4ce052a4ca057513040d0c100f0919a201dd93fa4aefb58"}},
+            "e457708b0e190cf735c3b71df8fcf919ce92acadd59c8723567b8b0428818730"}},
+    ("ref_es_equal2", "simulate"): {"exit": 0, "files": {
+        "ensemble.csv":
+            "27c0dd38b7a4084f1c4f2865ed5961969b5b2c39c667d4853e65f762225f062f"}},
     ("power_equal_1d", "solve"): {"exit": 0, "files": {
         "report.csv":
             "dfa4a3bc56c9aee6cb9ea35c90903067fa09da942479e5f59156078cd78c2a8f",
@@ -106,6 +114,9 @@ GOLDEN = {
     ("power_equal_1d", "verify"): {"exit": 0, "files": {
         "verify.csv":
             "62550d564a374ecc02012f78967f19175515f0e5eb01139ff7c35e1925563aeb"}},
+    ("power_equal_1d", "simulate"): {"exit": 0, "files": {
+        "ensemble.csv":
+            "f1e0a49acaa2016465d42ee58ce1349e7ddb294d1a26356ba03043ee16ebc2fa"}},
     ("power_equal_var", "solve"): {"exit": 0, "files": {
         "report.csv":
             "766dd29572b98ed677727f9e710f3b7e2f797680c85706e1dfe4120d383be7eb",
@@ -120,6 +131,9 @@ GOLDEN = {
     ("power_equal_var", "verify"): {"exit": 0, "files": {
         "verify.csv":
             "534798ee4bf46707b39b12187704e3be9e0108e17f1537dc0ad41e98527989e8"}},
+    ("power_equal_var", "simulate"): {"exit": 0, "files": {
+        "ensemble.csv":
+            "f1e0a49acaa2016465d42ee58ce1349e7ddb294d1a26356ba03043ee16ebc2fa"}},
     ("diff_gamma_var", "solve"): {"exit": 0, "files": {
         "report.csv":
             "097582890562e2c422ce1ab1f67f3edfa6dddb5d63c15386f04f92aa917869ed",
@@ -129,7 +143,10 @@ GOLDEN = {
     ("diff_gamma_var", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("diff_gamma_var", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "f1652c290b03a88377779660bf5d1c4972242597731dafc27151ceeab1a3982b"}},
+            "2dd8d2a3ca48ebf37f71ee612cfe123f087f6774cf734bc9cf03d29b1d61bcaa"}},
+    ("diff_gamma_var", "simulate"): {"exit": 0, "files": {
+        "ensemble.csv":
+            "0ae1d90fb0132b906bb8f55f6e145a7c85f7f4e0b34e664f847c1e5a90979e34"}},
     ("es_gamma1", "solve"): {"exit": 0, "files": {
         "report.csv":
             "c46f41e847569af3a69fdd5400c1409666f5bee6f290e02bba20c6e4e73cb602",
@@ -140,6 +157,9 @@ GOLDEN = {
     ("es_gamma1", "verify"): {"exit": 0, "files": {
         "verify.csv":
             "f291e8ed90e5f35330d41f7624d1d060c4f26cf14c4f571a804275f950ce4889"}},
+    ("es_gamma1", "simulate"): {"exit": 0, "files": {
+        "ensemble.csv":
+            "67be91e9d449a337d7208ebb00becd595f18c079e6d8f176baccd9349d1b9e65"}},
 }
 
 

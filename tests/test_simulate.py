@@ -13,7 +13,7 @@ import jumpfolio as jf
 from jumpfolio.errors import EmptyFeasibleSet, InvalidStrategy, OutOfRange
 from jumpfolio.market import R_path, cumtrapz, theta_hat_path, theta_path
 from jumpfolio.riskmetrics import empirical_lower_quantile, empirical_shortfall
-from jumpfolio.simulate import _march
+from jumpfolio.simulate import _PathCost, _march
 
 from conftest import make_model
 
@@ -485,20 +485,37 @@ def test_estimate_cost_matches_closed_form(sim_model, sim_strategy):
 
 
 def _trapezoid_cost(ensemble, strategy, utility):
-    """The whole-matrix formula estimate_cost must match bit for bit, on a
-    row-major copy, so that each path's sum is one pairwise reduction."""
-    wealth = np.ascontiguousarray(ensemble.wealth)
-    consumption = (strategy.v[None, :] * wealth) ** utility.gamma1
-    per_path = (np.trapezoid(consumption, ensemble.grid.nodes, axis=1)
-                + wealth[:, -1] ** utility.gamma2)
+    """The whole-matrix formula estimate_cost must match bit for bit:
+    np.trapezoid over the node axis of the node-major (N, n_paths)
+    matrix."""
+    wealth = np.ascontiguousarray(ensemble.wealth.T)
+    consumption = (strategy.v[:, None] * wealth) ** utility.gamma1
+    per_path = (np.trapezoid(consumption, ensemble.grid.nodes, axis=0)
+                + wealth[-1] ** utility.gamma2)
     n = ensemble.n_paths
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("gamma1", [1.0, 0.5, 0.3])
+def test_each_path_cost_is_the_trapezoid_over_the_node_axis(gamma1):
+    # per path, not only in (mean, se), where a 1-ulp change can vanish
+    grid = jf.TimeGrid(np.linspace(0.0, 1.0, 65) ** 1.7)
+    rng = np.random.default_rng(5)
+    wealth = np.exp(0.3 * rng.standard_normal((65, 3001)))   # node-major
+    v = rng.uniform(0.0, 0.5, 65)
+    v[::4] = -0.0
+    utility = jf.UtilitySpec(gamma1, 0.7)
+    cost = _PathCost(grid, v, utility, 3001)
+    for k, w in enumerate(wealth):
+        cost.add(k, w)
+    want = (np.trapezoid((v[:, None] * wealth) ** gamma1, grid.nodes, axis=0)
+            + wealth[-1] ** 0.7)
+    assert cost.total.tobytes() == want.tobytes()
 
 
 def _cost_case(case):
     """(model, strategy, n_paths) on a 65-node grid."""
     n = 65
-    rows = simulate_module._COST_BLOCK // n          # paths per block
     if case == "non_uniform_grid":
         grid = jf.TimeGrid(np.linspace(0.0, 1.0, n) ** 1.7)
         coeffs = jf.CoefficientPath.constant(grid, 0.02, [0.06], [[0.3]])
@@ -508,27 +525,56 @@ def _cost_case(case):
         model = jf.MarketModel(grid, coeffs, jumps)
     else:
         model = make_model(n=n, mu=0.06, lam=0.8)
-    v = {"no_consumption": np.zeros(n),
-         "signed_zero_consumption": np.resize([0.0, -0.0], n)}.get(
-        case, np.linspace(0.1, 0.4, n))
+    v = np.linspace(0.1, 0.4, n)
+    if case == "no_consumption":
+        v = np.zeros(n)
+    elif case == "signed_zero_consumption":
+        v = np.resize([0.0, -0.0], n)
+    elif case == "partly_signed_zero_consumption":
+        v[::3] = -0.0
     strategy = jf.Strategy.from_pi(model, np.full((n, 1), 0.5), v)
-    n_paths = {"one_block": rows // 3, "ragged_blocks": 2 * rows + 37}.get(
-        case, rows + 5)
+    n_paths = {"one_block": 672, "ragged_blocks": 4069}.get(case, 2021)
     return model, strategy, n_paths
 
 
 @pytest.mark.parametrize("gamma1", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("case", ["one_block", "ragged_blocks",
                                   "non_uniform_grid", "no_consumption",
-                                  "signed_zero_consumption"])
-def test_estimate_cost_blocks_match_the_trapezoid_formula(case, gamma1):
+                                  "signed_zero_consumption",
+                                  "partly_signed_zero_consumption"])
+def test_estimate_cost_blocks_match_the_trapezoid_formula(case, gamma1,
+                                                          monkeypatch):
+    # the streamed run gives the same bits over several draw blocks on two
+    # workers: one_block has one block of 1024 paths, ragged_blocks four
+    # with a short last one, the other cases two
+    monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 1024)
+    monkeypatch.setattr(simulate_module, "_WORKERS", 2)
     model, strategy, n_paths = _cost_case(case)
-    if case == "signed_zero_consumption":
+    if "signed_zero" in case:
         assert np.any(np.signbit(strategy.v))
     ens = jf.simulate(model, strategy, 1.0, n_paths, 31)
     utility = jf.UtilitySpec(gamma1, 0.7)
-    assert jf.estimate_cost(ens, strategy, utility) == _trapezoid_cost(
-        ens, strategy, utility)
+    want = _trapezoid_cost(ens, strategy, utility)
+    assert jf.estimate_cost(ens, strategy, utility) == want
+    stats = jf.simulate_node_stats(model, strategy, 1.0, 0.05, n_paths, 31,
+                                   utility=utility)
+    assert stats.cost == want
+    assert stats.terminal_std == ens.wealth[:, -1].std(ddof=1)
+
+
+@pytest.mark.parametrize("stack", ["two_rates", "four_rates",
+                                   "two_allocations"])
+def test_estimate_cost_refuses_a_stack_of_candidates(stack):
+    # four rates against four paths would pair candidate k with path k
+    model = make_model(n=5)
+    single = jf.Strategy.from_pi(model, np.full((5, 1), 0.5))
+    ens = jf.simulate(model, single, 1.0, 4, 3)
+    pi, v = {"two_rates": (np.full((5, 1), 0.5), np.ones((2, 5))),
+             "four_rates": (np.full((5, 1), 0.5), np.ones((4, 5))),
+             "two_allocations": (np.full((2, 5, 1), 0.5), np.ones(5))}[stack]
+    with pytest.raises(InvalidStrategy):
+        jf.estimate_cost(ens, jf.Strategy.from_pi(model, pi, v),
+                         jf.UtilitySpec.equal(0.5))
 
 
 def test_estimate_cost_needs_two_paths(sim_model, sim_strategy):

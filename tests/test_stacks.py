@@ -244,6 +244,18 @@ def test_strategy_holds_read_only_copies_and_its_integrals():
     assert rate.V.tobytes() == cumtrapz(model.grid, v).tobytes()
 
 
+@pytest.mark.parametrize("shape", [(17,), (17, 1)])
+@pytest.mark.parametrize("build", ["from_pi", "from_y"])
+def test_a_built_strategy_keeps_no_view_of_the_callers_path(build, shape):
+    model = make_model(n=17)
+    given = np.full(shape, 0.3)
+    strategy = getattr(jf.Strategy, build)(model, given)
+    assert not (strategy.y.flags.writeable or strategy.pi.flags.writeable)
+    assert given.flags.writeable
+    assert not any(np.shares_memory(given, path)
+                   for path in (strategy.y, strategy.pi))
+
+
 def test_risk_level_is_resolved_once_per_model_and_risk(monkeypatch):
     # count the normal quantiles and negative-jump probabilities that
     # effective_level computes

@@ -23,8 +23,9 @@ PACKAGE = ROOT / "src" / "jumpfolio"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # public names that only the tests call: closed-form references the tests
-# compare against, and the Monte Carlo constraint profile
-TEST_ONLY_EXPORTS = {"constraint_profile", "es_stoch_exp",
+# compare against, the Monte Carlo constraint profile, and the cost estimate
+# over a stored ensemble, which `verify` streams instead
+TEST_ONLY_EXPORTS = {"constraint_profile", "es_stoch_exp", "estimate_cost",
                      "expected_jump_exponential", "quantile_stoch_exp"}
 
 
