@@ -80,7 +80,8 @@ from .unconstrained import SolveReport, Strategy, cost_function
 # use.  Up to the cap it holds every path and the profile check counts in
 # it too; above, a second streamed run counts all the paths.
 _FULL_ENSEMBLE_CAP = 20_000
-# Tail level of the node statistics of a config without a risk section.
+# Tail level of `simulate`'s node statistics for a config without a risk
+# section.
 _NO_RISK_BETA = 0.05
 
 
@@ -443,11 +444,11 @@ def _verify_checks(config: RunConfig, args) -> list:
 
     x = 1.0
     n_full = min(config.n_paths, _FULL_ENSEMBLE_CAP)
-    thresholds, beta = None, _NO_RISK_BETA
+    thresholds = None
     if risk is not None:
         thresholds = (1.0 - risk.kappa) * x * np.exp(R_path(model))
-        beta = risk.beta
-    stats = simulate_node_stats(model, strategy, x, beta, n_full,
+    # no check reads a tail statistic, so the runs take no beta
+    stats = simulate_node_stats(model, strategy, x, None, n_full,
                                 config.seed, thresholds, config.utility)
 
     # mean of terminal wealth against the closed form
@@ -468,7 +469,7 @@ def _verify_checks(config: RunConfig, args) -> list:
 
     if risk is not None:
         if n_full < config.n_paths:
-            stats = simulate_node_stats(model, strategy, x, beta,
+            stats = simulate_node_stats(model, strategy, x, None,
                                         config.n_paths, config.seed,
                                         thresholds)
         band = float(binom.ppf(1.0 - 1e-3 / model.grid.n, config.n_paths,

@@ -12,27 +12,28 @@ linear between the nodes the node means still match exactly, since the
 closed forms integrate lambda pi E[xi] by the trapezoid rule.
 
 Draw order: the ensemble is split into blocks of _BLOCK_PATHS paths, and
-block b draws from its own SFC64 stream, seeded by child b of
-SeedSequence(seed).spawn, whose spawn key (b,) does not depend on the
-number of blocks.  The streams are not counter-based: SFC64 was chosen
-over Philox because it draws a normal about a third cheaper, and the
-spawned seed sequences keep the blocks' streams independent.  The
-intervals go in groups, one per draw (small ensembles take several
-intervals per group).  For each group a block draws its standard normals,
+the intervals go in groups, one per draw (small ensembles take several
+intervals per group).  Each task, block b's share of group g, draws from
+its own SFC64 stream, seeded by SeedSequence(seed, spawn_key=(b, g)), so
+the stream depends on neither the number of blocks nor the number of
+groups.  The streams are not counter-based: SFC64 was chosen over Philox
+because it draws a normal about a third cheaper, and the spawn keys keep
+the tasks' streams independent.  A task draws its standard normals,
 interval by interval, and then, for each asset with a positive intensity
 in asset order, one Poisson jump total per interval for the whole block,
 then for every jump a uniform path index within the block, a uniform
 offset inside its interval and a size from the law (none for a one-atom
 law).  By the splitting theorem each path then has independent Poisson
-jump counts with uniform jump times, as a per-path draw would.  _WORKERS
-draw threads share the blocks round robin and draw a few groups ahead,
-while the calling thread turns the draws into log-wealth increments and
-applies each node.  Each block's stream is drawn in its fixed order by one
-thread, so every output depends only on the seed, _BLOCK_PATHS and
-_NORMALS_PER_DRAW (which sets the intervals per group, and so where a
-block's jump draws fall between its normals), not on the worker count or
-the scheduling: it is bit-identical to a serial loop over the blocks and
-reproducible bit for bit from those three for a given numpy release.
+jump counts with uniform jump times, as a per-path draw would.  One pool
+of _WORKERS draw threads runs the tasks a few groups ahead, so even a
+one-block ensemble draws on every thread, while the calling thread turns
+the draws into log-wealth increments, adds up the jump counts and
+applies each node.  Every task owns its stream, so every output depends
+only on the seed, _BLOCK_PATHS and _NORMALS_PER_DRAW (which sets the
+intervals per group, and so which task draws what), not on the worker
+count or the scheduling: it is bit-identical to a serial loop over the
+tasks and reproducible bit for bit from those three for a given numpy
+release.
 
 Storage is node-major: `PathEnsemble.wealth` is the transpose of an
 (N, n_paths) array, so writing or reading one node is contiguous.  Readers
@@ -44,6 +45,7 @@ march by `simulate_node_stats`, with the same bits either way.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -69,18 +71,19 @@ from .riskmetrics import (
 )
 from .unconstrained import Strategy, check_initial_wealth, cost_function
 
-# Paths per block: block b draws from its own SFC64 stream, spawned from the
-# seed's SeedSequence, so the output depends on the seed, this size and
+# Paths per block: each (block, group) task draws from its own SFC64 stream,
+# spawned from the seed, so the output depends on the seed, this size and
 # _NORMALS_PER_DRAW only.
-# Every numpy call of a block's draws hands the interpreter lock between the
-# draw threads, so blocks are large: a run of up to 2^18 paths is one block
-# on one worker, and 10^6 paths are four, two per worker.
+# Every numpy call of a task's draws hands the interpreter lock between the
+# draw threads, so blocks are large: a run of up to 2^18 paths is one block,
+# whose groups the draw threads take in turn, and 10^6 paths are four.
 _BLOCK_PATHS = 1 << 18
-# Draw threads; block b goes to worker b % _WORKERS.
+# Draw threads in the one pool that runs every task.
 _WORKERS = 2
 # Standard normals per draw: small ensembles take several intervals per
-# group, so thread hand-offs stay rare.  A block draws each group's normals
-# before its jumps, so changing this changes seeded output.
+# group, so thread hand-offs stay rare.  Each group is a stream of its own
+# that draws its normals before its jumps, so changing this changes seeded
+# output.
 _NORMALS_PER_DRAW = 1 << 18
 # Normal buffers in memory at once: the group being applied plus up to
 # three drawn ahead.
@@ -109,6 +112,9 @@ class PathEnsemble:
 def _validated(model: MarketModel, strategy: Strategy, x: float,
                n_paths: int, seed: int) -> None:
     check_initial_wealth(x)
+    for name, value in (("n_paths", n_paths), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise OutOfRange(f"{name} must be an integer, got {value!r}")
     if n_paths < 1:
         raise OutOfRange(f"n_paths must be at least 1, got {n_paths}")
     if seed < 0:
@@ -123,22 +129,22 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _draw_block(rng, normals, jumps, counts) -> list:
+def _draw_block(rng, normals, jumps) -> list:
     """Draw one block's group of intervals.
 
     Fills `normals`, the block's (rows, paths) part of a normal buffer,
-    with standard normals, one row per interval.  Each entry (j, lam_dt,
-    pi, z, cdf) of `jumps` gives an asset's lambda dt per interval, its pi
-    at the rows + 1 nodes around them, and the atoms and cumulative weights
-    of its law; a one-atom law draws no sizes.  Counts every jump in column
-    j of counts, unless counts is None, and returns, per asset, (bounds,
-    path, factor): the jumps of row r are the slice [bounds[r], bounds[r +
-    1]), each with its path in the block and its log(1 + pi(t) xi).
+    with standard normals, one row per interval.  Each entry (lam_dt, pi,
+    z, cdf) of `jumps` gives an asset's lambda dt per interval, its pi at
+    the rows + 1 nodes around them, and the atoms and cumulative weights
+    of its law; a one-atom law draws no sizes.  Returns, per asset,
+    (bounds, path, factor): the jumps of row r are the slice [bounds[r],
+    bounds[r + 1]), each with its path in the block and its
+    log(1 + pi(t) xi).
     """
     rng.standard_normal(out=normals)
     n = normals.shape[1]
     marks = []
-    for j, lam_dt, pi, z, cdf in jumps:
+    for lam_dt, pi, z, cdf in jumps:
         m = rng.poisson(lam_dt * n)
         total = int(m.sum())
         path = rng.integers(0, n, total)
@@ -150,15 +156,13 @@ def _draw_block(rng, normals, jumps, counts) -> list:
         factor += np.repeat(pi[:-1], m)
         factor *= size
         np.log1p(factor, out=factor)
-        if counts is not None:
-            np.add.at(counts[:, j], path, 1)
         marks.append((np.concatenate(([0], np.cumsum(m))), path, factor))
     return marks
 
 
-def _ahead(pools, groups, depth: int):
-    """Run the task lists of `groups` in order, task w of a list on
-    pools[w], and yield each list's results once they are all in.
+def _ahead(pool, groups, depth: int):
+    """Submit the task lists of `groups` to `pool` in order, and yield each
+    list's results once they are all in.
 
     Up to depth - 1 later lists run while the caller works on results, so
     the caller must be done with them when it asks for the next.  A task's
@@ -166,7 +170,7 @@ def _ahead(pools, groups, depth: int):
     """
     pending = deque()
     for tasks in groups:
-        pending.append([pool.submit(task) for pool, task in zip(pools, tasks)])
+        pending.append([pool.submit(task) for task in tasks])
         if len(pending) == depth:
             yield [future.result() for future in pending.popleft()]
     while pending:
@@ -181,11 +185,11 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     log_wealth is the (n_paths,) vector of log wealth at node k.  Returns
     the (n_paths, d) per-asset jump counts, or None without count_jumps,
     which draws the same.  The draw threads fill each group of
-    intervals, block by block in each block's stream order (see the module
-    docstring), into one of _BUFFERS normal buffers, where each block's
-    part is contiguous, and return the jumps.  This thread turns each
-    block's row into its log-wealth increment z sd + shift plus the jumps,
-    adds it and applies the node.
+    intervals, one task per block, each from its own stream (see the
+    module docstring), into one of _BUFFERS normal buffers, where each
+    block's part is contiguous, and return the jumps.  This thread counts
+    the jumps, turns each block's row into its log-wealth increment z sd +
+    shift plus the jumps, adds it and applies the node.
     """
     grid = model.grid
     n_nodes = grid.n
@@ -196,45 +200,42 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     sd = np.sqrt(s2)
     shift = np.diff(det_log) - 0.5 * s2
 
-    jumps = [(j, lam * grid.dt, strategy.pi[:, j], z, _cumulative(w))
-             for j, lam, z, w in model.jumps.active]
+    active = model.jumps.active
+    jumps = [(lam * grid.dt, strategy.pi[:, j], z, _cumulative(w))
+             for j, lam, z, w in active]
     counts = np.zeros((n_paths, model.d), np.int64) if count_jumps else None
     rows = min(n_nodes - 1, max(1, _NORMALS_PER_DRAW // n_paths))
     buffers = [np.empty(rows * n_paths) for _ in range(_BUFFERS)]
-    starts = range(0, n_paths, _BLOCK_PATHS)
-    children = np.random.SeedSequence(seed).spawn(len(starts))
-    blocks = [(np.random.Generator(np.random.SFC64(child)), lo,
-               min(lo + _BLOCK_PATHS, n_paths))
-              for child, lo in zip(children, starts)]
-    n_workers = min(_WORKERS, len(blocks))
+    blocks = [(b, lo, min(lo + _BLOCK_PATHS, n_paths))
+              for b, lo in enumerate(range(0, n_paths, _BLOCK_PATHS))]
 
-    def draw(buffer, start, stop, share):
-        group = [(j, lam_dt[start - 1:stop - 1], pi[start - 1:stop], z, cdf)
-                 for j, lam_dt, pi, z, cdf in jumps]
-        parts = []
-        for rng, lo, hi in share:
-            normals = buffer[rows * lo:rows * lo + (stop - start) * (hi - lo)]
-            normals = normals.reshape(stop - start, hi - lo)
-            block_counts = None if counts is None else counts[lo:hi]
-            parts.append((slice(lo, hi), normals,
-                          _draw_block(rng, normals, group, block_counts)))
-        return parts
+    def draw(g, buffer, start, stop, b, lo, hi):
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(b, g))))
+        group = [(lam_dt[start - 1:stop - 1], pi[start - 1:stop], z, cdf)
+                 for lam_dt, pi, z, cdf in jumps]
+        normals = buffer[rows * lo:rows * lo + (stop - start) * (hi - lo)]
+        normals = normals.reshape(stop - start, hi - lo)
+        return slice(lo, hi), normals, _draw_block(rng, normals, group)
 
     def groups():
         for g, start in enumerate(range(1, n_nodes, rows)):
-            yield [partial(draw, buffers[g % _BUFFERS], start,
-                           min(start + rows, n_nodes), blocks[w::n_workers])
-                   for w in range(n_workers)]
+            yield [partial(draw, g, buffers[g % _BUFFERS], start,
+                           min(start + rows, n_nodes), *block)
+                   for block in blocks]
 
-    pools = [ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix="jumpfolio-draws")
-             for _ in range(n_workers)]
+    pool = ThreadPoolExecutor(max_workers=_WORKERS,
+                              thread_name_prefix="jumpfolio-draws")
     try:
         log_w = np.full(n_paths, det_log[0])
         node_callback(0, log_w)
         k = 1
-        for shares in _ahead(pools, groups(), _BUFFERS):
-            parts = [part for share in shares for part in share]
+        for parts in _ahead(pool, groups(), _BUFFERS):
+            if counts is not None:
+                # here, not in the draws: tasks of one block may run at once
+                for paths, _, marks in parts:
+                    for (j, *_), (_, path, _) in zip(active, marks):
+                        np.add.at(counts[paths, j], path, 1)
             for r in range(len(parts[0][1])):
                 for paths, normals, marks in parts:
                     inc = normals[r]
@@ -247,10 +248,7 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
                 node_callback(k, log_w)
                 k += 1
     finally:
-        for pool in pools:
-            pool.shutdown(wait=False, cancel_futures=True)
-        for pool in pools:
-            pool.shutdown()
+        pool.shutdown(cancel_futures=True)
     return counts
 
 
@@ -323,15 +321,16 @@ class _PathCost:
 class NodeStats:
     """Per-node tail statistics collected without storing paths.
 
-    cost (Monte Carlo mean and standard error, see `estimate_cost`) and
-    terminal_std (the sample standard deviation of W_T) are set when the
-    run was given a utility."""
+    The tail fields are None when the run was given no beta.  cost (Monte
+    Carlo mean and standard error, see `estimate_cost`) and terminal_std
+    (the sample standard deviation of W_T) are set when the run was given
+    a utility."""
 
-    beta: float
+    beta: float | None
     n_paths: int
-    q_beta: np.ndarray        # empirical lower beta-quantile of wealth
-    tail_mean: np.ndarray     # mean of the ceil(beta n) smallest values
-    tail_std: np.ndarray      # spread of that tail slice
+    q_beta: np.ndarray | None     # empirical lower beta-quantile of wealth
+    tail_mean: np.ndarray | None  # mean of the ceil(beta n) smallest values
+    tail_std: np.ndarray | None   # spread of that tail slice
     mean: np.ndarray
     below: np.ndarray | None  # counts of wealth strictly under thresholds
     thresholds: np.ndarray | None = None
@@ -349,13 +348,15 @@ class NodeStats:
 
 
 def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
-                        beta: float, n_paths: int, seed: int,
+                        beta: float | None, n_paths: int, seed: int,
                         thresholds: np.ndarray | None = None,
                         utility: UtilitySpec | None = None) -> NodeStats:
     """Stream the ensemble node by node, keeping only tail statistics.
 
     Memory stays O(n_paths) regardless of the grid size, and the draws are
     bit-identical to simulate() with the same seed; no jumps are counted.
+    A beta of None skips the tail statistics: q_beta, tail_mean and
+    tail_std are None, and no node is partitioned.
     `thresholds`, one finite, nonnegative wealth level per node, adds the
     count of paths strictly below it.  A `utility` adds the Monte Carlo
     cost, bit-identical to `estimate_cost` on simulate()'s ensemble, and
@@ -364,14 +365,13 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
     """
     _validated(model, strategy, x, n_paths, seed)
     n_nodes = model.grid.n
-    k_tail = tail_count(beta, n_paths)
+    k_tail = None if beta is None else tail_count(beta, n_paths)
     if thresholds is not None:
         thresholds = _checked_array("thresholds", thresholds, (n_nodes,))
     cost = (None if utility is None
             else _PathCost(model.grid, strategy.v, utility, n_paths))
-    q = np.empty(n_nodes)
-    tail = np.empty(n_nodes)
-    spread = np.empty(n_nodes)
+    q, tail, spread = ((None,) * 3 if k_tail is None
+                       else (np.empty(n_nodes) for _ in range(3)))
     mean = np.empty(n_nodes)
     below = np.empty(n_nodes, dtype=np.int64) if thresholds is not None else None
     terminal_std = None
@@ -388,10 +388,11 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
             cost.add(k, w)
             if k == n_nodes - 1:
                 terminal_std = float(w.std(ddof=1))
-        w.partition(k_tail - 1)
-        q[k] = w[k_tail - 1]
-        tail[k] = w[:k_tail].mean()
-        spread[k] = w[:k_tail].std()
+        if k_tail is not None:
+            w.partition(k_tail - 1)
+            q[k] = w[k_tail - 1]
+            tail[k] = w[:k_tail].mean()
+            spread[k] = w[:k_tail].std()
 
     # the counts are dropped, so the march skips them
     _march(model, strategy, x, n_paths, seed, collect, False)

@@ -69,15 +69,16 @@ def _validate(strategy):
     strategy.validate(_tiny_model())
 
 
-def _node_stats(beta=0.05, thresholds=None, n=3):
+def _node_stats(beta=0.05, thresholds=None, n=3, n_paths=100, seed=1):
     model = _tiny_model(n)
     return jf.simulate_node_stats(model, jf.Strategy.riskless(model), 1.0,
-                                  beta, 100, 1, thresholds=thresholds)
+                                  beta, n_paths, seed, thresholds=thresholds)
 
 
-def _ensemble(n):
+def _ensemble(n, n_paths=4, seed=1):
     model = _tiny_model(n)
-    return jf.simulate(model, jf.Strategy.riskless(model), 1.0, 4, 1)
+    return jf.simulate(model, jf.Strategy.riskless(model), 1.0, n_paths,
+                       seed)
 
 
 def _profile_at(x):
@@ -151,6 +152,18 @@ SITES = {
                             "inside the sample"),
     "node_stats_thresholds": (lambda: _node_stats(thresholds=np.full(3, np.inf)),
                               "thresholds must be finite"),
+    "node_stats_paths_float": (lambda: _node_stats(n_paths=2.5),
+                               "n_paths must be an integer"),
+    "node_stats_paths_bool": (lambda: _node_stats(n_paths=True),
+                              "n_paths must be an integer"),
+    "node_stats_seed_float": (lambda: _node_stats(seed=1.5),
+                              "seed must be an integer"),
+    "simulate_paths_float": (lambda: _ensemble(3, n_paths=2.5),
+                             "n_paths must be an integer"),
+    "simulate_seed_float": (lambda: _ensemble(3, seed=1.5),
+                            "seed must be an integer"),
+    "simulate_seed_bool": (lambda: _ensemble(3, seed=False),
+                           "seed must be an integer"),
     "profile_wealth_nan": (lambda: _profile_at(np.nan), "initial wealth"),
     "strategy_shapes": (lambda: _strategy(_path(0.0), _path(0.0, 2)),
                         "y and pi must both", InvalidStrategy),

@@ -63,6 +63,21 @@ def test_node_stats_consistent_with_full_ensemble(sim_model, sim_strategy):
         assert stats.mean[k] == pytest.approx(col.mean(), rel=1e-14)
 
 
+def test_node_stats_without_beta_skip_only_the_tail(sim_model, sim_strategy):
+    thresholds = 0.9 * np.exp(R_path(sim_model))
+    utility = jf.UtilitySpec.equal(0.5)
+    runs = [jf.simulate_node_stats(sim_model, sim_strategy, 1.0, beta, 3000,
+                                   17, thresholds, utility)
+            for beta in (0.05, None)]
+    tail, plain = runs
+    assert plain.q_beta is None and plain.tail_mean is None
+    assert plain.tail_std is None
+    assert np.array_equal(plain.mean, tail.mean)
+    assert np.array_equal(plain.below, tail.below)
+    assert plain.cost == tail.cost
+    assert plain.terminal_std == tail.terminal_std
+
+
 def test_wealth_is_stored_node_major(sim_model, sim_strategy):
     ens = jf.simulate(sim_model, sim_strategy, 1.0, 1000, 5)
     assert ens.wealth.shape == (1000, sim_model.grid.n)
@@ -141,7 +156,7 @@ def test_rejects_ensemble_too_large_to_store(sim_model, sim_strategy):
 @pytest.mark.parametrize("shape", [(64,), (66,), (65, 1), ()])
 def test_rejects_thresholds_of_wrong_shape_before_drawing(
         sim_model, sim_strategy, shape, monkeypatch):
-    # every block stream starts from this constructor
+    # every task's stream starts from this constructor
     def no_draws(seed):
         raise AssertionError("drew random numbers before validating")
 
@@ -170,15 +185,14 @@ def test_callback_error_reaches_caller_and_stops_the_worker(
 
 
 def _serial_march(model, strategy, x, n_paths, seed, block_paths):
-    """Reference: every block's draws and every node update in one loop on
-    one thread.  Block b draws from SFC64 seeded by child b of the seed's
-    SeedSequence, spawned here as the last of b + 1 children (its spawn
-    key is (b,) however many are spawned); per group of intervals (as many
-    as 2^18 normals cover, at least one) it draws its normals interval by
-    interval, then per asset with jumps one Poisson total per interval,
+    """Reference: every task's draws and every node update in one loop on
+    one thread.  The intervals go in groups (as many as 2^18 normals
+    cover, at least one), and block b's share of group g draws from SFC64
+    seeded by SeedSequence(seed, spawn_key=(b, g)): its normals interval
+    by interval, then per asset with jumps one Poisson total per interval,
     the jumps' path indices, their offsets inside the interval and, unless
     the law has one atom, their sizes.  Returns the wealth, the jump
-    counts and each block's first normal."""
+    counts and each task's first normal."""
     grid = model.grid
     n = grid.n
     det_log = (math.log(x) + R_path(model) - strategy.V
@@ -192,13 +206,13 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     first_normals = []
     for b, lo in enumerate(range(0, n_paths, block_paths)):
         hi = min(lo + block_paths, n_paths)
-        child = np.random.SeedSequence(seed).spawn(b + 1)[b]
-        rng = np.random.Generator(np.random.SFC64(child))
-        for first in range(0, n - 1, rows):
+        for g, first in enumerate(range(0, n - 1, rows)):
+            rng = np.random.Generator(np.random.SFC64(
+                np.random.SeedSequence(seed, spawn_key=(b, g))))
             group = np.arange(first, min(first + rows, n - 1))
             for i in group:
                 z = rng.standard_normal(hi - lo)
-                if i == 0:
+                if i == first:
                     first_normals.append(z[0])
                 inc[i, lo:hi] = (z * math.sqrt(s2[i])
                                  + (det_log[i + 1] - det_log[i] - 0.5 * s2[i]))
@@ -232,11 +246,16 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     return wealth, counts, first_normals
 
 
-def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
-    # four path blocks, two per draw worker, and many groups of two
-    # intervals, so every normal buffer is reused several times while
-    # the interpreter switches threads as often as it can
-    monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 1 << 15)
+@pytest.mark.parametrize("block_paths", [1 << 15, None],
+                         ids=["four_blocks", "one_block"])
+def test_matches_serial_reference_under_fast_thread_switching(block_paths,
+                                                              monkeypatch):
+    # four path blocks, or one, and many groups of two intervals, so every
+    # normal buffer is reused several times and tasks of one block run at
+    # once while the interpreter switches threads as often as it can
+    if block_paths is None:
+        block_paths = simulate_module._BLOCK_PATHS
+    monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", block_paths)
     grid = jf.TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)
     coeffs = jf.CoefficientPath.constant(grid, 0.02, [0.07, 0.05],
                                          [[0.3, 0.05], [0.0, 0.25]])
@@ -249,9 +268,10 @@ def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
     strategy = jf.Strategy.from_pi(model, pi)
     n_paths = 100_000
     wealth, counts, first_normals = _serial_march(
-        model, strategy, 1.0, n_paths, 21, block_paths=1 << 15)
-    # the four blocks of the seed draw from four different streams
-    assert len(set(first_normals)) == 4
+        model, strategy, 1.0, n_paths, 21, block_paths)
+    # 20 groups of each block, every task from a stream of its own
+    n_blocks = -(-n_paths // block_paths)
+    assert len(set(first_normals)) == 20 * n_blocks
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -270,13 +290,17 @@ def _march_digest(model, strategy, n_paths, seed):
     return h.hexdigest()
 
 
+@pytest.mark.parametrize("n_paths", [3 * 4096 + 123, 4000],
+                         ids=["four_blocks", "one_block"])
 def test_output_does_not_depend_on_the_worker_count(sim_model, sim_strategy,
-                                                     monkeypatch):
-    # three full blocks and a partial one, in groups of 21 intervals; with
-    # three workers there are more draw threads than cores, and the
-    # interpreter switches threads as often as it can
+                                                     n_paths, monkeypatch):
+    # three full blocks and a partial one, in groups of 21 intervals, or
+    # one block in groups of 2; with three workers there are more draw
+    # threads than cores, and the interpreter switches threads as often as
+    # it can
     monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 4096)
-    n_paths = 3 * 4096 + 123
+    monkeypatch.setattr(simulate_module, "_NORMALS_PER_DRAW",
+                        1 << 18 if n_paths > 4096 else 1 << 13)
     digests = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -6,12 +6,13 @@ bookkeeping: several assets with a negative jump atom, a time-varying
 allocation and a non-uniform grid; a grid long enough for several groups
 of intervals; an asset with no jumps; fewer paths than a typical draw;
 an asset whose intensity is positive but draws no jump; and more paths
-than one block, so that both draw workers fill blocks.  A change to the
-draw order, the block streams or the per-node arithmetic changes a
-digest.  The streams are SFC64, seeded per block by children of the
-seed's SeedSequence, so the digests hold for the numpy release and CPU
-the suite runs on: numpy keeps SeedSequence, SFC64 and its distributions
-stable within a release, not across every release.
+than one block, so that each group of intervals is two draw tasks.  A
+change to the draw order, the task streams or the per-node arithmetic
+changes a digest.  The streams are SFC64, one per (block, group) task,
+seeded by spawn keys of the seed's SeedSequence, so the digests hold for
+the numpy release and CPU the suite runs on: numpy keeps SeedSequence,
+SFC64 and its distributions stable within a release, not across every
+release.
 
 The same cases, plus a tabulated jump density, also pin `cost_function`
 and the transformed VaR and ES slack paths, which share their formulas
