@@ -83,10 +83,10 @@ GOLDEN = {
     ("ref_var_gamma1", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("ref_var_gamma1", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "752b9b72a479303535e5bb0adada38f05fbe57511bca1e50b9e688c1e19dbccf"}},
+            "4977f909b0deb969cf01d24d5702a770b2e8af439dde9b53e5ad47610826266b"}},
     ("ref_var_gamma1", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "914005f690f6780f10bdb117cd79190fd17655ec91486d23a4abeb94211935d0"}},
+            "beb53c704777a3a782bee98c6e9ff957a3ee37acd803cc0cbbcc8dc61c3bae35"}},
     ("ref_es_equal2", "solve"): {"exit": 0, "files": {
         "report.csv":
             "0dd4fe58cd3c244f623eb7fa07b6344992887150f62c2c995b4c214fa90918c4",
@@ -98,10 +98,10 @@ GOLDEN = {
     ("ref_es_equal2", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("ref_es_equal2", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "e457708b0e190cf735c3b71df8fcf919ce92acadd59c8723567b8b0428818730"}},
+            "2913d247ff9a360f70778e509f4495c500bb5e3d6aab18bb907cc802fd5ac829"}},
     ("ref_es_equal2", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "27c0dd38b7a4084f1c4f2865ed5961969b5b2c39c667d4853e65f762225f062f"}},
+            "6c086c8332aa4eb07c9d04561be549275b686cc77510e107e3ee904fdbfe2464"}},
     ("power_equal_1d", "solve"): {"exit": 0, "files": {
         "report.csv":
             "dfa4a3bc56c9aee6cb9ea35c90903067fa09da942479e5f59156078cd78c2a8f",
@@ -113,10 +113,10 @@ GOLDEN = {
             "c94298d43d4ddf66687170c5043ab92050fc17bec6933d9902cb6f6da8a08f52"}},
     ("power_equal_1d", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "62550d564a374ecc02012f78967f19175515f0e5eb01139ff7c35e1925563aeb"}},
+            "7f1e21eb03814e94f71c5b0d9ac7fba5de160b9b2c7101ba73cdcbea37ada4ff"}},
     ("power_equal_1d", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "f1e0a49acaa2016465d42ee58ce1349e7ddb294d1a26356ba03043ee16ebc2fa"}},
+            "486807b6f8b926bd4d51c89d1f3a248fd7cfe0e2f9a9bf19b569b7f52f22a064"}},
     ("power_equal_var", "solve"): {"exit": 0, "files": {
         "report.csv":
             "766dd29572b98ed677727f9e710f3b7e2f797680c85706e1dfe4120d383be7eb",
@@ -130,10 +130,10 @@ GOLDEN = {
             "c94298d43d4ddf66687170c5043ab92050fc17bec6933d9902cb6f6da8a08f52"}},
     ("power_equal_var", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "534798ee4bf46707b39b12187704e3be9e0108e17f1537dc0ad41e98527989e8"}},
+            "2376756cd7b99e2b2e0b3a432387087269796500a34494a6ec00185a9949a621"}},
     ("power_equal_var", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "f1e0a49acaa2016465d42ee58ce1349e7ddb294d1a26356ba03043ee16ebc2fa"}},
+            "486807b6f8b926bd4d51c89d1f3a248fd7cfe0e2f9a9bf19b569b7f52f22a064"}},
     ("diff_gamma_var", "solve"): {"exit": 0, "files": {
         "report.csv":
             "097582890562e2c422ce1ab1f67f3edfa6dddb5d63c15386f04f92aa917869ed",
@@ -156,10 +156,10 @@ GOLDEN = {
     ("es_gamma1", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("es_gamma1", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "f291e8ed90e5f35330d41f7624d1d060c4f26cf14c4f571a804275f950ce4889"}},
+            "aa389ffeb0fca9e1a780979c0eb84fd38c94d35ba4e2bfd65a05b0329f31c3b6"}},
     ("es_gamma1", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "67be91e9d449a337d7208ebb00becd595f18c079e6d8f176baccd9349d1b9e65"}},
+            "1dd3e7594d5914ed3df60945d9945d8a46d5b38dd1953924e79eed72700a6966"}},
 }
 
 

@@ -89,23 +89,23 @@ CASES = {
 
 GOLDEN = {
     "no_jump_drawn": (
-        "482806618abed8538afd1ce402dbd8a41d87d3e876a6c2896f37e14f08f073c6",
-        "c64566c7eb4b49009de6b76528b10febc4022bdf96227597771ec39c6af6f2a4"),
+        "dc84995c6a3d30a6f3a9cd7a63067fc712b6ad89c10bac85d4fe6fae56825776",
+        "bd381bae299b10459b0726cd305317f842f165c3a7502bfa93aaa9add55753a4"),
     "long_grid": (
-        "afd2b49fb26625606938cb05c610e34d0028ff7af1c4461bce08732b22523cee",
-        "6bc956357de33b05739e7e60a000fbe784fa4e1ea0c263bf35a30b2685e35753"),
+        "4998a3252ddc938239fb589303319595747bf2626eb55129ee41fd6fcb035645",
+        "b3e3cfbe3b69c53fa62c56acbe945df585f0ff67fde9a49c3a7a540578304aff"),
     "one_asset_without_jumps": (
-        "9b06447dfdba807d301dbfe3a32908a14c91ff392b074d8459ed1799194db5d8",
-        "7902edd58813a234b38a861b7eb05cb60d6da750649385df8126bb7b4ab6411b"),
+        "a7447695c814adb54282cf61b856ed4c4398efb162131bbce1f38d7671296cdc",
+        "cd59b4e6fb2ce1a5c50df1965b3ed95e5cd5afdaf1407b32a82ca002584f2692"),
     "seven_paths": (
-        "c1cf189576f51a1b11037922f91c0dc2b8f1e0e4ec80360063ee4e7314e72957",
-        "2e57b29e7f53075357ed1b8fe0892d22d2e5d500c14521b205a0c72fa518aba9"),
+        "42886ea1c1ae07e9fe0d6fef7af4f82c23ca349fc62d362b3f9b8a04dceed60b",
+        "3654f3c6ac1e4a225f208ea13849ffd605a88693525a9b0e3bcad990eb0f2163"),
     "two_asset_negative_jump": (
-        "f7645619d65b523635f0a13f8e640d507cb6e74762655ed4ccda9a46b5700ba6",
-        "12d67f5327d68e837c8d7a2c313d0641241b842b0d989e9b545f25f6d65ef77d"),
+        "90b3b183452761a195067462d81db2c99f2f4e3e6556a393d0d3183753b2a06b",
+        "b7da6a36496dc9898c8abfcd30feb1b1709108537d964ff15df9e39053ed1080"),
     "two_blocks": (
-        "2f51841428070714838a4718a4619fa3262c9eae4525f6bc55a08f3576cacb7b",
-        "23018755d0eba72aac5e2938c9e76dc861b9fe24fe7d8e414d694273a1d90a54"),
+        "d240902ca51a2b33d2bf8809581b1a2e58927bc27c26c6aeddb839b20fac3a18",
+        "0382f2dce538711cf25b7a55197674e00cb4bf86c084438e65ce8d47aa0b7bfb"),
 }
 
 
