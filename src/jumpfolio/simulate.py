@@ -232,7 +232,8 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
         k = 1
         for parts in _ahead(pool, groups(), _BUFFERS):
             if counts is not None:
-                # here, not in the draws: tasks of one block may run at once
+                # counted here, not in the tasks: two tasks of one block
+                # may run at once
                 for paths, _, marks in parts:
                     for (j, *_), (_, path, _) in zip(active, marks):
                         np.add.at(counts[paths, j], path, 1)
@@ -338,7 +339,11 @@ class NodeStats:
     terminal_std: float | None = None
 
     def shortfall_standard_error(self) -> np.ndarray:
-        """Influence-function standard error of the tail mean per node."""
+        """Influence-function standard error of the tail mean per node;
+        raises OutOfRange for statistics taken without a beta."""
+        if self.beta is None:
+            raise OutOfRange("node statistics taken without a beta have no "
+                             "tail")
         k = tail_count(self.beta, self.n_paths)
         frac = k / self.n_paths
         m = self.tail_mean - self.q_beta
@@ -370,8 +375,9 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
         thresholds = _checked_array("thresholds", thresholds, (n_nodes,))
     cost = (None if utility is None
             else _PathCost(model.grid, strategy.v, utility, n_paths))
-    q, tail, spread = ((None,) * 3 if k_tail is None
-                       else (np.empty(n_nodes) for _ in range(3)))
+    q = tail = spread = None
+    if k_tail is not None:
+        q, tail, spread = (np.empty(n_nodes) for _ in range(3))
     mean = np.empty(n_nodes)
     below = np.empty(n_nodes, dtype=np.int64) if thresholds is not None else None
     terminal_std = None

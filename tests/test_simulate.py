@@ -76,6 +76,11 @@ def test_node_stats_without_beta_skip_only_the_tail(sim_model, sim_strategy):
     assert np.array_equal(plain.below, tail.below)
     assert plain.cost == tail.cost
     assert plain.terminal_std == tail.terminal_std
+    with pytest.raises(OutOfRange):
+        plain.shortfall_standard_error()
+    with pytest.raises(OutOfRange):
+        jf.constraint_profile(plain, sim_model, jf.RiskSpec("var", 0.05, 0.1),
+                              1.0)
 
 
 def test_wealth_is_stored_node_major(sim_model, sim_strategy):
@@ -246,16 +251,10 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     return wealth, counts, first_normals
 
 
-@pytest.mark.parametrize("block_paths", [1 << 15, None],
-                         ids=["four_blocks", "one_block"])
-def test_matches_serial_reference_under_fast_thread_switching(block_paths,
-                                                              monkeypatch):
-    # four path blocks, or one, and many groups of two intervals, so every
-    # normal buffer is reused several times and tasks of one block run at
-    # once while the interpreter switches threads as often as it can
-    if block_paths is None:
-        block_paths = simulate_module._BLOCK_PATHS
-    monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", block_paths)
+def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
+    # four path blocks, then one, each in 20 groups of two intervals, so
+    # every normal buffer is reused several times and tasks of one block
+    # run at once while the interpreter switches threads as often as it can
     grid = jf.TimeGrid(np.linspace(0.0, 1.0, 41) ** 1.5)
     coeffs = jf.CoefficientPath.constant(grid, 0.02, [0.07, 0.05],
                                          [[0.3, 0.05], [0.0, 0.25]])
@@ -267,19 +266,21 @@ def test_matches_serial_reference_under_fast_thread_switching(block_paths,
                           np.full(grid.n, 0.5)])
     strategy = jf.Strategy.from_pi(model, pi)
     n_paths = 100_000
-    wealth, counts, first_normals = _serial_march(
-        model, strategy, 1.0, n_paths, 21, block_paths)
-    # 20 groups of each block, every task from a stream of its own
-    n_blocks = -(-n_paths // block_paths)
-    assert len(set(first_normals)) == 20 * n_blocks
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ens = jf.simulate(model, strategy, 1.0, n_paths, 21)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(ens.jump_counts, counts)
-    assert np.array_equal(ens.wealth, wealth)
+    for block_paths in (1 << 15, simulate_module._BLOCK_PATHS):
+        monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", block_paths)
+        wealth, counts, first_normals = _serial_march(
+            model, strategy, 1.0, n_paths, 21, block_paths)
+        # every task of the seed draws from a stream of its own
+        n_blocks = -(-n_paths // block_paths)
+        assert len(set(first_normals)) == 20 * n_blocks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ens = jf.simulate(model, strategy, 1.0, n_paths, 21)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(ens.jump_counts, counts)
+        assert np.array_equal(ens.wealth, wealth)
 
 
 def _march_digest(model, strategy, n_paths, seed):
@@ -290,27 +291,26 @@ def _march_digest(model, strategy, n_paths, seed):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("n_paths", [3 * 4096 + 123, 4000],
-                         ids=["four_blocks", "one_block"])
 def test_output_does_not_depend_on_the_worker_count(sim_model, sim_strategy,
-                                                     n_paths, monkeypatch):
-    # three full blocks and a partial one, in groups of 21 intervals, or
+                                                     monkeypatch):
+    # three full blocks and a partial one in groups of 21 intervals, then
     # one block in groups of 2; with three workers there are more draw
     # threads than cores, and the interpreter switches threads as often as
     # it can
     monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", 4096)
-    monkeypatch.setattr(simulate_module, "_NORMALS_PER_DRAW",
-                        1 << 18 if n_paths > 4096 else 1 << 13)
-    digests = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(simulate_module, "_WORKERS", workers)
-            digests.append(_march_digest(sim_model, sim_strategy, n_paths, 8))
+        for n_paths, per_draw in ((3 * 4096 + 123, 1 << 18), (4000, 1 << 13)):
+            monkeypatch.setattr(simulate_module, "_NORMALS_PER_DRAW", per_draw)
+            digests = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulate_module, "_WORKERS", workers)
+                digests.append(_march_digest(sim_model, sim_strategy,
+                                             n_paths, 8))
+            assert digests[0] == digests[1] == digests[2]
     finally:
         sys.setswitchinterval(interval)
-    assert digests[0] == digests[1] == digests[2]
 
 
 # ---------------------------------------------------------------------------
