@@ -66,10 +66,9 @@ def test_node_stats_consistent_with_full_ensemble(sim_model, sim_strategy):
 def test_node_stats_without_beta_skip_only_the_tail(sim_model, sim_strategy):
     thresholds = 0.9 * np.exp(R_path(sim_model))
     utility = jf.UtilitySpec.equal(0.5)
-    runs = [jf.simulate_node_stats(sim_model, sim_strategy, 1.0, beta, 3000,
-                                   17, thresholds, utility)
-            for beta in (0.05, None)]
-    tail, plain = runs
+    tail, plain = (jf.simulate_node_stats(sim_model, sim_strategy, 1.0, beta,
+                                          3000, 17, thresholds, utility)
+                   for beta in (0.05, None))
     assert plain.q_beta is None and plain.tail_mean is None
     assert plain.tail_std is None
     assert np.array_equal(plain.mean, tail.mean)
