@@ -62,13 +62,7 @@ from .market import (
     inner_product_path,
     theta_hat_path,
 )
-from .riskmetrics import (
-    RiskKind,
-    RiskSpec,
-    empirical_lower_quantile,
-    empirical_shortfall,
-    tail_count,
-)
+from .riskmetrics import RiskKind, RiskSpec, tail_count
 from .unconstrained import Strategy, check_initial_wealth, cost_function
 
 # Paths per block: each (block, group) task draws from its own SFC64 stream,
@@ -96,7 +90,7 @@ _ORACLE_BLOCK = 1 << 16
 
 @dataclass
 class PathEnsemble:
-    """Simulated wealth paths on the grid plus per-asset jump totals.
+    """Simulated wealth paths on the grid.
 
     `simulate` stores wealth node-major (see the module docstring): a
     node's column is contiguous, a path's row is not."""
@@ -105,8 +99,7 @@ class PathEnsemble:
     x: float
     n_paths: int
     seed: int
-    wealth: np.ndarray        # (n_paths, N), all entries positive
-    jump_counts: np.ndarray   # (n_paths, d)
+    wealth: np.ndarray   # (n_paths, N), all entries positive
 
 
 def _validated(model: MarketModel, strategy: Strategy, x: float,
@@ -178,18 +171,15 @@ def _ahead(pool, groups, depth: int):
 
 
 def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
-           seed: int, node_callback,
-           count_jumps: bool = True) -> np.ndarray | None:
+           seed: int, node_callback) -> None:
     """Drive n_paths through the grid, calling node_callback(k, log_wealth).
 
-    log_wealth is the (n_paths,) vector of log wealth at node k.  Returns
-    the (n_paths, d) per-asset jump counts, or None without count_jumps,
-    which draws the same.  The draw threads fill each group of
-    intervals, one task per block, each from its own stream (see the
-    module docstring), into one of _BUFFERS normal buffers, where each
-    block's part is contiguous, and return the jumps.  This thread counts
-    the jumps, turns each block's row into its log-wealth increment z sd +
-    shift plus the jumps, adds it and applies the node.
+    log_wealth is the (n_paths,) vector of log wealth at node k.  The draw
+    threads fill each group of intervals, one task per block, each from
+    its own stream (see the module docstring), into one of _BUFFERS normal
+    buffers, where each block's part is contiguous, and return the jumps.
+    This thread turns each block's row into its log-wealth increment z sd
+    + shift plus the jumps, adds it and applies the node.
     """
     grid = model.grid
     n_nodes = grid.n
@@ -200,10 +190,8 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
     sd = np.sqrt(s2)
     shift = np.diff(det_log) - 0.5 * s2
 
-    active = model.jumps.active
     jumps = [(lam * grid.dt, strategy.pi[:, j], z, _cumulative(w))
-             for j, lam, z, w in active]
-    counts = np.zeros((n_paths, model.d), np.int64) if count_jumps else None
+             for j, lam, z, w in model.jumps.active]
     rows = min(n_nodes - 1, max(1, _NORMALS_PER_DRAW // n_paths))
     buffers = [np.empty(rows * n_paths) for _ in range(_BUFFERS)]
     blocks = [(b, lo, min(lo + _BLOCK_PATHS, n_paths))
@@ -231,12 +219,6 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
         node_callback(0, log_w)
         k = 1
         for parts in _ahead(pool, groups(), _BUFFERS):
-            if counts is not None:
-                # counted here, not in the tasks: two tasks of one block
-                # may run at once
-                for paths, _, marks in parts:
-                    for (j, *_), (_, path, _) in zip(active, marks):
-                        np.add.at(counts[paths, j], path, 1)
             for r in range(len(parts[0][1])):
                 for paths, normals, marks in parts:
                     inc = normals[r]
@@ -250,7 +232,6 @@ def _march(model: MarketModel, strategy: Strategy, x: float, n_paths: int,
                 k += 1
     finally:
         pool.shutdown(cancel_futures=True)
-    return counts
 
 
 def simulate(model: MarketModel, strategy: Strategy, x: float,
@@ -266,9 +247,9 @@ def simulate(model: MarketModel, strategy: Strategy, x: float,
     def collect(k, log_w):
         np.exp(log_w, out=wealth[:, k])
 
-    counts = _march(model, strategy, x, n_paths, seed, collect)
+    _march(model, strategy, x, n_paths, seed, collect)
     return PathEnsemble(grid=model.grid, x=x, n_paths=n_paths, seed=seed,
-                        wealth=wealth, jump_counts=counts)
+                        wealth=wealth)
 
 
 class _PathCost:
@@ -359,7 +340,7 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
     """Stream the ensemble node by node, keeping only tail statistics.
 
     Memory stays O(n_paths) regardless of the grid size, and the draws are
-    bit-identical to simulate() with the same seed; no jumps are counted.
+    bit-identical to simulate() with the same seed.
     A beta of None skips the tail statistics: q_beta, tail_mean and
     tail_std are None, and no node is partitioned.
     `thresholds`, one finite, nonnegative wealth level per node, adds the
@@ -400,8 +381,7 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
             tail[k] = w[:k_tail].mean()
             spread[k] = w[:k_tail].std()
 
-    # the counts are dropped, so the march skips them
-    _march(model, strategy, x, n_paths, seed, collect, False)
+    _march(model, strategy, x, n_paths, seed, collect)
     return NodeStats(beta=beta, n_paths=n_paths, q_beta=q, tail_mean=tail,
                      tail_std=spread, mean=mean, below=below,
                      thresholds=thresholds,
@@ -413,6 +393,7 @@ def simulate_node_stats(model: MarketModel, strategy: Strategy, x: float,
 # Cost estimate
 # ---------------------------------------------------------------------------
 
+# read by no package code; the benchmark's tracer wraps it by name
 def estimate_cost(ensemble: PathEnsemble, strategy: Strategy,
                   utility: UtilitySpec) -> tuple:
     """Monte Carlo cost estimate (mean, standard error).
@@ -442,32 +423,22 @@ def constraint_profile(source, model: MarketModel, risk: RiskSpec,
                        x: float) -> np.ndarray:
     """Ratio Risk_t / (kappa x e^{R_t}) along the grid; feasible iff <= 1.
 
-    Pass a PathEnsemble for the empirical profile at the original level, a
-    NodeStats for its streamed version, or a Strategy for the closed-form
-    jump-free profile (the transform the solvers bind against).  An
-    ensemble on another grid, or node statistics of another length, raise
-    OutOfRange.
+    Pass a NodeStats for the streamed Monte Carlo profile at the original
+    level, or a Strategy for the closed-form jump-free profile (the
+    transform the solvers bind against).  Node statistics at another beta
+    or of another length raise OutOfRange.
     """
     check_initial_wealth(x)
-    R = R_path(model)
-    ref = x * np.exp(R)
     if isinstance(source, Strategy):
         # the risk ratio implied by the slack; slack = 0 is a ratio of 1
         slack = slack_path(source, model, risk)
         return (1.0 - (1.0 - risk.kappa) * np.exp(slack)) / risk.kappa
-    var = risk.kind == RiskKind.VAR
-    if isinstance(source, NodeStats):
-        if source.beta != risk.beta:
-            raise OutOfRange("NodeStats level differs from the risk spec")
-        if source.q_beta.shape != R.shape:
-            raise OutOfRange("NodeStats and model differ in node count")
-        tail_value = source.q_beta if var else source.tail_mean
-    else:
-        if not model.grid.same_as(source.grid):
-            raise OutOfRange("the ensemble is on another time grid")
-        tail = empirical_lower_quantile if var else empirical_shortfall
-        tail_value = np.array([tail(column, risk.beta)
-                               for column in source.wealth.T])
+    ref = x * np.exp(R_path(model))
+    if source.beta != risk.beta:
+        raise OutOfRange("NodeStats level differs from the risk spec")
+    if source.q_beta.shape != ref.shape:
+        raise OutOfRange("NodeStats and model differ in node count")
+    tail_value = source.q_beta if risk.kind == RiskKind.VAR else source.tail_mean
     return (ref - tail_value) / (risk.kappa * ref)
 
 

@@ -269,10 +269,7 @@ def test_criterion_7_certificates():
     worst_slack = math.inf
     inactive_count = 0
     for model, risk in instances:
-        if risk.kind == jf.RiskKind.VAR:
-            cert = jf.certify(model, utility, risk)
-        else:
-            cert = jf.certify(model, utility, risk)
+        cert = jf.certify(model, utility, risk)
         if cert.active:
             continue
         inactive_count += 1

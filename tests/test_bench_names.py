@@ -9,7 +9,10 @@ test, so both files are parsed here (not imported, so nothing under
 bench/ is written), each name is looked up and each call's positional
 count and keyword names are bound to today's signature.  The same holds
 for the diagnostics keys the benchmark's checks read: a renamed key would
-turn its check off, so each is pinned to a solve that emits it.
+turn its check off, so each is pinned to a solve that emits it.  And the
+tracer's work and extra functions read attributes off a traced call's
+result, so each traced function they read is pinned to a call whose
+result has them.
 """
 
 import ast
@@ -17,6 +20,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jumpfolio as jf
@@ -36,15 +40,32 @@ def _tree(name):
     return ast.parse((BENCH / name).read_text(encoding="utf-8"))
 
 
-def _traced():
-    """(module, attribute) of each TRACED entry."""
+def _traced_entries():
+    """The tuple nodes of TRACED."""
     for node in ast.walk(_tree("tracing.py")):
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "TRACED"
                         for t in node.targets)):
-            return [(entry.elts[0].value, entry.elts[1].value)
-                    for entry in node.value.elts]
+            return node.value.elts
     raise AssertionError("bench/tracing.py defines no TRACED")
+
+
+def _traced():
+    """(module, attribute) of each TRACED entry."""
+    return [(entry.elts[0].value, entry.elts[1].value)
+            for entry in _traced_entries()]
+
+
+def _traced_with_result_readers():
+    """The attribute of each TRACED entry whose work or extra function
+    reads its `result` argument."""
+    readers = {node.name for node in ast.walk(_tree("tracing.py"))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(n, ast.Name) and n.id == "result"
+                       for n in ast.walk(ast.Module(node.body, [])))}
+    return {entry.elts[1].value for entry in _traced_entries()
+            if any(getattr(f, "id", None) in readers
+                   for f in entry.elts[3:5])}
 
 
 def _dotted(node):
@@ -213,3 +234,40 @@ def test_bench_reads_only_pinned_diagnostic_keys():
 @pytest.mark.parametrize("key", sorted(EMITTED_BY))
 def test_a_diagnostic_key_the_bench_reads_is_emitted(key):
     assert key in EMITTED_BY[key]().diagnostics
+
+
+def _tiny_results():
+    model = make_model(n=5)
+    strategy = jf.Strategy.from_pi(model, np.full((5, 1), 0.5))
+    utility = jf.UtilitySpec.equal(0.5)
+    return {
+        "simulate": lambda: jf.simulate(model, strategy, 1.0, 4, 1),
+        "simulate_node_stats": lambda: jf.simulate_node_stats(
+            model, strategy, 1.0, None, 4, 1),
+        "grid_oracle": lambda: jf.grid_oracle(model, utility, None, 1.0,
+                                              [0.0, 0.5], [0.0, 1.0]),
+        "solve_power_equal": lambda: jf.solve_power_equal(model, utility),
+        "solve_no_consumption": lambda: jf.solve_no_consumption(model,
+                                                                utility),
+    }
+
+
+# what the tracer's work and extra functions read off each traced result
+TRACER_READS = {
+    "simulate": lambda result: result.n_paths == 4,
+    "simulate_node_stats": lambda result: result.n_paths == 4,
+    "grid_oracle": lambda result: result.n_feasible == 4,
+    "solve_power_equal":
+        lambda result: int(result.diagnostics["iterations"]) >= 0,
+    "solve_no_consumption":
+        lambda result: int(result.diagnostics["iterations"]) >= 0,
+}
+
+
+def test_tracer_reads_only_pinned_results():
+    assert _traced_with_result_readers() == set(TRACER_READS)
+
+
+@pytest.mark.parametrize("attr", sorted(TRACER_READS))
+def test_a_result_the_tracer_reads_carries_its_attributes(attr):
+    assert TRACER_READS[attr](_tiny_results()[attr]())

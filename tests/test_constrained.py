@@ -332,6 +332,25 @@ def test_certify_es_inactive_implies_direct_feasibility(jump_1d, equal_utility):
     assert slack.min() >= -1e-10
 
 
+def test_certify_es_cross_term_decides_the_verdict():
+    # the optimum breaks this limit, and only the cross-term correction c
+    # says so: without it the bound would read 1 - chi exp(m*) <= kappa
+    # with the norm budget met, an inactive certificate
+    model = make_model(n=33, horizon=2.2, r=0.0116, mu=0.0922, sigma=0.422,
+                       lam=1.48, jump=jf.JumpDist.point_masses([0.178], [1.0]))
+    risk = jf.RiskSpec("es", 0.087, 0.836)
+    cert = jf.certify(model, jf.UtilitySpec.equal(0.657), risk)
+    diag = cert.diagnostics
+    assert cert.active
+    assert cert.condition_lhs == pytest.approx(0.9636, abs=1e-4)
+    assert diag["cross_term_correction"] < 0.0
+    assert diag["norm_bound_ok"]
+    assert 1.0 - diag["chi"] * math.exp(diag["m_star"]) == pytest.approx(
+        0.8186, abs=1e-4)
+    slack = slack_path(cert.report.strategy, model, risk).min()
+    assert slack == pytest.approx(-0.989, abs=1e-3)
+
+
 def test_certify_es_jump_aggregate_sign(equal_utility):
     # nonnegative jumps with theta_hat >= 0 pair nonpositively
     model = make_model(mu=0.06, r=0.02, sigma=0.3, lam=0.5,

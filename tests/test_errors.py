@@ -196,8 +196,6 @@ SITES = {
     "fit_estimate_cost": (lambda: jf.estimate_cost(_ensemble(5), _consuming(),
                                                    EQUAL),
                           "another time grid", InvalidStrategy),
-    "fit_profile_ensemble": (lambda: jf.constraint_profile(
-        _ensemble(5), _tiny_model(), VAR, 1.0), "another time grid"),
     "fit_profile_node_stats": (lambda: jf.constraint_profile(
         _node_stats(n=5), _tiny_model(), VAR, 1.0), "node count"),
     "validate_consumption": (lambda: _validate(_strategy(

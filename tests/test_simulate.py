@@ -47,7 +47,6 @@ def test_simulation_is_bit_deterministic(sim_model, sim_strategy):
     a = jf.simulate(sim_model, sim_strategy, 1.0, 5000, 99)
     b = jf.simulate(sim_model, sim_strategy, 1.0, 5000, 99)
     assert np.array_equal(a.wealth, b.wealth)
-    assert np.array_equal(a.jump_counts, b.jump_counts)
     c = jf.simulate(sim_model, sim_strategy, 1.0, 5000, 100)
     assert not np.array_equal(a.wealth, c.wealth)
 
@@ -90,7 +89,7 @@ def test_wealth_is_stored_node_major(sim_model, sim_strategy):
 
 def test_simulate_allocates_no_second_wealth_matrix(sim_model, sim_strategy):
     # the wealth matrix and the normal buffers, plus about 0.5 MB of log
-    # wealth, jump counts and jump marks; a full-size copy of the matrix
+    # wealth and jump marks; a full-size copy of the matrix
     # (10.4 MB here) would not fit in the margin
     n_paths = 20_000
     tracemalloc.start()
@@ -195,8 +194,8 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     seeded by SeedSequence(seed, spawn_key=(b, g)): its normals interval
     by interval, then per asset with jumps one Poisson total per interval,
     the jumps' path indices, their offsets inside the interval and, unless
-    the law has one atom, their sizes.  Returns the wealth, the jump
-    counts and each task's first normal."""
+    the law has one atom, their sizes.  Returns the wealth and each task's
+    first normal."""
     grid = model.grid
     n = grid.n
     det_log = (math.log(x) + R_path(model) - strategy.V
@@ -206,7 +205,6 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
     s2 = 0.5 * (ysq[1:] + ysq[:-1]) * grid.dt
     rows = min(n - 1, max(1, (1 << 18) // n_paths))
     inc = np.empty((n - 1, n_paths))
-    counts = np.zeros((n_paths, model.d), dtype=np.int64)
     first_normals = []
     for b, lo in enumerate(range(0, n_paths, block_paths)):
         hi = min(lo + block_paths, n_paths)
@@ -240,14 +238,13 @@ def _serial_march(model, strategy, x, n_paths, seed, block_paths):
                 right = strategy.pi[interval + 1, j]
                 factor = np.log1p((left + offset * (right - left)) * size)
                 np.add.at(inc, (interval, lo + path), factor)
-                np.add.at(counts[:, j], lo + path, 1)
     wealth = np.empty((n_paths, n))
     log_w = np.full(n_paths, det_log[0])
     wealth[:, 0] = np.exp(log_w)
     for k in range(1, n):
         log_w += inc[k - 1]
         wealth[:, k] = np.exp(log_w)
-    return wealth, counts, first_normals
+    return wealth, first_normals
 
 
 def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
@@ -267,7 +264,7 @@ def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
     n_paths = 100_000
     for block_paths in (1 << 15, simulate_module._BLOCK_PATHS):
         monkeypatch.setattr(simulate_module, "_BLOCK_PATHS", block_paths)
-        wealth, counts, first_normals = _serial_march(
+        wealth, first_normals = _serial_march(
             model, strategy, 1.0, n_paths, 21, block_paths)
         # every task of the seed draws from a stream of its own
         n_blocks = -(-n_paths // block_paths)
@@ -278,15 +275,13 @@ def test_matches_serial_reference_under_fast_thread_switching(monkeypatch):
             ens = jf.simulate(model, strategy, 1.0, n_paths, 21)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(ens.jump_counts, counts)
         assert np.array_equal(ens.wealth, wealth)
 
 
 def _march_digest(model, strategy, n_paths, seed):
     h = hashlib.sha256()
-    counts = _march(model, strategy, 1.0, n_paths, seed,
-                    lambda k, log_w: h.update(log_w.tobytes()))
-    h.update(counts.tobytes())
+    _march(model, strategy, 1.0, n_paths, seed,
+           lambda k, log_w: h.update(log_w.tobytes()))
     return h.hexdigest()
 
 
@@ -362,22 +357,14 @@ def test_mean_wealth_exact_for_time_varying_pi_on_coarse_grid():
     assert np.all(np.abs(first - closed) <= 4.0 * se + 1e-12)
 
 
-def test_jump_counts_distribution(sim_model, sim_strategy):
+def test_jump_counts_distribution(sim_model):
+    # with a one-atom law, pi = 1 and a negligible volatility, each half's
+    # log-wealth step is its jump count times log(1 + xi), so the march's
+    # own output gives every path's count in the two halves of the
+    # horizon, which one group of draws splits from one Poisson total per
+    # half
     n = 100_000
-    ens = jf.simulate(sim_model, sim_strategy, 1.0, n, 1)
     lam = float(sim_model.jumps.lambdas[0])
-    mean = ens.jump_counts[:, 0].mean()
-    se = math.sqrt(lam / n)
-    assert abs(mean - lam) < 3.0 * se
-    # Poisson(lambda T) per path: the variance is lambda T too, and the
-    # sample variance has variance (mu_4 - sigma^4) / n = (lam + 2 lam^2) / n
-    var = ens.jump_counts[:, 0].var(ddof=1)
-    assert abs(var - lam) < 3.0 * math.sqrt((lam + 2.0 * lam**2) / n)
-
-    # counts in the two halves of the horizon, which one group of draws
-    # splits from one Poisson total per half: with a one-atom law, pi = 1
-    # and a negligible volatility, each half's log-wealth step is its jump
-    # count times log(1 + xi)
     grid = jf.TimeGrid(np.array([0.0, 0.5, 1.0]))
     coeffs = jf.CoefficientPath.constant(grid, 0.0, [0.0], [[1e-6]])
     xi = 0.1
@@ -386,11 +373,17 @@ def test_jump_counts_distribution(sim_model, sim_strategy):
     halves_model = jf.MarketModel(grid, coeffs, jumps)
     pi_one = jf.Strategy.from_pi(halves_model, np.ones((3, 1)))
     steps = []
-    counts = _march(halves_model, pi_one, 1.0, n, 1,
-                    lambda k, log_w: steps.append(log_w.copy()))
+    _march(halves_model, pi_one, 1.0, n, 1,
+           lambda k, log_w: steps.append(log_w.copy()))
     halves = [np.rint((steps[k] - steps[k - 1]
                        + lam * xi * 0.5) / math.log1p(xi)) for k in (1, 2)]
-    assert np.array_equal(halves[0] + halves[1], counts[:, 0])
+    # Poisson(lambda T) per path, T = 1: the variance is lambda T too, and
+    # the sample variance has variance (mu_4 - sigma^4) / n
+    # = (lam + 2 lam^2) / n
+    counts = halves[0] + halves[1]
+    assert abs(counts.mean() - lam) < 3.0 * math.sqrt(lam / n)
+    assert abs(counts.var(ddof=1) - lam) < 3.0 * math.sqrt(
+        (lam + 2.0 * lam**2) / n)
     for half in halves:
         assert abs(half.mean() - 0.5 * lam) < 3.0 * math.sqrt(0.5 * lam / n)
     corr = np.corrcoef(halves[0], halves[1])[0, 1]
@@ -502,7 +495,7 @@ def test_estimate_cost_matches_closed_form(sim_model, sim_strategy):
     assert abs(mean - exact) < 3.0 * se
     bigger, _ = jf.estimate_cost(
         jf.PathEnsemble(ens.grid, 2.0, ens.n_paths, ens.seed,
-                        2.0 * ens.wealth, ens.jump_counts),
+                        2.0 * ens.wealth),
         sim_strategy, utility)
     assert bigger > mean
 
@@ -610,26 +603,13 @@ def test_estimate_cost_needs_two_paths(sim_model, sim_strategy):
 # Constraint profiles
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", ["var", "es"])
-def test_ensemble_profile_matches_the_columns_of_a_row_major_copy(
-        sim_model, sim_strategy, kind):
-    ens = jf.simulate(sim_model, sim_strategy, 1.0, 20_000, 8)
-    risk = jf.RiskSpec(kind, 0.05, 0.1)
-    tail = empirical_lower_quantile if kind == "var" else empirical_shortfall
-    wealth = np.ascontiguousarray(ens.wealth)
-    tail_value = np.array([tail(wealth[:, k], risk.beta)
-                           for k in range(sim_model.grid.n)])
-    ref = 1.0 * np.exp(R_path(sim_model))
-    assert np.array_equal(jf.constraint_profile(ens, sim_model, risk, 1.0),
-                          (ref - tail_value) / (risk.kappa * ref))
-
-
 def test_profile_bank_account_zero(sim_model):
-    risk = jf.RiskSpec("var", 0.05, 0.1)
     bank = jf.Strategy.riskless(sim_model)
-    ens = jf.simulate(sim_model, bank, 1.0, 2000, 3)
-    prof = jf.constraint_profile(ens, sim_model, risk, 1.0)
-    assert np.max(np.abs(prof)) < 1e-12
+    stats = jf.simulate_node_stats(sim_model, bank, 1.0, 0.05, 2000, 3)
+    for kind in ("var", "es"):
+        prof = jf.constraint_profile(stats, sim_model,
+                                     jf.RiskSpec(kind, 0.05, 0.1), 1.0)
+        assert np.max(np.abs(prof)) < 1e-12
 
 
 def test_profile_rejects_node_stats_at_another_level(sim_model, sim_strategy):
