@@ -47,7 +47,8 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +75,14 @@ from .market import (
     theta_path,
 )
 from .riskmetrics import NegJumpMethod, RiskKind, RiskSpec
-from .unconstrained import SolveReport, Strategy, cost_function
+from .unconstrained import Strategy, cost_function
 
 # Paths of the streamed run that verify's terminal-mean and cost checks
 # use.  Up to the cap it holds every path and the profile check counts in
-# it too; above, a second streamed run counts all the paths.
+# it too; above, a second run without the cost counts all the paths.  A
+# speed choice: the cost adds about 2.4 ns per path-node when v > 0, so at
+# 10^6 paths on ref_es_equal2 the two runs take 5.1-5.7 s and one all-path
+# run 7.0-7.3 s (2 vCPUs); the break-even is about 150,000 paths.
 _FULL_ENSEMBLE_CAP = 20_000
 # Tail level of `simulate`'s node statistics for a config without a risk
 # section.
@@ -262,7 +266,12 @@ def config_text(config: RunConfig) -> str:
 # Output helpers
 # ---------------------------------------------------------------------------
 
+_SCALARS = (bool, int, float, np.integer, np.floating, str)
+
+
 def _fmt(value) -> str:
+    if isinstance(value, Enum):
+        value = value.value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -325,31 +334,19 @@ def load_strategy_csv(path, model: MarketModel) -> Strategy:
                     data[:, -1])
 
 
-def _report_rows(report: SolveReport) -> list:
-    """The scalar fields that are set (J_star first, in declaration order),
-    then the scalar diagnostics and the certificate rows by key."""
-    items = [(f.name, getattr(report, f.name)) for f in fields(report)]
-    rows = []
-    for key, value in items + sorted(report.diagnostics.items()):
-        if isinstance(value, (bool, int, float, np.integer, np.floating, str)):
-            rows.append((key, value))
-        elif isinstance(value, constrained.ConstraintCertificate):
-            rows.extend(_certificate_rows(value, prefix="certificate_"))
-    return rows
-
-
-def _certificate_rows(cert, prefix: str = "") -> list:
-    rows = [
-        (prefix + "kind", cert.kind.value),
-        (prefix + "active", cert.active),
-        (prefix + "condition_lhs", cert.condition_lhs),
-        (prefix + "condition_rhs", cert.condition_rhs),
-        (prefix + "kappa_lo", cert.kappa_range[0]),
-        (prefix + "kappa_hi", cert.kappa_range[1]),
-    ]
-    for key, value in sorted(cert.diagnostics.items()):
-        if isinstance(value, (bool, int, float, np.integer, np.floating)):
+def _report_rows(report, prefix: str = "") -> list:
+    """The rows of any report dataclass: its scalar fields in declaration
+    order, then its scalar diagnostics by key.  A dataclass among the
+    diagnostics (the certificate) goes out by the same rule under
+    `<key>_`; fields do not nest, as a certificate's `report` points back
+    to it.  Arrays, lists and None are not written."""
+    rows = [(prefix + f.name, getattr(report, f.name)) for f in fields(report)]
+    rows = [(key, value) for key, value in rows if isinstance(value, _SCALARS)]
+    for key, value in sorted(report.diagnostics.items()):
+        if isinstance(value, _SCALARS):
             rows.append((prefix + key, value))
+        elif is_dataclass(value):
+            rows.extend(_report_rows(value, f"{prefix}{key}_"))
     return rows
 
 
@@ -380,7 +377,7 @@ def cmd_certify(config: RunConfig, args) -> int:
         raise ConditionViolated("certify needs a risk section")
     cert = constrained.certify(config.model, config.utility, config.risk)
     out = config.out_dir
-    _write_rows(out / "report.csv", "key,value", _certificate_rows(cert))
+    _write_rows(out / "report.csv", "key,value", _report_rows(cert))
     print(f"constraint {'ACTIVE (not certified)' if cert.active else 'inactive'}; "
           f"wrote {out / 'report.csv'}")
     return 0
@@ -496,8 +493,7 @@ def _verify_checks(config: RunConfig, args) -> list:
 def cmd_verify(config: RunConfig, args) -> int:
     checks = _verify_checks(config, args)
     out = config.out_dir
-    _write_rows(out / "verify.csv", "name,lhs,rhs,tolerance,pass",
-                [(n, l, r, t, ok) for n, l, r, t, ok in checks])
+    _write_rows(out / "verify.csv", "name,lhs,rhs,tolerance,pass", checks)
     failed = [name for name, *_rest, ok in checks if not ok]
     for name, lhs, rhs, tol, ok in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: lhs={lhs:.6g} "

@@ -192,14 +192,16 @@ class ConstraintCertificate:
 
     active = False certifies that the unconstrained optimum satisfies the
     transformed constraint; the sufficient condition compares the loss
-    fraction against 1 - chi * exp(bound).
+    fraction against 1 - chi * exp(bound).  The certificate holds for
+    every kappa in [kappa_lo, kappa_hi].
     """
 
     kind: RiskKind
     active: bool
     condition_lhs: float
     condition_rhs: float
-    kappa_range: tuple
+    kappa_lo: float
+    kappa_hi: float = 1.0
     report: SolveReport | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -217,6 +219,8 @@ def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         ES:   e = m* = min_t q ||theta_hat||_t^2 + F(q ||theta||_t + |q_beta|),
               c from (y* - q theta_hat, theta_hat)_t;  needs |q_beta| >=
               2 ||theta_hat||_T and reports M paired with theta_hat
+
+    The certificate is also kept in its report's diagnostics["certificate"].
     """
     gamma = _power_gamma(utility, x, "certify")
     lev = effective_level(model, risk)
@@ -250,15 +254,17 @@ def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     slack = float(slack_path(report.strategy, model, risk).min())
     diag.update(chi=report.chi, cross_term_correction=c, y_norm_T=y_norm_T,
                 norm_budget=b, norm_bound_ok=norm_bound_ok, min_slack=slack)
-    return ConstraintCertificate(
+    cert = ConstraintCertificate(
         kind=risk.kind,
         active=not (lhs <= risk.kappa and norm_bound_ok),
         condition_lhs=lhs,
         condition_rhs=risk.kappa,
-        kappa_range=(max(0.0, lhs), 1.0),
+        kappa_lo=max(0.0, lhs),
         report=report,
         diagnostics=diag,
     )
+    report.diagnostics["certificate"] = cert
+    return cert
 
 
 certify_var_gamma = certify_es_gamma = certify  # bench/ reads; ROADMAP item 10
@@ -424,6 +430,5 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     report = SolveReport(strategy=strategy, J_star=J, h_star=h, g=g, rho=rho,
                          chi=1.0, diagnostics=diag)
     if risk is not None:
-        report.diagnostics["certificate"] = certify(model, utility, risk, x,
-                                                    report=report)
+        certify(model, utility, risk, x, report=report)
     return report

@@ -137,7 +137,5 @@ def adjusted_solve(model: MarketModel, risk: RiskSpec | None,
             raise ConditionViolated(
                 "inactivity certificate failed: lhs="
                 f"{cert.condition_lhs:.6g} > kappa={cert.condition_rhs:.6g}")
-        report = cert.report
-        report.diagnostics["certificate"] = cert
-        return report
+        return cert.report
     return constrained.solve_diff_gamma(model, utility, risk, x, force=force)

@@ -27,13 +27,12 @@ law).  By the splitting theorem each path then has independent Poisson
 jump counts with uniform jump times, as a per-path draw would.  One pool
 of _WORKERS draw threads runs the tasks a few groups ahead, so even a
 one-block ensemble draws on every thread, while the calling thread turns
-the draws into log-wealth increments, adds up the jump counts and
-applies each node.  Every task owns its stream, so every output depends
-only on the seed, _BLOCK_PATHS and _NORMALS_PER_DRAW (which sets the
-intervals per group, and so which task draws what), not on the worker
-count or the scheduling: it is bit-identical to a serial loop over the
-tasks and reproducible bit for bit from those three for a given numpy
-release.
+the draws into log-wealth increments and applies each node.  Every task
+owns its stream, so every output depends only on the seed, _BLOCK_PATHS
+and _NORMALS_PER_DRAW (which sets the intervals per group, and so which
+task draws what), not on the worker count or the scheduling: it is
+bit-identical to a serial loop over the tasks and reproducible bit for bit
+from those three for a given numpy release.
 
 Storage is node-major: `PathEnsemble.wealth` is the transpose of an
 (N, n_paths) array, so writing or reading one node is contiguous.  Readers

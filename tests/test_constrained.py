@@ -294,7 +294,7 @@ def test_certify_var_near_one_kappa_inactive(jump_1d, equal_utility):
     cert = jf.certify(jump_1d, equal_utility,
                       jf.RiskSpec("var", 0.05, 0.999))
     assert not cert.active
-    assert cert.kappa_range[0] <= 0.999 < cert.kappa_range[1]
+    assert cert.kappa_lo <= 0.999 < cert.kappa_hi
 
 
 def test_certify_var_inactive_implies_direct_feasibility(jump_1d, equal_utility):
@@ -530,6 +530,22 @@ def test_diff_gamma_condition_failures(diff_setup):
     rep = jf.solve_diff_gamma(model, utility, jf.RiskSpec("var", 0.5, 0.15),
                               force=True)
     assert not rep.condition_ok
+
+
+def test_diff_gamma_var_level_takes_the_larger_gamma():
+    # the paper's VaR level ||theta_hat||_T (1 + max(g1, g2) / ((1 - kappa)
+    # D*)) is 2.3285 here, above |q_beta| = 1.6449, so the market is
+    # refused; the level with min(g1, g2), 1.3217, would admit it
+    model = make_model(n=33, r=0.02, mu=0.2, sigma=0.3, lam=0.5,
+                       jump=jf.JumpDist.point_masses([0.02], [1.0]))
+    utility = jf.UtilitySpec(0.3, 0.7)
+    risk = jf.RiskSpec("var", 0.05, 0.15)
+    with pytest.raises(ConditionViolated, match="below the required level"):
+        jf.solve_diff_gamma(model, utility, risk)
+    diag = jf.solve_diff_gamma(model, utility, risk, force=True).diagnostics
+    thh = l2_time_norm(model.grid, theta_hat_path(model))
+    min_level = thh + thh * 0.3 / ((1.0 - 0.15) * diag["log_derivative_min"])
+    assert min_level < diag["q_abs"] < diag["required_q_abs"]
 
 
 # ---------------------------------------------------------------------------
