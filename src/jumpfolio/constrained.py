@@ -276,13 +276,11 @@ certify_var_gamma = certify_es_gamma = certify  # bench/ reads; ROADMAP item 10
 
 @dataclass(kw_only=True)
 class DiffGammaReport(SolveReport):
-    """Consume-all solution for gamma1 != gamma2 and its upper-bound data;
-    J_star is the attained bound M_hat(kappa)."""
+    """Consume-all solution for gamma1 != gamma2; J_star is the attained
+    bound M_hat(kappa).  The upper-bound curve M_hat and the feasible
+    allocation budget rho_eta along eta_grid are diagnostics keys."""
 
     eta_kappa: float            # consumed fraction 1 - exp(-V_T)
-    eta_grid: np.ndarray
-    rho_eta: np.ndarray         # feasible allocation budget along eta
-    M_hat: np.ndarray           # upper-bound curve along eta
     condition_ok: bool
 
 
@@ -395,14 +393,14 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         "problems": problems,
         "A_T": A_T,
         "norm1": norm1,
+        "eta_grid": eta_grid,
+        "rho_eta": rho_eta,
+        "M_hat": m_hat(eta_grid),
     }
     return DiffGammaReport(
         strategy=strategy,
         J_star=float(m_hat(kappa)),
         eta_kappa=eta_kappa,
-        eta_grid=eta_grid,
-        rho_eta=rho_eta,
-        M_hat=m_hat(eta_grid),
         condition_ok=condition_ok,
         diagnostics=diag,
     )
@@ -424,11 +422,10 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     """
     gamma = _power_gamma(utility, x, "solve_no_consumption")
     y, pi, h, g, diag = _optimal_allocation(model, gamma)
-    rho = g[-1] / g
-    strategy = Strategy(model.grid, y, pi)
-    J = x**gamma * float(g[-1])
-    report = SolveReport(strategy=strategy, J_star=J, h_star=h, g=g, rho=rho,
-                         chi=1.0, diagnostics=diag)
+    diag.update(h_star=h, g=g, rho=g[-1] / g)
+    report = SolveReport(strategy=Strategy(model.grid, y, pi),
+                         J_star=x**gamma * float(g[-1]), chi=1.0,
+                         diagnostics=diag)
     if risk is not None:
         certify(model, utility, risk, x, report=report)
     return report

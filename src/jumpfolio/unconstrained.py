@@ -24,7 +24,7 @@ for the value-function coefficient rho(t).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -86,8 +86,7 @@ class Strategy:
 
     The paths are kept as read-only copies (the caller's arrays stay
     writable), so the integrals V and ||y||_t^2, computed on first use and
-    kept, cannot go stale.  `from_pi` and `from_y` hand over the path they
-    compute, which no caller holds, read-only without a copy.
+    kept, cannot go stale.
 
     A stack of candidates has leading axes, y and pi (..., N, d) and v (...,
     N), that broadcast against each other; `cost_function` and `slack_path`
@@ -99,14 +98,10 @@ class Strategy:
     pi: np.ndarray      # (..., N, d)
     v: np.ndarray | None = None     # (..., N)
     V_path: np.ndarray | None = None
-    # which of y and pi from_pi or from_y computed; kept without a copy
-    _fresh: InitVar[tuple] = ()
 
-    def __post_init__(self, _fresh):
+    def __post_init__(self):
         n = self.grid.n
-        y, pi = (_as_paths(p) if name in _fresh else _frozen(_as_paths(p))
-                 for name, p in (("y", self.y), ("pi", self.pi)))
-        y.flags.writeable = pi.flags.writeable = False
+        y, pi = _frozen(_as_paths(self.y)), _frozen(_as_paths(self.pi))
         v = _frozen(np.zeros(n) if self.v is None else self.v)
         if y.shape != pi.shape or y.shape[-2] != n:
             raise InvalidStrategy("y and pi must both be (..., N, d) paths")
@@ -131,14 +126,14 @@ class Strategy:
         """Strategy with y = sigma' pi; pi may be a stack (..., N, d)."""
         pi = _as_paths(pi)
         y = np.einsum("nji,...nj->...ni", model.coeffs.sigma, pi)
-        return cls(model.grid, y, pi, v, _fresh=("y",))
+        return cls(model.grid, y, pi, v)
 
     @classmethod
     def from_y(cls, model: MarketModel, y, v=None) -> "Strategy":
         y = _as_paths(y)
         sigma_t = model.coeffs.sigma.transpose(0, 2, 1)
         pi = np.linalg.solve(sigma_t, y[..., None])[..., 0]
-        return cls(model.grid, y, pi, v, _fresh=("pi",))
+        return cls(model.grid, y, pi, v)
 
     @classmethod
     def riskless(cls, model: MarketModel) -> "Strategy":
@@ -192,13 +187,13 @@ class Strategy:
 
 @dataclass
 class SolveReport:
-    """Solver output: optimal strategy, value and diagnostics."""
+    """Solver output: optimal strategy, value J_star, the terminal
+    consumption discount chi where the solver has one, and diagnostics,
+    which name every other path or curve (the equal-gamma solves give
+    h_star, g = exp(int h*) and the value coefficient rho)."""
 
     strategy: Strategy
     J_star: float
-    h_star: np.ndarray | None = None
-    g: np.ndarray | None = None
-    rho: np.ndarray | None = None
     chi: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -415,11 +410,11 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
     y, pi, h, g, diagnostics = _optimal_allocation(model, gamma)
     v_star, rho, chi = value_terms(model.grid, g, utility)
     strategy = Strategy(model.grid, y, pi, v_star)
-    diagnostics["J_star_rho0"] = x**gamma * float(rho[0])
+    diagnostics.update(h_star=h, g=g, rho=rho,
+                       J_star_rho0=x**gamma * float(rho[0]))
     return SolveReport(strategy=strategy,
                        J_star=cost_function(model, utility, strategy, x),
-                       h_star=h, g=g, rho=rho, chi=chi,
-                       diagnostics=diagnostics)
+                       chi=chi, diagnostics=diagnostics)
 
 
 solve_power_1d = solve_power_equal  # bench/ reads; ROADMAP item 10

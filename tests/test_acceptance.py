@@ -426,10 +426,11 @@ def test_criterion_11_martingale_spot_check():
                        jump=jf.JumpDist.point_masses([0.03, 0.10], [0.6, 0.4]))
     utility = jf.UtilitySpec.equal(gamma)
     rep = jf.solve_power_equal(model, utility)
+    rho = rep.diagnostics["rho"]
     checkpoints = np.arange(0, 65, 8)
     n_paths = 200_000
 
-    means, ses = _value_process_means(model, rep.rho, rep.strategy, n_paths,
+    means, ses = _value_process_means(model, rho, rep.strategy, n_paths,
                                       70, checkpoints, gamma)
     flat_ok = bool(np.all(np.abs(means - means[0]) <= 3.0 * ses))
 
@@ -444,7 +445,7 @@ def test_criterion_11_martingale_spot_check():
     decreasing_ok = True
     drops = []
     for i, strat in enumerate(perturbations):
-        m, s = _value_process_means(model, rep.rho, strat, n_paths, 71 + i,
+        m, s = _value_process_means(model, rho, strat, n_paths, 71 + i,
                                     checkpoints, gamma)
         decreasing_ok &= bool(np.all(np.diff(m) <= 3.0 * s[1:]))
         decreasing_ok &= bool(m[-1] < m[0] - 3.0 * s[-1])

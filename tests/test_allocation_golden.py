@@ -116,7 +116,8 @@ def solve_digests(market, d):
     for solve in (jf.solve_power_equal, jf.solve_no_consumption):
         rep = solve(model, UTILITY, x=1.5)
         digests.append(_digest(
-            rep.strategy.pi, rep.strategy.y, rep.strategy.v, rep.h_star,
+            rep.strategy.pi, rep.strategy.y, rep.strategy.v,
+            rep.diagnostics["h_star"],
             np.array([rep.J_star, rep.diagnostics["foc_residual"]])))
     return tuple(digests)
 

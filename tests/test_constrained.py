@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -466,18 +467,17 @@ def test_diff_gamma_dominates_random_feasible(diff_setup):
 def test_diff_gamma_upper_bound_curve_shape(diff_setup):
     model, utility, risk = diff_setup
     rep = jf.solve_diff_gamma(model, utility, risk)
-    m = rep.M_hat
+    m, rho_eta = rep.diagnostics["M_hat"], rep.diagnostics["rho_eta"]
     second = m[2:] - 2.0 * m[1:-1] + m[:-2]
     assert np.max(second) <= 1e-10
     # budget curve decreases to zero at kappa
-    assert np.all(np.diff(rep.rho_eta) < 1e-14)
-    assert abs(rep.rho_eta[-1]) < 1e-10
+    assert np.all(np.diff(rho_eta) < 1e-14)
+    assert abs(rho_eta[-1]) < 1e-10
     # G_i = fbar_i(rho(eta)) * M_hat(eta) is nondecreasing under the level
     # condition
     thh = l2_time_norm(model.grid, theta_hat_path(model))
     for g in (utility.gamma1, utility.gamma2):
-        fbar = np.exp(g * thh * rep.rho_eta
-                      - 0.5 * g * (1.0 - g) * rep.rho_eta**2)
+        fbar = np.exp(g * thh * rho_eta - 0.5 * g * (1.0 - g) * rho_eta**2)
         assert np.all(np.diff(fbar * m) >= -1e-12)
 
 
@@ -568,12 +568,12 @@ def test_no_consumption_merton_value():
 def test_no_consumption_rho_is_linear_ode(jump_1d):
     utility = jf.UtilitySpec.equal(0.5)
     rep = jf.solve_no_consumption(jump_1d, utility)
-    rho, h = rep.rho, rep.h_star
+    rho, h = rep.diagnostics["rho"], rep.diagnostics["h_star"]
     dt = jump_1d.grid.dt[0]
     drho = (rho[2:] - rho[:-2]) / (2.0 * dt)
     resid = drho + rho[1:-1] * h[1:-1]
     assert np.max(np.abs(resid)) < 5e-5
-    assert rep.rho[-1] == 1.0
+    assert rho[-1] == 1.0
 
 
 def test_no_consumption_grid_dominance(jump_1d):
@@ -759,3 +759,35 @@ def test_adjusted_solve_without_risk_is_the_unconstrained_solve(jump_1d,
 def test_adjusted_solve_without_risk_refuses_distinct_gammas(jump_1d):
     with pytest.raises(ConditionViolated, match="distinct gammas"):
         jf.adjusted_solve(jump_1d, None, jf.UtilitySpec(0.3, 0.7))
+
+
+# ---------------------------------------------------------------------------
+# One report shape: scalar fields, every path or curve a named diagnostic
+# ---------------------------------------------------------------------------
+
+_EQUAL = jf.UtilitySpec.equal(0.5)
+_REPORT_CASES = {
+    "linear": (lambda m, u, r: jf.solve_linear(m), ()),
+    "gamma1": (lambda m, u, r: jf.solve_gamma1(m, r), ()),
+    "power_equal": (lambda m, u, r: jf.solve_power_equal(m, _EQUAL),
+                    ("h_star", "g", "rho")),
+    "no_consumption": (lambda m, u, r: jf.solve_no_consumption(m, _EQUAL),
+                       ("h_star", "g", "rho")),
+    "diff_gamma": (jf.solve_diff_gamma, ("eta_grid", "rho_eta", "M_hat")),
+    "certify": (lambda m, u, r: jf.certify(m, _EQUAL, r), ()),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_REPORT_CASES))
+def test_a_report_holds_scalars_and_names_its_paths(diff_setup, family):
+    model, utility, risk = diff_setup
+    solve, paths = _REPORT_CASES[family]
+    report = solve(model, utility, risk)
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if f.name not in ("strategy", "diagnostics", "report"):
+            assert value is None or (np.ndim(value) == 0
+                                     and not isinstance(value, np.ndarray))
+    length = 101 if family == "diff_gamma" else model.grid.n
+    for key in paths:
+        assert report.diagnostics[key].shape == (length,)

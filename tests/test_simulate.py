@@ -477,27 +477,42 @@ def test_quantile_consistency_shrinking_bands():
 # Cost estimation
 # ---------------------------------------------------------------------------
 
+def _stored_cost(model, strategy, utility, x, n_paths, seed, drawn=None):
+    ens = jf.simulate(model, strategy if drawn is None else drawn, x,
+                      n_paths, seed)
+    return jf.estimate_cost(ens, strategy, utility)
+
+
+def _streamed_cost(model, strategy, utility, x, n_paths, seed, drawn=None):
+    return jf.simulate_node_stats(model, strategy, x, None, n_paths, seed,
+                                  utility=utility).cost
+
+
+# The Monte Carlo cost (mean, se) of strategy, from the ensemble simulate()
+# draws for `drawn` (the strategy itself unless given) or streamed; each
+# behaviour test below holds for both.
+MC_COSTS = (_stored_cost, _streamed_cost)
+
+
 def test_estimate_cost_zero_variance_bank():
     model = make_model(n=33, lam=0.0)
     bank = jf.Strategy.riskless(model)
-    ens = jf.simulate(model, bank, 1.0, 500, 2)
     utility = jf.UtilitySpec(0.5, 0.7)
-    mean, se = jf.estimate_cost(ens, bank, utility)
-    assert mean == pytest.approx(math.exp(0.7 * 0.02), rel=1e-13)
-    assert se < 1e-15
+    for mc_cost in MC_COSTS:
+        mean, se = mc_cost(model, bank, utility, 1.0, 500, 2)
+        assert mean == pytest.approx(math.exp(0.7 * 0.02), rel=1e-13)
+        assert se < 1e-15
 
 
 def test_estimate_cost_matches_closed_form(sim_model, sim_strategy):
     utility = jf.UtilitySpec.equal(0.5)
-    ens = jf.simulate(sim_model, sim_strategy, 1.0, 200_000, 77)
-    mean, se = jf.estimate_cost(ens, sim_strategy, utility)
     exact = jf.cost_function(sim_model, utility, sim_strategy, 1.0)
-    assert abs(mean - exact) < 3.0 * se
-    bigger, _ = jf.estimate_cost(
-        jf.PathEnsemble(ens.grid, 2.0, ens.n_paths, ens.seed,
-                        2.0 * ens.wealth),
-        sim_strategy, utility)
-    assert bigger > mean
+    for mc_cost in MC_COSTS:
+        mean, se = mc_cost(sim_model, sim_strategy, utility, 1.0, 200_000, 77)
+        assert abs(mean - exact) < 3.0 * se
+        bigger, _ = mc_cost(sim_model, sim_strategy, utility, 2.0, 200_000,
+                            77)
+        assert bigger > mean
 
 
 def _trapezoid_cost(ensemble, strategy, utility):
@@ -584,19 +599,21 @@ def test_estimate_cost_refuses_a_stack_of_candidates(stack):
     # four rates against four paths would pair candidate k with path k
     model = make_model(n=5)
     single = jf.Strategy.from_pi(model, np.full((5, 1), 0.5))
-    ens = jf.simulate(model, single, 1.0, 4, 3)
     pi, v = {"two_rates": (np.full((5, 1), 0.5), np.ones((2, 5))),
              "four_rates": (np.full((5, 1), 0.5), np.ones((4, 5))),
              "two_allocations": (np.full((2, 5, 1), 0.5), np.ones(5))}[stack]
-    with pytest.raises(InvalidStrategy):
-        jf.estimate_cost(ens, jf.Strategy.from_pi(model, pi, v),
-                         jf.UtilitySpec.equal(0.5))
+    candidates = jf.Strategy.from_pi(model, pi, v)
+    for mc_cost in MC_COSTS:
+        with pytest.raises(InvalidStrategy, match="stack"):
+            mc_cost(model, candidates, jf.UtilitySpec.equal(0.5), 1.0, 4, 3,
+                    drawn=single)
 
 
 def test_estimate_cost_needs_two_paths(sim_model, sim_strategy):
-    ens = jf.simulate(sim_model, sim_strategy, 1.0, 1, 5)
-    with pytest.raises(OutOfRange):
-        jf.estimate_cost(ens, sim_strategy, jf.UtilitySpec.equal(0.5))
+    for mc_cost in MC_COSTS:
+        with pytest.raises(OutOfRange):
+            mc_cost(sim_model, sim_strategy, jf.UtilitySpec.equal(0.5), 1.0,
+                    1, 5)
 
 
 # ---------------------------------------------------------------------------

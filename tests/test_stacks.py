@@ -10,6 +10,7 @@ read-only copies of its paths and its own integrals V and ||y||_t^2.
 
 import collections
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -254,6 +255,12 @@ def test_a_built_strategy_keeps_no_view_of_the_callers_path(build, shape):
     assert given.flags.writeable
     assert not any(np.shares_memory(given, path)
                    for path in (strategy.y, strategy.pi))
+
+
+def test_a_strategy_copies_every_path_one_way():
+    # no init-only switch lets a builder hand over a path uncopied
+    assert list(inspect.signature(jf.Strategy).parameters) == [
+        "grid", "y", "pi", "v", "V_path"]
 
 
 def test_risk_level_is_resolved_once_per_model_and_risk(monkeypatch):
