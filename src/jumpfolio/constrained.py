@@ -27,7 +27,6 @@ from .errors import (
     ConditionViolated,
     EpsilonTooLarge,
     KappaOutOfRange,
-    OutOfRange,
     ThetaHatNegative,
 )
 from .market import (
@@ -36,11 +35,11 @@ from .market import (
     UtilitySpec,
     _exp,
     _sigma_solve,
-    cumtrapz,
     inner_product_path,
     jump_terms_path,
     l2_time_norm,
     l2_time_norm_sq_path,
+    log_tail_trapz,
     sigma_inv_xi_lambda_path,
     theta_hat_path,
     theta_path,
@@ -54,9 +53,11 @@ from .unconstrained import (
     _in_box,
     _optimal_allocation,
     _power_gamma,
+    _value,
     check_initial_wealth,
     solve_linear,
     solve_power_equal,
+    value_terms,
 )
 
 _SLACK_TOL = 1e-10
@@ -274,14 +275,11 @@ certify_var_gamma = certify_es_gamma = certify  # bench/ reads; ROADMAP item 10
 # Distinct gammas: consume everything
 # ---------------------------------------------------------------------------
 
-@dataclass(kw_only=True)
 class DiffGammaReport(SolveReport):
     """Consume-all solution for gamma1 != gamma2; J_star is the attained
-    bound M_hat(kappa).  The upper-bound curve M_hat and the feasible
+    bound M_hat(kappa).  The consumed fraction eta_kappa = 1 - exp(-V_T),
+    condition_ok, and the upper-bound curve M_hat and the feasible
     allocation budget rho_eta along eta_grid are diagnostics keys."""
-
-    eta_kappa: float            # consumed fraction 1 - exp(-V_T)
-    condition_ok: bool
 
 
 def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
@@ -293,7 +291,8 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     over consumed fractions eta <= kappa, and the bound is attained by
     y* = 0 with the explicit consumption rate
     v*_t = kappa ghat1^{q1}(t) / (||ghat1||_{q1,T}^{q1} - kappa
-    ||ghat1||_{q1,t}^{q1}).
+    ||ghat1||_{q1,t}^{q1}), the law of `value_terms` with f = ghat1^{q1}
+    and c = (1 - kappa) / kappa ||ghat1||_{q1,T}^{q1}.
 
     Under an ES limit the shift ln(1 - eps_T) of the transform makes
     kappa_hat = (kappa - eps_T) / (1 - eps_T) the level in place of kappa,
@@ -308,18 +307,10 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     grid = model.grid
     q1 = 1.0 / (1.0 - g1)
     R = R_path(model)
-    with np.errstate(over="ignore"):
-        ghat1_q1 = np.exp(g1 * q1 * R)
-        A = cumtrapz(grid, ghat1_q1)      # ||ghat1||_{q1,t}^{q1}
-    A_T = float(A[-1])
-    if not math.isfinite(A_T):            # ghat1_q1 >= 0 and A rises to A_T
-        raise OutOfRange("||ghat1||_{q1,T}^{q1} = int exp(g1 q1 R_t) dt "
-                         "overflows a float")
-    norm1 = A_T ** (1.0 / q1)             # ||ghat1||_{q1,T}
-    ghat2_T = _exp(g2 * float(R[-1]), "ghat2(T)")
-    if g2 * ghat2_T == 0.0:              # log_c below divides by it
-        raise OutOfRange(f"ghat2(T) = exp({g2 * float(R[-1]):.6g}) "
-                         "underflows to 0")
+    R_T, log_f = float(R[-1]), g1 * q1 * R    # log_f = ln ghat1^{q1}
+    log_A_T = float(log_tail_trapz(grid, log_f, -math.inf)[0])
+    norm1 = _exp(log_A_T / q1, "||ghat1||_{q1,T}")
+    ghat2_T = _exp(g2 * R_T, "ghat2(T)")
 
     def m_hat(eta):
         eta = np.asarray(eta, dtype=float)
@@ -329,7 +320,8 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     # M_hat' falls strictly from +inf to -inf on (0, 1), so its root is the
     # argmax.  The log ratio of its two terms has its sign; in the logit
     # w = ln(eta / (1 - eta)) it is finite and nearly linear at both ends.
-    log_c = math.log(g1 * norm1 / (g2 * ghat2_T)) + (g1 - g2) * math.log(x)
+    log_c = (math.log(g1 / g2) + log_A_T / q1 - g2 * R_T
+             + (g1 - g2) * math.log(x))
 
     def log_ratio(w: float) -> float:    # ln eta = -ln(1 + e^-w)
         return (log_c + (1.0 - g1) * np.logaddexp(0.0, -w)
@@ -370,15 +362,15 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     if q_abs < required:
         problems.append(f"|q_beta| = {q_abs:.6g} below the required level "
                         f"{required:.6g}")
-    condition_ok = not problems
     if problems and not force:
         raise ConditionViolated("; ".join(problems))
 
-    v_star = kappa * ghat1_q1 / (A_T - kappa * A)
-    V_star = -np.log1p(-kappa * A / A_T)      # exact integral of v_star
+    # A_T - kappa A_t = (1 - kappa) A_T + kappa int_t^T f: the law with
+    # c = (1 - kappa) / kappa A_T, read for f / A_T, whose integral is 1
+    v_star, V_star, _ = value_terms(grid, log_f - log_A_T,
+                                    math.log1p(-kappa) - math.log(kappa))
     zeros = np.zeros((grid.n, model.d))
     strategy = Strategy(grid, zeros, zeros.copy(), v_star, V_path=V_star)
-    eta_kappa = float(-np.expm1(-strategy.V[-1]))
 
     eta_grid = np.linspace(0.0, kappa, 101)
     base = (q_abs - thh_norm) ** 2 - 2.0 * math.log1p(-kappa)
@@ -391,19 +383,15 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         "required_q_abs": required,
         "q_abs": q_abs,
         "problems": problems,
-        "A_T": A_T,
+        "condition_ok": not problems,
+        "eta_kappa": float(-np.expm1(-V_star[-1])),
+        "log_A_T": log_A_T,
         "norm1": norm1,
         "eta_grid": eta_grid,
         "rho_eta": rho_eta,
         "M_hat": m_hat(eta_grid),
     }
-    return DiffGammaReport(
-        strategy=strategy,
-        J_star=float(m_hat(kappa)),
-        eta_kappa=eta_kappa,
-        condition_ok=condition_ok,
-        diagnostics=diag,
-    )
+    return DiffGammaReport(strategy, float(m_hat(kappa)), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +409,11 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     exp(-V_T) = 1) is attached to the diagnostics.
     """
     gamma = _power_gamma(utility, x, "solve_no_consumption")
-    y, pi, h, g, diag = _optimal_allocation(model, gamma)
-    diag.update(h_star=h, g=g, rho=g[-1] / g)
-    report = SolveReport(strategy=Strategy(model.grid, y, pi),
-                         J_star=x**gamma * float(g[-1]), chi=1.0,
-                         diagnostics=diag)
+    y, pi, h, log_g, diag = _optimal_allocation(model, gamma)
+    J = _value(x, gamma, float(log_g[-1]))     # rho(0) = g(T)
+    with np.errstate(over="ignore"):    # rho(t) may pass rho(0)
+        diag.update(h_star=h, log_g=log_g, rho=np.exp(log_g[-1] - log_g))
+    report = SolveReport(Strategy(model.grid, y, pi), J, 1.0, diag)
     if risk is not None:
         certify(model, utility, risk, x, report=report)
     return report

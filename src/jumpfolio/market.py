@@ -122,6 +122,16 @@ def trapz(grid: TimeGrid, values: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
+def log_tail_trapz(grid: TimeGrid, log_f: np.ndarray,
+                   log_c: float) -> np.ndarray:
+    """ln(c + int_t^T f) at every node from ln f and ln c: the trapezoid
+    pieces of f summed backward from T in logs, so a small tail keeps its
+    digits and neither f nor the sum need be a float."""
+    log_f = np.asarray(log_f, dtype=float)
+    pieces = np.logaddexp(log_f[1:], log_f[:-1]) + np.log(0.5 * grid.dt)
+    return np.logaddexp.accumulate(np.append(pieces, log_c)[::-1])[::-1]
+
+
 def l2_time_norm_sq_path(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """Cumulative squared L2-in-time norm: t -> integral of |f_s|^2 ds.
 

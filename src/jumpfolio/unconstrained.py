@@ -46,6 +46,7 @@ from .market import (
     cumtrapz,
     jump_terms_path,
     l2_time_norm_sq_path,
+    log_tail_trapz,
     node_map,
     theta_path,
     trapz,
@@ -190,7 +191,7 @@ class SolveReport:
     """Solver output: optimal strategy, value J_star, the terminal
     consumption discount chi where the solver has one, and diagnostics,
     which name every other path or curve (the equal-gamma solves give
-    h_star, g = exp(int h*) and the value coefficient rho)."""
+    h_star, log_g = int h* and the value coefficient rho)."""
 
     strategy: Strategy
     J_star: float
@@ -213,27 +214,21 @@ def growth_rate_path(model: MarketModel, gamma: float, y: np.ndarray,
             + K_transform_path(model.jumps, pi, gamma))
 
 
-def value_terms(grid: TimeGrid, g: np.ndarray, utility: UtilitySpec):
-    """Optimal consumption rate v*, value coefficient rho and terminal
-    discount chi, all read from one power g^q of g = exp(int h*):
+def value_terms(grid: TimeGrid, log_f: np.ndarray, log_c: float):
+    """The consumption law v*_t = f_t / D_t, D_t = c + int_t^T f, of both
+    consuming solvers, from ln f and ln c; returns (v*, V*, ln D) with the
+    exact integral V*_t = ln D_0 - ln D_t.  A shift of ln f and ln c by one
+    constant shifts only ln D, so f, c and D need not be floats."""
+    log_D = log_tail_trapz(grid, log_f, log_c)
+    return np.exp(log_f - log_D), log_D[0] - log_D, log_D
 
-        v*_t   = g^q(t) / (g^q(T) + int_t^T g^q)
-        rho(t) = [(g^q(T) + int_t^T g^q) / g^q(t)]^(1/q), which solves
-                 rho' + h* rho = (gamma - 1) rho^(gamma/(gamma-1)), rho(T) = 1
-        chi    = g^q(T) / (||g||_{q,T}^q + g^q(T)) = exp(-V*_T)
 
-    Raises OutOfRange where g^q leaves the float range: rho or chi not finite.
-    """
-    q = utility.q
-    with np.errstate(all="ignore"):
-        gq = np.asarray(g, dtype=float) ** q
-        cum = cumtrapz(grid, gq)
-        denominator = gq[-1] + (cum[-1] - cum)
-        chi = float(gq[-1] / (trapz(grid, gq) + gq[-1]))
-        rho = (denominator / gq) ** (1.0 / q)
-    if not (math.isfinite(rho.max()) and math.isfinite(chi)):
-        raise OutOfRange(f"g^q at q = {q:.6g} leaves the float range")
-    return gq / denominator, rho, chi
+def _value(x: float, gamma: float, log_rho0: float) -> float:
+    """J* = x^gamma rho(0); OutOfRange unless a positive finite float."""
+    J = x**gamma * _exp(log_rho0, "rho(0)")
+    if not 0.0 < J < math.inf:
+        raise OutOfRange(f"J* = {J} is not a positive finite float")
+    return J
 
 
 def check_initial_wealth(x: float) -> None:
@@ -347,10 +342,10 @@ def _optimal_allocation(model: MarketModel, gamma: float):
     to the box, until the free gradient passes the relative test of
     _NEWTON_TOL; after _MAX_ITER steps NoConvergence is raised.  All
     distinct nodes step together; a node that passed holds still.  Returns
-    y, pi, the growth rate h*, exp(int h*) and the diagnostics foc_residual,
-    max |sigma^{-1} P(g)| over nodes at the last iterate (P zeroes the
-    components held at a bound), iterations and boundary_clipped.
-    OutOfRange is raised where exp(int h*) overflows or underflows to 0.
+    y, pi, the growth rate h*, ln g = int h* and the diagnostics
+    foc_residual, max |sigma^{-1} P(g)| over nodes at the last iterate (P
+    zeroes the components held at a bound), iterations and
+    boundary_clipped.
     """
     c, jumps = model.coeffs, model.jumps
     first, node = node_map(model)
@@ -395,26 +390,27 @@ def _optimal_allocation(model: MarketModel, gamma: float):
         "iterations": iterations,
         "boundary_clipped": bool(np.any((pi == 0.0) | (pi == 1.0))),
     }
-    log_g = cumtrapz(model.grid, h)
-    _exp(float(log_g.max()), "g = exp(int h*)")
-    if math.exp(float(log_g.min())) == 0.0:    # rho = g(T) / g reads 0/0
-        raise OutOfRange(f"g = exp({log_g.min():.6g}) underflows to 0")
-    return y, pi, h, np.exp(log_g), diagnostics
+    return y, pi, h, cumtrapz(model.grid, h), diagnostics
 
 
 def solve_power_equal(model: MarketModel, utility: UtilitySpec,
                       x: float = 1.0) -> SolveReport:
     """Equal-gamma solver in d dimensions: the box-constrained optimal
-    allocation at every node, then the optimal consumption rate."""
+    allocation at every node, then the law with f = g^q and c = g^q(T).
+    rho = (D / g^q)^(1/q) solves rho' + h* rho = (gamma - 1)
+    rho^(gamma/(gamma-1)), rho(T) = 1; J* = x^gamma rho(0) is the exact cost
+    of the strategy, and chi = exp(-V*_T)."""
     gamma = _power_gamma(utility, x, "solve_power_equal")
-    y, pi, h, g, diagnostics = _optimal_allocation(model, gamma)
-    v_star, rho, chi = value_terms(model.grid, g, utility)
-    strategy = Strategy(model.grid, y, pi, v_star)
-    diagnostics.update(h_star=h, g=g, rho=rho,
-                       J_star_rho0=x**gamma * float(rho[0]))
-    return SolveReport(strategy=strategy,
-                       J_star=cost_function(model, utility, strategy, x),
-                       chi=chi, diagnostics=diagnostics)
+    y, pi, h, log_g, diagnostics = _optimal_allocation(model, gamma)
+    q = utility.q
+    log_f = q * log_g
+    v_star, V_star, log_D = value_terms(model.grid, log_f, log_f[-1])
+    J = _value(x, gamma, float(log_D[0]) / q)      # g(0) = 1
+    with np.errstate(over="ignore"):    # rho(t) may pass rho(0)
+        rho = np.exp((log_D - log_f) / q)
+    diagnostics.update(h_star=h, log_g=log_g, rho=rho)
+    strategy = Strategy(model.grid, y, pi, v_star, V_path=V_star)
+    return SolveReport(strategy, J, math.exp(-V_star[-1]), diagnostics)
 
 
 solve_power_1d = solve_power_equal  # bench/ reads; ROADMAP item 10

@@ -158,7 +158,7 @@ def test_criterion_4_pure_diffusion_reduction():
         err = max(
             float(np.max(np.abs(rep.strategy.y[:, 0] - q * theta0))),
             float(np.max(np.abs(rep.strategy.v - v_closed))),
-            abs(rep.diagnostics["J_star_rho0"] - j_closed),
+            abs(rep.J_star - j_closed),
         )
         worst = max(worst, err)
     ok = worst < 1e-8
@@ -325,7 +325,7 @@ def test_criterion_8_consume_all():
             kept = jf.Strategy.from_pi(model, pi[keep], v[keep])
             cost = jf.cost_function(model, utility, kept, 1.0)
             worst_excess = max(worst_excess, float(np.max(cost - rep.J_star)))
-    ok = (rep.condition_ok and cost_gap < 1e-6 and accepted >= 10_000
+    ok = (rep.diagnostics["condition_ok"] and cost_gap < 1e-6 and accepted >= 10_000
           and worst_excess <= 1e-9)
     _report("criterion 8 (consume-all regime)", ok,
             f"cost gap {cost_gap:.2e} < 1e-6, dominated {accepted} feasible "

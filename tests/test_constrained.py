@@ -403,8 +403,8 @@ def diff_setup():
 def test_diff_gamma_consumed_fraction(diff_setup):
     model, utility, risk = diff_setup
     rep = jf.solve_diff_gamma(model, utility, risk)
-    assert rep.condition_ok
-    assert rep.eta_kappa == pytest.approx(risk.kappa, abs=1e-14)
+    assert rep.diagnostics["condition_ok"]
+    assert rep.diagnostics["eta_kappa"] == pytest.approx(risk.kappa, abs=1e-14)
     assert rep.strategy.V[-1] == pytest.approx(-math.log(1.0 - risk.kappa),
                                                abs=1e-14)
     # the exact consumption integral matches the trapezoid of v* to
@@ -424,7 +424,7 @@ def test_diff_gamma_feasible_and_binding(diff_setup):
 
     risk_es = jf.RiskSpec("es", 0.01, 0.15)
     rep_es = jf.solve_diff_gamma(model, utility, risk_es)
-    assert rep_es.condition_ok
+    assert rep_es.diagnostics["condition_ok"]
     slack_es = slack_path(rep_es.strategy, model, risk_es)
     assert slack_es.min() >= -1e-10
     assert abs(slack_es[-1]) < 1e-12
@@ -529,7 +529,7 @@ def test_diff_gamma_condition_failures(diff_setup):
         jf.solve_diff_gamma(model, utility, jf.RiskSpec("var", 0.5, 0.15))
     rep = jf.solve_diff_gamma(model, utility, jf.RiskSpec("var", 0.5, 0.15),
                               force=True)
-    assert not rep.condition_ok
+    assert not rep.diagnostics["condition_ok"]
 
 
 def test_diff_gamma_var_level_takes_the_larger_gamma():
@@ -605,9 +605,10 @@ def _overflowing_diff_gamma():
 
 
 def _overflowing_ghat1_power():
-    # g1 q1 R_T = 0.7 / 0.3 * 400 = 933 overflows ghat1^q1 = exp(g1 q1 R_t),
-    # while g2 R_T = 120 keeps ghat2(T) finite
-    model = make_model(n=17, r=400.0, mu=400.04, sigma=0.3)
+    # ||ghat1||_{q1,T} = (int exp(g1 q1 R_t) dt)^(1/q1) is about
+    # exp(g1 R_T) = exp(770), one term of M_hat, while g2 R_T = 330 keeps
+    # ghat2(T) finite
+    model = make_model(n=17, r=1100.0, mu=1100.04, sigma=0.3)
     return jf.solve_diff_gamma(model, jf.UtilitySpec(0.7, 0.3),
                                jf.RiskSpec("var", 0.01, 0.15))
 
@@ -649,6 +650,27 @@ def test_overflowing_scalar_formulas_raise_out_of_range(solve):
         solve()
 
 
+def test_a_ghat1_power_past_the_float_range_is_answered():
+    # g1 q1 R_T = 0.7 / 0.3 * 400 = 933: ghat1^{q1} and its integral pass
+    # the float range, but the law reads them in logs, and M_hat's terms
+    # ||ghat1||_{q1,T} (about exp(280)) and ghat2(T) = exp(120) are floats
+    model = make_model(n=17, r=400.0, mu=400.04, sigma=0.3)
+    kappa = 0.15
+    rep = jf.solve_diff_gamma(model, jf.UtilitySpec(0.7, 0.3),
+                              jf.RiskSpec("var", 0.01, kappa))
+    mpmath.mp.dps = 40
+    t = [mpmath.mpf(float(s)) for s in model.grid.nodes]
+    f = [mpmath.exp(mpmath.mpf(0.7) / mpmath.mpf(0.3) * 400 * s) for s in t]
+    A_T = sum((f[k] + f[k + 1]) * (t[k + 1] - t[k]) / 2 for k in range(16))
+    m_hat = (kappa**0.7 * A_T ** mpmath.mpf(0.3)
+             + (1 - kappa) ** 0.3 * mpmath.exp(mpmath.mpf(0.3) * 400))
+    assert rep.J_star == pytest.approx(float(m_hat), rel=1e-12)
+    assert rep.J_star == pytest.approx(3.75e120, rel=1e-3)
+    assert rep.strategy.V[-1] == pytest.approx(-math.log1p(-kappa),
+                                               rel=1e-13)
+    assert np.all(np.isfinite(rep.strategy.v))
+
+
 def test_the_var_kappa_floor_is_zero_where_its_exponential_overflows():
     # 0.5 q_beta^2 is about 720 at beta = 1e-315 and ||theta||_T is tiny,
     # so exp(0.5 q^2 - |q| ||theta||_T) would overflow; the floor
@@ -663,37 +685,63 @@ def test_the_var_kappa_floor_is_zero_where_its_exponential_overflows():
     assert rep.diagnostics["min_slack"] >= -1e-10
 
 
+def _refused_by_the_limit(model):
+    """The equal-gamma optimum, after checking that adjusted_solve refuses
+    it under VAR, whose limit it breaks."""
+    with pytest.raises(ConditionViolated, match="certificate failed"):
+        jf.adjusted_solve(model, VAR, jf.UtilitySpec.equal(0.5))
+    return jf.solve_power_equal(model, jf.UtilitySpec.equal(0.5))
+
+
 @pytest.mark.parametrize("solve", [
     lambda m: jf.solve_power_equal(m, jf.UtilitySpec.equal(0.5)),
-    lambda m: jf.certify(m, jf.UtilitySpec.equal(0.5), VAR),
-    lambda m: jf.adjusted_solve(m, VAR, jf.UtilitySpec.equal(0.5)),
+    lambda m: jf.certify(m, jf.UtilitySpec.equal(0.5), VAR).report,
+    _refused_by_the_limit,
 ], ids=["solve_power_equal", "certify_var_gamma", "adjusted_solve"])
 @pytest.mark.parametrize("r, mu", [(720.0, 720.07), (-1100.0, -1099.9)],
                          ids=["overflow", "underflow"])
 def test_a_power_of_g_outside_the_float_range_raises_out_of_range(solve, r,
                                                                   mu):
-    # h* is about r / 2, so g = exp(int h*) stays finite and nonzero, but
-    # g^q = g^2 reaches exp(+-r) and leaves the float range
-    with pytest.raises(OutOfRange, match=r"g\^q"):
-        solve(make_model(n=17, r=r, mu=mu, sigma=0.3))
+    # h* is about r / 2, so g^q = g^2 reaches exp(+-r) and leaves the float
+    # range.  The consumption law reads it in logs, so no OutOfRange comes
+    # of it: J* = x^gamma rho(0) is a float, and each entry point answers
+    # or refuses for its own reason, adjusted_solve since the optimum
+    # breaks the limit.
+    rep = solve(make_model(n=17, r=r, mu=mu, sigma=0.3))
+    assert 0.0 < rep.J_star < math.inf
+    assert np.all(np.isfinite(rep.strategy.v))
+    assert rep.chi == math.exp(-rep.strategy.V[-1])
 
 
 @pytest.mark.parametrize("solve", [jf.solve_no_consumption,
                                    jf.solve_power_equal])
 def test_an_underflowing_growth_factor_raises_out_of_range(solve):
-    # h* is about r / 2 = -800, so g = exp(int h*) underflows to 0 before T
+    # h* is about r / 2 = -800, so g = exp(int h*) underflows before T.
+    # Only the terminal-wealth value J* = x^gamma g(T) leaves the float
+    # range; the consuming solve reads g in logs and answers J* = rho(0),
+    # the root of g^q(T) + int g^q, here sqrt(dt / 2) to rounding.
     model = make_model(n=17, r=-1600.0, mu=-1599.9, sigma=0.3)
-    with pytest.raises(OutOfRange, match=r"g = exp\(.*\) underflows"):
-        solve(model, jf.UtilitySpec.equal(0.5))
+    if solve is jf.solve_no_consumption:
+        with pytest.raises(OutOfRange, match=r"J\* = 0\.0 is not"):
+            solve(model, jf.UtilitySpec.equal(0.5))
+        return
+    rep = solve(model, jf.UtilitySpec.equal(0.5))
+    assert rep.J_star == pytest.approx(math.sqrt(1.0 / 32.0), rel=1e-15)
+    assert np.all(np.isfinite(rep.strategy.v))
 
 
 def test_underflowing_ghat2_raises_out_of_range():
-    # g2 R_T = -770 underflows ghat2(T) = exp(g2 R_T) to 0.0, which the
-    # argmax of the upper-bound curve divides by
+    # g2 R_T = -770 underflows ghat2(T) = exp(g2 R_T) to 0.0.  The argmax
+    # of the upper-bound curve reads ln ghat2(T), so no OutOfRange comes of
+    # it: the level condition refuses the market (|q_beta| 2.33 against a
+    # required 5177), and forced, M_hat is its first term alone.
     model = make_model(n=17, r=-1100.0, mu=0.04, sigma=0.3)
-    with pytest.raises(OutOfRange, match="underflows"):
-        jf.solve_diff_gamma(model, jf.UtilitySpec(0.3, 0.7),
-                            jf.RiskSpec("var", 0.01, 0.15))
+    utility, risk = jf.UtilitySpec(0.3, 0.7), jf.RiskSpec("var", 0.01, 0.15)
+    with pytest.raises(ConditionViolated, match="required level 5176"):
+        jf.solve_diff_gamma(model, utility, risk)
+    rep = jf.solve_diff_gamma(model, utility, risk, force=True)
+    assert rep.diagnostics["eta_argmax"] == 1.0
+    assert rep.J_star == 0.15**0.3 * rep.diagnostics["norm1"]
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +818,9 @@ _REPORT_CASES = {
     "linear": (lambda m, u, r: jf.solve_linear(m), ()),
     "gamma1": (lambda m, u, r: jf.solve_gamma1(m, r), ()),
     "power_equal": (lambda m, u, r: jf.solve_power_equal(m, _EQUAL),
-                    ("h_star", "g", "rho")),
+                    ("h_star", "log_g", "rho")),
     "no_consumption": (lambda m, u, r: jf.solve_no_consumption(m, _EQUAL),
-                       ("h_star", "g", "rho")),
+                       ("h_star", "log_g", "rho")),
     "diff_gamma": (jf.solve_diff_gamma, ("eta_grid", "rho_eta", "M_hat")),
     "certify": (lambda m, u, r: jf.certify(m, _EQUAL, r), ()),
 }

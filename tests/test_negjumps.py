@@ -213,11 +213,11 @@ def test_consume_all_meets_the_shifted_es_limit(method):
     eps = effective_level(model, risk).epsilon_T
     assert eps > 0.0
     slack = jf.slack_path(rep.strategy, model, risk)
-    assert rep.condition_ok
+    assert rep.diagnostics["condition_ok"]
     assert slack.min() >= -1e-10
     assert abs(slack[-1]) < 1e-12
-    assert rep.eta_kappa == pytest.approx((0.15 - eps) / (1.0 - eps),
-                                          abs=1e-14)
+    assert rep.diagnostics["eta_kappa"] == pytest.approx(
+        (0.15 - eps) / (1.0 - eps), abs=1e-14)
 
 
 def test_consume_all_es_refuses_epsilon_at_kappa():
@@ -234,7 +234,7 @@ def test_consume_all_var_keeps_kappa_with_negative_jumps():
     model, utility = _consume_all_market()
     risk = jf.RiskSpec("var", 0.1, 0.15, "thinning")
     rep = jf.solve_diff_gamma(model, utility, risk)
-    assert rep.eta_kappa == pytest.approx(0.15, abs=1e-14)
+    assert rep.diagnostics["eta_kappa"] == pytest.approx(0.15, abs=1e-14)
     assert jf.slack_path(rep.strategy, model, risk).min() >= -1e-10
 
 

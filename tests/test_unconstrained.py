@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,10 +357,12 @@ def test_solve_power_equal_beats_random_candidates(jump_1d):
 # ---------------------------------------------------------------------------
 
 def test_rho_path_flat_growth():
-    grid = jf.TimeGrid.uniform(1.0, 101)
+    # r = mu = 0 without jumps: h* = 0, so g = 1, D_t = 1 + (1 - t) and
+    # rho = D^(1/q)
+    model = make_model(n=101, r=0.0, mu=0.0)
     utility = jf.UtilitySpec.equal(0.5)
-    _, rho, _ = jf.value_terms(grid, np.ones(101), utility)
-    expected = (1.0 + 1.0 - grid.nodes) ** (1.0 / utility.q)
+    rho = jf.solve_power_equal(model, utility).diagnostics["rho"]
+    expected = (2.0 - model.grid.nodes) ** (1.0 / utility.q)
     assert np.max(np.abs(rho - expected)) < 1e-13
     assert rho[-1] == 1.0
 
@@ -380,38 +383,36 @@ def test_rho_path_ode_residual(jump_1d):
 def test_v_star_flat_growth_and_identities(jump_1d):
     grid = jf.TimeGrid.uniform(1.0, 101)
     utility = jf.UtilitySpec.equal(0.5)
-    v, _, _ = jf.value_terms(grid, np.ones(101), utility)
+    v, V, _ = jf.value_terms(grid, np.zeros(101), 0.0)
     assert np.max(np.abs(v - 1.0 / (2.0 - grid.nodes))) < 1e-13
-    assert v[-1] == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(V - np.log(2.0 / (2.0 - grid.nodes)))) < 1e-13
+    assert v[-1] == 1.0
 
     fine = make_model(n=512, mu=0.055, sigma=0.3, lam=0.8,
                       jump=jf.JumpDist.point_masses([0.03, 0.10], [0.6, 0.4]))
     rep = jf.solve_power_equal(fine, utility)
-    gq = rep.diagnostics["g"] ** utility.q
+    gq = np.exp(utility.q * rep.diagnostics["log_g"])
     cum = cumtrapz(fine.grid, gq)
     tail = cum[-1] - cum
     lhs = rep.strategy.v * (gq[-1] + tail)
     assert np.max(np.abs(lhs - gq)) < 1e-12
-    # chi equals the exponential of the total consumption integral
-    assert math.exp(-rep.strategy.V[-1]) == pytest.approx(rep.chi, abs=1e-6)
+    # chi is the exponential of the total consumption integral
+    assert rep.chi == math.exp(-rep.strategy.V[-1])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 17: int_t^T g^q as cum[-1] - cum "
-                          "cancels")
 @pytest.mark.parametrize("market, gamma", [
     (dict(n=129, horizon=30.0, r=-0.015, mu=-0.015, sigma=0.3), 0.99),
     (dict(n=17, r=-40.0, mu=-39.9), 0.5),
 ])
 def test_v_star_keeps_its_digits_where_g_q_falls_steeply(market, gamma):
-    # g^q falls by more than 36 e-folds over the horizon, so cum[-1] - cum
-    # loses the tail integral near T: v* was 4.1e3 times too large at node
-    # 103 of the first market and 41% off at node 15 of the second.  The
-    # same trapezoid summed backward from T keeps every digit.
+    # g^q falls by more than 36 e-folds over the horizon, so a tail read as
+    # cum[-1] - cum would lose the integral near T: v* was 4.1e3 times too
+    # large at node 103 of the first market and 41% off at node 15 of the
+    # second.  The same trapezoid summed backward from T keeps every digit.
     model = make_model(**market)
     utility = jf.UtilitySpec.equal(gamma)
     rep = jf.solve_power_equal(model, utility)
-    gq = rep.diagnostics["g"] ** utility.q
+    gq = np.exp(utility.q * rep.diagnostics["log_g"])
     pieces = 0.5 * model.grid.dt * (gq[1:] + gq[:-1])
     tail = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
     assert rep.strategy.v == pytest.approx(gq / (gq[-1] + tail), rel=1e-9)
@@ -419,9 +420,8 @@ def test_v_star_keeps_its_digits_where_g_q_falls_steeply(market, gamma):
 
 def test_chi_value_cases():
     grid = jf.TimeGrid.uniform(2.0, 65)
-    utility = jf.UtilitySpec.equal(0.5)
-    assert jf.value_terms(grid, np.ones(65), utility)[2] == pytest.approx(
-        1.0 / 3.0, abs=1e-12)
+    V = jf.value_terms(grid, np.zeros(65), 0.0)[1]
+    assert math.exp(-V[-1]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3,
@@ -430,10 +430,64 @@ def test_chi_value_cases():
 def test_chi_value_in_unit_interval(h_samples):
     n = len(h_samples)
     grid = jf.TimeGrid.uniform(1.0, n)
-    utility = jf.UtilitySpec.equal(0.6)
-    g = np.exp(cumtrapz(grid, np.asarray(h_samples)))
-    _, _, chi = jf.value_terms(grid, g, utility)
-    assert 0.0 < chi < 1.0
+    log_f = jf.UtilitySpec.equal(0.6).q * cumtrapz(grid, np.asarray(h_samples))
+    V = jf.value_terms(grid, log_f, log_f[-1])[1]
+    assert 0.0 < math.exp(-V[-1]) < 1.0
+
+
+@pytest.mark.parametrize("shift", (-700.0, 0.0, 700.0))
+def test_the_law_is_unchanged_by_one_shift_of_ln_f_and_ln_c(shift):
+    # f = e^700 is near the top of the float range and e^-700 near the
+    # bottom; the law never forms f, so v* and V* hold, to a few ulps of
+    # ln D (1.1e-13 at 700), and ln D moves by the shift
+    grid = jf.TimeGrid.uniform(2.0, 65)
+    log_f = np.sin(3.0 * grid.nodes) - 2.0 * grid.nodes
+    v, V, log_D = jf.value_terms(grid, log_f, 0.3)
+    v_s, V_s, log_D_s = jf.value_terms(grid, log_f + shift, 0.3 + shift)
+    assert v_s == pytest.approx(v, rel=1e-12)
+    assert V_s == pytest.approx(V, rel=0.0, abs=1e-12)
+    assert log_D_s - shift == pytest.approx(log_D, abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_power_equal_j_star_is_the_exact_cost_of_its_strategy(seed):
+    """J* = x^gamma rho(0) equals cost_function on the returned strategy,
+    whose V is the law's exact integral, and chi = exp(-V*_T)."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(-0.3, 0.3)
+    atoms = rng.uniform(-0.5, 0.5, int(rng.integers(1, 4)))
+    model = make_model(n=int(rng.integers(17, 258)),
+                       horizon=rng.uniform(0.5, 5.0), r=r,
+                       mu=r + rng.uniform(-0.1, 0.4),
+                       sigma=rng.uniform(0.1, 0.6), lam=rng.uniform(0.0, 2.0),
+                       jump=jf.JumpDist.point_masses(
+                           atoms, rng.dirichlet(np.ones(atoms.size))))
+    utility = jf.UtilitySpec.equal(rng.uniform(0.1, 0.9))
+    x = rng.uniform(0.1, 10.0)
+    rep = jf.solve_power_equal(model, utility, x)
+    cost = jf.cost_function(model, utility, rep.strategy, x)
+    assert cost == pytest.approx(rep.J_star, rel=1e-12)
+    assert rep.J_star == pytest.approx(
+        x**utility.gamma * rep.diagnostics["rho"][0], rel=1e-15)
+    assert rep.chi == math.exp(-rep.strategy.V[-1])
+
+
+def test_a_market_whose_g_q_overflows_is_answered():
+    # pi* = 1 gives h* = 0.5 (720 + 0.07) - 0.125 * 0.09, so g^q = g^2
+    # reaches exp(720), past the float range; the law reads it in logs, and
+    # J* = rho(0) = D_0^(1/2), chi = g^2(T) / D_0, D_0 = g^2(T) + int g^2
+    model = make_model(n=17, r=720.0, mu=720.07, sigma=0.3)
+    rep = jf.solve_power_equal(model, jf.UtilitySpec.equal(0.5))
+    assert np.all(rep.strategy.pi == 1.0)
+    mpmath.mp.dps = 40
+    h = mpmath.mpf(720.07) / 2 - mpmath.mpf(0.09) / 8
+    f = [mpmath.exp(2 * h * k / 16) for k in range(17)]
+    D_0 = f[-1] + sum(f[k] + f[k + 1] for k in range(16)) / 32
+    assert rep.J_star == pytest.approx(float(mpmath.sqrt(D_0)), rel=1e-12)
+    assert rep.chi == pytest.approx(float(f[-1] / D_0), rel=1e-12)
+    assert rep.J_star == pytest.approx(2.3068e156, rel=1e-4)
+    assert rep.chi == pytest.approx(0.96970, abs=5e-6)
 
 
 # ---------------------------------------------------------------------------
