@@ -96,16 +96,16 @@ UTILITY = jf.UtilitySpec.equal(0.5)
 # (solve_power_equal, solve_no_consumption)
 GOLDEN = {
     ("ramp", 1): (
-        "c066b412bde29e6b35a7737447eca887b0d0ba5108214d97986c4c89767fe98e",
+        "d483ed02b4275690ee591cfceb4d1f94cfaba6ea03b1291742416afde6f7f504",
         "799e33e3fd8464e2604583dd5940d359d922a615f60fa4e5796ab32335224cac"),
     ("ramp", 2): (
-        "359f6427d02677099418414141eee1a7abd2534998766fabd8b1453005f8597e",
+        "35f8b757be5a8e9bcc814e5289dd6957be7c949c5c5cfc6bdc3b892065d65ac1",
         "93e7939572792a3b489dc22d8157fca1c239715bac75821f604727d6af7d7f47"),
     ("two_regime", 1): (
-        "a8b9c784888f9a4267dae431be645c9ee7ffbe6df28bde680eb16449abf6262b",
+        "06103fa4f813b717456a65b49ff22aaf27d6036f980cf9d033314e3226d622a9",
         "f0572d744233fe0eb433269fcfc5f724c774abfdf66f56db8f75c8428a003065"),
     ("two_regime", 2): (
-        "2e29e34b2d891a3ac828b7f3b11ffb7413d50bae3fa04225562e2c642daa1817",
+        "a91fa9aa32fba6cd7ba3ec1494f74fd7b932c450c40def37ebe72b3a27ac0859",
         "ebd621f2486632b55d83b348144652d6fa5cd35bf462f0903f73b6ed286f9923"),
 }
 

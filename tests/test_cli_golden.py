@@ -89,64 +89,64 @@ GOLDEN = {
             "beb53c704777a3a782bee98c6e9ff957a3ee37acd803cc0cbbcc8dc61c3bae35"}},
     ("ref_es_equal2", "solve"): {"exit": 0, "files": {
         "report.csv":
-            "0dd4fe58cd3c244f623eb7fa07b6344992887150f62c2c995b4c214fa90918c4",
+            "8341782ebf0d5ba71ff001e07ad583662ad79624f3417eb5b73b715c25cc24d6",
         "strategy.csv":
-            "001412bf6fb13e71ed3249633f862df79899d23e7b99444efbfdfe37940671f6"}},
+            "ce274bdfa4fb683b8f4e800d19cfa5960554418d0c6008e35f2dfc81d446ca02"}},
     ("ref_es_equal2", "certify"): {"exit": 0, "files": {
         "report.csv":
-            "49dbb5b6b9c050e9c63efc34b0741bc1eca0804d5bf32c32352402e637c882dc"}},
+            "0d8ec50130466210cf9012dbb1200b5c42e44c345e0fe4e17e5ade2bb8147b26"}},
     ("ref_es_equal2", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("ref_es_equal2", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "2913d247ff9a360f70778e509f4495c500bb5e3d6aab18bb907cc802fd5ac829"}},
+            "0634744645762fd9224b4171e2d10a553a2bde9229e9c3955cbc3cc10a54b46e"}},
     ("ref_es_equal2", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "6c086c8332aa4eb07c9d04561be549275b686cc77510e107e3ee904fdbfe2464"}},
+            "e5da8d03b4def095cc313e9e303b2929e1b5eccb83818eebbd9ca58c73fa75b0"}},
     ("power_equal_1d", "solve"): {"exit": 0, "files": {
         "report.csv":
-            "dfa4a3bc56c9aee6cb9ea35c90903067fa09da942479e5f59156078cd78c2a8f",
+            "63f41abd09791ea30d8c425023d3153d9992e94dbb914da8b2c84fb424c759a7",
         "strategy.csv":
-            "58e5452e292b4e2749529427f2a426b38962d5d58f0886cbcc5de6642a9a26e7"}},
+            "47cd4ad62a60b8b69c7bd0fab12ce3e73a9e8184e3918cd9b622408e74da20b0"}},
     ("power_equal_1d", "certify"): {"exit": 2, "error": "ConditionViolated"},
     ("power_equal_1d", "compare"): {"exit": 0, "files": {
         "compare.csv":
-            "c94298d43d4ddf66687170c5043ab92050fc17bec6933d9902cb6f6da8a08f52"}},
+            "4c69c1fa62b4abc31de3b70083be46e8bfa899fb0ad93a5c9671a091f41161e7"}},
     ("power_equal_1d", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "7f1e21eb03814e94f71c5b0d9ac7fba5de160b9b2c7101ba73cdcbea37ada4ff"}},
+            "a5e40db1b1c97fcf7092cc4d4b95b94a7e9e6eba7a60cccb3b63cffbc0ee8b58"}},
     ("power_equal_1d", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "486807b6f8b926bd4d51c89d1f3a248fd7cfe0e2f9a9bf19b569b7f52f22a064"}},
+            "ce695a9e900dbabf9d4be429fc36fb7ae6e5214f956c1e9c1d44ae10d05ef15e"}},
     ("power_equal_var", "solve"): {"exit": 0, "files": {
         "report.csv":
-            "766dd29572b98ed677727f9e710f3b7e2f797680c85706e1dfe4120d383be7eb",
+            "5657faaeb2819071a2ff8df81e83c007cd681ff96244ccad80ff15d8238a3d81",
         "strategy.csv":
-            "58e5452e292b4e2749529427f2a426b38962d5d58f0886cbcc5de6642a9a26e7"}},
+            "47cd4ad62a60b8b69c7bd0fab12ce3e73a9e8184e3918cd9b622408e74da20b0"}},
     ("power_equal_var", "certify"): {"exit": 0, "files": {
         "report.csv":
-            "dc61c8ad637ceb551627fc4d4853c7fa1b1d26c21c68857425e5872c676f398b"}},
+            "d5f5714037419529a00b049eb8b9db12886733d17845e785ae641738b24834df"}},
     ("power_equal_var", "compare"): {"exit": 0, "files": {
         "compare.csv":
-            "c94298d43d4ddf66687170c5043ab92050fc17bec6933d9902cb6f6da8a08f52"}},
+            "4c69c1fa62b4abc31de3b70083be46e8bfa899fb0ad93a5c9671a091f41161e7"}},
     ("power_equal_var", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "2376756cd7b99e2b2e0b3a432387087269796500a34494a6ec00185a9949a621"}},
+            "073a599f8c36c87a38b0b28cb74b1637f96dfd8d6e33e9153a526d3d14db9d39"}},
     ("power_equal_var", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "486807b6f8b926bd4d51c89d1f3a248fd7cfe0e2f9a9bf19b569b7f52f22a064"}},
+            "ce695a9e900dbabf9d4be429fc36fb7ae6e5214f956c1e9c1d44ae10d05ef15e"}},
     ("diff_gamma_var", "solve"): {"exit": 0, "files": {
         "report.csv":
-            "097582890562e2c422ce1ab1f67f3edfa6dddb5d63c15386f04f92aa917869ed",
+            "bb2b9237cdc8e34866e4ff37933ecbb3f5bb9683fafc96acb1bbddf9e006cd6b",
         "strategy.csv":
-            "a2f7b9d9d769bd0ff1bdff3ad57cdd44ddb91a3c7c704e9074cbc18966c426bc"}},
+            "33392da5c59356db8af8bba27b29e0724fb65a6b37551c03ba0bd74e74688e6a"}},
     ("diff_gamma_var", "certify"): {"exit": 2, "error": "ConditionViolated"},
     ("diff_gamma_var", "compare"): {"exit": 2, "error": "ConditionViolated"},
     ("diff_gamma_var", "verify"): {"exit": 0, "files": {
         "verify.csv":
-            "2dd8d2a3ca48ebf37f71ee612cfe123f087f6774cf734bc9cf03d29b1d61bcaa"}},
+            "96cfe4113a94677dc9753e2169f117cd8dbe89950f315810c2d286c37932675c"}},
     ("diff_gamma_var", "simulate"): {"exit": 0, "files": {
         "ensemble.csv":
-            "0ae1d90fb0132b906bb8f55f6e145a7c85f7f4e0b34e664f847c1e5a90979e34"}},
+            "56137ce0ca7819548b594908ebbae8a052d143f5fd29b42d9a171d5666599a18"}},
     ("es_gamma1", "solve"): {"exit": 0, "files": {
         "report.csv":
             "c46f41e847569af3a69fdd5400c1409666f5bee6f290e02bba20c6e4e73cb602",
