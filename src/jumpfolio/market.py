@@ -13,6 +13,7 @@ to weighted sums in both cases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -74,7 +75,9 @@ class TimeGrid:
         """Uniform grid with n nodes on [0, horizon]."""
         if not 0.0 < horizon < math.inf:
             raise OutOfRange("horizon must be positive and finite")
-        return cls(np.linspace(0.0, float(horizon), int(n)))
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise OutOfRange(f"n must be an integer, got {n!r}")
+        return cls(np.linspace(0.0, float(horizon), n))
 
     @property
     def horizon(self) -> float:

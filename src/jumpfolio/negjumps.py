@@ -44,8 +44,8 @@ def epsilon_t(jumps: JumpSpec, t: float,
     P(xi_j < 0) = 0) zeroes whatever the others do, so THINNING is the
     safe choice.
     """
-    if not t >= 0:
-        raise OutOfRange(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise OutOfRange(f"t must be nonnegative and finite, got {t}")
     method = NegJumpMethod(method)
     lam, p_neg = jumps.lambdas, jumps.negative_mass
     if method == NegJumpMethod.THINNING:

@@ -72,7 +72,7 @@ def normal_quantile(beta: float) -> float:
 def quantile_stoch_exp(y_norm_t: float, beta: float) -> float:
     """Lower beta-quantile of the stochastic exponential with log-variance
     y_norm_t squared: exp(-||y||_t^2 / 2 + q_beta ||y||_t)."""
-    if y_norm_t < 0:
+    if not y_norm_t >= 0:
         raise OutOfRange("the time-L2 norm of y must be nonnegative")
     q = normal_quantile(beta)
     return float(np.exp(-0.5 * y_norm_t**2 + q * y_norm_t))
@@ -84,7 +84,7 @@ def es_stoch_exp(y_norm_t: float, beta: float) -> float:
     Equals (1/beta) * (1 - Phi(|q_beta| + ||y||_t)); reduces to 1 at
     ||y||_t = 0 and decreases strictly in ||y||_t.
     """
-    if y_norm_t < 0:
+    if not y_norm_t >= 0:
         raise OutOfRange("the time-L2 norm of y must be nonnegative")
     q = normal_quantile(beta)
     return float(ndtr(-(abs(q) + y_norm_t))) / beta

@@ -1,9 +1,11 @@
-"""Bad input to the model, spec and strategy constructors, a strategy that
-does not fit its model (another grid, node count or asset count), an
-ensemble or node statistics from another grid, a NaN level, time, wealth or threshold given to the
-level adjustment or the tail statistics, a negative norm or a level outside
-(0, 1) given to the closed-form tail functions, and a gamma = 1 radius asked
-of a market whose drift equals the rate, raises a typed error.
+"""Bad input to the model, spec and strategy constructors (a node count
+that is not an integer included), a strategy that does not fit its model
+(another grid, node count or asset count), an ensemble or node statistics
+from another grid, a NaN level, time, wealth or threshold or an infinite
+time given to the level adjustment or the tail statistics, a negative or
+NaN norm or a level outside (0, 1) given to the closed-form tail
+functions, and a gamma = 1 radius asked of a market whose drift equals the
+rate, raises a typed error.
 
 Every refusal is a JumpfolioError, and the input-check errors ConfigError and
 OutOfRange are also ValueErrors, so callers that catch ValueError still work.
@@ -95,6 +97,12 @@ SITES = {
     "grid_finite": (lambda: jf.TimeGrid(np.array([0.0, np.inf])), "finite"),
     "grid_horizon": (lambda: jf.TimeGrid.uniform(0.0, 5), "horizon"),
     "grid_horizon_inf": (lambda: jf.TimeGrid.uniform(np.inf, 5), "horizon"),
+    "grid_nodes_float": (lambda: jf.TimeGrid.uniform(1.0, 5.5),
+                         "n must be an integer"),
+    "grid_nodes_float_low": (lambda: jf.TimeGrid.uniform(1.0, 2.9),
+                             "n must be an integer"),
+    "grid_nodes_bool": (lambda: jf.TimeGrid.uniform(1.0, True),
+                        "n must be an integer"),
     "atoms_shape": (lambda: jf.JumpDist([0.1, 0.2], [1.0]), "matching"),
     "atoms_finite": (lambda: jf.JumpDist([np.nan], [1.0]), "finite"),
     "weights_sign": (lambda: jf.JumpDist([0.1, 0.2], [1.5, -0.5]),
@@ -143,6 +151,12 @@ SITES = {
     "beta_hat_epsilon": (lambda: jf.beta_hat(0.1, -0.01), "epsilon must"),
     "epsilon_time_nan": (lambda: jf.epsilon_t(jf.JumpSpec.none(1), np.nan),
                          "t must be"),
+    "epsilon_time_inf_thinning": (lambda: jf.epsilon_t(jf.JumpSpec.none(1),
+                                                       np.inf),
+                                  "t must be nonnegative and finite"),
+    "epsilon_time_inf_paper": (lambda: jf.epsilon_t(jf.JumpSpec.none(1),
+                                                    np.inf, "paper"),
+                               "t must be nonnegative and finite"),
     "beta_hat_epsilon_nan": (lambda: jf.beta_hat(0.05, np.nan),
                              "epsilon must"),
     "beta_hat_beta_nan": (lambda: jf.beta_hat(np.nan, 0.01), "beta must"),
@@ -212,6 +226,10 @@ SITES = {
     "quantile_stoch_exp": (lambda: jf.quantile_stoch_exp(-0.1, 0.05),
                            "nonnegative"),
     "es_stoch_exp": (lambda: jf.es_stoch_exp(-0.1, 0.05), "nonnegative"),
+    "quantile_stoch_exp_nan": (lambda: jf.quantile_stoch_exp(np.nan, 0.05),
+                               "nonnegative"),
+    "es_stoch_exp_nan": (lambda: jf.es_stoch_exp(np.nan, 0.05),
+                         "nonnegative"),
     "F_beta": (lambda: jf.F_beta(0.0, 1.5), "beta must"),
     "risk_beta": (lambda: jf.RiskSpec("var", 0.6, 0.1), "beta must"),
     "risk_kappa": (lambda: jf.RiskSpec("var", 0.1, 1.0), "kappa must"),
