@@ -473,6 +473,24 @@ def test_power_equal_j_star_is_the_exact_cost_of_its_strategy(seed):
     assert rep.chi == math.exp(-rep.strategy.V[-1])
 
 
+@pytest.mark.parametrize("solve", [jf.solve_power_equal,
+                                   jf.solve_no_consumption])
+def test_a_rho_past_the_float_range_leaves_a_finite_j_star(solve):
+    # r = -3600 up to mid-horizon and +3600 after: ln g falls to -900 and
+    # climbs back, so rho(t), about g(T) / g(t) or more, passes the float
+    # range mid-way while J* = x^gamma rho(0) is a float.  rho reads inf
+    # there, with no warning and no refusal.
+    n = 17
+    r = np.where(np.arange(n) < 9, -3600.0, 3600.0)
+    coeffs = jf.CoefficientPath(r, r[:, None] + 0.05, np.full((n, 1, 1), 0.3))
+    model = jf.MarketModel(jf.TimeGrid.uniform(1.0, n), coeffs,
+                           jf.JumpSpec.none(1))
+    rep = solve(model, jf.UtilitySpec.equal(0.5))
+    assert 0.0 < rep.J_star < math.inf
+    assert rep.diagnostics["rho"].max() == math.inf
+    assert np.all(np.isfinite(rep.strategy.v))
+
+
 def test_a_market_whose_g_q_overflows_is_answered():
     # pi* = 1 gives h* = 0.5 (720 + 0.07) - 0.125 * 0.09, so g^q = g^2
     # reaches exp(720), past the float range; the law reads it in logs, and
