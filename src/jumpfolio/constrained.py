@@ -411,7 +411,7 @@ def solve_no_consumption(model: MarketModel, utility: UtilitySpec,
     gamma = _power_gamma(utility, x, "solve_no_consumption")
     y, pi, h, log_g, diag = _optimal_allocation(model, gamma)
     J = _value(x, gamma, float(log_g[-1]))     # rho(0) = g(T)
-    with np.errstate(over="ignore"):    # rho(t) may pass rho(0)
+    with np.errstate(over="ignore"):    # rho(t) may pass the float range
         diag.update(h_star=h, log_g=log_g, rho=np.exp(log_g[-1] - log_g))
     report = SolveReport(Strategy(model.grid, y, pi), J, 1.0, diag)
     if risk is not None:

@@ -406,7 +406,7 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
     log_f = q * log_g
     v_star, V_star, log_D = value_terms(model.grid, log_f, log_f[-1])
     J = _value(x, gamma, float(log_D[0]) / q)      # g(0) = 1
-    with np.errstate(over="ignore"):    # rho(t) may pass rho(0)
+    with np.errstate(over="ignore"):    # rho(t) may pass the float range
         rho = np.exp((log_D - log_f) / q)
     diagnostics.update(h_star=h, log_g=log_g, rho=rho)
     strategy = Strategy(model.grid, y, pi, v_star, V_path=V_star)
