@@ -92,10 +92,6 @@ class TimeGrid:
         """Interval lengths, shape (n - 1,); computed once, read-only."""
         return _frozen(np.diff(self.nodes))
 
-    def same_as(self, other: "TimeGrid") -> bool:
-        """Whether other is this grid: the same object or equal nodes."""
-        return other is self or np.array_equal(other.nodes, self.nodes)
-
 
 def cumtrapz(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid integral along the grid, starting at 0.
@@ -104,11 +100,12 @@ def cumtrapz(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
     (N,) path or a stack (..., N) of paths, one integral per path.
     """
     values = np.asarray(values, dtype=float)
-    increments = values[..., 1:] + values[..., :-1]
-    increments *= 0.5
-    increments *= grid.dt
-    out = np.zeros(values.shape)
-    increments.cumsum(axis=-1, out=out[..., 1:])
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    steps = np.add(values[..., 1:], values[..., :-1], out=out[..., 1:])
+    steps *= 0.5
+    steps *= grid.dt
+    np.add.accumulate(steps, axis=-1, out=steps)
     return out
 
 
@@ -121,7 +118,7 @@ def trapz(grid: TimeGrid, values: np.ndarray) -> float | np.ndarray:
     terms = values[..., 1:] + values[..., :-1]
     np.multiply(grid.dt, terms, out=terms)
     terms /= 2.0
-    total = terms.sum(axis=-1)
+    total = np.add.reduce(terms, axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -363,7 +360,8 @@ class UtilitySpec:
 
     def __post_init__(self):
         for g in (self.gamma1, self.gamma2):
-            if not (0.0 < g <= 1.0):
+            if isinstance(g, bool) or not (isinstance(g, numbers.Real)
+                                           and 0.0 < g <= 1.0):
                 raise OutOfRange("gamma must lie in (0, 1]")
 
     @classmethod
@@ -482,10 +480,15 @@ def R_path(model: MarketModel) -> np.ndarray:
 def inner_product_path(grid: TimeGrid, y: np.ndarray,
                        other: np.ndarray) -> np.ndarray:
     """Cumulative inner-product integral t -> int_0^t y_s . other_s ds
-    of an (N,), (N, d) or stacked (..., N, d) y against other."""
+    of an (N,), (N, d) or stacked (..., N, d) y against other, of y's shape
+    or of its last (N,) or (N, d) axes; else raises OutOfRange."""
     y = np.asarray(y, dtype=float)
     other = np.asarray(other, dtype=float)
-    prod = y * other if y.ndim == 1 else (y * other).sum(axis=-1)
+    node = y.shape[-2:] if y.ndim > 1 else y.shape
+    if node[:1] != (grid.n,) or other.shape not in (node, y.shape):
+        raise OutOfRange(f"paths of shapes {y.shape} and {other.shape} do "
+                         f"not pair on a grid of {grid.n} nodes")
+    prod = y * other if y.ndim == 1 else np.add.reduce(y * other, axis=-1)
     return cumtrapz(grid, prod)
 
 
@@ -503,11 +506,16 @@ def K_transform_path(jumps: JumpSpec, pi_path: np.ndarray, gamma: float) -> np.n
     pi_path = np.asarray(pi_path, dtype=float)
     total = np.zeros(pi_path.shape[:-1])
     for j, lam, z, w in jumps.active:
-        p = pi_path[..., j, None]
-        base = 1.0 + p * z
-        if base.min() <= 0.0:
+        # atoms lead so that each product runs along the nodes
+        p, z = pi_path[..., None, :, j], z[:, None]
+        base = z * p
+        base += 1.0
+        if np.minimum.reduce(base, axis=None) <= 0.0:
             raise UnsupportedSupport("1 + pi*z must stay positive on the support")
-        total += lam * ((base**gamma - 1.0 - gamma * p * z) @ w)
+        base **= gamma
+        base -= 1.0
+        base -= z * (gamma * p)
+        total += lam * (np.ascontiguousarray(base.swapaxes(-1, -2)) @ w)
     return total
 
 

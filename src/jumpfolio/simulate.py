@@ -498,9 +498,10 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     before anything is evaluated.
 
     Each block of pi rows is one stack of candidates, its allocation axis
-    against the consumption axis, costed by one call each to `slack_path`
-    and `cost_function`; blocks keep every temporary within _ORACLE_BLOCK
-    elements.
+    against the consumption axis, within _ORACLE_BLOCK elements.  One call
+    to `slack_path` marks its feasible candidates under a risk spec, and one
+    to `cost_function` costs the smallest slice of its rows and scales that
+    holds them all; a block with no feasible candidate is not costed.
     """
     if model.d != 1:
         raise OutOfRange("the grid oracle handles one-asset markets, "
@@ -517,7 +518,7 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     v = v_scale_grid[:, None] * v_shape                  # (S, N)
     atoms = model.jumps.dists[0].z.size if model.jumps.lambdas[0] > 0 else 1
     rows = max(1, _ORACLE_BLOCK // (n * max(v_scale_grid.size, atoms)))
-    table = np.empty((pi_grid.size, v_scale_grid.size))
+    table = np.full((pi_grid.size, v_scale_grid.size), np.nan)
     n_feasible = 0
     for start in range(0, pi_grid.size, rows):
         p = pi_grid[start:start + rows]
@@ -525,10 +526,14 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
         stack = Strategy.from_pi(model, pi, v)          # (rows, S) candidates
         feasible = np.ones((p.size, v_scale_grid.size), dtype=bool)
         if risk is not None:
-            slack = slack_path(stack, model, risk)
-            feasible = ~(slack.min(axis=-1) < -_SLACK_TOL)
-        J = cost_function(model, utility, stack, x)
-        table[start:start + rows] = np.where(feasible, J, np.nan)
+            feasible = ~(slack_path(stack, model, risk).min(axis=-1) < -_SLACK_TOL)
+        if not feasible.any():
+            continue
+        i, j = (slice(k[0], k[-1] + 1) for k in
+                (np.flatnonzero(feasible.any(axis=axis)) for axis in (1, 0)))
+        sub = Strategy(grid, stack.y[i], stack.pi[i], v[j])
+        J = cost_function(model, utility, sub, x)
+        table[start:start + rows][i, j] = np.where(feasible[i, j], J, np.nan)
         n_feasible += int(np.count_nonzero(feasible))
     if n_feasible == 0:
         raise EmptyFeasibleSet("no grid candidate satisfies the constraint")

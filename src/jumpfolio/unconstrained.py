@@ -24,6 +24,7 @@ for the value-function coefficient rho(t).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -163,7 +164,7 @@ class Strategy:
     def check_fit(self, grid: TimeGrid, d: int | None = None) -> None:
         """Raise InvalidStrategy unless the strategy lives on grid (the same
         object, else equal nodes) and, where d is given, has d assets."""
-        if not grid.same_as(self.grid):
+        if not (grid is self.grid or np.array_equal(grid.nodes, self.grid.nodes)):
             raise InvalidStrategy("the strategy is on another time grid")
         if d is not None and self.d != d:
             raise InvalidStrategy(f"strategy and model shapes disagree: "
@@ -232,9 +233,11 @@ def _value(x: float, gamma: float, log_rho0: float) -> float:
 
 
 def check_initial_wealth(x: float) -> None:
-    """Raise OutOfRange unless the initial wealth x is positive and finite."""
-    if not (np.isfinite(x) and x > 0.0):
-        raise OutOfRange(f"initial wealth must be positive and finite, got {x}")
+    """Raise OutOfRange unless the initial wealth x is a positive finite
+    real number; a bool is not one."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real)
+                                   and math.isfinite(x) and x > 0.0):
+        raise OutOfRange(f"initial wealth must be positive and finite, got {x!r}")
 
 
 def _power_gamma(utility: UtilitySpec, x: float, solver: str) -> float:
@@ -266,24 +269,27 @@ def cost_function(model: MarketModel, utility: UtilitySpec,
     R, V, ysq = R_path(model), strategy.V, strategy.y_norm_sq
     gammas = (g1,) if g1 == g2 else (g1, g2)
     integrands = np.empty((1 + len(gammas),) + strategy.pi.shape[:-1])
-    integrands[0] = (strategy.y * theta_path(model)).sum(axis=-1)
+    np.add.reduce(strategy.y * theta_path(model), axis=-1, out=integrands[0])
     for row, g in zip(integrands[1:], gammas):
         row[...] = K_transform_path(model.jumps, strategy.pi, g)
     ip, *jumps = cumtrapz(grid, integrands)
-    jump_integral = dict(zip(gammas, jumps))
 
-    def exponent(g: float, node=slice(None)):
+    def exponent(g: float, jump: np.ndarray, node=slice(None)):
         # in place on the first, full-shape sum; each step is the
         # closed form's own operation, so the bits do not move
         e = R[node] - V[..., node] + ip[..., node]
         e -= 0.5 * (1.0 - g) * ysq[..., node]
         e *= g
-        e += jump_integral[g][..., node]
+        e += jump[..., node]
         return e
 
-    integrand = np.exp(exponent(g1))
+    e = exponent(g1, jumps[0])
+    integrand = np.exp(e, out=e)
+    # equal gammas: exp(A(T)) is the last column, kept before v^g1 scales it
+    terminal = (integrand[..., -1].copy() if g1 == g2
+                else np.exp(exponent(g2, jumps[-1], -1)))
     integrand *= strategy.v**g1
-    cost = x**g1 * trapz(grid, integrand) + x**g2 * np.exp(exponent(g2, -1))
+    cost = x**g1 * trapz(grid, integrand) + x**g2 * terminal
     return float(cost) if cost.ndim == 0 else cost
 
 

@@ -1,7 +1,8 @@
 """Bad input to the model, spec and strategy constructors (a node count
-that is not an integer included), a strategy that does not fit its model
-(another grid, node count or asset count), an ensemble or node statistics
-from another grid, a NaN level, time, wealth or threshold or an infinite
+that is not an integer and a bool or non-real gamma included), an initial
+wealth that is a bool or not a real number, a strategy that does not fit
+its model (another grid, node count or asset count), an ensemble or node
+statistics from another grid, a NaN level, time, wealth or threshold or an infinite
 time given to the level adjustment or the tail statistics, a negative or
 NaN norm or a level outside (0, 1) given to the closed-form tail
 functions, and a gamma = 1 radius asked of a market whose drift equals the
@@ -83,6 +84,10 @@ def _ensemble(n, n_paths=4, seed=1):
                        seed)
 
 
+def _solve_at(x):
+    return jf.solve_power_equal(_tiny_model(), EQUAL, x)
+
+
 def _profile_at(x):
     return jf.constraint_profile(_node_stats(), _tiny_model(),
                                  jf.RiskSpec("var", 0.05, 0.1), x)
@@ -141,6 +146,10 @@ SITES = {
                     (jf.JumpDist.point_masses([0.04], [1.0]),))),
         "float range"),
     "gamma_range": (lambda: jf.UtilitySpec(1.5, 0.5), "gamma must lie"),
+    "gamma_bool": (lambda: jf.UtilitySpec(True, 0.5), "gamma must lie"),
+    "gamma_numpy_bool": (lambda: jf.UtilitySpec(0.5, np.True_),
+                         "gamma must lie"),
+    "gamma_text": (lambda: jf.UtilitySpec("0.5", 0.5), "gamma must lie"),
     "gamma_unequal": (lambda: jf.UtilitySpec(0.3, 0.5).gamma,
                       "equal utilities"),
     "q_linear": (lambda: jf.UtilitySpec.equal(1.0).q, "gamma < 1"),
@@ -179,6 +188,11 @@ SITES = {
     "simulate_seed_bool": (lambda: _ensemble(3, seed=False),
                            "seed must be an integer"),
     "profile_wealth_nan": (lambda: _profile_at(np.nan), "initial wealth"),
+    "wealth_bool": (lambda: _solve_at(True), "initial wealth"),
+    "wealth_text": (lambda: _solve_at("1.0"), "initial wealth"),
+    "wealth_none": (lambda: _solve_at(None), "initial wealth"),
+    "wealth_complex": (lambda: _solve_at(1 + 0j), "initial wealth"),
+    "wealth_array": (lambda: _solve_at(np.array([1.0])), "initial wealth"),
     "strategy_shapes": (lambda: _strategy(_path(0.0), _path(0.0, 2)),
                         "y and pi must both", InvalidStrategy),
     "strategy_v": (lambda: _strategy(_path(0.0), _path(0.0), np.zeros(2)),

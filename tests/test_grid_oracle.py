@@ -189,6 +189,22 @@ def test_costs_each_block_with_one_call_per_path(monkeypatch):
     assert calls == {"from_pi": 2, "cost_function": 1}
 
 
+def test_a_block_without_a_feasible_candidate_is_not_costed(monkeypatch):
+    model, utility, _risk, x, pi_grid, scales, shape = _case("var")
+    tight = jf.RiskSpec("var", 0.05, 0.1)
+    want = reference_grid_oracle(model, utility, tight, x, pi_grid, scales,
+                                 shape)
+    costed_rows = int(np.count_nonzero(~np.isnan(want.table).all(axis=1)))
+    assert 0 < costed_rows < pi_grid.size
+    calls = _counted_calls(monkeypatch)
+    # one pi row per block
+    monkeypatch.setattr(simulate, "_ORACLE_BLOCK", model.grid.n * scales.size)
+    got = jf.grid_oracle(model, utility, tight, x, pi_grid, scales, shape)
+    assert_same_result(got, want)
+    assert calls == {"from_pi": pi_grid.size + 1, "slack_path": pi_grid.size,
+                     "cost_function": costed_rows}
+
+
 # ---------------------------------------------------------------------------
 # Input rules, checked before anything is evaluated
 # ---------------------------------------------------------------------------

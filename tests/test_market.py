@@ -2,9 +2,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 import jumpfolio as jf
-from jumpfolio.errors import MomentDiverges, UnsupportedSupport
+from jumpfolio.errors import MomentDiverges, OutOfRange, UnsupportedSupport
 from jumpfolio.market import (
     K_transform_path,
     R_path,
@@ -12,6 +13,7 @@ from jumpfolio.market import (
     jump_terms_path,
     l2_time_norm,
     sigma_inv_xi_lambda_path,
+    trapz,
 )
 
 from conftest import make_model, make_model_2d
@@ -55,6 +57,29 @@ def test_cumtrapz_vector_shape():
     out = cumtrapz(grid, vals)
     assert out.shape == (3, 5)
     assert np.allclose(out[:, -1], 1.0)
+
+
+def _quadrature_draws(count=300, seed=2024):
+    """(grid, values) pairs: random non-uniform grids of 2-300 nodes and
+    magnitudes from 1e-5 to 1e5, as single paths and (3, 2, N) stacks."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 301))
+        scale = 10.0 ** rng.uniform(-5.0, 5.0)
+        steps = rng.uniform(0.01, 1.0, n - 1) * 10.0 ** rng.uniform(-3, 2)
+        grid = jf.TimeGrid(np.concatenate(([0.0], np.cumsum(steps))))
+        shape = (n,) if k % 2 else (3, 2, n)
+        yield grid, scale * rng.standard_normal(shape)
+
+
+def test_cumtrapz_and_trapz_match_scipy_and_numpy_bit_for_bit():
+    for grid, values in _quadrature_draws():
+        want = cumulative_trapezoid(values, grid.nodes, axis=-1, initial=0)
+        assert cumtrapz(grid, values).tobytes() == want.tobytes()
+        total = trapz(grid, values)
+        assert np.asarray(total).tobytes() == np.trapezoid(
+            values, grid.nodes, axis=-1).tobytes()
+        assert isinstance(total, float) == (values.ndim == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +281,30 @@ def test_expected_jump_exponential_diverges():
     with pytest.raises(MomentDiverges):
         jf.expected_jump_exponential(model.jumps, model.grid,
                                      lambda t, z: 1e6 / (t + 1e-9) * z)
+
+
+@pytest.mark.parametrize("y_shape, other_shape", [
+    ((9,), (9, 1)),          # once an (N, N) outer product
+    ((9, 1), (9,)),          # once y_t . sum_s other_s
+    ((9, 1), (8, 1)),        # once numpy's broadcast ValueError
+], ids=("path_against_column", "column_against_path", "other_length"))
+def test_inner_product_path_refuses_paths_that_do_not_pair(y_shape,
+                                                           other_shape):
+    grid = jf.TimeGrid.uniform(1.0, 9)
+    with pytest.raises(OutOfRange, match="do not pair"):
+        jf.inner_product_path(grid, np.ones(y_shape), np.ones(other_shape))
+
+
+def test_inner_product_path_takes_leading_candidate_axes_on_y():
+    grid = jf.TimeGrid.uniform(1.0, 9)
+    rng = np.random.default_rng(5)
+    y, other = rng.random((4, 3, 9, 2)), rng.random((9, 2))
+    got = jf.inner_product_path(grid, y, other)
+    assert got.shape == (4, 3, 9)
+    assert np.array_equal(got[2, 1], jf.inner_product_path(grid, y[2, 1],
+                                                           other))
+    assert np.array_equal(jf.inner_product_path(grid, y, y),
+                          cumtrapz(grid, (y * y).sum(axis=-1)))
 
 
 def test_l2_time_norm_constant():
