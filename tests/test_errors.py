@@ -2,11 +2,11 @@
 that is not an integer and a bool or non-real gamma included), an initial
 wealth that is a bool or not a real number, a strategy that does not fit
 its model (another grid, node count or asset count), an ensemble or node
-statistics from another grid, a NaN level, time, wealth or threshold or an infinite
-time given to the level adjustment or the tail statistics, a negative or
-NaN norm or a level outside (0, 1) given to the closed-form tail
-functions, and a gamma = 1 radius asked of a market whose drift equals the
-rate, raises a typed error.
+statistics from another grid, a NaN level, time, wealth or threshold or an
+infinite time given to the level adjustment or the tail statistics, a
+negative or NaN norm or a level outside (0, 1) given to the closed-form
+tail functions, and a gamma = 1 radius asked of a market whose drift
+equals the rate, raises a typed error.
 
 Every refusal is a JumpfolioError, and the input-check errors ConfigError and
 OutOfRange are also ValueErrors, so callers that catch ValueError still work.
