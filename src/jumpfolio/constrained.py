@@ -249,7 +249,7 @@ def certify(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
         e = -b * b + lev.q_level * b
         diag = {"l_star": e}
     c = min(0.0, float(np.min(cross)))
-    lhs = 1.0 - report.chi * _exp(e + c, "certificate bound")
+    lhs = 1.0 - report.chi * math.exp(e + c)    # e + c <= 0: no overflow
     y_norm_T = float(report.strategy.y_norm_path()[-1])
     norm_bound_ok = y_norm_T <= b + 1e-10
     slack = float(slack_path(report.strategy, model, risk).min())
@@ -370,7 +370,7 @@ def solve_diff_gamma(model: MarketModel, utility: UtilitySpec, risk: RiskSpec,
     v_star, V_star, _ = value_terms(grid, log_f - log_A_T,
                                     math.log1p(-kappa) - math.log(kappa))
     zeros = np.zeros((grid.n, model.d))
-    strategy = Strategy(grid, zeros, zeros.copy(), v_star, V_path=V_star)
+    strategy = Strategy(grid, zeros, zeros.copy(), v_star, V_star)
 
     eta_grid = np.linspace(0.0, kappa, 101)
     base = (q_abs - thh_norm) ** 2 - 2.0 * math.log1p(-kappa)

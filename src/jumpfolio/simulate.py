@@ -58,6 +58,7 @@ from .market import (
     MarketModel,
     R_path,
     UtilitySpec,
+    cumtrapz,
     inner_product_path,
     theta_hat_path,
 )
@@ -501,7 +502,8 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     against the consumption axis, within _ORACLE_BLOCK elements.  One call
     to `slack_path` marks its feasible candidates under a risk spec, and one
     to `cost_function` costs the smallest slice of its rows and scales that
-    holds them all; a block with no feasible candidate is not costed.
+    holds them all; a block with no feasible candidate is not costed.  The
+    consumption stack's integral V is computed once and shared by the blocks.
     """
     if model.d != 1:
         raise OutOfRange("the grid oracle handles one-asset markets, "
@@ -516,6 +518,7 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     v_shape = _checked_array("v_shape", v_shape, shape=(n,))
 
     v = v_scale_grid[:, None] * v_shape                  # (S, N)
+    V = cumtrapz(grid, v)
     atoms = model.jumps.dists[0].z.size if model.jumps.lambdas[0] > 0 else 1
     rows = max(1, _ORACLE_BLOCK // (n * max(v_scale_grid.size, atoms)))
     table = np.full((pi_grid.size, v_scale_grid.size), np.nan)
@@ -523,7 +526,7 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     for start in range(0, pi_grid.size, rows):
         p = pi_grid[start:start + rows]
         pi = np.broadcast_to(p[:, None, None, None], (p.size, 1, n, 1))
-        stack = Strategy.from_pi(model, pi, v)          # (rows, S) candidates
+        stack = Strategy.from_pi(model, pi, v, V)       # (rows, S) candidates
         feasible = np.ones((p.size, v_scale_grid.size), dtype=bool)
         if risk is not None:
             feasible = ~(slack_path(stack, model, risk).min(axis=-1) < -_SLACK_TOL)
@@ -531,7 +534,7 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
             continue
         i, j = (slice(k[0], k[-1] + 1) for k in
                 (np.flatnonzero(feasible.any(axis=axis)) for axis in (1, 0)))
-        sub = Strategy(grid, stack.y[i], stack.pi[i], v[j])
+        sub = Strategy(grid, stack.y[i], stack.pi[i], v[j], V[j])
         J = cost_function(model, utility, sub, x)
         table[start:start + rows][i, j] = np.where(feasible[i, j], J, np.nan)
         n_feasible += int(np.count_nonzero(feasible))

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -83,12 +83,13 @@ class Strategy:
     y is the volatility-scaled allocation sigma_t' pi_t, pi the wealth
     fractions (componentwise in [0, 1], no short selling), v the consumption
     rate, zero if not given.  All paths are sampled on the grid.  Solvers
-    that know the consumption integral in closed form may pass it as
-    V_path; otherwise V is the trapezoid integral of v.
+    that know the consumption integral in closed form pass it as V;
+    otherwise V is the trapezoid integral of v.
 
-    The paths are kept as read-only copies (the caller's arrays stay
-    writable), so the integrals V and ||y||_t^2, computed on first use and
-    kept, cannot go stale.
+    The paths, V and ||y||_t^2 (y_norm_sq) are read-only arrays set when
+    the strategy is made (the caller's arrays stay writable), so the
+    integrals cannot go stale.  A path past the float range gives inf or
+    NaN integrals, not an error, so that `validate` can refuse it.
 
     A stack of candidates has leading axes, y and pi (..., N, d) and v (...,
     N), that broadcast against each other; `cost_function` and `slack_path`
@@ -99,7 +100,8 @@ class Strategy:
     y: np.ndarray       # (..., N, d)
     pi: np.ndarray      # (..., N, d)
     v: np.ndarray | None = None     # (..., N)
-    V_path: np.ndarray | None = None
+    V: np.ndarray | None = None     # (..., N), the shape of v
+    y_norm_sq: np.ndarray = field(init=False)   # (..., N)
 
     def __post_init__(self):
         n = self.grid.n
@@ -109,26 +111,28 @@ class Strategy:
             raise InvalidStrategy("y and pi must both be (..., N, d) paths")
         if v.shape[-1:] != (n,):
             raise InvalidStrategy("v must be an (..., N) path")
-        if self.V_path is not None:
-            V_path = _frozen(self.V_path)
-            if V_path.shape != v.shape:
-                raise InvalidStrategy("V_path must have the shape of v")
-            object.__setattr__(self, "V_path", V_path)
+        if self.V is not None and np.shape(self.V) != v.shape:
+            raise InvalidStrategy("V must have the shape of v")
         try:
             if y.shape[:-2] != v.shape[:-1]:
                 np.broadcast_shapes(y.shape[:-2], v.shape[:-1])
         except ValueError as exc:
             raise InvalidStrategy("the candidate axes of pi and v must "
                                   "broadcast") from exc
-        for name, value in (("y", y), ("pi", pi), ("v", v)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = cumtrapz(self.grid, v) if self.V is None else _frozen(self.V)
+            y_norm_sq = l2_time_norm_sq_path(self.grid, y)
+        V.flags.writeable = y_norm_sq.flags.writeable = False  # fresh arrays
+        for name, value in (("y", y), ("pi", pi), ("v", v), ("V", V),
+                            ("y_norm_sq", y_norm_sq)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_pi(cls, model: MarketModel, pi, v=None) -> "Strategy":
+    def from_pi(cls, model: MarketModel, pi, v=None, V=None) -> "Strategy":
         """Strategy with y = sigma' pi; pi may be a stack (..., N, d)."""
         pi = _as_paths(pi)
         y = np.einsum("nji,...nj->...ni", model.coeffs.sigma, pi)
-        return cls(model.grid, y, pi, v)
+        return cls(model.grid, y, pi, v, V)
 
     @classmethod
     def from_y(cls, model: MarketModel, y, v=None) -> "Strategy":
@@ -145,18 +149,6 @@ class Strategy:
     @property
     def d(self) -> int:
         return int(self.y.shape[-1])
-
-    @cached_property
-    def V(self) -> np.ndarray:
-        """Cumulative consumption integral V_t; computed once, read-only."""
-        if self.V_path is not None:
-            return self.V_path
-        return _frozen(cumtrapz(self.grid, self.v))
-
-    @cached_property
-    def y_norm_sq(self) -> np.ndarray:
-        """Cumulative squared norm ||y||_t^2; computed once, read-only."""
-        return _frozen(l2_time_norm_sq_path(self.grid, self.y))
 
     def y_norm_path(self) -> np.ndarray:
         return np.sqrt(self.y_norm_sq)
@@ -233,11 +225,13 @@ def _value(x: float, gamma: float, log_rho0: float) -> float:
 
 
 def check_initial_wealth(x: float) -> None:
-    """Raise OutOfRange unless the initial wealth x is a positive finite
-    real number; a bool is not one."""
+    """Raise OutOfRange unless the initial wealth x is a positive real
+    number within the float range; a bool is not one."""
     if isinstance(x, bool) or not (isinstance(x, numbers.Real)
-                                   and math.isfinite(x) and x > 0.0):
-        raise OutOfRange(f"initial wealth must be positive and finite, got {x!r}")
+                                   and 0.0 < x <= sys.float_info.max):
+        got = ("an integer past the float range"
+               if isinstance(x, int) and x > sys.float_info.max else repr(x))
+        raise OutOfRange(f"initial wealth must be positive and finite, got {got}")
 
 
 def _power_gamma(utility: UtilitySpec, x: float, solver: str) -> float:
@@ -415,7 +409,7 @@ def solve_power_equal(model: MarketModel, utility: UtilitySpec,
     with np.errstate(over="ignore"):    # rho(t) may pass the float range
         rho = np.exp((log_D - log_f) / q)
     diagnostics.update(h_star=h, log_g=log_g, rho=rho)
-    strategy = Strategy(model.grid, y, pi, v_star, V_path=V_star)
+    strategy = Strategy(model.grid, y, pi, v_star, V_star)
     return SolveReport(strategy, J, math.exp(-V_star[-1]), diagnostics)
 
 

@@ -370,6 +370,26 @@ def test_verify_strategy_with_nan_row_is_inadmissible(tmp_path):
     assert (name, passed) == ("admissible", "0")
 
 
+@pytest.mark.parametrize("cells", [
+    lambda k: ("1e200", "1e200", "0"),
+    lambda k: ("0", "0", ("inf", "-inf")[k % 2]),
+], ids=["huge_allocation", "alternating_infinite_rate"])
+def test_verify_strategy_past_the_float_range_is_inadmissible(tmp_path, cells):
+    # its integrals overflow or are NaN, yet the file still reaches validate
+    cfg, out = write_config(tmp_path)
+    nodes = load_config(cfg).model.grid.nodes
+    strategy = tmp_path / "strategy.csv"
+    strategy.write_text("t,y1,pi1,v\n" + "".join(
+        ",".join((repr(float(t)),) + cells(k)) + "\n"
+        for k, t in enumerate(nodes)))
+    assert main(["verify", "--config", str(cfg),
+                 "--strategy", str(strategy)]) == 3
+    rows = (out / "verify.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1
+    name, *_values, passed = rows[0].split(",")
+    assert (name, passed) == ("admissible", "0")
+
+
 def test_verify_one_path_is_a_condition_violation(tmp_path, capsys):
     # one path has no standard error: the tolerances used to be NaN
     cfg, out = write_config(tmp_path)

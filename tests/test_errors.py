@@ -1,12 +1,12 @@
 """Bad input to the model, spec and strategy constructors (a node count
 that is not an integer and a bool or non-real gamma included), an initial
-wealth that is a bool or not a real number, a strategy that does not fit
-its model (another grid, node count or asset count), an ensemble or node
-statistics from another grid, a NaN level, time, wealth or threshold or an
-infinite time given to the level adjustment or the tail statistics, a
-negative or NaN norm or a level outside (0, 1) given to the closed-form
-tail functions, and a gamma = 1 radius asked of a market whose drift
-equals the rate, raises a typed error.
+wealth that is a bool, not a real number or an integer past the float
+range, a strategy that does not fit its model (another grid, node count or
+asset count), an ensemble or node statistics from another grid, a NaN
+level, time, wealth or threshold or an infinite time given to the level
+adjustment or the tail statistics, a negative or NaN norm or a level
+outside (0, 1) given to the closed-form tail functions, and a gamma = 1
+radius asked of a market whose drift equals the rate, raises a typed error.
 
 Every refusal is a JumpfolioError, and the input-check errors ConfigError and
 OutOfRange are also ValueErrors, so callers that catch ValueError still work.
@@ -193,13 +193,15 @@ SITES = {
     "wealth_none": (lambda: _solve_at(None), "initial wealth"),
     "wealth_complex": (lambda: _solve_at(1 + 0j), "initial wealth"),
     "wealth_array": (lambda: _solve_at(np.array([1.0])), "initial wealth"),
+    "wealth_past_float_range": (lambda: _solve_at(10**400),
+                                "got an integer past the float range"),
     "strategy_shapes": (lambda: _strategy(_path(0.0), _path(0.0, 2)),
                         "y and pi must both", InvalidStrategy),
     "strategy_v": (lambda: _strategy(_path(0.0), _path(0.0), np.zeros(2)),
                    "v must be an", InvalidStrategy),
-    "strategy_V_path": (lambda: _strategy(_path(0.0), _path(0.0),
-                                          np.zeros(3), np.zeros(4)),
-                        "V_path must have", InvalidStrategy),
+    "strategy_V": (lambda: _strategy(_path(0.0), _path(0.0),
+                                     np.zeros(3), np.zeros(4)),
+                   "V must have", InvalidStrategy),
     "validate_dimension": (lambda: _validate(_strategy(_path(0.0, 2),
                                                        _path(0.0, 2))),
                            "shapes disagree", InvalidStrategy),

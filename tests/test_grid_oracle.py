@@ -25,6 +25,7 @@ from conftest import make_model, make_model_2d
 
 # the package exports the function `simulate`, which shadows the module
 simulate = importlib.import_module("jumpfolio.simulate")
+unconstrained = importlib.import_module("jumpfolio.unconstrained")
 
 
 def reference_grid_oracle(model, utility, risk, x, pi_grid, v_scale_grid,
@@ -171,11 +172,21 @@ def _counted_calls(monkeypatch):
 def test_costs_each_block_with_one_call_per_path(monkeypatch):
     calls = _counted_calls(monkeypatch)
     model, utility, risk, x, pi_grid, scales, shape = _case("var")
+    # the consumption stack (S, N) is the only two-axis path integrated
+    stacks = []
+    for module in (simulate, unconstrained):
+        def counted(grid, values, fn=module.cumtrapz):
+            if np.ndim(values) == 2:
+                stacks.append(np.shape(values))
+            return fn(grid, values)
+        monkeypatch.setattr(module, "cumtrapz", counted)
     # five pi rows per block: the 21 rows take five blocks
     monkeypatch.setattr(simulate, "_ORACLE_BLOCK",
                         5 * model.grid.n * scales.size)
     jf.grid_oracle(model, utility, risk, x, pi_grid, scales, shape)
     assert calls == {"from_pi": 6, "cost_function": 5, "slack_path": 5}
+    # its V is integrated once per call and shared by the blocks
+    assert stacks == [(scales.size, model.grid.n)]
     # in one block the count does not grow with the consumption grid, and
     # the winner is the only strategy built on its own
     monkeypatch.setattr(simulate, "_ORACLE_BLOCK", 1 << 30)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -424,6 +425,39 @@ def test_adjusted_solve_refuses_or_returns_a_feasible_strategy():
 
     run()
     assert min(answered.values()) >= 5, answered
+
+
+def test_the_certificate_exponent_is_never_positive():
+    # certify's bound is chi exp(e + c) with e = l* (VaR) or m* (ES) and c
+    # the cross-term correction, so a float exp cannot overflow there.  VaR:
+    # l* = -b^2 + q_beta b <= 0 as b >= 0 >= q_beta.  ES: m* is a minimum
+    # over the nodes and at t = 0 it is F(|q_beta|) = ln(1 - eps_T) <= 0.
+    # And c <= 0 by construction.  Each kind must answer often enough,
+    # also on markets that can jump down.
+    answered = dict.fromkeys(((kind, down) for kind in ("var", "es")
+                              for down in (False, True)), 0)
+
+    @given(solve_cases(**_MILD, optional_limit=False), st.floats(0.05, 0.95))
+    @_with_examples([(dict(market, risk=("var", beta, high, method)), 0.5)
+                     for market, (beta, method, high, _) in _FIXED_MARKETS])
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    def run(case, gamma):
+        model, utility, risk = _case_inputs(dict(case, gammas=(gamma, gamma)))
+        for kind in ("var", "es"):
+            try:
+                cert = jf.certify(model, utility, dataclasses.replace(
+                    risk, kind=kind))
+            except JumpfolioError:
+                continue
+            diag = cert.diagnostics
+            e = diag["l_star"] if kind == "var" else diag["m_star"]
+            assert diag["cross_term_correction"] <= 0.0
+            assert e + diag["cross_term_correction"] <= 1e-12, (kind, e)
+            answered[kind, model.jumps.has_negative_jumps()] += 1
+
+    run()
+    assert min(answered.values()) >= 10, answered
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ import pytest
 import jumpfolio as jf
 from jumpfolio import negjumps
 from jumpfolio.errors import AssumptionJViolated, InvalidStrategy
-from jumpfolio.market import R_path, cumtrapz, sigma_inv_xi_lambda_path
+from jumpfolio.market import (
+    R_path,
+    cumtrapz,
+    l2_time_norm_sq_path,
+    sigma_inv_xi_lambda_path,
+)
 
 from conftest import make_model, make_model_2d
 
@@ -223,26 +228,31 @@ def test_call_order_does_not_move_the_bits(name, b):
 def test_strategy_holds_read_only_copies_and_its_integrals():
     model = make_model(n=17)
     y, pi, v = np.full((17, 1), 0.09), np.full((17, 1), 0.3), np.ones(17)
-    V_path = np.linspace(0.0, 1.0, 17)
-    strategy = jf.Strategy(model.grid, y, pi, v, V_path=V_path)
-    kept = (strategy.y, strategy.pi, strategy.v, strategy.V_path,
-            strategy.V, strategy.y_norm_sq)
+    V = np.linspace(0.0, 1.0, 17) ** 3     # not the trapezoid of v
+    strategy = jf.Strategy(model.grid, y, pi, v, V)
+    kept = (strategy.y, strategy.pi, strategy.v, strategy.V,
+            strategy.y_norm_sq)
     assert not any(a.flags.writeable for a in kept)
+    assert strategy.V.tobytes() == V.tobytes()     # a given V is kept
     with pytest.raises(ValueError):
         strategy.v[0] = 2.0
-    for caller in (y, pi, v, V_path):     # the caller's arrays stay theirs
+    for caller in (y, pi, v, V):     # the caller's arrays stay theirs
         assert caller.flags.writeable
         caller[0] = 7.0
     assert strategy.y[0, 0] == 0.09 and strategy.V[0] == 0.0
-    for field in ("y", "pi", "v", "V_path", "grid"):
+    for field in ("y", "pi", "v", "V", "y_norm_sq", "grid"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(strategy, field, None)
-    # the integrals are computed once and kept
-    assert strategy.V is strategy.V and strategy.y_norm_sq is strategy.y_norm_sq
+    assert strategy.y_norm_sq.tobytes() == l2_time_norm_sq_path(
+        model.grid, strategy.y).tobytes()
     assert np.array_equal(strategy.y_norm_path(), np.sqrt(strategy.y_norm_sq))
+    # the integrals are set when the strategy is made, before any read
     rate = jf.Strategy(model.grid, y, pi, v)
+    assert {"V", "y_norm_sq"} <= vars(rate).keys()
     assert not rate.V.flags.writeable
     assert rate.V.tobytes() == cumtrapz(model.grid, v).tobytes()
+    built = jf.Strategy.from_pi(model, pi, v, V)
+    assert built.V.tobytes() == V.tobytes() and not built.V.flags.writeable
 
 
 @pytest.mark.parametrize("shape", [(17,), (17, 1)])
@@ -260,7 +270,7 @@ def test_a_built_strategy_keeps_no_view_of_the_callers_path(build, shape):
 def test_a_strategy_copies_every_path_one_way():
     # no init-only switch lets a builder hand over a path uncopied
     assert list(inspect.signature(jf.Strategy).parameters) == [
-        "grid", "y", "pi", "v", "V_path"]
+        "grid", "y", "pi", "v", "V"]
 
 
 def test_risk_level_is_resolved_once_per_model_and_risk(monkeypatch):
