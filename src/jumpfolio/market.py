@@ -48,6 +48,30 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _real(values, name: str, error=OutOfRange) -> np.ndarray:
+    """values as a float array, uncopied where it is one; raises error
+    unless they are real numbers (a cast would drop an imaginary part)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise error(f"{name} must be real numbers, got {values.dtype}")
+    return values if values.dtype == float else values.astype(float)
+
+
+def _node_path(values, name: str) -> np.ndarray:
+    """A read-only float copy of a path over the nodes; where its bytes are
+    its first sample's repeated, one sample broadcast over them (stride 0)."""
+    path = _real(values, name)
+    if path.ndim and len(path) and (
+            path.tobytes() == path[:1].tobytes() * len(path)):
+        return np.broadcast_to(_frozen(path[0]), path.shape)
+    return _frozen(path)
+
+
+def _samples(path: np.ndarray) -> np.ndarray:
+    """The samples a path kept by _node_path holds: one, or one per node."""
+    return path[:1] if path.ndim and not path.strides[0] else path
+
+
 # ---------------------------------------------------------------------------
 # Time grid and quadrature helpers
 # ---------------------------------------------------------------------------
@@ -59,7 +83,7 @@ class TimeGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = _frozen(self.nodes)
+        nodes = _frozen(_real(self.nodes, "grid nodes"))
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise OutOfRange("grid needs at least two nodes")
@@ -163,8 +187,8 @@ class JumpDist:
     w: np.ndarray
 
     def __post_init__(self):
-        z = _frozen(self.z)
-        w = _frozen(self.w)
+        z = _frozen(_real(self.z, "jump sizes"))
+        w = _frozen(_real(self.w, "atom weights"))
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
         if z.shape != w.shape or z.ndim != 1 or z.size == 0:
@@ -178,8 +202,7 @@ class JumpDist:
 
     @classmethod
     def point_masses(cls, z, p) -> "JumpDist":
-        z = np.asarray(z, dtype=float)
-        p = np.asarray(p, dtype=float)
+        p = _real(p, "point-mass probabilities")
         if np.any(p <= 0):
             raise OutOfRange("point-mass probabilities must be positive")
         total = p.sum()
@@ -200,7 +223,7 @@ class JumpDist:
         x, gw = np.polynomial.legendre.leggauss(GL_NODES_DEFAULT)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         z = mid + half * x
-        f = np.asarray(pdf(z), dtype=float)
+        f = _real(pdf(z), "density values")
         if np.any(f < 0):
             raise OutOfRange("density must be nonnegative")
         w = gw * half * f
@@ -227,7 +250,7 @@ class JumpSpec:
     dists: tuple
 
     def __post_init__(self):
-        lam = _frozen(np.atleast_1d(self.lambdas))
+        lam = _frozen(np.atleast_1d(_real(self.lambdas, "intensities")))
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "dists", tuple(self.dists))
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
@@ -277,10 +300,12 @@ class CoefficientPath:
     """Sampled riskless rate r, drifts mu and volatility matrices sigma.
 
     Shapes: r (N,), mu (N, d), sigma (N, d, d), kept as read-only copies.
-    sigma must be nonsingular at every node; |det| below DET_FLOOR is
-    rejected.  Samples are taken at face value (piecewise-linear between
-    nodes for quadrature purposes); no continuity check is applied to user
-    input.
+    A coefficient whose samples have the same bits at every node keeps one
+    sample, broadcast over the nodes, so a constant market holds O(d^2)
+    floats; readers see an (N, ...) array either way.  sigma must be
+    nonsingular at every node; |det| below DET_FLOOR is rejected.  Samples
+    are taken at face value (piecewise-linear between nodes for quadrature
+    purposes); no continuity check is applied to user input.
     """
 
     r: np.ndarray
@@ -288,9 +313,9 @@ class CoefficientPath:
     sigma: np.ndarray
 
     def __post_init__(self):
-        r = _frozen(self.r)
-        mu = _frozen(self.mu)
-        sigma = _frozen(self.sigma)
+        r = _node_path(self.r, "r")
+        mu = _node_path(self.mu, "mu")
+        sigma = _node_path(self.sigma, "sigma")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -300,22 +325,23 @@ class CoefficientPath:
         if mu.shape != (n, self.d) or sigma.shape != (n, self.d, self.d):
             raise ConfigError("inconsistent shapes for r, mu, sigma")
         for arr in (r, mu, sigma):
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(_samples(arr))):
                 raise OutOfRange("coefficient paths must be finite")
-        dets = np.linalg.det(sigma)
+        dets = np.linalg.det(_samples(sigma))
         if np.any(np.abs(dets) < DET_FLOOR):
             raise SingularSigma("sigma_t is singular at some node")
 
     @classmethod
     def constant(cls, grid: TimeGrid, r: float, mu, sigma) -> "CoefficientPath":
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+        r = _real(r, "r")
+        if r.ndim:
+            raise OutOfRange("a constant r must be one real number")
+        mu = np.atleast_1d(_real(mu, "mu"))
+        sigma = np.atleast_2d(_real(sigma, "sigma"))
         n = grid.n
-        return cls(
-            r=np.full(n, float(r)),
-            mu=np.tile(mu, (n, 1)),
-            sigma=np.tile(sigma, (n, 1, 1)),
-        )
+        return cls(r=np.broadcast_to(r, (n,)),
+                   mu=np.broadcast_to(mu, (n, *mu.shape)),
+                   sigma=np.broadcast_to(sigma, (n, *sigma.shape)))
 
     @property
     def d(self) -> int:
@@ -445,8 +471,9 @@ def node_map(model: MarketModel) -> tuple:
     """
     c = model.coeffs
     n = model.grid.n
-    rows = np.concatenate([c.r[:, None], c.mu, c.sigma.reshape(n, -1)],
-                          axis=1)
+    # one key per row needs C order, which a stride-0 input may not give
+    rows = np.ascontiguousarray(np.concatenate(
+        [c.r[:, None], c.mu, c.sigma.reshape(n, -1)], axis=1))
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
     _, first, node = np.unique(keys[:, 0], return_index=True,
                                return_inverse=True)

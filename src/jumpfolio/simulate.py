@@ -502,8 +502,10 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
     against the consumption axis, within _ORACLE_BLOCK elements.  One call
     to `slack_path` marks its feasible candidates under a risk spec, and one
     to `cost_function` costs the smallest slice of its rows and scales that
-    holds them all; a block with no feasible candidate is not costed.  The
-    consumption stack's integral V is computed once and shared by the blocks.
+    holds them all; a block with no feasible candidate is not costed, and
+    one with no infeasible candidate (every block, without a risk spec) is
+    costed as it is.  The consumption stack's integral V is computed once
+    and shared by the blocks.
     """
     if model.d != 1:
         raise OutOfRange("the grid oracle handles one-asset markets, "
@@ -532,10 +534,12 @@ def grid_oracle(model: MarketModel, utility: UtilitySpec,
             feasible = ~(slack_path(stack, model, risk).min(axis=-1) < -_SLACK_TOL)
         if not feasible.any():
             continue
-        i, j = (slice(k[0], k[-1] + 1) for k in
-                (np.flatnonzero(feasible.any(axis=axis)) for axis in (1, 0)))
-        sub = Strategy(grid, stack.y[i], stack.pi[i], v[j], V[j])
-        J = cost_function(model, utility, sub, x)
+        i = j = slice(None)
+        if not feasible.all():
+            i, j = (slice(k[0], k[-1] + 1) for k in
+                    (np.flatnonzero(feasible.any(axis=axis)) for axis in (1, 0)))
+            stack = Strategy(grid, stack.y[i], stack.pi[i], v[j], V[j])
+        J = cost_function(model, utility, stack, x)
         table[start:start + rows][i, j] = np.where(feasible[i, j], J, np.nan)
         n_feasible += int(np.count_nonzero(feasible))
     if n_feasible == 0:

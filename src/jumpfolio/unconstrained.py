@@ -44,6 +44,7 @@ from .market import (
     UtilitySpec,
     _exp,
     _frozen,
+    _real,
     cumtrapz,
     jump_terms_path,
     l2_time_norm_sq_path,
@@ -72,7 +73,7 @@ def _in_box(pi: np.ndarray) -> bool:
 
 def _as_paths(values) -> np.ndarray:
     """values as a float (..., N, d) array; an (N,) path becomes (N, 1)."""
-    values = np.asarray(values, dtype=float)
+    values = _real(values, "strategy paths", InvalidStrategy)
     return values[:, None] if values.ndim == 1 else values
 
 
@@ -106,7 +107,8 @@ class Strategy:
     def __post_init__(self):
         n = self.grid.n
         y, pi = _frozen(_as_paths(self.y)), _frozen(_as_paths(self.pi))
-        v = _frozen(np.zeros(n) if self.v is None else self.v)
+        v = _frozen(np.zeros(n) if self.v is None
+                    else _real(self.v, "v", InvalidStrategy))
         if y.shape != pi.shape or y.shape[-2] != n:
             raise InvalidStrategy("y and pi must both be (..., N, d) paths")
         if v.shape[-1:] != (n,):
@@ -120,7 +122,8 @@ class Strategy:
             raise InvalidStrategy("the candidate axes of pi and v must "
                                   "broadcast") from exc
         with np.errstate(over="ignore", invalid="ignore"):
-            V = cumtrapz(self.grid, v) if self.V is None else _frozen(self.V)
+            V = (cumtrapz(self.grid, v) if self.V is None
+                 else _frozen(_real(self.V, "V", InvalidStrategy)))
             y_norm_sq = l2_time_norm_sq_path(self.grid, y)
         V.flags.writeable = y_norm_sq.flags.writeable = False  # fresh arrays
         for name, value in (("y", y), ("pi", pi), ("v", v), ("V", V),

@@ -1,5 +1,6 @@
 """Bad input to the model, spec and strategy constructors (a node count
-that is not an integer and a bool or non-real gamma included), an initial
+that is not an integer, a market input that is not a real number and a
+bool or non-real gamma included), an initial
 wealth that is a bool, not a real number or an integer past the float
 range, a strategy that does not fit its model (another grid, node count or
 asset count), an ensemble or node statistics from another grid, a NaN
@@ -108,6 +109,8 @@ SITES = {
                              "n must be an integer"),
     "grid_nodes_bool": (lambda: jf.TimeGrid.uniform(1.0, True),
                         "n must be an integer"),
+    "grid_complex": (lambda: jf.TimeGrid(np.array([0.0, 1.0 + 1j])),
+                     "grid nodes must be real"),
     "atoms_shape": (lambda: jf.JumpDist([0.1, 0.2], [1.0]), "matching"),
     "atoms_finite": (lambda: jf.JumpDist([np.nan], [1.0]), "finite"),
     "weights_sign": (lambda: jf.JumpDist([0.1, 0.2], [1.5, -0.5]),
@@ -117,6 +120,12 @@ SITES = {
                         "positive"),
     "masses_sum": (lambda: jf.JumpDist.point_masses([0.1, 0.2], [0.6, 0.6]),
                    "sum to"),
+    "masses_complex": (lambda: jf.JumpDist.point_masses([0.05 + 1j], [1.0]),
+                       "jump sizes must be real"),
+    "atoms_complex": (lambda: jf.JumpDist([0.05], np.array([1.0 + 0j])),
+                      "atom weights must be real"),
+    "density_complex": (lambda: jf.JumpDist.from_density(
+        lambda z: np.full(z.shape, 1.0 + 1j), 0.0, 1.0), "density values"),
     "density_sign": (lambda: jf.JumpDist.from_density(
         lambda z: -np.ones_like(z), 0.0, 1.0), "nonnegative"),
     "density_support": (lambda: jf.JumpDist.from_density(
@@ -125,12 +134,21 @@ SITES = {
     "density_mass": (lambda: jf.JumpDist.from_density(
         lambda z: 3.0 * np.ones_like(z), 0.0, 1.0), "integrates"),
     "intensity": (lambda: jf.JumpSpec([-1.0], ONE), "intensities"),
+    "intensity_complex": (lambda: jf.JumpSpec([0.5 + 0.5j], ONE),
+                          "intensities must be real"),
     "laws_per_asset": (lambda: jf.JumpSpec([1.0, 1.0], ONE), "one jump-size"),
     "r_shape": (lambda: _coeffs(r=np.zeros((3, 1))), "1-d path"),
     "coeff_shapes": (lambda: _coeffs(mu=np.zeros((2, 1))),
                      "inconsistent shapes"),
     "coeff_finite": (lambda: _coeffs(r=np.array([0.0, np.nan, 0.0])),
                      "finite"),
+    "coeff_complex": (lambda: _coeffs(mu=0.07 + 2j), "mu must be real"),
+    "constant_r_list": (lambda: jf.CoefficientPath.constant(
+        jf.TimeGrid.uniform(1.0, 3), [0.02, 0.03], [0.07], [[0.3]]),
+        "one real number"),
+    "constant_r_none": (lambda: jf.CoefficientPath.constant(
+        jf.TimeGrid.uniform(1.0, 3), None, [0.07], [[0.3]]),
+        "r must be real"),
     "model_length": (lambda: jf.MarketModel(jf.TimeGrid.uniform(1.0, 5),
                                             _coeffs(), jf.JumpSpec.none(1)),
                      "disagree in length"),

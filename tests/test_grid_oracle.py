@@ -198,6 +198,23 @@ def test_costs_each_block_with_one_call_per_path(monkeypatch):
     calls.clear()
     jf.grid_oracle(model, utility, None, x, pi_grid, scales, shape)
     assert calls == {"from_pi": 2, "cost_function": 1}
+    # without a risk spec no block is trimmed: each is costed as the stack
+    # it was built as, so the strategies made are one per block and the
+    # winner
+    made = collections.Counter()
+    post_init = jf.Strategy.__post_init__
+
+    def counted_post_init(strategy):
+        made["Strategy"] += 1
+        post_init(strategy)
+
+    monkeypatch.setattr(jf.Strategy, "__post_init__", counted_post_init)
+    monkeypatch.setattr(simulate, "_ORACLE_BLOCK",
+                        5 * model.grid.n * scales.size)
+    calls.clear()
+    jf.grid_oracle(model, utility, None, x, pi_grid, scales, shape)
+    assert calls == {"from_pi": 6, "cost_function": 5}
+    assert made == {"Strategy": 6}
 
 
 def test_a_block_without_a_feasible_candidate_is_not_costed(monkeypatch):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ from scipy.integrate import cumulative_trapezoid
 
 import jumpfolio as jf
 from jumpfolio.errors import MomentDiverges, OutOfRange, UnsupportedSupport
+from jumpfolio.cli import load_config
 from jumpfolio.market import (
     K_transform_path,
     R_path,
     cumtrapz,
     jump_terms_path,
     l2_time_norm,
+    node_map,
     sigma_inv_xi_lambda_path,
     trapz,
 )
@@ -80,6 +84,85 @@ def test_cumtrapz_and_trapz_match_scipy_and_numpy_bit_for_bit():
         assert np.asarray(total).tobytes() == np.trapezoid(
             values, grid.nodes, axis=-1).tobytes()
         assert isinstance(total, float) == (values.ndim == 1)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient storage: one sample per coefficient whose nodes share its bits
+# ---------------------------------------------------------------------------
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+SIGMA_2D = np.array([[0.3, 0.05], [0.0, 0.35]])
+
+
+def _assert_one_sample(coeffs, r, mu, sigma):
+    """Each of r, mu and sigma is one read-only sample over the nodes, bit
+    for bit the tiled path of r, mu and sigma."""
+    n = coeffs.r.size
+    tiled = (np.full(n, r), np.tile(mu, (n, 1)), np.tile(sigma, (n, 1, 1)))
+    for kept, want in zip((coeffs.r, coeffs.mu, coeffs.sigma), tiled):
+        assert kept.strides[0] == 0
+        assert not kept.flags.writeable
+        assert kept.shape == want.shape
+        assert np.ascontiguousarray(kept).tobytes() == want.tobytes()
+
+
+def test_constant_coefficients_hold_one_sample():
+    grid = jf.TimeGrid.uniform(1.0, 257)
+    mu, sigma = np.array([0.06, 0.05]), SIGMA_2D.copy()
+    coeffs = jf.CoefficientPath.constant(grid, 0.02, mu, sigma)
+    _assert_one_sample(coeffs, 0.02, [0.06, 0.05], SIGMA_2D)
+    mu[0] = sigma[0, 0] = 9.0      # the caller's arrays stay theirs
+    _assert_one_sample(coeffs, 0.02, [0.06, 0.05], SIGMA_2D)
+
+
+def test_a_full_path_with_one_sample_holds_one_sample():
+    n = 33
+    r, mu = np.full(n, 0.02), np.full((n, 2), 0.06)
+    sigma = np.tile(SIGMA_2D, (n, 1, 1))
+    coeffs = jf.CoefficientPath(r, mu, sigma)
+    _assert_one_sample(coeffs, 0.02, [0.06, 0.06], SIGMA_2D)
+    for caller in (r, mu, sigma):
+        assert caller.flags.writeable
+        caller[...] = 9.0
+    _assert_one_sample(coeffs, 0.02, [0.06, 0.06], SIGMA_2D)
+
+
+@pytest.mark.parametrize("name", ["ref_es_equal2.ini", "ref_var_gamma1.ini"])
+def test_the_reference_configs_hold_one_sample(name):
+    coeffs = load_config(BENCH_CONFIGS / name).model.coeffs
+    _assert_one_sample(coeffs, coeffs.r[0], coeffs.mu[0], coeffs.sigma[0])
+
+
+def test_a_time_varying_path_stays_dense():
+    grid = jf.TimeGrid.uniform(1.0, 9)
+    coeffs = jf.CoefficientPath(0.02 + 0.01 * grid.nodes,
+                                np.full((9, 1), 0.07), np.full((9, 1, 1), 0.3))
+    assert coeffs.r.strides == (8,) and not coeffs.r.flags.writeable
+    assert coeffs.mu.strides[0] == coeffs.sigma.strides[0] == 0
+
+
+def test_a_path_that_differs_in_the_sign_of_a_zero_stays_dense():
+    # the storage rule compares bits, as node_map does: -0.0 is its own sample
+    grid = jf.TimeGrid.uniform(1.0, 9)
+    mu = np.zeros((9, 1))
+    mu[4] = -0.0
+    coeffs = jf.CoefficientPath(np.full(9, 0.02), mu, np.full((9, 1, 1), 0.3))
+    assert coeffs.mu.strides[0] != 0
+    assert coeffs.mu.tobytes() == mu.tobytes()
+    first, node = node_map(jf.MarketModel(grid, coeffs, jf.JumpSpec.none(1)))
+    assert first.tolist() == [0, 4]
+    assert node.tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_node_map_of_a_constant_market_has_one_sample(d):
+    grid = jf.TimeGrid.uniform(1.0, 17)
+    sigma = 0.3 * np.eye(d) + 0.01 * np.triu(np.ones((d, d)), 1)
+    coeffs = jf.CoefficientPath.constant(grid, 0.02, np.linspace(0.05, 0.07, d),
+                                         sigma)
+    first, node = node_map(jf.MarketModel(grid, coeffs, jf.JumpSpec.none(d)))
+    assert first.tolist() == [0]
+    assert node.tolist() == [0] * grid.n
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,22 @@ def test_stack_axes_that_do_not_broadcast_are_refused():
         jf.Strategy.from_pi(model, np.zeros((3, 17, 1)), np.zeros((2, 17)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda model, half: jf.Strategy.from_pi(model, np.full((17, 1), half)),
+    lambda model, half: jf.Strategy.from_pi(model, half),
+    lambda model, half: jf.Strategy.from_y(model, np.full(17, half)),
+    lambda model, half: jf.Strategy.from_pi(model, np.full(17, 0.5),
+                                            np.full(17, half)),
+    lambda model, half: jf.Strategy.from_pi(model, np.full(17, 0.5),
+                                            np.ones(17), np.full(17, half)),
+], ids=["pi", "pi_scalar", "y", "v", "V"])
+def test_a_complex_path_is_refused(build):
+    # a cast to float would keep 0.5 and drop the imaginary part
+    model = make_model(n=17)
+    with pytest.raises(InvalidStrategy, match="must be real"):
+        build(model, 0.5 + 0.5j)
+
+
 def test_validate_and_simulate_refuse_a_stack():
     model = make_model(n=17)
     stack = jf.Strategy.from_pi(model, np.full((2, 17, 1), 0.5))
